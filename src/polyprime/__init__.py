@@ -7,10 +7,10 @@ output is reproducible bit for bit for any worker count.
 """
 
 from ._version import __version__
-from .arith import (Factorization, SpfTable, build_spf_table, factorize,
-                    is_prime, lambda_from_mobius_check, liouville,
+from .arith import (Factorization, factorize, is_prime, is_prime_many,
+                    lambda_from_mobius_check, liouville, liouville_many,
                     liouville_sieve, mobius, mobius_sieve, primes_upto,
-                    theta, von_mangoldt)
+                    theta, von_mangoldt, von_mangoldt_many)
 from .errors import (BudgetError, ConfigError, ConsistencyError,
                      FactorBudgetError)
 from .experiments import (EmpiricalDistribution, ExperimentConfig,

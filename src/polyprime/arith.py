@@ -6,10 +6,26 @@ break down; liouville, mobius, von_mangoldt and theta all return 0 there
 by convention and bump a module-level audit counter so experiment drivers
 can report how often the sentinel was hit.
 
-Factoring strategy, in order: trial division by primes below 1024, a
-deterministic Miller-Rabin test, perfect-power extraction, then Brent's
-cycle-finding rho with batched gcds under an explicit iteration budget.
-Exceeding the budget raises FactorBudgetError instead of stalling.
+There are two routes to the same answers.
+
+The scalar route (`factorize`, `is_prime`, `liouville`, `von_mangoldt`)
+takes one integer at a time.  Factoring strategy, in order: trial
+division by primes below 1024, a deterministic Miller-Rabin test,
+perfect-power extraction, then Brent's cycle-finding rho with batched
+gcds under an explicit iteration budget.  Exceeding the budget raises
+FactorBudgetError instead of stalling.
+
+The batched route (`liouville_many`, `von_mangoldt_many`,
+`is_prime_many`) takes a whole list of values, such as f(1..X), and is
+what the experiments use.  It picks a sieve bound B from the largest
+value (the least power of two >= 32 with B**3 above it, at most 2**16),
+finds every prime p < B dividing each value in one numpy pass, and
+divides those out.  Every prime factor of the cofactor m left over is
+then above B, so m < B**2 is prime, and a composite m < B**3 is a product
+of exactly two primes.  Only composites m >= B**3 reach the scalar route.
+Miller-Rabin on m uses four fixed bases below 3,215,031,751 and Sinclair's
+seven bases below 2**64, which are proofs there; above 2**64 it is
+`is_prime`.  The scalar functions stay as the test oracle.
 """
 
 import math
@@ -21,7 +37,6 @@ import numpy as np
 from .errors import FactorBudgetError
 
 DEFAULT_RHO_BUDGET = 10_000_000
-DEFAULT_SPF_BOUND = 10 ** 8
 
 # Below this bound the 13 fixed witnesses make Miller-Rabin a proof.
 _MR_DET_BOUND = 3_317_044_064_679_887_385_961_981
@@ -330,61 +345,198 @@ def lambda_from_mobius_check(n: int) -> bool:
     return liouville(n) == total
 
 
-class SpfTable:
-    """Smallest-prime-factor table for 2..bound.
+_SIEVE_CAP = 1 << 16
+_SIEVE_PRIMES = primes_upto(_SIEVE_CAP)
+_SIEVE_PRIMES_F = _SIEVE_PRIMES.astype(np.float64)
+_SIEVE_CHUNK = 1 << 15  # elements per numpy block of the sieve
+_FLOAT_EXACT = 1 << 52  # below this v / p == floor(v / p) iff p | v
+_LIMB_BITS = 63
+_MR_SMALL_BOUND = 3_215_031_751
+_MR_SMALL_BASES = (2, 3, 5, 7)
+_MR_64_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
-    Gives O(log m) factorizations for table-sized inputs; the experiment
-    drivers use it for bulk sieving and fall back to `factorize` beyond
-    the bound.
+
+def _sieve_bound(top: int) -> int:
+    """Least power of two B >= 32 with B**3 > top, capped at 2**16."""
+    b = 32
+    while b ** 3 <= top and b < _SIEVE_CAP:
+        b *= 2
+    return b
+
+
+def _mr_is_prime(n: int) -> bool:
+    """Miller-Rabin on odd n >= 3, a proof below 2**64; is_prime above."""
+    if n < _MR_SMALL_BOUND:
+        bases = _MR_SMALL_BASES
+    elif n < 1 << 64:
+        bases = _MR_64_BASES
+    else:
+        return is_prime(n)
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    return all(_mr_round(n, d, s, a) for a in bases)
+
+
+def _float_divisibility(block: list, width: int):
+    """divides(c0, c1): mask[i, j] says sieve prime c0 + j divides block[i],
+    for block entries below 2**52 and c1 - c0 <= width.
+
+    Exact: if p does not divide v, v / p is at least 1/p from every
+    integer, which is more than half an ulp of v / p.  The buffers are
+    allocated once per block, so the sieve does not churn the allocator.
     """
+    v = np.array(block, dtype=np.float64)[:, None]
+    q = np.empty((len(block), width))
+    fl = np.empty_like(q)
+    mask = np.empty(q.shape, dtype=bool)
 
-    def __init__(self, bound: int):
-        if bound < 2:
-            raise ValueError("bound must be >= 2")
-        self.bound = bound
-        spf = np.zeros(bound + 1, dtype=np.uint32)
-        for p in range(2, math.isqrt(bound) + 1):
-            if spf[p] == 0:
-                spf[p] = p
-                sl = spf[p * p:: p]
-                sl[sl == 0] = p
-        rest = np.nonzero(spf[2:] == 0)[0] + 2
-        spf[rest] = rest
-        self.table = spf
+    def divides(c0, c1):
+        cols = slice(0, c1 - c0)
+        np.divide(v, _SIEVE_PRIMES_F[c0:c1], out=q[:, cols])
+        np.floor(q[:, cols], out=fl[:, cols])
+        return np.equal(q[:, cols], fl[:, cols], out=mask[:, cols])
 
-    def spf(self, m: int) -> int:
-        if not 2 <= m <= self.bound:
-            raise ValueError(f"{m} outside table range [2, {self.bound}]")
-        return int(self.table[m])
+    return divides
 
-    def factorize(self, n: int) -> Factorization:
-        if n == 0:
-            raise ValueError("0 has no factorization")
-        sign = -1 if n < 0 else 1
-        m = abs(n)
-        if m > self.bound:
-            raise ValueError(f"{m} exceeds table bound {self.bound}")
-        found = {}
-        while m > 1:
-            p = int(self.table[m])
-            while m % p == 0:
-                found[p] = found.get(p, 0) + 1
-                m //= p
-        return Factorization(n=n, sign=sign,
-                             factors=tuple(sorted(found.items())))
 
-    def liouville(self, n: int) -> int:
-        if n == 0:
+def _limb_divisibility(block: list):
+    """divides(c0, c1) as in _float_divisibility, for ints of any size.
+
+    Values below 2**63 take one int64 remainder.  Larger ones are split
+    into 63-bit limbs, and v mod p is the sum of (limb_k mod p) times
+    (2**(63 k) mod p), which stays far below 2**63 for p < 2**16.
+    """
+    limbs = []
+    while True:
+        limbs.append(np.array([m & ((1 << _LIMB_BITS) - 1) for m in block],
+                              dtype=np.int64)[:, None])
+        block = [m >> _LIMB_BITS for m in block]
+        if not any(block):
+            break
+
+    def divides(c0, c1):
+        p = _SIEVE_PRIMES[c0:c1]
+        acc = limbs[0] % p
+        if len(limbs) > 1:
+            step = (1 << (_LIMB_BITS - 1)) % p * 2 % p  # 2**63 overflows
+            weight = np.ones_like(p)
+            for limb in limbs[1:]:
+                weight = weight * step % p
+                acc += limb % p * weight
+            acc %= p
+        return acc == 0
+
+    return divides
+
+
+def _divisor_hits(mags: list, count: int):
+    """Yield (i, p) for each of the first `count` sieve primes p that
+    divides mags[i] >= 1, in numpy blocks of at most _SIEVE_CHUNK
+    elements; the primes of one i come in ascending order.
+    """
+    rows_per = max(1, min(len(mags), _SIEVE_CHUNK))
+    cols_per = max(1, _SIEVE_CHUNK // rows_per)
+    for r0 in range(0, len(mags), rows_per):
+        block = mags[r0:r0 + rows_per]
+        if max(block) < _FLOAT_EXACT:
+            divides = _float_divisibility(block, cols_per)
+        else:
+            divides = _limb_divisibility(block)
+        for c0 in range(0, count, cols_per):
+            c1 = min(c0 + cols_per, count)
+            for k in np.flatnonzero(divides(c0, c1)).tolist():
+                i, j = divmod(k, c1 - c0)
+                yield r0 + i, int(_SIEVE_PRIMES[c0 + j])
+
+
+def _sieve_split(values):
+    """Split each |v| at the sieve bound B.
+
+    Returns (B, small, rest): small[i] lists the primes p < B dividing
+    values[i], each repeated by its multiplicity, and rest[i] is |v|
+    divided by all of them, so every prime factor of rest[i] exceeds B.
+    A zero value, and only a zero value, gives rest 0 (and small []).
+    """
+    mags = [abs(int(v)) for v in values]
+    bound = _sieve_bound(max(mags, default=0))
+    small = [[] for _ in mags]
+    rest = list(mags)
+    count = int(np.searchsorted(_SIEVE_PRIMES, bound))
+    for i, p in _divisor_hits([m or 1 for m in mags], count):
+        m = rest[i]
+        while m % p == 0:
+            small[i].append(p)
+            m //= p
+        rest[i] = m
+    return bound, small, rest
+
+
+def _cofactor_is_prime(m: int, bound: int) -> bool:
+    """Primality of m > 1 whose prime factors all exceed `bound`."""
+    return m < bound * bound or _mr_is_prime(m)
+
+
+def liouville_many(values, budget: int = DEFAULT_RHO_BUDGET) -> list:
+    """[liouville(v) for v in values], by the batched route.
+
+    Each zero value is audited, as in `liouville`; each composite
+    cofactor above B**3 is factored under its own rho budget.
+    """
+    bound, small, rest = _sieve_split(values)
+    out = []
+    for ps, m in zip(small, rest):
+        if m == 0:
             zero_audit.count += 1
-            return 0
-        if abs(n) == 1:
-            return 1
-        return -1 if self.factorize(n).big_omega % 2 else 1
+            out.append(0)
+            continue
+        omega = len(ps)
+        if m > 1:
+            if _cofactor_is_prime(m, bound):
+                omega += 1
+            elif m < bound ** 3:
+                omega += 2
+            else:
+                omega += factorize(m, budget=budget).big_omega
+        out.append(-1 if omega % 2 else 1)
+    return out
 
 
-def build_spf_table(bound: int) -> SpfTable:
-    """Smallest-prime-factor table for 2..bound (see SpfTable)."""
-    return SpfTable(bound)
+def von_mangoldt_many(values) -> list:
+    """[von_mangoldt(v) for v in values], by the batched route.
+
+    Each zero value is audited, as in `von_mangoldt`.
+    """
+    bound, small, rest = _sieve_split(values)
+    out = []
+    for ps, m in zip(small, rest):
+        if m == 0:
+            zero_audit.count += 1
+        p = None
+        if ps:
+            if m == 1 and ps[0] == ps[-1]:  # ps ascends: one distinct prime
+                p = ps[0]
+        elif m > 1:
+            if _cofactor_is_prime(m, bound):
+                p = m
+            elif m < bound ** 3:
+                r = math.isqrt(m)
+                p = r if r * r == m else None
+            else:
+                p = _prime_power_base(m)
+        out.append(math.log(p) if p is not None else 0.0)
+    return out
+
+
+def is_prime_many(values) -> list:
+    """[is_prime(v) for v in values], by the batched route (no audit)."""
+    bound, small, rest = _sieve_split(values)
+    # With a small prime hit, |v| is prime only if it is that prime.
+    return [len(ps) == 1 and m == 1 if ps
+            else m > 1 and _cofactor_is_prime(m, bound)
+            for ps, m in zip(small, rest)]
 
 
 def liouville_sieve(n: int) -> np.ndarray:

@@ -10,7 +10,9 @@ per-sample output is byte-identical for any worker count.
 Statistic conventions.  Sums over n always mean 1 <= n <= X.  A zero
 value of f(n) contributes 0 wherever an arithmetic function is applied
 and increments the zero-evaluation audit counter, which is reported per
-sample.
+sample.  Each statistic evaluates f once at its points and hands the
+values to the batched kernels of `arith` (`liouville_many`,
+`von_mangoldt_many`, `is_prime_many`).
 """
 
 import math
@@ -20,7 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import is_prime, liouville, von_mangoldt, zero_audit
+from .arith import (is_prime_many, liouville_many, von_mangoldt_many,
+                    zero_audit)
 from .errors import BudgetError, ConfigError, ConsistencyError
 from .moments import gaussian_moment, sigma_squared
 from .poly import IntPolynomial, sample_uniform, sample_uniform_residue
@@ -177,32 +180,44 @@ def bh_statistic(f: IntPolynomial, X: int, w: int,
     """Average of the von Mangoldt weight along f minus its series."""
     if series_value is None:
         series_value = series_f(f, w).value
-    total = math.fsum(von_mangoldt(f.eval(n)) for n in range(1, X + 1))
+    total = math.fsum(von_mangoldt_many([f.eval(n)
+                                         for n in range(1, X + 1)]))
     return total / X - float(series_value)
 
 
 def tuple_statistic(f: IntPolynomial, X: int, shifts, w: int,
                     series_value=None) -> float:
-    """Average of the product of von Mangoldt weights at shifted points."""
+    """Average of the product of von Mangoldt weights at shifted points.
+
+    The product at n is taken in shift order and stops at its first zero
+    weight, so a zero value f(n + l) is audited only when every earlier
+    shift's weight at n was nonzero.
+    """
     if series_value is None:
         series_value = series_f_tuple(f, shifts, w).value
     shifts = list(shifts)
-
-    def term(n):
+    lo = 1 + min(shifts)
+    vals = [f.eval(m) for m in range(lo, X + max(shifts) + 1)]
+    # Zeros stay out of the kernel, which would audit every one of them.
+    lams = iter(von_mangoldt_many([v for v in vals if v]))
+    weight = [next(lams) if v else 0.0 for v in vals]
+    terms = []
+    for n in range(1, X + 1):
         v = 1.0
         for l in shifts:
-            v *= von_mangoldt(f.eval(n + l))
+            i = n + l - lo
+            v *= weight[i]
             if v == 0.0:
-                return 0.0
-        return v
-
-    total = math.fsum(term(n) for n in range(1, X + 1))
-    return total / X - float(series_value)
+                if vals[i] == 0:
+                    zero_audit.count += 1
+                break
+        terms.append(v)
+    return math.fsum(terms) / X - float(series_value)
 
 
 def chowla_normalized_sum(f: IntPolynomial, X: int) -> float:
     """Sum of the Liouville function along f, scaled by X**(-1/2)."""
-    total = sum(liouville(f.eval(n)) for n in range(1, X + 1))
+    total = sum(liouville_many([f.eval(n) for n in range(1, X + 1)]))
     return total / math.sqrt(X)
 
 
@@ -215,9 +230,7 @@ def sign_pattern_statistic(f: IntPolynomial, X: int, pattern) -> float:
     """
     eps = tuple(pattern)
     s = len(eps)
-    lam = [0] * (X + s + 1)
-    for m in range(2, X + s + 1):
-        lam[m] = liouville(f.eval(m))
+    lam = [0, 0] + liouville_many([f.eval(m) for m in range(2, X + s + 1)])
     count = 0
     for n in range(1, X + 1):
         window = lam[n + 1: n + 1 + s]
@@ -239,7 +252,7 @@ def interval_count_distribution(f: IntPolynomial, X: int,
     """Distribution of the prime count of f over windows [x, x+L), x <= X."""
     if L < 1:
         raise ConfigError("L must be >= 1")
-    flags = [is_prime(f.eval(m)) for m in range(1, X + L)]
+    flags = is_prime_many([f.eval(m) for m in range(1, X + L)])
     running = sum(flags[:L])
     acc = {}
     for x in range(1, X + 1):
@@ -352,13 +365,9 @@ def run_sample(cfg: ExperimentConfig, index: int) -> SampleRecord:
     elif kind == "linear-forms":
         vals = [f.eval(n) for n in cfg.ns]
         if cfg.target == "von-mangoldt":
-            prod = 1.0
-            for v in vals:
-                prod *= von_mangoldt(v)
+            prod = math.prod(von_mangoldt_many(vals), start=1.0)
         else:
-            prod = 1
-            for v in vals:
-                prod *= liouville(v)
+            prod = math.prod(liouville_many(vals))
         stats = {"stat": float(prod)}
     elif kind == "poisson-gaps":
         logscale = math.fsum(math.log(max(abs(f.eval(n)), 2))

@@ -4,18 +4,22 @@ import math
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import polyprime.arith as arith
 from polyprime.arith import (
     Factorization,
-    SpfTable,
     big_omega,
-    build_spf_table,
     factorize,
     iroot,
     is_prime,
+    is_prime_many,
     lambda_from_mobius_check,
     least_prime_at_least,
     liouville,
+    liouville_many,
     liouville_sieve,
     mobius,
     mobius_sieve,
@@ -23,6 +27,7 @@ from polyprime.arith import (
     primes_upto,
     theta,
     von_mangoldt,
+    von_mangoldt_many,
     zero_audit,
 )
 from polyprime.errors import FactorBudgetError
@@ -294,33 +299,6 @@ def test_lambda_from_mobius_check():
         lambda_from_mobius_check(0)
 
 
-def test_spf_table_basics():
-    t = SpfTable(10 ** 6)
-    assert t.spf(2) == 2
-    assert t.spf(4) == 2
-    assert t.spf(15) == 3
-    assert t.spf(999983) == 999983
-    with pytest.raises(ValueError):
-        t.spf(1)
-    with pytest.raises(ValueError):
-        t.spf(10 ** 6 + 1)
-
-
-def test_spf_table_factorize_matches_global():
-    t = build_spf_table(2 * 10 ** 6)
-    for n in range(2, 2000):
-        assert t.factorize(n) == factorize(n)
-    rng = stream(20260818, 103)
-    for _ in range(500):
-        n = rng.randrange(2, 2 * 10 ** 6)
-        assert t.factorize(n) == factorize(n)
-        assert t.liouville(n) == liouville(n)
-    with pytest.raises(ValueError):
-        t.factorize(4 * 10 ** 6)
-    with pytest.raises(ValueError):
-        t.factorize(0)
-
-
 def test_liouville_sieve_matches_pointwise():
     lam = liouville_sieve(1000)
     assert lam[0] == 0
@@ -341,3 +319,162 @@ def test_least_prime_at_least():
     assert least_prime_at_least(14) == 17
     assert least_prime_at_least(23) == 23
     assert least_prime_at_least(15000) == 15013
+
+
+# The batched kernels (liouville_many, von_mangoldt_many, is_prime_many).
+
+def _scalar_and_batched(values):
+    """Scalar and batched answers with their zero audits, side by side."""
+    zero_audit.reset()
+    lam = [liouville(v) for v in values]
+    vm = [von_mangoldt(v) for v in values]
+    want = (lam, vm, [is_prime(v) for v in values], zero_audit.reset())
+    got = (liouville_many(values), von_mangoldt_many(values),
+           is_prime_many(values), zero_audit.reset())
+    return want, got
+
+
+# Primes just above 2**16 and 2**32: products of them leave cofactors
+# just above B**2 (two factors) or at B**3 and beyond (three factors, a
+# cube, a factor above 2**32), where the rho fallback runs.
+P16 = (65537, 65539, 65543)
+P32 = 2 ** 32 + 15
+PRIME_ABOVE_2_64 = 2 ** 64 + 13
+BIG_COFACTORS = (P16[0] * P16[1] * P16[2], P16[0] ** 3, P16[0] ** 2 * P16[1],
+                 P16[0] * P32, P32 ** 2, PRIME_ABOVE_2_64,
+                 PRIME_ABOVE_2_64 * P16[1], 3 * P16[0] * P16[2] * P32)
+EDGES = (2 ** 52, 2 ** 63, 2 ** 64)
+
+
+@st.composite
+def kernel_values(draw):
+    """A list whose sieve bound is 2**k, with values in every branch.
+
+    The first entry B**3 - 1 pins the bound; the rest mix 0 and +-1,
+    small primes and their powers, p**2 and p*q for the first primes
+    p < q above B (cofactors just above B**2), random values below
+    B**3, and optionally values on both sides of 2**52, 2**63 and 2**64
+    and composites beyond B**3 (which raise the bound to its cap).
+    """
+    b = 2 ** draw(st.integers(5, 16))
+    p = least_prime_at_least(b)
+    q = least_prime_at_least(p + 1)
+    special = [0, 1, 2, 3, 4, 8, 9, b - 1, p, q, p * p, p * q, p * p * q]
+    atoms = st.one_of(st.sampled_from(special),
+                      st.sampled_from(primes_upto(200).tolist()),
+                      st.integers(0, b ** 3 - 1))
+    if draw(st.booleans()):
+        atoms = st.one_of(
+            atoms, st.sampled_from(BIG_COFACTORS),
+            st.tuples(st.sampled_from(EDGES), st.integers(-300, 300))
+            .map(sum))
+    signed = st.tuples(atoms, st.sampled_from((1, -1))).map(
+        lambda t: t[0] * t[1])
+    return [b ** 3 - 1] + draw(st.lists(signed, max_size=25))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_values())
+def test_batched_kernels_match_scalar(values):
+    want, got = _scalar_and_batched(values)
+    assert got == want
+
+
+def test_batched_kernels_fixed_edges():
+    b = 2 ** 16
+    values = [0, 1, -1, 0, 2, -2, 65521, 65521 ** 2, -(2 ** 40),
+              P16[0] * P16[1], -P16[0] ** 2, b ** 2 - 1, b ** 3 - 1,
+              *(e + d for e in EDGES for d in (-3, -1, 0, 1, 3)),
+              *BIG_COFACTORS]
+    want, got = _scalar_and_batched(values)
+    assert got == want
+    assert got[3] == 4  # two zeros, audited by liouville and von Mangoldt
+    assert liouville_many([]) == von_mangoldt_many([]) == []
+    # Values above 2**52 in one list with small ones: the block takes
+    # the exact integer route for all of them.
+    assert is_prime_many([7, 2 ** 61 - 1, 2 ** 61 + 1]) == [True, True,
+                                                           False]
+
+
+def test_sieve_bound():
+    assert arith._sieve_bound(0) == 32
+    assert arith._sieve_bound(32 ** 3 - 1) == 32
+    assert arith._sieve_bound(32 ** 3) == 64
+    assert arith._sieve_bound(10 ** 14) == 2 ** 16
+    assert arith._sieve_bound(10 ** 30) == 2 ** 16
+
+
+def test_sieve_split_against_sympy():
+    # The sieve itself, on both of its routes: every prime below B with
+    # its multiplicity, and a cofactor free of them.  Beyond 2**53 most
+    # values are not floats, so smooth parts hide behind large ones.
+    rng = stream(20260818, 107)
+    values = [e + d for e in EDGES for d in range(-40, 41)]
+    values += [2 ** 80 + d for d in range(-6, 7)]
+    values += [rng.randrange(1, 2 ** 50) * 3 ** 5 * 7 * 65521
+               for _ in range(40)]
+    values += [0, 1, -1, -(2 ** 64 - 59) * 2 ** 10 * 3 * 5 * 7]
+    for chunk in (values[:40], values[40:], values[150:200]):
+        bound, small, rest = arith._sieve_split(chunk)
+        for v, ps, m in zip(chunk, small, rest):
+            fac = sympy.factorint(abs(v), limit=bound) if abs(v) > 1 else {}
+            want = [p for p, e in sorted(fac.items()) if p < bound
+                    for _ in range(e)]
+            assert ps == want, v
+            assert m == (abs(v) // math.prod(ps) if v else 0), v
+
+
+def test_batched_kernels_no_rho_below_cap(monkeypatch):
+    # Below 2**48 every cofactor is below B**3, so nothing reaches the
+    # scalar factorization route.
+    def refuse(*args, **kwargs):
+        raise AssertionError("factorize called")
+
+    monkeypatch.setattr(arith, "factorize", refuse)
+    monkeypatch.setattr(arith, "_prime_power_base", refuse)
+    rng = stream(20260818, 104)
+    values = [rng.randrange(1, 2 ** 48) for _ in range(300)]
+    values += [P16[0] * P16[1], P16[0] ** 2, 2 ** 48 - 59]
+    liouville_many(values)
+    von_mangoldt_many(values)
+
+
+def test_batched_kernels_budget_error():
+    with pytest.raises(FactorBudgetError):
+        liouville_many([6, HARD_SEMIPRIME], budget=10_000)
+
+
+def test_batched_kernels_against_sympy():
+    # Gate-sized values: random quadratics with |a_i| <= 1e9 at n <= 60.
+    rng = stream(20260818, 105)
+    values = []
+    for _ in range(4):
+        a = [rng.randrange(-10 ** 9, 10 ** 9 + 1) for _ in range(3)]
+        values += [a[0] + a[1] * n + a[2] * n * n for n in range(1, 61)]
+    lam = liouville_many(values)
+    vm = von_mangoldt_many(values)
+    flags = is_prime_many(values)
+    for v, got_lam, got_vm, got_flag in zip(values, lam, vm, flags):
+        fac = sympy.factorint(abs(v)) if abs(v) > 1 else {}
+        assert got_lam == (-1) ** sum(fac.values()), v
+        want_vm = math.log(next(iter(fac))) if len(fac) == 1 else 0.0
+        assert got_vm == want_vm, v
+        assert got_flag == sympy.isprime(abs(v)), v
+
+
+def test_cofactor_miller_rabin_against_sympy():
+    rng = stream(20260818, 106)
+    odd = [rng.randrange(2 ** 62, 2 ** 64) | 1 for _ in range(1500)]
+    odd += [rng.randrange(3, 2 ** 33) | 1 for _ in range(1500)]
+    odd += [sympy.nextprime(rng.randrange(2 ** 63, 2 ** 64))
+            for _ in range(50)]
+    odd += list(range(3_215_031_751 - 200, 3_215_031_751 + 200, 2))
+    for n in odd:
+        assert arith._mr_is_prime(n) == sympy.isprime(n), n
+    # Strong pseudoprimes: to bases 2, 3, 5, 7; to every prime base up
+    # to 31; and to every prime base up to 37 (above 2**64).
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not sympy.isprime(n)
+        assert not arith._mr_is_prime(n), n
+    assert is_prime_many([3215031751, 3825123056546413051,
+                          318665857834031151167461]) == [False] * 3

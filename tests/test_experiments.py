@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from polyprime.arith import liouville, primes_upto, von_mangoldt, zero_audit
+from polyprime.arith import (is_prime, liouville, primes_upto, von_mangoldt,
+                             zero_audit)
 from polyprime.errors import ConfigError
 from polyprime.experiments import (
     EmpiricalDistribution,
@@ -21,7 +22,8 @@ from polyprime.experiments import (
     sign_pattern_statistic,
     tuple_statistic,
 )
-from polyprime.poly import IntPolynomial
+from polyprime.poly import IntPolynomial, sample_uniform
+from polyprime.rng import stream
 from polyprime.series import series_f, series_f_tuple
 
 X_POLY = IntPolynomial((0, 1))
@@ -467,3 +469,118 @@ def test_zero_eval_audit_surfaces_in_records():
         assert rec.zero_evals >= 1
     if any(rec.zero_evals for rec in res.records):
         assert any("zero evaluations" in wrn for wrn in res.warnings)
+
+
+# Per-n reference loops: the statistics as they were computed before the
+# batched kernels, one scalar arithmetic call per point.
+
+def ref_bh(f, X, sv):
+    total = math.fsum(von_mangoldt(f.eval(n)) for n in range(1, X + 1))
+    return total / X - float(sv)
+
+
+def ref_tuple(f, X, shifts, sv):
+    def term(n):
+        v = 1.0
+        for l in shifts:
+            v *= von_mangoldt(f.eval(n + l))
+            if v == 0.0:
+                return 0.0
+        return v
+
+    return math.fsum(term(n) for n in range(1, X + 1)) / X - float(sv)
+
+
+def ref_chowla(f, X):
+    return sum(liouville(f.eval(n)) for n in range(1, X + 1)) / math.sqrt(X)
+
+
+def ref_sign(f, X, pattern):
+    s = len(pattern)
+    lam = [0] * (X + s + 1)
+    for m in range(2, X + s + 1):
+        lam[m] = liouville(f.eval(m))
+    count = sum(1 for n in range(1, X + 1)
+                if lam[n + 1: n + 1 + s] == list(pattern))
+    return (count - X / 2 ** s) / math.sqrt(X)
+
+
+def ref_interval(f, X, L):
+    flags = [is_prime(f.eval(m)) for m in range(1, X + L)]
+    counts = [sum(flags[x - 1: x - 1 + L]) for x in range(1, X + 1)]
+    return EmpiricalDistribution.from_values(counts)
+
+
+def audited(fn, *args):
+    """fn(*args) with the number of zero evaluations it audited."""
+    zero_audit.reset()
+    out = fn(*args)
+    return out, zero_audit.reset()
+
+
+def small_polys(seed, count):
+    """Seeded polynomials with tiny coefficients, so zeros of f occur."""
+    rng = stream(seed, 0)
+    return [sample_uniform(rng.randrange(1, 4), rng.randrange(2, 7), rng)
+            for _ in range(count)]
+
+
+def test_statistics_match_reference_loops():
+    X, w = 30, 5
+    zeros = 0
+    for f in small_polys(20261018, 60):
+        sv = series_f(f, w).value
+        got = audited(bh_statistic, f, X, w, sv)
+        assert got == audited(ref_bh, f, X, sv), f
+        zeros += got[1]
+        assert audited(chowla_normalized_sum, f, X) == \
+            audited(ref_chowla, f, X), f
+        for pattern in ((1,), (-1, 1), (1, 1, -1)):
+            assert audited(sign_pattern_statistic, f, X, pattern) == \
+                audited(ref_sign, f, X, pattern), (f, pattern)
+        for L in (1, 4):
+            assert audited(interval_count_distribution, f, X, L) == \
+                audited(ref_interval, f, X, L), (f, L)
+    assert zeros > 0
+
+
+def test_tuple_statistic_matches_reference_loop():
+    X, w = 25, 3
+    zeros = 0
+    for f in small_polys(20261019, 40):
+        for shifts in ((0, 2), (2, 0), (-3, 1, 4), (0, 1, 2, 3, 6)):
+            sv = series_f_tuple(f, shifts, w).value
+            got = audited(tuple_statistic, f, X, shifts, w, sv)
+            assert got == audited(ref_tuple, f, X, shifts, sv), (f, shifts)
+            zeros += got[1]
+    assert zeros > 0
+
+
+def test_tuple_statistic_zero_behind_zero_weight_not_audited():
+    # f(6) = 0.  At n = 4 the shift-0 weight Lambda(|f(4)|) = Lambda(6)
+    # is 0, so the product stops before f(n + 2) = f(6) is evaluated;
+    # only n = 6, where f(6) is the first factor, audits the zero.
+    f = IntPolynomial((-18, 3))
+    got = audited(tuple_statistic, f, 10, (0, 2), 3, 0)
+    assert got[1] == 1
+    assert got == audited(ref_tuple, f, 10, (0, 2), 0)
+
+
+def test_linear_forms_matches_reference_products():
+    for target in ("von-mangoldt", "liouville"):
+        cfg = ExperimentConfig(kind="linear-forms", d=2, H=3, X=1,
+                               samples=40, seed=17, w=3, ns=(1, 2, 3),
+                               target=target)
+        zeros = 0
+        for i in range(cfg.samples):
+            rec = run_sample(cfg, i)
+            vals = [IntPolynomial(rec.coeffs).eval(n) for n in cfg.ns]
+            zero_audit.reset()
+            fn = von_mangoldt if target == "von-mangoldt" else liouville
+            prod = 1.0 if target == "von-mangoldt" else 1
+            for v in vals:
+                prod *= fn(v)
+            assert rec.stats["stat"] == float(prod)
+            assert rec.zero_evals == zero_audit.reset()
+            zeros += rec.zero_evals
+        assert zeros > 0
