@@ -13,19 +13,23 @@ takes one integer at a time.  Factoring strategy, in order: trial
 division by primes below 1024, a deterministic Miller-Rabin test,
 perfect-power extraction, then Brent's cycle-finding rho with batched
 gcds under an explicit iteration budget.  Exceeding the budget raises
-FactorBudgetError instead of stalling.
+FactorBudgetError instead of stalling.  Miller-Rabin picks its bases by
+the size of n: 2, 3, 5, 7 below 3,215,031,751, Sinclair's seven bases
+below 2**64 and 13 fixed witnesses below ~3.3e24, each a proof there.
 
 The batched route (`liouville_many`, `von_mangoldt_many`,
 `is_prime_many`) takes a whole list of values, such as f(1..X), and is
 what the experiments use.  It picks a sieve bound B from the largest
 value (the least power of two >= 32 with B**3 above it, at most 2**16),
-finds every prime p < B dividing each value in one numpy pass, and
+finds every prime p < B dividing each value in numpy blocks, and
 divides those out.  Every prime factor of the cofactor m left over is
 then above B, so m < B**2 is prime, and a composite m < B**3 is a product
-of exactly two primes.  Only composites m >= B**3 reach the scalar route.
-Miller-Rabin on m uses four fixed bases below 3,215,031,751 and Sinclair's
-seven bases below 2**64, which are proofs there; above 2**64 it is
-`is_prime`.  The scalar functions stay as the test oracle.
+of exactly two primes.  Only composites m >= B**3 reach `factorize`.
+For von Mangoldt and primality a value leaves the sieve after the block
+of its first hit, which settles the answer.  The float64 divisibility
+test of the sieve is exact below 2**52; values of 2**52 and more take
+the scalar route one at a time.  The scalar functions also stay as the
+test oracle.
 """
 
 import math
@@ -38,7 +42,10 @@ from .errors import FactorBudgetError
 
 DEFAULT_RHO_BUDGET = 10_000_000
 
-# Below this bound the 13 fixed witnesses make Miller-Rabin a proof.
+# Below each bound its bases make Miller-Rabin a proof.
+_MR_SMALL_BOUND = 3_215_031_751
+_MR_SMALL_BASES = (2, 3, 5, 7)
+_MR_64_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _MR_DET_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_DET_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXTRA_ROUNDS = 64
@@ -92,11 +99,10 @@ def _mr_round(n: int, d: int, s: int, a: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Primality of |n|; deterministic below ~3.3e24.
+    """Primality of |n|: trial division below 1024, then Miller-Rabin.
 
-    Above that bound the fixed witness set is topped up with 64 extra
-    bases drawn from a generator seeded by n itself, so the answer is
-    still reproducible run to run.
+    Deterministic below ~3.3e24 and reproducible above (see
+    `_miller_rabin`).
     """
     n = abs(n)
     if n < 2:
@@ -108,21 +114,36 @@ def is_prime(n: int) -> bool:
             return False
         if p * p > n:
             return True
+    return _miller_rabin(n)
+
+
+def _miller_rabin(n: int) -> bool:
+    """Miller-Rabin on odd n > 7, with the bases picked by the size of n.
+
+    Bases 2, 3, 5, 7 are a proof below 3,215,031,751, Sinclair's seven
+    bases (all smaller than n there) below 2**64, and the 13 fixed
+    witnesses below ~3.3e24.  Above that the witnesses are topped up
+    with 64 extra bases drawn from a generator seeded by n itself, so
+    the answer is still reproducible run to run.
+    """
+    if n < _MR_SMALL_BOUND:
+        bases = _MR_SMALL_BASES
+    elif n < 1 << 64:
+        bases = _MR_64_BASES
+    else:
+        bases = _MR_DET_WITNESSES
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_DET_WITNESSES:
-        if not _mr_round(n, d, s, a):
-            return False
+    if not all(_mr_round(n, d, s, a) for a in bases):
+        return False
     if n < _MR_DET_BOUND:
         return True
     rng = random.Random(n ^ 0xD1B54A32D192ED03)
-    for _ in range(_MR_EXTRA_ROUNDS):
-        if not _mr_round(n, d, s, rng.randrange(2, n - 1)):
-            return False
-    return True
+    return all(_mr_round(n, d, s, rng.randrange(2, n - 1))
+               for _ in range(_MR_EXTRA_ROUNDS))
 
 
 def iroot(n: int, k: int) -> int:
@@ -348,12 +369,9 @@ def lambda_from_mobius_check(n: int) -> bool:
 _SIEVE_CAP = 1 << 16
 _SIEVE_PRIMES = primes_upto(_SIEVE_CAP)
 _SIEVE_PRIMES_F = _SIEVE_PRIMES.astype(np.float64)
+_SIEVE_PRIMES_INT = _SIEVE_PRIMES.tolist()
 _SIEVE_CHUNK = 1 << 15  # elements per numpy block of the sieve
 _FLOAT_EXACT = 1 << 52  # below this v / p == floor(v / p) iff p | v
-_LIMB_BITS = 63
-_MR_SMALL_BOUND = 3_215_031_751
-_MR_SMALL_BASES = (2, 3, 5, 7)
-_MR_64_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
 def _sieve_bound(top: int) -> int:
@@ -364,179 +382,151 @@ def _sieve_bound(top: int) -> int:
     return b
 
 
-def _mr_is_prime(n: int) -> bool:
-    """Miller-Rabin on odd n >= 3, a proof below 2**64; is_prime above."""
-    if n < _MR_SMALL_BOUND:
-        bases = _MR_SMALL_BASES
-    elif n < 1 << 64:
-        bases = _MR_64_BASES
-    else:
-        return is_prime(n)
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    return all(_mr_round(n, d, s, a) for a in bases)
-
-
-def _float_divisibility(block: list, width: int):
-    """divides(c0, c1): mask[i, j] says sieve prime c0 + j divides block[i],
-    for block entries below 2**52 and c1 - c0 <= width.
-
-    Exact: if p does not divide v, v / p is at least 1/p from every
-    integer, which is more than half an ulp of v / p.  The buffers are
-    allocated once per block, so the sieve does not churn the allocator.
-    """
-    v = np.array(block, dtype=np.float64)[:, None]
-    q = np.empty((len(block), width))
-    fl = np.empty_like(q)
-    mask = np.empty(q.shape, dtype=bool)
-
-    def divides(c0, c1):
-        cols = slice(0, c1 - c0)
-        np.divide(v, _SIEVE_PRIMES_F[c0:c1], out=q[:, cols])
-        np.floor(q[:, cols], out=fl[:, cols])
-        return np.equal(q[:, cols], fl[:, cols], out=mask[:, cols])
-
-    return divides
-
-
-def _limb_divisibility(block: list):
-    """divides(c0, c1) as in _float_divisibility, for ints of any size.
-
-    Values below 2**63 take one int64 remainder.  Larger ones are split
-    into 63-bit limbs, and v mod p is the sum of (limb_k mod p) times
-    (2**(63 k) mod p), which stays far below 2**63 for p < 2**16.
-    """
-    limbs = []
-    while True:
-        limbs.append(np.array([m & ((1 << _LIMB_BITS) - 1) for m in block],
-                              dtype=np.int64)[:, None])
-        block = [m >> _LIMB_BITS for m in block]
-        if not any(block):
-            break
-
-    def divides(c0, c1):
-        p = _SIEVE_PRIMES[c0:c1]
-        acc = limbs[0] % p
-        if len(limbs) > 1:
-            step = (1 << (_LIMB_BITS - 1)) % p * 2 % p  # 2**63 overflows
-            weight = np.ones_like(p)
-            for limb in limbs[1:]:
-                weight = weight * step % p
-                acc += limb % p * weight
-            acc %= p
-        return acc == 0
-
-    return divides
-
-
-def _divisor_hits(mags: list, count: int):
-    """Yield (i, p) for each of the first `count` sieve primes p that
-    divides mags[i] >= 1, in numpy blocks of at most _SIEVE_CHUNK
-    elements; the primes of one i come in ascending order.
-    """
-    rows_per = max(1, min(len(mags), _SIEVE_CHUNK))
-    cols_per = max(1, _SIEVE_CHUNK // rows_per)
-    for r0 in range(0, len(mags), rows_per):
-        block = mags[r0:r0 + rows_per]
-        if max(block) < _FLOAT_EXACT:
-            divides = _float_divisibility(block, cols_per)
-        else:
-            divides = _limb_divisibility(block)
-        for c0 in range(0, count, cols_per):
-            c1 = min(c0 + cols_per, count)
-            for k in np.flatnonzero(divides(c0, c1)).tolist():
-                i, j = divmod(k, c1 - c0)
-                yield r0 + i, int(_SIEVE_PRIMES[c0 + j])
-
-
-def _sieve_split(values):
-    """Split each |v| at the sieve bound B.
+def _sieve_split(values, full=True):
+    """Split each |v| < 2**52 at the sieve bound B.
 
     Returns (B, small, rest): small[i] lists the primes p < B dividing
-    values[i], each repeated by its multiplicity, and rest[i] is |v|
-    divided by all of them, so every prime factor of rest[i] exceeds B.
-    A zero value, and only a zero value, gives rest 0 (and small []).
+    values[i], in ascending order and each repeated by its multiplicity,
+    and rest[i] is |v| divided by all of them, so every prime factor of
+    rest[i] exceeds B.  A zero value, and only a zero value, gives rest 0
+    (and small []).  With full=False a row leaves the sieve after the
+    block of primes in which it first has a hit, so its small[i] and
+    rest[i] stop there.  That settles von Mangoldt and primality: the
+    row's first prime p is divided out in full, so |v| is a power of p
+    iff rest[i] is 1 and small[i] holds p alone.
+
+    p | v is tested in numpy as v / p == floor(v / p) in float64, in
+    blocks of at most _SIEVE_CHUNK elements.  That is exact here: if p
+    does not divide v, v / p is at least 1/p from every integer, which
+    is more than half an ulp of v / p.  As rows leave, the blocks take
+    more primes at a time.  The buffers are allocated once per call.
     """
     mags = [abs(int(v)) for v in values]
     bound = _sieve_bound(max(mags, default=0))
     small = [[] for _ in mags]
     rest = list(mags)
     count = int(np.searchsorted(_SIEVE_PRIMES, bound))
-    for i, p in _divisor_hits([m or 1 for m in mags], count):
-        m = rest[i]
-        while m % p == 0:
-            small[i].append(p)
-            m //= p
-        rest[i] = m
+    q = np.empty(_SIEVE_CHUNK)
+    fl = np.empty_like(q)
+    mask = np.empty(_SIEVE_CHUNK, dtype=bool)
+    for r0 in range(0, len(mags), _SIEVE_CHUNK):
+        rows = np.array([i for i in range(r0, min(r0 + _SIEVE_CHUNK,
+                                                  len(mags))) if mags[i]],
+                        dtype=np.int64)
+        v = np.array([float(mags[i]) for i in rows.tolist()])[:, None]
+        c0 = 0
+        while c0 < count and len(rows):
+            c1 = min(c0 + _SIEVE_CHUNK // len(rows), count)
+            size = len(rows) * (c1 - c0)
+            qb = q[:size].reshape(len(rows), c1 - c0)
+            fb = fl[:size].reshape(qb.shape)
+            mb = mask[:size].reshape(qb.shape)
+            np.divide(v, _SIEVE_PRIMES_F[c0:c1], out=qb)
+            np.floor(qb, out=fb)
+            np.equal(qb, fb, out=mb)
+            hit_rows, hit_cols = np.divmod(np.flatnonzero(mb), c1 - c0)
+            for i, j in zip(rows[hit_rows].tolist(), hit_cols.tolist()):
+                p = _SIEVE_PRIMES_INT[c0 + j]
+                m = rest[i]
+                while m % p == 0:
+                    small[i].append(p)
+                    m //= p
+                rest[i] = m
+            if not full:
+                keep = np.ones(len(rows), dtype=bool)
+                keep[hit_rows] = False
+                rows, v = rows[keep], v[keep]
+            c0 = c1
     return bound, small, rest
 
 
+def _by_size(values, batched, scalar) -> list:
+    """batched(low) for the values below 2**52, taken as one list, and
+    scalar(v) for each larger value, merged back in the order of values.
+    """
+    values = [int(v) for v in values]
+    low = iter(batched([v for v in values if abs(v) < _FLOAT_EXACT]))
+    return [next(low) if abs(v) < _FLOAT_EXACT else scalar(v)
+            for v in values]
+
+
 def _cofactor_is_prime(m: int, bound: int) -> bool:
-    """Primality of m > 1 whose prime factors all exceed `bound`."""
-    return m < bound * bound or _mr_is_prime(m)
+    """Primality of m > 1 whose prime factors all exceed `bound` >= 32."""
+    return m < bound * bound or _miller_rabin(m)
 
 
 def liouville_many(values, budget: int = DEFAULT_RHO_BUDGET) -> list:
-    """[liouville(v) for v in values], by the batched route.
+    """[liouville(v) for v in values].
 
+    Values below 2**52 take the batched route, larger ones `liouville`.
     Each zero value is audited, as in `liouville`; each composite
     cofactor above B**3 is factored under its own rho budget.
     """
-    bound, small, rest = _sieve_split(values)
-    out = []
-    for ps, m in zip(small, rest):
-        if m == 0:
-            zero_audit.count += 1
-            out.append(0)
-            continue
-        omega = len(ps)
-        if m > 1:
-            if _cofactor_is_prime(m, bound):
-                omega += 1
-            elif m < bound ** 3:
-                omega += 2
-            else:
-                omega += factorize(m, budget=budget).big_omega
-        out.append(-1 if omega % 2 else 1)
-    return out
+    def batched(low):
+        bound, small, rest = _sieve_split(low)
+        out = []
+        for ps, m in zip(small, rest):
+            if m == 0:
+                zero_audit.count += 1
+                out.append(0)
+                continue
+            omega = len(ps)
+            if m > 1:
+                if _cofactor_is_prime(m, bound):
+                    omega += 1
+                elif m < bound ** 3:
+                    omega += 2
+                else:
+                    omega += factorize(m, budget=budget).big_omega
+            out.append(-1 if omega % 2 else 1)
+        return out
+
+    return _by_size(values, batched, lambda v: liouville(v, budget=budget))
 
 
 def von_mangoldt_many(values) -> list:
-    """[von_mangoldt(v) for v in values], by the batched route.
+    """[von_mangoldt(v) for v in values].
 
-    Each zero value is audited, as in `von_mangoldt`.
+    Values below 2**52 take the batched route, larger ones
+    `von_mangoldt`.  Each zero value is audited, as in `von_mangoldt`.
     """
-    bound, small, rest = _sieve_split(values)
-    out = []
-    for ps, m in zip(small, rest):
-        if m == 0:
-            zero_audit.count += 1
-        p = None
-        if ps:
-            if m == 1 and ps[0] == ps[-1]:  # ps ascends: one distinct prime
-                p = ps[0]
-        elif m > 1:
-            if _cofactor_is_prime(m, bound):
-                p = m
-            elif m < bound ** 3:
-                r = math.isqrt(m)
-                p = r if r * r == m else None
-            else:
-                p = _prime_power_base(m)
-        out.append(math.log(p) if p is not None else 0.0)
-    return out
+    def batched(low):
+        bound, small, rest = _sieve_split(low, full=False)
+        out = []
+        for ps, m in zip(small, rest):
+            if m == 0:
+                zero_audit.count += 1
+            p = None
+            if ps:
+                if m == 1 and ps[0] == ps[-1]:  # ps ascends: one prime
+                    p = ps[0]
+            elif m > 1:
+                if _cofactor_is_prime(m, bound):
+                    p = m
+                elif m < bound ** 3:
+                    r = math.isqrt(m)
+                    p = r if r * r == m else None
+                else:
+                    p = _prime_power_base(m)
+            out.append(math.log(p) if p is not None else 0.0)
+        return out
+
+    return _by_size(values, batched, von_mangoldt)
 
 
 def is_prime_many(values) -> list:
-    """[is_prime(v) for v in values], by the batched route (no audit)."""
-    bound, small, rest = _sieve_split(values)
-    # With a small prime hit, |v| is prime only if it is that prime.
-    return [len(ps) == 1 and m == 1 if ps
-            else m > 1 and _cofactor_is_prime(m, bound)
-            for ps, m in zip(small, rest)]
+    """[is_prime(v) for v in values] (no audit).
+
+    Values below 2**52 take the batched route, larger ones `is_prime`.
+    """
+    def batched(low):
+        # With a small prime hit, |v| is prime only if it is that prime.
+        bound, small, rest = _sieve_split(low, full=False)
+        return [len(ps) == 1 and m == 1 if ps
+                else m > 1 and _cofactor_is_prime(m, bound)
+                for ps, m in zip(small, rest)]
+
+    return _by_size(values, batched, is_prime)
 
 
 def liouville_sieve(n: int) -> np.ndarray:

@@ -390,8 +390,6 @@ def test_batched_kernels_fixed_edges():
     assert got == want
     assert got[3] == 4  # two zeros, audited by liouville and von Mangoldt
     assert liouville_many([]) == von_mangoldt_many([]) == []
-    # Values above 2**52 in one list with small ones: the block takes
-    # the exact integer route for all of them.
     assert is_prime_many([7, 2 ** 61 - 1, 2 ** 61 + 1]) == [True, True,
                                                            False]
 
@@ -405,16 +403,20 @@ def test_sieve_bound():
 
 
 def test_sieve_split_against_sympy():
-    # The sieve itself, on both of its routes: every prime below B with
-    # its multiplicity, and a cofactor free of them.  Beyond 2**53 most
-    # values are not floats, so smooth parts hide behind large ones.
+    # The sieve itself: every prime below B with its multiplicity, and a
+    # cofactor free of them, up to the float64 limit 2**52.
     rng = stream(20260818, 107)
-    values = [e + d for e in EDGES for d in range(-40, 41)]
-    values += [2 ** 80 + d for d in range(-6, 7)]
-    values += [rng.randrange(1, 2 ** 50) * 3 ** 5 * 7 * 65521
+    values = [2 ** 52 + d for d in range(-80, 0)]
+    values += [rng.randrange(1, 2 ** 22) * 3 ** 5 * 7 * 65521
                for _ in range(40)]
-    values += [0, 1, -1, -(2 ** 64 - 59) * 2 ** 10 * 3 * 5 * 7]
-    for chunk in (values[:40], values[40:], values[150:200]):
+    values += [0, 1, -1, -(2 ** 32 - 5) * 2 ** 10 * 3 * 5 * 7]
+    values += [rng.randrange(-2 ** 20, 2 ** 20) for _ in range(40)]
+    assert max(map(abs, values)) < 2 ** 52
+    # Without full, a row stops after the block of its first hit: its
+    # primes are a nonempty prefix of the full list, ending with all of
+    # that first prime.
+    stopped = 0
+    for chunk in (values[:40], values[40:], values[150:]):
         bound, small, rest = arith._sieve_split(chunk)
         for v, ps, m in zip(chunk, small, rest):
             fac = sympy.factorint(abs(v), limit=bound) if abs(v) > 1 else {}
@@ -422,6 +424,35 @@ def test_sieve_split_against_sympy():
                     for _ in range(e)]
             assert ps == want, v
             assert m == (abs(v) // math.prod(ps) if v else 0), v
+        _, part, part_rest = arith._sieve_split(chunk, full=False)
+        stopped += part != small
+        for v, ps, m, full in zip(chunk, part, part_rest, small):
+            assert ps == full[:len(ps)], v
+            assert ps == full or full.count(ps[0]) == ps.count(ps[0]), v
+            assert m == (abs(v) // math.prod(ps) if v else 0), v
+    assert stopped
+
+
+def test_batched_kernels_route_by_size(monkeypatch):
+    # Values of 2**52 and more go to the scalar functions one at a time;
+    # the sieve sees only the smaller ones, in order, with its bound
+    # taken from them alone.
+    seen = []
+    split = arith._sieve_split
+
+    def spy(values, full=True):
+        out = split(values, full)
+        seen.append((list(values), out[0]))
+        return out
+
+    monkeypatch.setattr(arith, "_sieve_split", spy)
+    values = [6, 2 ** 52 - 1, 2 ** 52, -(2 ** 61 - 1), 0, -35, 2 ** 80 + 1]
+    low = [6, 2 ** 52 - 1, 0, -35]
+    want, got = _scalar_and_batched(values)
+    assert got == want
+    assert seen == [(low, 2 ** 16)] * 3
+    assert is_prime_many([7, 2 ** 61 + 1]) == [True, False]
+    assert seen[-1] == ([7], 32)
 
 
 def test_batched_kernels_no_rho_below_cap(monkeypatch):
@@ -470,11 +501,11 @@ def test_cofactor_miller_rabin_against_sympy():
             for _ in range(50)]
     odd += list(range(3_215_031_751 - 200, 3_215_031_751 + 200, 2))
     for n in odd:
-        assert arith._mr_is_prime(n) == sympy.isprime(n), n
+        assert arith._miller_rabin(n) == sympy.isprime(n), n
     # Strong pseudoprimes: to bases 2, 3, 5, 7; to every prime base up
     # to 31; and to every prime base up to 37 (above 2**64).
     for n in (3215031751, 3825123056546413051, 318665857834031151167461):
         assert not sympy.isprime(n)
-        assert not arith._mr_is_prime(n), n
+        assert not arith._miller_rabin(n), n
     assert is_prime_many([3215031751, 3825123056546413051,
                           318665857834031151167461]) == [False] * 3

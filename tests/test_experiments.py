@@ -544,6 +544,22 @@ def test_statistics_match_reference_loops():
     assert zeros > 0
 
 
+def test_statistics_match_reference_loops_across_2_52():
+    # Quartics with coefficients near 1e9: f(1..X) crosses 2**52, so one
+    # call mixes the batched route and the scalar one.
+    X, w = 70, 5
+    rng = stream(20261020, 0)
+    for _ in range(6):
+        f = IntPolynomial(tuple(rng.randrange(-10 ** 9, 10 ** 9 + 1)
+                                for _ in range(4)) + (10 ** 9 - 7,))
+        assert abs(f.eval(1)) < 2 ** 52 < abs(f.eval(X))
+        sv = series_f(f, w).value
+        assert audited(bh_statistic, f, X, w, sv) == \
+            audited(ref_bh, f, X, sv), f
+        assert audited(chowla_normalized_sum, f, X) == \
+            audited(ref_chowla, f, X), f
+
+
 def test_tuple_statistic_matches_reference_loop():
     X, w = 25, 3
     zeros = 0
