@@ -165,9 +165,8 @@ def _gowers_values(target: str, mode: str, size: int, multiplier: int):
             return arr, M
         sieve = liouville_sieve(M) if target == "liouville" \
             else mobius_sieve(M)
-        arr = np.zeros(M)
-        for n in range(1, M + 1):
-            arr[n % M] = float(sieve[n])
+        arr = sieve[:M].astype(np.float64)
+        arr[0] = sieve[M]
         return arr, M
     N = size
     if target == "one":

@@ -3,9 +3,13 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
+from polyprime.arith import liouville, mobius
 from polyprime.cli import main
+from polyprime.gowers import gowers_norm_cyclic
+from polyprime.runio import format_cell
 
 
 def test_no_subcommand_prints_help(capsys):
@@ -147,6 +151,20 @@ def test_gowers_cyclic_stdout(capsys):
     assert main(["gowers", "--target", "one", "--M", "11",
                  "--s", "2"]) == 0
     assert capsys.readouterr().out.strip() == "11,2,1.0"
+
+
+def test_gowers_cyclic_places_f_n_at_n_mod_m(capsys):
+    sizes = (1, 2, 31, 101)
+    for target, func in (("liouville", liouville), ("mobius", mobius)):
+        assert main(["gowers", "--target", target, "--M",
+                     ",".join(map(str, sizes)), "--s", "2"]) == 0
+        want = []
+        for M in sizes:
+            arr = np.zeros(M)
+            for n in range(1, M + 1):
+                arr[n % M] = float(func(n))
+            want.append(f"{M},2,{format_cell(gowers_norm_cyclic(arr, 2))}")
+        assert capsys.readouterr().out.split() == want
 
 
 def test_gowers_delta_interval_files(tmp_path, capsys):

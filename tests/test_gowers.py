@@ -1,17 +1,55 @@
 """Gowers uniformity norms on cyclic groups and embedded intervals."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyprime.arith import least_prime_at_least, liouville_sieve, mobius_sieve
 from polyprime.errors import BudgetError
 from polyprime.gowers import (
+    DEFAULT_OP_BUDGET,
     gowers_average,
     gowers_norm_cyclic,
     gowers_norm_interval,
     interval_embedding,
 )
 from polyprime.rng import stream
+
+
+def u_average_peel(values, s):
+    """Recursion oracle: the box average peeled one shift at a time
+    all the way down to s = 1."""
+    if s == 1:
+        m = float(values.mean())
+        return m * m
+    acc = 0.0
+    M = values.shape[0]
+    for h in range(M):
+        acc += u_average_peel(values * np.roll(values, -h), s - 1)
+    return acc / M
+
+
+def u2_average_exact(values):
+    """The U^2 average of an integer sequence on Z/MZ as a Fraction, from
+    its cyclic autocorrelation c(h) in Python ints."""
+    v = [int(x) for x in values]
+    M = len(v)
+    total = sum(sum(v[n] * v[(n + h) % M] for n in range(M)) ** 2
+                for h in range(M))
+    return Fraction(total, M ** 3)
+
+
+def u2_interval_exact(seq, N, multiplier=5):
+    """Exact U^2 average of seq[1..N] zero-padded in Z/MZ, M the least
+    prime at least multiplier*N: with no wraparound, c(h) is the linear
+    autocorrelation, taken here in int64 (|c(h)| <= N)."""
+    v = np.asarray(seq[1:N + 1], dtype=np.int64)
+    c = np.correlate(v, v, "full")
+    M = least_prime_at_least(multiplier * N)
+    return Fraction(sum(int(x) ** 2 for x in c), M ** 3)
 
 
 def u2_average_fft(arr):
@@ -149,9 +187,70 @@ def test_embedding_multiplier_comparability():
     assert 0.25 < ratio < 4.0
 
 
+_REALS = st.one_of(st.just(0.0), st.floats(1e-3, 10.0),
+                   st.floats(-10.0, -1e-3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_average_matches_recursion_oracle(data):
+    # Sizes stop where the oracle's M^(s-1) Python calls stay cheap; M = 1
+    # and M = 2 are the edges of the base case's extended cycle.
+    s = data.draw(st.integers(1, 4), label="s")
+    M = data.draw(st.integers(1, (40, 40, 14, 7)[s - 1]), label="M")
+    vals = np.array(data.draw(st.lists(_REALS, min_size=M, max_size=M),
+                              label="values"))
+    assert gowers_average(vals, s) == pytest.approx(
+        u_average_peel(vals, s), rel=1e-12, abs=0.0)
+
+
+def test_average_matches_recursion_oracle_edges():
+    for vals in ([3.0], [-2.5], [0.0], [1.0, -1.0], [0.5, 2.0]):
+        arr = np.array(vals)
+        for s in (1, 2, 3, 4):
+            assert gowers_average(arr, s) == pytest.approx(
+                u_average_peel(arr, s), rel=1e-12, abs=0.0)
+
+
+def test_u2_of_integer_sequences_is_correctly_rounded():
+    rng = stream(20260818, 34)
+    cases = []
+    for M in (1, 2, 3, 29, 64, 101):
+        lam = liouville_sieve(M)
+        mu = mobius_sieve(M)
+        cases.append(np.array([lam[n] for n in range(1, M + 1)]))
+        cases.append(np.array([mu[n] for n in range(1, M + 1)]))
+        cases.append(np.array([rng.choice((-1, 0, 1)) for _ in range(M)]))
+    for v in cases:
+        want = float(u2_average_exact(v))
+        assert gowers_average(v.astype(np.float64), 2) == want
+
+
+def test_bench_liouville_u2_norms_are_exact():
+    # The U^2 rows of the gowers-liouville benchmark workload.
+    lam = liouville_sieve(3000)
+    for N, norm in ((1000, 0.06188575575736718),
+                    (3000, 0.04724873706241213)):
+        arr, _ = interval_embedding(lambda n: float(lam[n]), N)
+        avg = gowers_average(arr, 2)
+        assert avg == float(u2_interval_exact(lam, N))
+        assert gowers_norm_interval(lambda n: float(lam[n]), N, 2) == norm
+        assert norm == avg ** 0.25
+
+
 def test_budget_error():
     with pytest.raises(BudgetError):
         gowers_average(np.ones(100000), 2, op_budget=10 ** 6)
+    # The check is M^s against the budget, whatever the base case costs.
+    budget = 10 ** 4
+    for s, M in ((1, 10 ** 4), (2, 100), (3, 21), (4, 10)):
+        gowers_average(np.ones(M), s, op_budget=budget)
+        with pytest.raises(BudgetError):
+            gowers_average(np.ones(M + 1), s, op_budget=budget)
+    assert DEFAULT_OP_BUDGET == 5 * 10 ** 9
+    for s, M in ((2, 70711), (3, 1710), (4, 266)):
+        with pytest.raises(BudgetError):
+            gowers_average(np.ones(M), s)
     with pytest.raises(ValueError):
         gowers_average(np.ones(5), 0)
     with pytest.raises(ValueError):
