@@ -16,7 +16,7 @@ from .errors import (BudgetError, ConfigError, ConsistencyError,
 from .experiments import (EmpiricalDistribution, ExperimentConfig,
                           RunResult, SampleRecord, bh_statistic,
                           chowla_normalized_sum, iid_sign_simulation,
-                          interval_count_distribution, interval_moment,
+                          interval_count_distribution,
                           ks_statistic_gaussian, run_experiment, run_sample,
                           sign_pattern_statistic, tuple_statistic)
 from .gowers import (gowers_average, gowers_norm_cyclic,

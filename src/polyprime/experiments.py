@@ -15,6 +15,7 @@ values to the batched kernels of `arith` (`liouville_many`,
 `von_mangoldt_many`, `is_prime_many`).
 """
 
+import functools
 import math
 import multiprocessing
 from dataclasses import dataclass, field
@@ -262,10 +263,6 @@ def interval_count_distribution(f: IntPolynomial, X: int,
     return EmpiricalDistribution(tuple(sorted(acc.items())), X)
 
 
-def interval_moment(dist: EmpiricalDistribution, k: int) -> float:
-    return dist.moment(k)
-
-
 def _phi(t: float) -> float:
     """Standard Gaussian CDF."""
     return 0.5 * (1.0 + math.erf(t / math.sqrt(2.0)))
@@ -312,8 +309,26 @@ def _gaussian_window_stats(dist: EmpiricalDistribution, p: float, L: int):
     return out
 
 
-def run_sample(cfg: ExperimentConfig, index: int) -> SampleRecord:
+def _run_series(cfg: ExperimentConfig):
+    """The series shared by every sample of a run, or None.
+
+    Only linear-forms has one: its series depends on (ns, f0, M, w, d)
+    and not on the sampled f.  The other kinds' series depend on f.
+    """
+    if cfg.kind != "linear-forms":
+        return None
+    return series_linear_system(cfg.ns, IntPolynomial(cfg.f0), cfg.M,
+                                cfg.w, cfg.d)
+
+
+def run_sample(cfg: ExperimentConfig, index: int,
+               series=None) -> SampleRecord:
     """Compute one sample record; fully determined by (cfg.seed, index).
+
+    For linear-forms, `series` is the run's series from `_run_series`,
+    which `run_experiment` computes once and hands to every sample; when
+    it is None (a sample computed on its own) it is computed here, with
+    the same value.
 
     For poisson-gaps the scale of f's prime density is its own mean of
     log|f(n)| over 1 <= n <= X, where a value with |f(n)| < 2 (0 or +-1)
@@ -341,10 +356,9 @@ def run_sample(cfg: ExperimentConfig, index: int) -> SampleRecord:
                 raise BudgetError("rejection sampling found no polynomial "
                                   "meeting the Bateman-Horn hypotheses")
     elif kind == "linear-forms":
+        sv = series if series is not None else _run_series(cfg)
         f, attempts = sample_uniform_residue(cfg.d, cfg.H, rng,
                                              IntPolynomial(cfg.f0), cfg.M)
-        sv = series_linear_system(cfg.ns, IntPolynomial(cfg.f0), cfg.M,
-                                  cfg.w, cfg.d)
     else:
         f = sample_uniform(cfg.d, cfg.H, rng)
         if kind == "tuples":
@@ -390,18 +404,6 @@ def run_sample(cfg: ExperimentConfig, index: int) -> SampleRecord:
     return SampleRecord(index=index, coeffs=f.coeffs, series=sv.value,
                         stats=stats, attempts=attempts,
                         zero_evals=zero_audit.reset())
-
-
-_WORKER_CFG = None
-
-
-def _pool_init(cfg):
-    global _WORKER_CFG
-    _WORKER_CFG = cfg
-
-
-def _pool_run(index):
-    return run_sample(_WORKER_CFG, index)
 
 
 def _mean_stderr(vals):
@@ -514,15 +516,21 @@ def _aggregate(cfg: ExperimentConfig, records) -> RunResult:
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
-    """Run all samples (possibly in a worker pool) and aggregate."""
+    """Run all samples (possibly in a worker pool) and aggregate.
+
+    The run's shared series (linear-forms only, see `_run_series`) is
+    computed once, before any worker starts, and bound with cfg into the
+    one callable that both the pool and the single-worker loop map over
+    the sample indices; a bad modulus therefore fails before sampling.
+    """
     cfg = cfg.validate()
+    run = functools.partial(run_sample, cfg, series=_run_series(cfg))
     indices = range(cfg.samples)
     if cfg.workers > 1:
         ctx = multiprocessing.get_context("fork")
         chunk = max(1, cfg.samples // (cfg.workers * 4))
-        with ctx.Pool(cfg.workers, initializer=_pool_init,
-                      initargs=(cfg,)) as pool:
-            records = pool.map(_pool_run, indices, chunksize=chunk)
+        with ctx.Pool(cfg.workers) as pool:
+            records = pool.map(run, indices, chunksize=chunk)
     else:
-        records = [run_sample(cfg, i) for i in indices]
+        records = [run(i) for i in indices]
     return _aggregate(cfg, records)

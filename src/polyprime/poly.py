@@ -16,11 +16,6 @@ import numpy as np
 from .errors import BudgetError, ConfigError
 from .rng import uniform_int
 
-# Above this many coefficient vectors the unit-tuple count switches from
-# direct enumeration to inclusion-exclusion over form subsets.
-DIRECT_ENUM_CAP = 10 ** 8
-
-
 @dataclass(frozen=True)
 class IntPolynomial:
     coeffs: tuple
@@ -39,9 +34,6 @@ class IntPolynomial:
         for c in reversed(self.coeffs):
             v = v * n + c
         return v
-
-    def eval_many(self, ns) -> list:
-        return [self.eval(int(n)) for n in ns]
 
     def reduce_mod(self, M: int) -> "IntPolynomial":
         """Coefficientwise canonical representatives in [0, M)."""
@@ -133,27 +125,6 @@ def count_unit_values_mod_p(f: IntPolynomial, p: int, shifts) -> int:
                if all(unit[(x + l) % p] for l in offs))
 
 
-def _rank_mod_p(rows, p: int) -> int:
-    """Rank of an integer matrix over F_p by Gaussian elimination."""
-    mat = [[v % p for v in row] for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = pow(mat[rank][col], -1, p)
-        mat[rank] = [(v * inv) % p for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col]:
-                c = mat[r][col]
-                mat[r] = [(a - c * b) % p
-                          for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
-
-
 def _count_unit_tuples_direct(rows, d: int, p: int) -> int:
     """Exhaustive count, vectorized over chunks of coefficient vectors."""
     t = len(rows)
@@ -177,26 +148,21 @@ def _count_unit_tuples_direct(rows, d: int, p: int) -> int:
     return count
 
 
-def _count_unit_tuples_ie(rows, d: int, p: int) -> int:
-    """Inclusion-exclusion over subsets of the linear forms."""
-    t = len(rows)
-    count = 0
-    for mask in range(1 << t):
-        sub = [rows[i] for i in range(t) if mask >> i & 1]
-        rank = _rank_mod_p(sub, p) if sub else 0
-        term = p ** (d + 1 - rank)
-        count += -term if bin(mask).count("1") % 2 else term
-    return count
-
-
 def count_unit_tuples_linear_system(ns, d: int, p: int,
-                                    direct_cap: int = DIRECT_ENUM_CAP) -> int:
+                                    direct_cap: int = 0) -> int:
     """#{a in F_p^{d+1} : a_0 + a_1 n_i + ... + a_d n_i^d unit, all i}.
 
     Counts coefficient vectors whose induced values at every point of ns
-    are nonzero mod p.  Small spaces are enumerated directly; larger ones
-    go through inclusion-exclusion (each subsystem forced to zero is a
-    linear system whose solution count is p to the power of its corank).
+    are nonzero mod p.  The count depends only on the k distinct residues
+    n_i mod p: forcing the values at s of them to zero is a Vandermonde
+    system of rank min(s, d+1), so inclusion-exclusion over those subsets
+    gives the closed form
+
+        sum_{s=0..k} (-1)^s C(k, s) p^(d+1-min(s, d+1)),
+
+    which is p^(d+1-k) (p-1)^k when k <= d+1.  When p^(d+1) <= direct_cap
+    the vectors are enumerated instead; that route is the independent
+    check the tests compare against.
     """
     ns = list(ns)
     if len(set(ns)) != len(ns):
@@ -205,9 +171,9 @@ def count_unit_tuples_linear_system(ns, d: int, p: int,
         raise ValueError("need at least one evaluation point")
     if d < 0:
         raise ValueError("d must be >= 0")
-    rows = [[pow(n % p, j, p) for j in range(d + 1)] for n in ns]
     if p ** (d + 1) <= direct_cap:
+        rows = [[pow(n % p, j, p) for j in range(d + 1)] for n in ns]
         return _count_unit_tuples_direct(rows, d, p)
-    if len(ns) > 24:
-        raise BudgetError("too many forms for inclusion-exclusion")
-    return _count_unit_tuples_ie(rows, d, p)
+    k = len({n % p for n in ns})
+    return sum((-1) ** s * math.comb(k, s) * p ** (d + 1 - min(s, d + 1))
+               for s in range(k + 1))

@@ -93,7 +93,10 @@ def series_linear_system(ns, f0: IntPolynomial, M: int, w: int,
 
     Primes dividing M contribute an indicator factor 1{f0(n_i) nonzero
     mod p for all i} / (1-1/p)**t; the remaining primes p <= w contribute
-    the unit-tuple count over coefficient space normalized the same way.
+    the unit-tuple count over coefficient space normalized the same way,
+    from the closed form of `count_unit_tuples_linear_system` (O(t) work
+    per prime).  The series depends on the configuration only, not on a
+    sampled f, so `run_experiment` computes it once per run.
     """
     if w < 2:
         raise ConfigError("truncation bound w must be >= 2")

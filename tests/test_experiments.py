@@ -1,6 +1,7 @@
 """Monte Carlo harness: statistics, distributions, determinism."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from polyprime.experiments import (
     chowla_normalized_sum,
     iid_sign_simulation,
     interval_count_distribution,
-    interval_moment,
     ks_statistic_gaussian,
     run_experiment,
     run_sample,
@@ -215,10 +215,10 @@ def is_prime_naive(m):
 
 def test_interval_moment_examples():
     flat = EmpiricalDistribution(((0, 10),), 10)
-    assert interval_moment(flat, 1) == 0.0
-    assert interval_moment(flat, 3) == 0.0
+    assert flat.moment(1) == 0.0
+    assert flat.moment(3) == 0.0
     half = EmpiricalDistribution(((0, 5), (1, 5)), 10)
-    assert interval_moment(half, 2) == 0.5
+    assert half.moment(2) == 0.5
 
 
 def test_interval_moment_large_against_direct_sum():
@@ -230,7 +230,7 @@ def test_interval_moment_large_against_direct_sum():
     direct = 0
     for x in range(1, X + 1):
         direct += int(sieve[x: x + L].sum()) ** k
-    assert interval_moment(dist, k) == direct / X
+    assert dist.moment(k) == direct / X
 
 
 def test_empirical_distribution_validation():
@@ -600,3 +600,54 @@ def test_linear_forms_matches_reference_products():
             assert rec.zero_evals == zero_audit.reset()
             zeros += rec.zero_evals
         assert zeros > 0
+
+
+LINEAR_FORMS_CFG = dict(kind="linear-forms", d=2, H=30, X=1, samples=9,
+                        seed=20261018, w=13, ns=(1, 2, 3), M=3, f0=(1, 0))
+
+
+def test_linear_forms_series_once_per_run(monkeypatch):
+    import polyprime.experiments as experiments
+    calls = []
+    main_pid = os.getpid()
+    inner = experiments.series_linear_system
+
+    def counted(*args):
+        # A call in a forked worker would fail its sample, and the run.
+        assert os.getpid() == main_pid, "series computed in a worker"
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(experiments, "series_linear_system", counted)
+    for workers in (1, 2):
+        calls.clear()
+        run_experiment(ExperimentConfig(**LINEAR_FORMS_CFG,
+                                        workers=workers))
+        assert len(calls) == 1
+    run_experiment(ExperimentConfig(**dict(LINEAR_FORMS_CFG,
+                                           kind="chowla-clt", X=20)))
+    assert len(calls) == 1
+
+
+def test_linear_forms_records_match_lone_samples():
+    for workers in (1, 2):
+        cfg = ExperimentConfig(**LINEAR_FORMS_CFG, workers=workers)
+        records = run_experiment(cfg).records
+        assert records == [run_sample(cfg, i) for i in range(cfg.samples)]
+
+
+def test_linear_forms_modulus_above_w_fails_before_sampling(
+        monkeypatch, capsys, tmp_path):
+    import polyprime.experiments as experiments
+    from polyprime.cli import main
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before the series was checked")
+
+    monkeypatch.setattr(experiments, "sample_uniform_residue", no_sampling)
+    rc = main(["linear-forms", "--d", "1", "--H", "30", "--X", "1",
+               "--samples", "4", "--workers", "2", "--ns", "1,2",
+               "--M", "14", "--f0", "1;0", "--w", "5", "--seed", "1",
+               "--out-dir", str(tmp_path)])
+    assert rc == 1
+    assert "prime factor above w=5" in capsys.readouterr().err

@@ -1,8 +1,13 @@
 """Integer polynomials and the F_p counting primitives."""
 
-import pytest
+import itertools
 
-from polyprime.errors import BudgetError, ConfigError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polyprime.arith import primes_upto
+from polyprime.errors import ConfigError
 from polyprime.poly import (
     IntPolynomial,
     count_unit_tuples_linear_system,
@@ -27,10 +32,6 @@ def test_eval_examples():
 def test_eval_exact_bignum():
     f = IntPolynomial((1, 0, 0, 10 ** 9))
     assert f.eval(10 ** 6) == 10 ** 9 * 10 ** 18 + 1
-
-
-def test_eval_many():
-    assert X2_X_2.eval_many([0, 1, 2]) == [2, 4, 8]
 
 
 def test_degree_allows_zero_leading_coefficient():
@@ -167,9 +168,14 @@ def test_count_unit_tuples_two_point_examples():
     assert count_unit_tuples_linear_system([0, 1], 1, 3) == 4
 
 
+def unit_tuples_by_enumeration(ns, d, p):
+    """Count a in F_p^{d+1} with a(n) a unit mod p at every n, in Python."""
+    return sum(1 for vec in itertools.product(range(p), repeat=d + 1)
+               if all(sum(a * pow(n, j, p) for j, a in enumerate(vec)) % p
+                      for n in ns))
+
+
 def test_count_unit_tuples_brute_force_oracle():
-    # Re-count by looping over coefficient vectors with plain Python.
-    import itertools
     rng = stream(20260818, 16)
     for _ in range(30):
         p = [2, 3, 5][rng.randrange(3)]
@@ -180,15 +186,31 @@ def test_count_unit_tuples_brute_force_oracle():
             n = rng.randrange(-6, 7)
             if n not in ns:
                 ns.append(n)
-        want = 0
-        for vec in itertools.product(range(p), repeat=d + 1):
-            if all(sum(a * pow(n, j, p) for j, a in enumerate(vec)) % p
-                   for n in ns):
-                want += 1
+        want = unit_tuples_by_enumeration(ns, d, p)
         assert count_unit_tuples_linear_system(ns, d, p) == want
 
 
+@settings(max_examples=300, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7, 11]), d=st.integers(0, 3),
+       ns=st.lists(st.integers(-20, 20), min_size=1, max_size=8,
+                   unique=True))
+def test_count_unit_tuples_closed_form_property(p, d, ns):
+    # Points may collide mod p, and there may be more than d+1 of them.
+    assert (count_unit_tuples_linear_system(ns, d, p)
+            == unit_tuples_by_enumeration(ns, d, p))
+
+
+def test_count_unit_tuples_bench_configuration():
+    # Every local factor of the linear-forms series at ns=(1,2,3), d=2,
+    # w=61: the closed form against the numpy enumeration.
+    for p in primes_upto(61).tolist():
+        direct = count_unit_tuples_linear_system((1, 2, 3), 2, p,
+                                                 direct_cap=p ** 3)
+        assert count_unit_tuples_linear_system((1, 2, 3), 2, p) == direct
+
+
 def test_count_unit_tuples_direct_vs_inclusion_exclusion():
+    # The closed form is the inclusion-exclusion sum over residue subsets.
     rng = stream(20260818, 17)
     for _ in range(40):
         p = [2, 3, 5, 7][rng.randrange(4)]
@@ -199,9 +221,9 @@ def test_count_unit_tuples_direct_vs_inclusion_exclusion():
             n = rng.randrange(-10, 11)
             if n not in ns:
                 ns.append(n)
-        direct = count_unit_tuples_linear_system(ns, d, p)
-        via_ie = count_unit_tuples_linear_system(ns, d, p, direct_cap=0)
-        assert direct == via_ie
+        direct = count_unit_tuples_linear_system(ns, d, p,
+                                                 direct_cap=p ** (d + 1))
+        assert count_unit_tuples_linear_system(ns, d, p) == direct
 
 
 def test_count_unit_tuples_vandermonde_product_form():
@@ -220,9 +242,10 @@ def test_count_unit_tuples_validation():
         count_unit_tuples_linear_system([1, 1], 1, 3)
     with pytest.raises(ValueError):
         count_unit_tuples_linear_system([], 1, 3)
-    with pytest.raises(BudgetError):
-        count_unit_tuples_linear_system(list(range(30)), 40, 10 ** 9 + 7,
-                                        direct_cap=0)
+    # 30 distinct residues and d+1 = 41 >= 30: the product form, exactly.
+    p = 10 ** 9 + 7
+    assert (count_unit_tuples_linear_system(list(range(30)), 40, p)
+            == p ** 11 * (p - 1) ** 30)
 
 
 def test_sample_uniform_residue():
