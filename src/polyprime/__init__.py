@@ -8,9 +8,9 @@ output is reproducible bit for bit for any worker count.
 
 from ._version import __version__
 from .arith import (Factorization, factorize, is_prime, is_prime_many,
-                    lambda_from_mobius_check, liouville, liouville_many,
-                    liouville_sieve, mobius, mobius_sieve, primes_upto,
-                    theta, von_mangoldt, von_mangoldt_many)
+                    liouville, liouville_many, liouville_sieve, mobius,
+                    mobius_sieve, primes_upto, von_mangoldt,
+                    von_mangoldt_many)
 from .errors import (BudgetError, ConfigError, ConsistencyError,
                      FactorBudgetError)
 from .experiments import (EmpiricalDistribution, ExperimentConfig,
@@ -22,12 +22,12 @@ from .experiments import (EmpiricalDistribution, ExperimentConfig,
 from .gowers import (gowers_average, gowers_norm_cyclic,
                      gowers_norm_interval, interval_embedding)
 from .moments import (MomentPolynomial, gaussian_coefficient_sum,
-                      gaussian_moment, multiset_even_tuple_count,
-                      poisson_central_moment, poisson_raw_moment,
-                      sigma_squared, stein_chen_check, stirling2)
+                      gaussian_moment, poisson_central_moment,
+                      poisson_raw_moment, sigma_squared, stein_chen_check,
+                      stirling2)
 from .poly import (IntPolynomial, count_unit_tuples_linear_system,
-                   count_unit_values_mod_p, is_zero_poly_mod_p,
-                   poly_from_text, sample_uniform, sample_uniform_residue)
+                   count_unit_values_mod_p, poly_from_text, sample_uniform,
+                   sample_uniform_residue)
 from .series import (TruncatedSeries, interchange_identity_check,
                      lemma_lower_bound, lemma_upper_bound, primorial,
                      series_f, series_f_tuple, series_linear_system,

@@ -2,9 +2,9 @@
 
 Arithmetic functions are extended to all of Z by f(n) = f(-n), so both p
 and -p count as prime.  At 0 the completely multiplicative conventions
-break down; liouville, mobius, von_mangoldt and theta all return 0 there
-by convention and bump a module-level audit counter so experiment drivers
-can report how often the sentinel was hit.
+break down; liouville and von_mangoldt return 0 there by convention and
+bump a module-level audit counter so experiment drivers can report how
+often the sentinel was hit, and mobius(0) raises.
 
 There are two routes to the same answers.
 
@@ -288,11 +288,6 @@ def factorize(n: int, budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
                          factors=tuple(sorted(found.items())))
 
 
-def big_omega(n: int, budget: int = DEFAULT_RHO_BUDGET) -> int:
-    """Number of prime factors of |n| with multiplicity (n != 0)."""
-    return factorize(n, budget=budget).big_omega
-
-
 def liouville(n: int, budget: int = DEFAULT_RHO_BUDGET) -> int:
     """(-1)**big_omega(|n|); 0 at n = 0 (audited)."""
     if n == 0:
@@ -337,33 +332,6 @@ def von_mangoldt(n: int) -> float:
         return 0.0
     p = _prime_power_base(m)
     return math.log(p) if p is not None else 0.0
-
-
-def theta(n: int) -> float:
-    """log |n| when |n| is prime, else 0.0 (0 audited)."""
-    if n == 0:
-        zero_audit.count += 1
-        return 0.0
-    m = abs(n)
-    return math.log(m) if is_prime(m) else 0.0
-
-
-def lambda_from_mobius_check(n: int) -> bool:
-    """Check liouville(n) against the square-divisor Mobius convolution.
-
-    The right side sums mobius(n / r**2) over every r with r**2
-    dividing n, found by direct enumeration of r up to sqrt(n), so the
-    two sides are computed by genuinely different routes.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    total = 0
-    r = 1
-    while r * r <= n:
-        if n % (r * r) == 0:
-            total += mobius(n // (r * r))
-        r += 1
-    return liouville(n) == total
 
 
 _SIEVE_CAP = 1 << 16

@@ -1,46 +1,55 @@
 """Command line front end.
 
-One subcommand per experiment plus exact-computation helpers.  Config
-can come from a key=value file (--config) with individual flags taking
-precedence.  Exit codes: 0 success, 1 configuration problem, 2 exhausted
-arithmetic budget, 3 self-test failure.
+One subcommand per entry of `experiments.KINDS`, with that entry's
+flags, plus exact-computation helpers.  Config can come from a key=value
+file (--config) with individual flags taking precedence.  Exit codes: 0
+success, 1 configuration problem, 2 exhausted arithmetic budget, 3
+self-test failure.
 """
 
 import argparse
+import math
+import os
 import sys
 
 import numpy as np
 
 from .arith import liouville_sieve, mobius_sieve
 from .errors import BudgetError, ConfigError
-from .experiments import ExperimentConfig, run_experiment
+from .experiments import KINDS, ExperimentConfig, run_experiment
 from .gowers import gowers_norm_cyclic, interval_embedding
 from .moments import poisson_central_moment, stein_chen_check
 from .poly import IntPolynomial, poly_from_text, sample_uniform
 from .rng import stream
-from .runio import (format_cell, parse_bool, parse_float, parse_int_exact,
+from .runio import (format_cell, parse_float, parse_int_exact,
                     parse_int_list, parse_pattern, load_config_file,
                     utc_now_iso, write_csv, write_manifest_generic,
                     write_run)
-from .series import interchange_identity_check, series_f, series_f_tuple
+from .series import (interchange_identity_check, series_f, series_f_tuple,
+                     tuple_sum_identity_residual)
 
-EXPERIMENT_SUBCOMMANDS = ("bh-moments", "tuples", "chowla-clt",
-                          "sign-patterns", "poisson-gaps", "linear-forms")
-
-COMMON_KEYS = ("d", "H", "X", "w", "samples", "seed", "workers", "k-max",
-               "out-dir", "deterministic-reduction")
-EXTRA_KEYS = {
-    "bh-moments": (),
-    "tuples": ("shifts",),
-    "chowla-clt": (),
-    "sign-patterns": ("pattern",),
-    "poisson-gaps": ("calL", "L"),
-    "linear-forms": ("ns", "M", "f0", "target"),
+COMMON_KEYS = {
+    "d": "polynomial degree bound",
+    "H": "coefficient bound (scientific notation ok, e.g. 1e7)",
+    "X": "summation range 1..X",
+    "w": "series truncation: primes p <= w (default 5)",
+    "samples": "number of sampled polynomials",
+    "seed": "master seed for the per-sample streams",
+    "workers": "worker processes (default 1)",
+    "k-max": "largest moment order reported (default 4)",
+    "out-dir": "output directory (default runs/<subcommand>)",
 }
 REQUIRED_KEYS = ("d", "H", "X", "samples", "seed")
-DEFAULTS = {"w": "5", "workers": "1", "k-max": "4", "calL": "1.0",
-            "L": "0", "deterministic-reduction": "true", "M": "1",
-            "f0": "0", "ns": "1", "target": "von-mangoldt"}
+# How a config key's text becomes its ExperimentConfig value; the keys
+# not listed here are integers.
+PARSERS = {
+    "calL": parse_float,
+    "shifts": parse_int_list,
+    "ns": parse_int_list,
+    "pattern": parse_pattern,
+    "f0": lambda text, key: tuple(poly_from_text(text).coeffs),
+    "target": lambda text, key: text,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,68 +59,29 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _experiment_flags(sub):
-    sub.add_argument("--config", help="key=value config file")
-    for key, hlp in (
-            ("d", "polynomial degree bound"),
-            ("H", "coefficient bound (scientific notation ok, e.g. 1e7)"),
-            ("X", "summation range 1..X"),
-            ("w", "series truncation: primes p <= w (default 5)"),
-            ("samples", "number of sampled polynomials"),
-            ("seed", "master seed for the per-sample streams"),
-            ("workers", "worker processes (default 1)"),
-            ("k-max", "largest moment order reported (default 4)"),
-            ("out-dir", "output directory (default runs/<subcommand>)"),
-            ("deterministic-reduction",
-             "true/false; reductions are always run in fixed order and "
-             "this flag records that choice in the manifest")):
-        sub.add_argument(f"--{key}", dest=key.replace("-", "_"),
-                         metavar="V", help=hlp)
-
-
-def _build_cfg(kind: str, args) -> ExperimentConfig:
-    allowed = set(COMMON_KEYS) | set(EXTRA_KEYS[kind])
-    merged = {k: v for k, v in DEFAULTS.items() if k in allowed}
-    if getattr(args, "config", None):
+def _build_cfg(kind: str, args) -> tuple[ExperimentConfig, str]:
+    allowed = (*COMMON_KEYS, *KINDS[kind].keys)
+    merged = {}
+    if args.config:
         for key, value in load_config_file(args.config).items():
             if key not in allowed:
                 raise ConfigError(f"unknown config key {key!r} for {kind}")
             merged[key] = value
     for key in allowed:
-        v = getattr(args, key.replace("-", "_"), None)
+        v = getattr(args, key.replace("-", "_"))
         if v is not None:
             merged[key] = v
-    for key in REQUIRED_KEYS:
+    for key in REQUIRED_KEYS + KINDS[kind].required:
         if key not in merged:
             raise ConfigError(f"missing required config value {key!r}")
-    for key in EXTRA_KEYS[kind]:
-        if key not in merged:
-            raise ConfigError(f"missing required config value {key!r}")
-    cfg = ExperimentConfig(
-        kind=kind,
-        d=parse_int_exact(merged["d"], "d"),
-        H=parse_int_exact(merged["H"], "H"),
-        X=parse_int_exact(merged["X"], "X"),
-        samples=parse_int_exact(merged["samples"], "samples"),
-        seed=parse_int_exact(merged["seed"], "seed"),
-        w=parse_int_exact(merged["w"], "w"),
-        workers=parse_int_exact(merged["workers"], "workers"),
-        k_max=parse_int_exact(merged["k-max"], "k-max"),
-        shifts=parse_int_list(merged["shifts"], "shifts")
-        if "shifts" in merged else (),
-        pattern=parse_pattern(merged["pattern"])
-        if "pattern" in merged else (),
-        calL=parse_float(merged.get("calL", "1.0"), "calL"),
-        L=parse_int_exact(merged.get("L", "0"), "L"),
-        ns=parse_int_list(merged.get("ns", "1"), "ns"),
-        M=parse_int_exact(merged.get("M", "1"), "M"),
-        f0=tuple(poly_from_text(merged.get("f0", "0")).coeffs),
-        target=merged.get("target", "von-mangoldt"),
-        deterministic_reduction=parse_bool(
-            merged.get("deterministic-reduction", "true"),
-            "deterministic-reduction"),
-    ).validate()
-    return cfg, merged.get("out-dir", f"runs/{kind}")
+    out_dir = merged.pop("out-dir", f"runs/{kind}")
+    # Required keys are parsed first, so the bad value that is named does
+    # not depend on the order of the config file's lines.
+    order = (*REQUIRED_KEYS, *allowed)
+    values = {key.replace("-", "_"):
+              PARSERS.get(key, parse_int_exact)(merged[key], key)
+              for key in sorted(merged, key=order.index)}
+    return ExperimentConfig(kind=kind, **values).validate(), out_dir
 
 
 def _run_experiment_cmd(kind: str, args) -> int:
@@ -122,9 +92,7 @@ def _run_experiment_cmd(kind: str, args) -> int:
     paths = write_run(out_dir, result, started, finished)
     print(f"{kind}: {cfg.samples} samples, seed {cfg.seed}")
     def short(x):
-        import math as _m
-
-        return "-" if _m.isnan(x) else f"{x:.6g}"
+        return "-" if math.isnan(x) else f"{x:.6g}"
 
     print(f"{'key':<14}{'estimate':>14}{'stderr':>12}"
           f"{'predicted':>12}  verdict")
@@ -200,8 +168,6 @@ def _gowers_cmd(args) -> int:
     for row in rows:
         print(",".join(format_cell(v) for v in row))
     if args.out_dir:
-        import os
-
         os.makedirs(args.out_dir, exist_ok=True)
         path = os.path.join(args.out_dir, "gowers.csv")
         write_csv(path, fields, rows)
@@ -261,6 +227,15 @@ def _selftest_cmd(args) -> int:
                     ok = False
     report("series interchange identity (p <= 13, r <= 3)", ok)
 
+    # (L S_w(f))^r minus the tuple series summed over distinct shifts in
+    # 1..L: 0 at r = 1, and frozen exact values at r = 2.
+    x, x2_1 = IntPolynomial((0, 1)), IntPolynomial((1, 0, 1))
+    got = [tuple_sum_identity_residual(f, L, r, w) for f, L, r, w in (
+        (x, 2, 1, 2), (x, 7, 1, 3), (x2_1, 5, 1, 3), (x, 4, 2, 2),
+        (x2_1, 6, 2, 3), (x2_1, 12, 2, 3), (x2_1, 24, 2, 3))]
+    report("tuple series sum identity (x, x^2 + 1; L <= 24, r <= 2)",
+           got == [0, 0, 0, 8, 27, 54, 108])
+
     return 3 if failures else 0
 
 
@@ -271,46 +246,12 @@ def build_parser() -> _Parser:
                                  "seeded Monte Carlo experiments.")
     sub = parser.add_subparsers(dest="subcommand", parser_class=_Parser)
 
-    for kind, blurb in (
-            ("bh-moments", "moments of the averaged von Mangoldt "
-                           "statistic minus its truncated series"),
-            ("tuples", "shifted-tuple version of the von Mangoldt "
-                       "statistic"),
-            ("chowla-clt", "normalized Liouville sums along random "
-                           "polynomials against Gaussian moments"),
-            ("sign-patterns", "Liouville sign-pattern counts against "
-                              "the predicted variance"),
-            ("poisson-gaps", "prime counts in tuned windows against "
-                             "Poisson and Gaussian predictions"),
-            ("linear-forms", "products of arithmetic functions at fixed "
-                             "points over a residue-constrained family")):
-        s = sub.add_parser(kind, help=blurb)
-        _experiment_flags(s)
-        if kind == "tuples":
-            s.add_argument("--shifts", metavar="V",
-                           help="comma-separated distinct shifts, "
-                                "e.g. 0,2")
-        if kind == "sign-patterns":
-            s.add_argument("--pattern", metavar="V",
-                           help="sign pattern, e.g. ++ or +1,-1")
-        if kind == "poisson-gaps":
-            s.add_argument("--calL", metavar="V",
-                           help="target mean window count (default 1.0); "
-                                "the window length is calL * "
-                                "mean log|f(n)| / S_w(f)")
-            s.add_argument("--L", metavar="V",
-                           help="fixed window length override")
-        if kind == "linear-forms":
-            s.add_argument("--ns", metavar="V",
-                           help="comma-separated distinct evaluation "
-                                "points (default 1)")
-            s.add_argument("--M", metavar="V",
-                           help="residue modulus (default 1)")
-            s.add_argument("--f0", metavar="V",
-                           help="residue polynomial, a0;a1;... "
-                                "(default 0)")
-            s.add_argument("--target", metavar="V",
-                           help="von-mangoldt or liouville")
+    for kind, entry in KINDS.items():
+        s = sub.add_parser(kind, help=entry.blurb)
+        s.add_argument("--config", help="key=value config file")
+        for key, hlp in {**COMMON_KEYS, **entry.keys}.items():
+            s.add_argument(f"--{key}", dest=key.replace("-", "_"),
+                           metavar="V", help=hlp)
 
     s = sub.add_parser("series", help="print an exact truncated series")
     s.add_argument("--poly", required=True, metavar="V",
@@ -348,7 +289,7 @@ def main(argv=None) -> int:
         if not args.subcommand:
             parser.print_help()
             return 1
-        if args.subcommand in EXPERIMENT_SUBCOMMANDS:
+        if args.subcommand in KINDS:
             return _run_experiment_cmd(args.subcommand, args)
         if args.subcommand == "series":
             return _series_cmd(args)

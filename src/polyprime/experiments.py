@@ -7,6 +7,11 @@ uses the random stream derived from (master seed, i), so results do not
 depend on how samples are distributed over worker processes, and the
 per-sample output is byte-identical for any worker count.
 
+Each experiment kind is one `Kind` entry of `KINDS`: its config keys,
+validation, sampler, series, statistic, aggregation and samples.csv
+columns.  The command line, the run and the CSV writer read that table
+and hold no per-kind code.
+
 Statistic conventions.  Sums over n always mean 1 <= n <= X.  A zero
 value of f(n) contributes 0 wherever an arithmetic function is applied
 and increments the zero-evaluation audit counter, which is reported per
@@ -18,6 +23,7 @@ values to the batched kernels of `arith` (`liouville_many`,
 import functools
 import math
 import multiprocessing
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -30,9 +36,6 @@ from .moments import gaussian_moment, sigma_squared
 from .poly import IntPolynomial, sample_uniform, sample_uniform_residue
 from .rng import child_seed, stream
 from .series import series_f, series_f_tuple, series_linear_system
-
-EXPERIMENT_KINDS = ("bh-moments", "tuples", "chowla-clt", "sign-patterns",
-                    "poisson-gaps", "linear-forms")
 
 REJECTION_CAP = 10 ** 6
 
@@ -56,10 +59,9 @@ class ExperimentConfig:
     M: int = 1
     f0: tuple = (0,)
     target: str = "von-mangoldt"
-    deterministic_reduction: bool = True
 
     def validate(self) -> "ExperimentConfig":
-        if self.kind not in EXPERIMENT_KINDS:
+        if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         for key in ("d", "H", "X", "samples"):
             v = getattr(self, key)
@@ -73,32 +75,9 @@ class ExperimentConfig:
             raise ConfigError("k-max must be >= 1")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
-        if self.kind == "tuples":
-            if not self.shifts:
-                raise ConfigError("shifts is required for tuple statistics")
-            if len(set(self.shifts)) != len(self.shifts):
-                raise ConfigError("shifts must be distinct")
-            if any(abs(l) > self.X for l in self.shifts):
-                raise ConfigError("shifts must satisfy |shift| <= X")
-        if self.kind == "sign-patterns":
-            if not self.pattern:
-                raise ConfigError("pattern is required for sign patterns")
-            if any(e not in (-1, 1) for e in self.pattern):
-                raise ConfigError("pattern entries must be +1 or -1")
-        if self.kind == "poisson-gaps":
-            if not self.calL > 0:
-                raise ConfigError("calL must be positive")
-            if self.L < 0:
-                raise ConfigError("L must be >= 1 when set")
-        if self.kind == "linear-forms":
-            if not self.ns:
-                raise ConfigError("ns is required for linear forms")
-            if len(set(self.ns)) != len(self.ns):
-                raise ConfigError("ns entries must be distinct")
-            if self.M < 1:
-                raise ConfigError("M must be >= 1")
-            if self.target not in ("von-mangoldt", "liouville"):
-                raise ConfigError("target must be von-mangoldt or liouville")
+        for ok, message in KINDS[self.kind].checks:
+            if not ok(self):
+                raise ConfigError(message)
         return self
 
 
@@ -299,110 +278,36 @@ def iid_sign_simulation(X: int, pattern, trials: int, seed: int) -> float:
     return float(np.var(stats, ddof=1))
 
 
+_CDF_POINTS = (("cdf_tm1", -1.0), ("cdf_t0", 0.0), ("cdf_tp1", 1.0))
+
+
 def _gaussian_window_stats(dist: EmpiricalDistribution, p: float, L: int):
     """Empirical CDF of the window count at the three reference thresholds."""
     sd = math.sqrt(max(p - p * p, 0.0) * L)
     out = {}
-    for tag, t in (("cdf_tm1", -1.0), ("cdf_t0", 0.0), ("cdf_tp1", 1.0)):
+    for tag, t in _CDF_POINTS:
         thr = p * L + t * sd
         out[tag] = sum(c for k, c in dist.counts if k <= thr) / dist.total
     return out
-
-
-def _run_series(cfg: ExperimentConfig):
-    """The series shared by every sample of a run, or None.
-
-    Only linear-forms has one: its series depends on (ns, f0, M, w, d)
-    and not on the sampled f.  The other kinds' series depend on f.
-    """
-    if cfg.kind != "linear-forms":
-        return None
-    return series_linear_system(cfg.ns, IntPolynomial(cfg.f0), cfg.M,
-                                cfg.w, cfg.d)
 
 
 def run_sample(cfg: ExperimentConfig, index: int,
                series=None) -> SampleRecord:
     """Compute one sample record; fully determined by (cfg.seed, index).
 
-    For linear-forms, `series` is the run's series from `_run_series`,
-    which `run_experiment` computes once and hands to every sample; when
-    it is None (a sample computed on its own) it is computed here, with
-    the same value.
-
-    For poisson-gaps the scale of f's prime density is its own mean of
-    log|f(n)| over 1 <= n <= X, where a value with |f(n)| < 2 (0 or +-1)
-    counts as log 2, so the scale is at least log 2.  The prime density
-    is p = S_w(f) / scale, and the window length is calL / p rounded to
-    an integer >= 1 (window_real keeps the unrounded value), so a window
-    holds calL primes on average.  An explicit L overrides the window.
+    `series` is the run's shared series, which `run_experiment` computes
+    once with the kind's `run_series` and hands to every sample; when it
+    is None (a sample computed on its own) it is computed here, with the
+    same value.
     """
+    kind = KINDS[cfg.kind]
     rng = stream(cfg.seed, index)
     zero_audit.reset()
-    attempts = 1
-    kind = cfg.kind
-    if kind == "poisson-gaps":
-        # Keep only f meeting the Bateman-Horn hypotheses: nonconstant,
-        # coefficient gcd 1, and no local obstruction up to w (S_w != 0).
-        # A fixed prime divisor above w would otherwise slip through.
-        while True:
-            f = sample_uniform(cfg.d, cfg.H, rng)
-            if any(f.coeffs[1:]) and math.gcd(*f.coeffs) == 1:
-                sv = series_f(f, cfg.w)
-                if sv.value != 0:
-                    break
-            attempts += 1
-            if attempts > REJECTION_CAP:
-                raise BudgetError("rejection sampling found no polynomial "
-                                  "meeting the Bateman-Horn hypotheses")
-    elif kind == "linear-forms":
-        sv = series if series is not None else _run_series(cfg)
-        f, attempts = sample_uniform_residue(cfg.d, cfg.H, rng,
-                                             IntPolynomial(cfg.f0), cfg.M)
-    else:
-        f = sample_uniform(cfg.d, cfg.H, rng)
-        if kind == "tuples":
-            sv = series_f_tuple(f, cfg.shifts, cfg.w)
-        else:
-            sv = series_f(f, cfg.w)
-
-    if kind == "bh-moments":
-        stats = {"stat": bh_statistic(f, cfg.X, cfg.w,
-                                      series_value=sv.value)}
-    elif kind == "tuples":
-        stats = {"stat": tuple_statistic(f, cfg.X, cfg.shifts, cfg.w,
-                                         series_value=sv.value)}
-    elif kind == "chowla-clt":
-        stats = {"stat": chowla_normalized_sum(f, cfg.X)}
-    elif kind == "sign-patterns":
-        stats = {"stat": sign_pattern_statistic(f, cfg.X, cfg.pattern)}
-    elif kind == "linear-forms":
-        vals = [f.eval(n) for n in cfg.ns]
-        if cfg.target == "von-mangoldt":
-            prod = math.prod(von_mangoldt_many(vals), start=1.0)
-        else:
-            prod = math.prod(liouville_many(vals))
-        stats = {"stat": float(prod)}
-    elif kind == "poisson-gaps":
-        logscale = math.fsum(math.log(max(abs(f.eval(n)), 2))
-                             for n in range(1, cfg.X + 1)) / cfg.X
-        if cfg.L:
-            L = cfg.L
-            window_real = float(cfg.L)
-        else:
-            window_real = cfg.calL * logscale / float(sv.value)
-            L = max(1, round(window_real))
-        dist = interval_count_distribution(f, cfg.X, L)
-        p = float(sv.value) / logscale
-        stats = {"window": L,
-                 "window_real": window_real,
-                 "mean_count": dist.moment(1),
-                 "tv": dist.tv_poisson(cfg.calL)}
-        stats.update(_gaussian_window_stats(dist, p, L))
-    else:
-        raise ConfigError(f"unknown experiment kind {kind!r}")
+    if series is None:
+        series = kind.run_series(cfg)
+    f, attempts, sv = kind.draw(cfg, rng, series)
     return SampleRecord(index=index, coeffs=f.coeffs, series=sv.value,
-                        stats=stats, attempts=attempts,
+                        stats=kind.stats(cfg, f, sv), attempts=attempts,
                         zero_evals=zero_audit.reset())
 
 
@@ -435,79 +340,254 @@ def _quantile(sorted_vals, q: float) -> float:
     return float(sorted_vals[lo] * (1 - frac) + sorted_vals[hi] * frac)
 
 
+def _draw(cfg, rng, series):
+    """f uniform in the family, with its single-point series."""
+    f = sample_uniform(cfg.d, cfg.H, rng)
+    return f, 1, series_f(f, cfg.w)
+
+
+def _draw_tuples(cfg, rng, series):
+    """f uniform in the family, with its tuple series at cfg.shifts."""
+    f = sample_uniform(cfg.d, cfg.H, rng)
+    return f, 1, series_f_tuple(f, cfg.shifts, cfg.w)
+
+
+def _draw_bateman_horn(cfg, rng, series):
+    """f uniform among those meeting the Bateman-Horn hypotheses.
+
+    f is kept when it is nonconstant, its coefficient gcd is 1, and it
+    has no local obstruction up to w (S_w != 0); a fixed prime divisor
+    above w would otherwise slip through.
+    """
+    attempts = 1
+    while True:
+        f = sample_uniform(cfg.d, cfg.H, rng)
+        if any(f.coeffs[1:]) and math.gcd(*f.coeffs) == 1:
+            sv = series_f(f, cfg.w)
+            if sv.value != 0:
+                return f, attempts, sv
+        attempts += 1
+        if attempts > REJECTION_CAP:
+            raise BudgetError("rejection sampling found no polynomial "
+                              "meeting the Bateman-Horn hypotheses")
+
+
+def _linear_forms_stats(cfg, f, sv):
+    fn = von_mangoldt_many if cfg.target == "von-mangoldt" \
+        else liouville_many
+    return {"stat": float(math.prod(fn([f.eval(n) for n in cfg.ns])))}
+
+
+def _poisson_gaps_stats(cfg, f, sv):
+    """Prime counts of f in windows holding calL primes on average.
+
+    The scale of f's prime density is its own mean of log|f(n)| over
+    1 <= n <= X, where a value with |f(n)| < 2 (0 or +-1) counts as
+    log 2, so the scale is at least log 2.  The prime density is
+    p = S_w(f) / scale, and the window length is calL / p rounded to an
+    integer >= 1 (window_real keeps the unrounded value).  An explicit L
+    overrides the window.
+    """
+    logscale = math.fsum(math.log(max(abs(f.eval(n)), 2))
+                         for n in range(1, cfg.X + 1)) / cfg.X
+    if cfg.L:
+        L = cfg.L
+        window_real = float(cfg.L)
+    else:
+        window_real = cfg.calL * logscale / float(sv.value)
+        L = max(1, round(window_real))
+    dist = interval_count_distribution(f, cfg.X, L)
+    return {"window": L,
+            "window_real": window_real,
+            "mean_count": dist.moment(1),
+            "tv": dist.tv_poisson(cfg.calL),
+            **_gaussian_window_stats(dist, float(sv.value) / logscale, L)}
+
+
+def _stat_values(records, warnings):
+    """The samples' "stat" values; warns when they are all identical."""
+    vals = [r.stats["stat"] for r in records]
+    if len(vals) > 1 and max(vals) == min(vals):
+        warnings.append("zero variance: all sample statistics are "
+                        f"identical ({vals[0]!r})")
+    return vals
+
+
+def _attempts_row(records):
+    return ("attempts_mean", *_mean_stderr([r.attempts for r in records]),
+            math.nan)
+
+
+def _moment_rows(cfg, vals, predicted):
+    """moment_k of vals for k = 1..k_max, against predicted(k)."""
+    return [(f"moment_{k}", *_mean_stderr([v ** k for v in vals]),
+             predicted(k)) for k in range(1, cfg.k_max + 1)]
+
+
+def _centred_rows(cfg, records, warnings):
+    """The stat is centred by its series: mean 0, higher moments open."""
+    return _moment_rows(cfg, _stat_values(records, warnings),
+                        lambda k: 0.0 if k == 1 else math.nan)
+
+
+def _chowla_rows(cfg, records, warnings):
+    vals = _stat_values(records, warnings)
+    return (_moment_rows(cfg, vals, lambda k: float(gaussian_moment(k)))
+            + [("ks_gaussian", ks_statistic_gaussian(vals), math.nan,
+                math.nan)])
+
+
+def _sign_pattern_rows(cfg, records, warnings):
+    vals = _stat_values(records, warnings)
+    mean, se = _mean_stderr(vals)
+    n = len(vals)
+    var = math.fsum((v - mean) ** 2 for v in vals) / max(n - 1, 1)
+    se_var = var * math.sqrt(2.0 / max(n - 1, 1))
+    return [("mean", mean, se, 0.0),
+            ("variance", var, se_var, float(sigma_squared(cfg.pattern)))]
+
+
+def _linear_forms_rows(cfg, records, warnings):
+    mean, se = _mean_stderr(_stat_values(records, warnings))
+    predicted = float(records[0].series) \
+        if cfg.target == "von-mangoldt" else 0.0
+    return [("mean", mean, se, predicted), _attempts_row(records)]
+
+
+def _poisson_gaps_rows(cfg, records, warnings):
+    tvs = [r.stats["tv"] for r in records]
+    rows = [("tv_mean", *_mean_stderr(tvs), math.nan)]
+    svals = sorted(tvs)
+    for tag, q in (("tv_min", 0.0), ("tv_q25", 0.25), ("tv_median", 0.5),
+                   ("tv_q75", 0.75), ("tv_max", 1.0)):
+        rows.append((tag, _quantile(svals, q), math.nan, math.nan))
+    rows.append(("mean_count",
+                 *_mean_stderr([r.stats["mean_count"] for r in records]),
+                 cfg.calL))
+    for tag, t in _CDF_POINTS:
+        rows.append((tag, *_mean_stderr([r.stats[tag] for r in records]),
+                     _phi(t)))
+    rows.append(_attempts_row(records))
+    below = sum(1 for r in records if r.stats["window_real"] < 1.0)
+    if below:
+        warnings.append(f"window length below 1 before rounding for "
+                        f"{below} samples (clamped to 1)")
+    if all(r.stats["window"] == 1 for r in records):
+        warnings.append("degenerate runs: every window has L = 1")
+    return rows
+
+
+@dataclass(frozen=True)
+class Kind:
+    """Everything the program knows about one experiment kind.
+
+    `keys` maps each extra config key (also a --flag, and an
+    ExperimentConfig field that holds its default) to its help text;
+    `required` lists those that must be given.  `checks` pairs a test of
+    the config with the ConfigError message for when it fails.
+    `run_series(cfg)` is the series shared by every sample of a run, or
+    None when it depends on f.  `draw(cfg, rng, series)` returns (f,
+    attempts, f's series), given the run's series.  `stats(cfg, f,
+    series)` are the sample's statistics, named by `columns` in
+    samples.csv order.  `rows(cfg, records, warnings)` are the
+    aggregates.csv rows as (key, estimate, stderr, predicted); it may
+    append run warnings.  Entries reach the traced public functions
+    through this module's globals, at call time.
+    """
+
+    blurb: str
+    draw: Callable
+    stats: Callable
+    rows: Callable
+    keys: dict = field(default_factory=dict)
+    required: tuple = ()
+    checks: tuple = ()
+    run_series: Callable = lambda cfg: None
+    columns: tuple = ("stat",)
+
+
+KINDS = {
+    "bh-moments": Kind(
+        "moments of the averaged von Mangoldt statistic minus its "
+        "truncated series",
+        draw=_draw,
+        stats=lambda cfg, f, sv: {"stat": bh_statistic(
+            f, cfg.X, cfg.w, series_value=sv.value)},
+        rows=_centred_rows),
+    "tuples": Kind(
+        "shifted-tuple version of the von Mangoldt statistic",
+        keys={"shifts": "comma-separated distinct shifts, e.g. 0,2"},
+        required=("shifts",),
+        checks=((lambda cfg: cfg.shifts,
+                 "shifts is required for tuple statistics"),
+                (lambda cfg: len(set(cfg.shifts)) == len(cfg.shifts),
+                 "shifts must be distinct"),
+                (lambda cfg: all(abs(l) <= cfg.X for l in cfg.shifts),
+                 "shifts must satisfy |shift| <= X")),
+        draw=_draw_tuples,
+        stats=lambda cfg, f, sv: {"stat": tuple_statistic(
+            f, cfg.X, cfg.shifts, cfg.w, series_value=sv.value)},
+        rows=_centred_rows),
+    "chowla-clt": Kind(
+        "normalized Liouville sums along random polynomials against "
+        "Gaussian moments",
+        draw=_draw,
+        stats=lambda cfg, f, sv: {"stat": chowla_normalized_sum(f, cfg.X)},
+        rows=_chowla_rows),
+    "sign-patterns": Kind(
+        "Liouville sign-pattern counts against the predicted variance",
+        keys={"pattern": "sign pattern, e.g. ++ or +1,-1"},
+        required=("pattern",),
+        checks=((lambda cfg: cfg.pattern,
+                 "pattern is required for sign patterns"),
+                (lambda cfg: all(e in (-1, 1) for e in cfg.pattern),
+                 "pattern entries must be +1 or -1")),
+        draw=_draw,
+        stats=lambda cfg, f, sv: {"stat": sign_pattern_statistic(
+            f, cfg.X, cfg.pattern)},
+        rows=_sign_pattern_rows),
+    "poisson-gaps": Kind(
+        "prime counts in tuned windows against Poisson and Gaussian "
+        "predictions",
+        keys={"calL": "target mean window count (default 1.0); the window "
+                      "length is calL * mean log|f(n)| / S_w(f)",
+              "L": "fixed window length override"},
+        checks=((lambda cfg: cfg.calL > 0, "calL must be positive"),
+                (lambda cfg: cfg.L >= 0, "L must be >= 1 when set")),
+        draw=_draw_bateman_horn,
+        stats=_poisson_gaps_stats,
+        rows=_poisson_gaps_rows,
+        columns=("window", "window_real", "mean_count", "tv",
+                 *(tag for tag, _ in _CDF_POINTS))),
+    "linear-forms": Kind(
+        "products of arithmetic functions at fixed points over a "
+        "residue-constrained family",
+        keys={"ns": "comma-separated distinct evaluation points "
+                    "(default 1)",
+              "M": "residue modulus (default 1)",
+              "f0": "residue polynomial, a0;a1;... (default 0)",
+              "target": "von-mangoldt or liouville"},
+        checks=((lambda cfg: cfg.ns, "ns is required for linear forms"),
+                (lambda cfg: len(set(cfg.ns)) == len(cfg.ns),
+                 "ns entries must be distinct"),
+                (lambda cfg: cfg.M >= 1, "M must be >= 1"),
+                (lambda cfg: cfg.target in ("von-mangoldt", "liouville"),
+                 "target must be von-mangoldt or liouville")),
+        run_series=lambda cfg: series_linear_system(
+            cfg.ns, IntPolynomial(cfg.f0), cfg.M, cfg.w, cfg.d),
+        draw=lambda cfg, rng, series: (*sample_uniform_residue(
+            cfg.d, cfg.H, rng, IntPolynomial(cfg.f0), cfg.M), series),
+        stats=_linear_forms_stats,
+        rows=_linear_forms_rows),
+}
+
+
 def _aggregate(cfg: ExperimentConfig, records) -> RunResult:
-    nan = float("nan")
-    rows = []
     warnings = []
-    kind = cfg.kind
-    if kind in ("bh-moments", "tuples", "chowla-clt", "sign-patterns",
-                "linear-forms"):
-        vals = [r.stats["stat"] for r in records]
-        if len(vals) > 1 and max(vals) == min(vals):
-            warnings.append("zero variance: all sample statistics are "
-                            f"identical ({vals[0]!r})")
-    if kind in ("bh-moments", "tuples"):
-        for k in range(1, cfg.k_max + 1):
-            mean, se = _mean_stderr([v ** k for v in vals])
-            predicted = 0.0 if k == 1 else nan
-            rows.append(AggregateRow(kind, f"moment_{k}", mean, se,
-                                     predicted,
-                                     _verdict(mean, se, predicted)))
-    elif kind == "chowla-clt":
-        for k in range(1, cfg.k_max + 1):
-            mean, se = _mean_stderr([v ** k for v in vals])
-            predicted = float(gaussian_moment(k))
-            rows.append(AggregateRow(kind, f"moment_{k}", mean, se,
-                                     predicted,
-                                     _verdict(mean, se, predicted)))
-        ks = ks_statistic_gaussian(vals)
-        rows.append(AggregateRow(kind, "ks_gaussian", ks, nan, nan, "info"))
-    elif kind == "sign-patterns":
-        mean, se = _mean_stderr(vals)
-        rows.append(AggregateRow(kind, "mean", mean, se, 0.0,
-                                 _verdict(mean, se, 0.0)))
-        n = len(vals)
-        var = math.fsum((v - mean) ** 2 for v in vals) / max(n - 1, 1)
-        se_var = var * math.sqrt(2.0 / max(n - 1, 1))
-        predicted = float(sigma_squared(cfg.pattern))
-        rows.append(AggregateRow(kind, "variance", var, se_var, predicted,
-                                 _verdict(var, se_var, predicted)))
-    elif kind == "linear-forms":
-        mean, se = _mean_stderr(vals)
-        predicted = float(records[0].series) \
-            if cfg.target == "von-mangoldt" else 0.0
-        rows.append(AggregateRow(kind, "mean", mean, se, predicted,
-                                 _verdict(mean, se, predicted)))
-        att, att_se = _mean_stderr([r.attempts for r in records])
-        rows.append(AggregateRow(kind, "attempts_mean", att, att_se, nan,
-                                 "info"))
-    elif kind == "poisson-gaps":
-        tvs = [r.stats["tv"] for r in records]
-        mean, se = _mean_stderr(tvs)
-        rows.append(AggregateRow(kind, "tv_mean", mean, se, nan, "info"))
-        svals = sorted(tvs)
-        for tag, q in (("tv_min", 0.0), ("tv_q25", 0.25),
-                       ("tv_median", 0.5), ("tv_q75", 0.75),
-                       ("tv_max", 1.0)):
-            rows.append(AggregateRow(kind, tag, _quantile(svals, q),
-                                     nan, nan, "info"))
-        cm, cse = _mean_stderr([r.stats["mean_count"] for r in records])
-        rows.append(AggregateRow(kind, "mean_count", cm, cse, cfg.calL,
-                                 _verdict(cm, cse, cfg.calL)))
-        for tag, t in (("cdf_tm1", -1.0), ("cdf_t0", 0.0),
-                       ("cdf_tp1", 1.0)):
-            cmean, cse = _mean_stderr([r.stats[tag] for r in records])
-            rows.append(AggregateRow(kind, tag, cmean, cse, _phi(t),
-                                     _verdict(cmean, cse, _phi(t))))
-        att, att_se = _mean_stderr([r.attempts for r in records])
-        rows.append(AggregateRow(kind, "attempts_mean", att, att_se, nan,
-                                 "info"))
-        below = sum(1 for r in records if r.stats["window_real"] < 1.0)
-        if below:
-            warnings.append(f"window length below 1 before rounding for "
-                            f"{below} samples (clamped to 1)")
-        if all(r.stats["window"] == 1 for r in records):
-            warnings.append("degenerate runs: every window has L = 1")
+    rows = [AggregateRow(cfg.kind, key, estimate, stderr, predicted,
+                         _verdict(estimate, stderr, predicted))
+            for key, estimate, stderr, predicted
+            in KINDS[cfg.kind].rows(cfg, records, warnings)]
     zero_total = sum(r.zero_evals for r in records)
     if zero_total:
         warnings.append(f"{zero_total} zero evaluations of f were audited")
@@ -518,13 +598,14 @@ def _aggregate(cfg: ExperimentConfig, records) -> RunResult:
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Run all samples (possibly in a worker pool) and aggregate.
 
-    The run's shared series (linear-forms only, see `_run_series`) is
+    The run's shared series (the kind's `run_series`, if any) is
     computed once, before any worker starts, and bound with cfg into the
     one callable that both the pool and the single-worker loop map over
     the sample indices; a bad modulus therefore fails before sampling.
     """
     cfg = cfg.validate()
-    run = functools.partial(run_sample, cfg, series=_run_series(cfg))
+    run = functools.partial(run_sample, cfg,
+                            series=KINDS[cfg.kind].run_series(cfg))
     indices = range(cfg.samples)
     if cfg.workers > 1:
         ctx = multiprocessing.get_context("fork")

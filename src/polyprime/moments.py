@@ -11,10 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import BudgetError, ConsistencyError
-
-MULTISET_ENUM_CAP = 10 ** 7
-
+from .errors import ConsistencyError
 
 @lru_cache(maxsize=None)
 def stirling2(k: int, r: int) -> int:
@@ -210,48 +207,3 @@ def sigma_squared(pattern) -> Fraction:
                 p2 *= eps[i]
             total += p1 * p2
     return Fraction(total, 4 ** s)
-
-
-def _multiset_is_even(tuples_ns, Ts) -> bool:
-    mult = {}
-    for n, T in zip(tuples_ns, Ts):
-        for i in T:
-            key = n + i
-            mult[key] = mult.get(key, 0) + 1
-    return all(v % 2 == 0 for v in mult.values())
-
-
-def multiset_even_tuple_count(Ts, X: int,
-                              cap: int = MULTISET_ENUM_CAP) -> int:
-    """#{(n_1..n_k) in [1,X]^k : the shifted multiset is all-even}.
-
-    Each T_j is a nonempty set of distinct shifts; the multiset collects
-    n_j + i over all j and i in T_j.  k = 1 is always 0 (every element
-    appears exactly once).  Tuples are enumerated exhaustively while
-    X**k fits under the cap; beyond it only k = 2 has a closed form
-    (nonzero only when T_2 is a translate of T_1, one n_2 per n_1).
-    """
-    from itertools import product as _product
-
-    Ts = [tuple(sorted(set(T))) for T in Ts]
-    if any(not T for T in Ts):
-        raise ValueError("every shift set must be nonempty")
-    k = len(Ts)
-    if k == 0:
-        raise ValueError("need at least one shift set")
-    if k == 1:
-        return 0
-    if X ** k <= cap:
-        return sum(1 for idx in _product(range(1, X + 1), repeat=k)
-                   if _multiset_is_even(idx, Ts))
-    if k == 2:
-        T1, T2 = Ts
-        if len(T1) != len(T2):
-            return 0
-        c0 = T2[0] - T1[0]
-        if tuple(i + c0 for i in T1) != T2:
-            return 0
-        # n_1 + T1 = n_2 + T2 forces n_1 - n_2 = c0
-        return max(0, X - abs(c0))
-    raise BudgetError(f"X^k = {X ** k} exceeds enumeration cap {cap} "
-                      "and no closed form applies for k > 2")

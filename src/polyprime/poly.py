@@ -9,7 +9,6 @@ arithmetic throughout.
 import math
 import random
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -100,18 +99,6 @@ def sample_uniform_residue(d: int, H: int, rng: random.Random,
             return f, attempt
     raise BudgetError(f"no draw matched the residue class mod {M} "
                       f"in {max_attempts} attempts")
-
-
-def is_zero_poly_mod_p(f: IntPolynomial, p: int) -> bool:
-    """True when f vanishes at every residue mod p.
-
-    For p > deg f that is the same as p dividing every coefficient; for
-    small p the reduced polynomial is evaluated on all of F_p.
-    """
-    if p > f.degree:
-        return all(c % p == 0 for c in f.coeffs)
-    g = f.reduce_mod(p)
-    return all(g.eval(x) % p == 0 for x in range(p))
 
 
 def count_unit_values_mod_p(f: IntPolynomial, p: int, shifts) -> int:

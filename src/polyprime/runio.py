@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import os
+import warnings
 from dataclasses import asdict
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
@@ -18,21 +19,11 @@ from fractions import Fraction
 
 from ._version import __version__
 from .errors import ConfigError
-from .experiments import ExperimentConfig, RunResult
+from .experiments import KINDS, ExperimentConfig, RunResult
 
 SAMPLES_CSV = "samples.csv"
 AGGREGATES_CSV = "aggregates.csv"
 MANIFEST_JSON = "manifest.json"
-
-STAT_KEYS = {
-    "bh-moments": ("stat",),
-    "tuples": ("stat",),
-    "chowla-clt": ("stat",),
-    "sign-patterns": ("stat",),
-    "linear-forms": ("stat",),
-    "poisson-gaps": ("window", "window_real", "mean_count", "tv",
-                     "cdf_tm1", "cdf_t0", "cdf_tp1"),
-}
 
 
 def parse_int_exact(text: str, key: str) -> int:
@@ -80,15 +71,6 @@ def parse_pattern(text: str, key: str = "pattern") -> tuple:
     return vals
 
 
-def parse_bool(text: str, key: str) -> bool:
-    t = str(text).strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{key}: {text!r} is not a boolean")
-
-
 def load_config_file(path: str) -> dict:
     """key=value file to a raw string dict; later flags override these."""
     raw = {}
@@ -123,7 +105,7 @@ def format_cell(value) -> str:
 
 def sample_fieldnames(kind: str):
     return (["sample_index", "coeffs", "series"]
-            + list(STAT_KEYS[kind])
+            + list(KINDS[kind].columns)
             + ["attempts", "zero_evals"])
 
 
@@ -137,7 +119,7 @@ def write_csv(path: str, fieldnames, rows) -> None:
 
 def write_samples_csv(path: str, result: RunResult) -> None:
     kind = result.config.kind
-    keys = STAT_KEYS[kind]
+    keys = KINDS[kind].columns
     rows = []
     for r in result.records:
         rows.append([r.index, r.coeffs, r.series]
@@ -163,7 +145,16 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
+    """ExperimentConfig from config_to_dict output, as a manifest stores it.
+
+    Manifests written by older versions may carry the retired key
+    deterministic_reduction, which never changed a run; it is dropped
+    with a warning.
+    """
     d = dict(d)
+    if d.pop("deterministic_reduction", None) is not None:
+        warnings.warn("ignoring retired manifest key "
+                      "'deterministic_reduction'")
     for key in ("shifts", "pattern", "ns", "f0"):
         if key in d:
             d[key] = tuple(d[key])

@@ -11,12 +11,10 @@ from hypothesis import strategies as st
 import polyprime.arith as arith
 from polyprime.arith import (
     Factorization,
-    big_omega,
     factorize,
     iroot,
     is_prime,
     is_prime_many,
-    lambda_from_mobius_check,
     least_prime_at_least,
     liouville,
     liouville_many,
@@ -25,7 +23,6 @@ from polyprime.arith import (
     mobius_sieve,
     perfect_power,
     primes_upto,
-    theta,
     von_mangoldt,
     von_mangoldt_many,
     zero_audit,
@@ -184,10 +181,10 @@ def test_factorize_budget_error():
 
 
 def test_big_omega():
-    assert big_omega(360) == 6
-    assert big_omega(1) == 0
-    assert big_omega(-8) == 3
-    assert big_omega(97) == 1
+    assert factorize(360).big_omega == 6
+    assert factorize(1).big_omega == 0
+    assert factorize(-8).big_omega == 3
+    assert factorize(97).big_omega == 1
 
 
 def test_liouville_values():
@@ -270,33 +267,20 @@ def test_von_mangoldt_brute_force():
         assert von_mangoldt(n) == pytest.approx(want)
 
 
-def test_theta_values():
-    assert theta(7) == pytest.approx(math.log(7))
-    assert theta(8) == 0.0
-    assert theta(-11) == pytest.approx(math.log(11))
-    zero_audit.reset()
-    assert theta(0) == 0.0
-    assert zero_audit.count == 1
-    zero_audit.reset()
-
-
 def test_zero_audit_reset_returns_previous():
     zero_audit.reset()
     liouville(0)
     von_mangoldt(0)
-    theta(0)
-    assert zero_audit.reset() == 3
+    assert zero_audit.reset() == 2
     assert zero_audit.count == 0
 
 
 def test_lambda_from_mobius_check():
-    assert lambda_from_mobius_check(1)
-    assert lambda_from_mobius_check(12)
-    assert lambda_from_mobius_check(360)
+    # liouville(n) is the sum of mobius(n / r^2) over r with r^2 | n.
     for n in range(1, 400):
-        assert lambda_from_mobius_check(n), n
-    with pytest.raises(ValueError):
-        lambda_from_mobius_check(0)
+        total = sum(mobius(n // (r * r)) for r in range(1, math.isqrt(n) + 1)
+                    if n % (r * r) == 0)
+        assert liouville(n) == total, n
 
 
 def test_liouville_sieve_matches_pointwise():

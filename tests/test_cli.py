@@ -2,10 +2,13 @@
 
 import csv
 import json
+import math
+import re
 
 import numpy as np
 import pytest
 
+import polyprime.experiments as experiments
 from polyprime.arith import liouville, mobius
 from polyprime.cli import main
 from polyprime.gowers import gowers_norm_cyclic
@@ -140,6 +143,86 @@ def test_linear_forms_flags(tmp_path):
     assert doc["config"]["target"] == "liouville"
 
 
+COMMON_FLAGS = ("config", "d", "H", "X", "w", "samples", "seed", "workers",
+                "k-max", "out-dir")
+OWN_FLAGS = {
+    "bh-moments": (),
+    "tuples": ("shifts",),
+    "chowla-clt": (),
+    "sign-patterns": ("pattern",),
+    "poisson-gaps": ("calL", "L"),
+    "linear-forms": ("ns", "M", "f0", "target"),
+}
+
+
+def help_flags(kind, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([kind, "--help"])
+    assert exc.value.code == 0
+    return re.findall(r"^ +--([\w-]+)", capsys.readouterr().out, re.M)
+
+
+def test_each_kind_takes_common_keys_and_its_own(tmp_path, capsys):
+    assert set(experiments.KINDS) == set(OWN_FLAGS)
+    for kind, own in OWN_FLAGS.items():
+        assert help_flags(kind, capsys) == [*COMMON_FLAGS, *own]
+        foreign = next(key for keys in OWN_FLAGS.values() for key in keys
+                       if key not in own)
+        cfgfile = tmp_path / f"{kind}.cfg"
+        cfgfile.write_text("d=1\nH=10\nX=10\nsamples=2\nseed=1\n"
+                           f"{foreign}=1\n")
+        assert main([kind, "--config", str(cfgfile)]) == 1
+        assert f"unknown config key {foreign!r} for {kind}" \
+            in capsys.readouterr().err
+
+
+def test_deterministic_reduction_is_an_unknown_key(tmp_path, capsys):
+    argv = ["bh-moments", "--d", "1", "--H", "10", "--X", "10",
+            "--samples", "2", "--seed", "1", "--out-dir",
+            str(tmp_path / "run")]
+    assert main(argv + ["--deterministic-reduction", "true"]) == 1
+    assert "--deterministic-reduction" in capsys.readouterr().err
+    cfgfile = tmp_path / "old.cfg"
+    cfgfile.write_text("deterministic-reduction=true\n")
+    assert main(argv + ["--config", str(cfgfile)]) == 1
+    assert "'deterministic-reduction'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_toy_kind_needs_one_table_entry(monkeypatch, tmp_path, capsys):
+    toy = experiments.Kind(
+        "a constant statistic",
+        keys={"L": "toy integer key"},
+        checks=((lambda cfg: cfg.L <= 9, "L must be <= 9 for toy"),),
+        draw=experiments.KINDS["chowla-clt"].draw,
+        stats=lambda cfg, f, sv: {"stat": 0.0},
+        rows=lambda cfg, records, warnings: [
+            ("L", float(cfg.L), math.nan, math.nan)])
+    monkeypatch.setitem(experiments.KINDS, "toy", toy)
+    assert help_flags("toy", capsys) == [*COMMON_FLAGS, "L"]
+
+    cfgfile = tmp_path / "toy.cfg"
+    cfgfile.write_text("d=1\nH=10\nX=10\nsamples=3\nseed=1\nL=3\n")
+    out = tmp_path / "run"
+    assert main(["toy", "--config", str(cfgfile), "--workers", "2",
+                 "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("toy: 3 samples, seed 1\n")
+    with open(out / "samples.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["sample_index", "coeffs", "series", "stat",
+                       "attempts", "zero_evals"]
+    assert [r[3] for r in rows[1:]] == ["0.0"] * 3
+    with open(out / "aggregates.csv", newline="") as fh:
+        assert list(csv.reader(fh))[1:] == [["toy", "L", "3.0", "", "",
+                                             "info"]]
+
+    assert main(["toy", "--config", str(cfgfile), "--L", "10"]) == 1
+    assert "L must be <= 9 for toy" in capsys.readouterr().err
+    cfgfile.write_text("d=1\nH=10\nX=10\nsamples=3\nseed=1\nM=3\n")
+    assert main(["toy", "--config", str(cfgfile)]) == 1
+    assert "unknown config key 'M' for toy" in capsys.readouterr().err
+
+
 def test_linear_forms_bad_target(capsys):
     rc = main(["linear-forms", "--d", "1", "--H", "30", "--X", "10",
                "--samples", "2", "--seed", "9", "--target", "theta"])
@@ -196,5 +279,5 @@ def test_gowers_budget_exit_code():
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count(": ok") == 4
+    assert out.count(": ok") == 5
     assert "FAIL" not in out

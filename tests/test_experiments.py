@@ -2,6 +2,7 @@
 
 import math
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -651,3 +652,33 @@ def test_linear_forms_modulus_above_w_fails_before_sampling(
                "--out-dir", str(tmp_path)])
     assert rc == 1
     assert "prime factor above w=5" in capsys.readouterr().err
+
+
+def test_traced_functions_are_called_through_module_globals(monkeypatch):
+    # A wrapper bound to the module attribute, as the benchmark's span
+    # tracer installs it, must see every call the experiment table makes.
+    import polyprime.experiments as experiments
+    calls = Counter()
+
+    def counting(name):
+        inner = getattr(experiments, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in ("chowla_normalized_sum", "tuple_statistic", "series_f",
+                 "series_f_tuple", "series_linear_system",
+                 "sample_uniform_residue"):
+        monkeypatch.setattr(experiments, name, counting(name))
+    run_experiment(ExperimentConfig(kind="chowla-clt", d=2, H=100, X=20,
+                                    samples=5, seed=3))
+    assert calls == {"chowla_normalized_sum": 5, "series_f": 5}
+    calls.clear()
+    run_experiment(ExperimentConfig(kind="tuples", d=1, H=100, X=20,
+                                    samples=4, seed=3, shifts=(0, 2)))
+    assert calls == {"tuple_statistic": 4, "series_f_tuple": 4}
+    calls.clear()
+    run_experiment(ExperimentConfig(**dict(LINEAR_FORMS_CFG, samples=3)))
+    assert calls == {"series_linear_system": 1, "sample_uniform_residue": 3}

@@ -6,12 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from polyprime.errors import BudgetError
 from polyprime.moments import (
     MomentPolynomial,
     gaussian_coefficient_sum,
     gaussian_moment,
-    multiset_even_tuple_count,
     poisson_central_moment,
     poisson_raw_moment,
     sigma_squared,
@@ -223,47 +221,3 @@ def test_sigma_squared_validation():
         sigma_squared(())
     with pytest.raises(ValueError):
         sigma_squared((1, 0))
-
-
-def test_multiset_even_count_k1_is_zero():
-    assert multiset_even_tuple_count([(1,)], 10) == 0
-    assert multiset_even_tuple_count([(1, 2)], 10) == 0
-    assert multiset_even_tuple_count([(1, 3, 5)], 50) == 0
-
-
-def test_multiset_even_count_k2_examples():
-    assert multiset_even_tuple_count([(1,), (1,)], 10) == 10
-    assert multiset_even_tuple_count([(1,), (2,)], 10) == 9
-
-
-def test_multiset_even_count_closed_form_beyond_cap():
-    X = 10 ** 6
-    assert multiset_even_tuple_count([(1,), (2,)], X) == X - 1
-    assert multiset_even_tuple_count([(1, 3), (2, 4)], X) == X - 1
-    assert multiset_even_tuple_count([(1,), (1, 2)], X) == 0
-    assert multiset_even_tuple_count([(1, 2), (1, 3)], X) == 0
-
-
-def test_multiset_even_count_exhaustive_matches_closed_form():
-    for X in (5, 20, 100):
-        for T1, T2 in ([(1,), (3,)], [(0, 2), (1, 3)], [(1, 2), (1, 2)]):
-            exhaustive = multiset_even_tuple_count([T1, T2], X)
-            beyond = multiset_even_tuple_count([T1, T2], X, cap=1)
-            assert exhaustive == beyond, (T1, T2, X)
-
-
-def test_multiset_even_count_k4_pairing_formula():
-    # Four singleton shift sets: even multisets are perfect pairings of
-    # the four coordinates, counted by 3X^2 - 2X.
-    for X in (4, 6, 8):
-        got = multiset_even_tuple_count([(1,)] * 4, X)
-        assert got == 3 * X * X - 2 * X
-
-
-def test_multiset_even_count_errors():
-    with pytest.raises(BudgetError):
-        multiset_even_tuple_count([(1,), (2,), (3,)], 10 ** 4)
-    with pytest.raises(ValueError):
-        multiset_even_tuple_count([(1,), ()], 10)
-    with pytest.raises(ValueError):
-        multiset_even_tuple_count([], 10)

@@ -12,7 +12,6 @@ from polyprime.poly import (
     IntPolynomial,
     count_unit_tuples_linear_system,
     count_unit_values_mod_p,
-    is_zero_poly_mod_p,
     poly_from_text,
     sample_uniform,
     sample_uniform_residue,
@@ -112,27 +111,6 @@ def test_text_roundtrip():
         IntPolynomial(())
 
 
-def test_is_zero_poly_mod_p_examples():
-    assert is_zero_poly_mod_p(X2_X_2, 2)
-    assert not is_zero_poly_mod_p(X, 5)
-    assert is_zero_poly_mod_p(IntPolynomial((0, 3, 0, 6)), 3)
-
-
-def test_is_zero_poly_mod_p_large_p_coefficient_rule():
-    f = IntPolynomial((10, 15, 20))
-    assert is_zero_poly_mod_p(f, 5)
-    assert not is_zero_poly_mod_p(f, 3)
-
-
-def test_is_zero_poly_small_p_needs_evaluation():
-    # x^p - x vanishes identically on F_p without zero coefficients.
-    for p in (2, 3, 5):
-        coeffs = [0] * (p + 1)
-        coeffs[1] = -1
-        coeffs[p] = 1
-        assert is_zero_poly_mod_p(IntPolynomial(tuple(coeffs)), p)
-
-
 def test_count_unit_values_examples():
     assert count_unit_values_mod_p(X, 5, [0]) == 4
     assert count_unit_values_mod_p(X2_X_2, 2, [0]) == 0
@@ -153,7 +131,7 @@ def test_count_unit_values_zero_iff_vanishing():
         g = f.reduce_mod(p)
         vanishes = all(g.eval(x) % p == 0 for x in range(p))
         assert (c == 0) == vanishes
-        if p > f.degree and not is_zero_poly_mod_p(f, p):
+        if p > f.degree and not vanishes:
             assert c >= p - f.degree
 
 

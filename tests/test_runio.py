@@ -14,7 +14,6 @@ from polyprime.runio import (
     format_cell,
     load_config_file,
     load_manifest_config,
-    parse_bool,
     parse_float,
     parse_int_exact,
     parse_int_list,
@@ -41,15 +40,10 @@ def test_parse_int_exact_rejects_non_integers():
         parse_int_exact("", "X")
 
 
-def test_parse_float_and_bool():
+def test_parse_float():
     assert parse_float("0.25", "calL") == 0.25
     with pytest.raises(ConfigError, match="calL"):
         parse_float("x", "calL")
-    assert parse_bool("true", "flag") is True
-    assert parse_bool("0", "flag") is False
-    assert parse_bool("Yes", "flag") is True
-    with pytest.raises(ConfigError):
-        parse_bool("maybe", "flag")
 
 
 def test_parse_int_list():
@@ -145,6 +139,28 @@ def test_rerun_from_manifest_is_byte_identical(tmp_path):
     cfg2 = load_manifest_config(p1["manifest"])
     res2 = run_experiment(cfg2)
     p2 = write_run(str(tmp_path / "b"), res2, "t2", "t3")
+    for key in ("samples", "aggregates"):
+        with open(p1[key], "rb") as fh:
+            b1 = fh.read()
+        with open(p2[key], "rb") as fh:
+            b2 = fh.read()
+        assert b1 == b2
+
+
+def test_manifest_with_retired_key_loads_and_reruns(tmp_path):
+    cfg = ExperimentConfig(kind="sign-patterns", d=1, H=30, X=20,
+                           samples=5, seed=8, pattern=(1, -1))
+    p1 = write_run(str(tmp_path / "a"), run_experiment(cfg), "t0", "t1")
+    with open(p1["manifest"]) as fh:
+        doc = json.load(fh)
+    assert "deterministic_reduction" not in doc["config"]
+    doc["config"]["deterministic_reduction"] = True
+    with open(p1["manifest"], "w") as fh:
+        json.dump(doc, fh)
+    with pytest.warns(UserWarning, match="'deterministic_reduction'"):
+        cfg2 = load_manifest_config(p1["manifest"])
+    assert cfg2 == cfg
+    p2 = write_run(str(tmp_path / "b"), run_experiment(cfg2), "t2", "t3")
     for key in ("samples", "aggregates"):
         with open(p1[key], "rb") as fh:
             b1 = fh.read()
