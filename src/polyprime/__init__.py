@@ -14,9 +14,8 @@ from .arith import (Factorization, factorize, is_prime, is_prime_many,
 from .errors import (BudgetError, ConfigError, ConsistencyError,
                      FactorBudgetError)
 from .experiments import (EmpiricalDistribution, ExperimentConfig,
-                          RunResult, SampleRecord, bh_statistic,
-                          chowla_normalized_sum, iid_sign_simulation,
-                          interval_count_distribution,
+                          RunResult, SampleRecord, chowla_normalized_sum,
+                          iid_sign_simulation, interval_count_distribution,
                           ks_statistic_gaussian, run_experiment, run_sample,
                           sign_pattern_statistic, tuple_statistic)
 from .gowers import (gowers_average, gowers_norm_cyclic,
@@ -29,8 +28,8 @@ from .poly import (IntPolynomial, count_unit_tuples_linear_system,
                    count_unit_values_mod_p, poly_from_text, sample_uniform,
                    sample_uniform_residue)
 from .series import (TruncatedSeries, interchange_identity_check,
-                     lemma_lower_bound, lemma_upper_bound, primorial,
-                     series_f, series_f_tuple, series_linear_system,
+                     lemma_lower_bound, lemma_upper_bound, series_f,
+                     series_f_tuple, series_linear_system,
                      tuple_sum_identity_residual)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

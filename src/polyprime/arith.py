@@ -2,9 +2,10 @@
 
 Arithmetic functions are extended to all of Z by f(n) = f(-n), so both p
 and -p count as prime.  At 0 the completely multiplicative conventions
-break down; liouville and von_mangoldt return 0 there by convention and
-bump a module-level audit counter so experiment drivers can report how
-often the sentinel was hit, and mobius(0) raises.
+break down; liouville and von_mangoldt return 0 there by convention, and
+mobius(0) raises.  The kernels are pure: they keep no state between
+calls, and the statistics that use them count the zero values they meet
+themselves.
 
 There are two routes to the same answers.
 
@@ -49,23 +50,6 @@ _MR_64_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _MR_DET_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_DET_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXTRA_ROUNDS = 64
-
-
-class _ZeroAudit:
-    """Counts how many times an arithmetic function was asked about 0."""
-
-    __slots__ = ("count",)
-
-    def __init__(self):
-        self.count = 0
-
-    def reset(self) -> int:
-        c = self.count
-        self.count = 0
-        return c
-
-
-zero_audit = _ZeroAudit()
 
 
 def primes_upto(n: int) -> np.ndarray:
@@ -244,16 +228,6 @@ class Factorization:
     def is_squarefree(self) -> bool:
         return all(e == 1 for _, e in self.factors)
 
-    @property
-    def is_prime_power(self) -> bool:
-        return len(self.factors) == 1
-
-    def value(self) -> int:
-        v = self.sign
-        for p, e in self.factors:
-            v *= p ** e
-        return v
-
 
 def factorize(n: int, budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
     """Full factorization of n != 0 under an iteration budget."""
@@ -289,9 +263,8 @@ def factorize(n: int, budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
 
 
 def liouville(n: int, budget: int = DEFAULT_RHO_BUDGET) -> int:
-    """(-1)**big_omega(|n|); 0 at n = 0 (audited)."""
+    """(-1)**big_omega(|n|); 0 at n = 0."""
     if n == 0:
-        zero_audit.count += 1
         return 0
     if abs(n) == 1:
         return 1
@@ -321,12 +294,9 @@ def _prime_power_base(m: int):
 def von_mangoldt(n: int) -> float:
     """log p when |n| is a positive power of the prime p, else 0.0.
 
-    0 is audited; no rho budget is involved because only a perfect-power
+    0 at n = 0; no rho budget is involved because only a perfect-power
     reduction plus one primality test is needed.
     """
-    if n == 0:
-        zero_audit.count += 1
-        return 0.0
     m = abs(n)
     if m < 2:
         return 0.0
@@ -427,15 +397,14 @@ def liouville_many(values, budget: int = DEFAULT_RHO_BUDGET) -> list:
     """[liouville(v) for v in values].
 
     Values below 2**52 take the batched route, larger ones `liouville`.
-    Each zero value is audited, as in `liouville`; each composite
-    cofactor above B**3 is factored under its own rho budget.
+    Each zero value gives 0, as in `liouville`; each composite cofactor
+    above B**3 is factored under its own rho budget.
     """
     def batched(low):
         bound, small, rest = _sieve_split(low)
         out = []
         for ps, m in zip(small, rest):
             if m == 0:
-                zero_audit.count += 1
                 out.append(0)
                 continue
             omega = len(ps)
@@ -456,14 +425,12 @@ def von_mangoldt_many(values) -> list:
     """[von_mangoldt(v) for v in values].
 
     Values below 2**52 take the batched route, larger ones
-    `von_mangoldt`.  Each zero value is audited, as in `von_mangoldt`.
+    `von_mangoldt`.  Each zero value gives 0.0, as in `von_mangoldt`.
     """
     def batched(low):
         bound, small, rest = _sieve_split(low, full=False)
         out = []
         for ps, m in zip(small, rest):
-            if m == 0:
-                zero_audit.count += 1
             p = None
             if ps:
                 if m == 1 and ps[0] == ps[-1]:  # ps ascends: one prime
@@ -483,7 +450,7 @@ def von_mangoldt_many(values) -> list:
 
 
 def is_prime_many(values) -> list:
-    """[is_prime(v) for v in values] (no audit).
+    """[is_prime(v) for v in values].
 
     Values below 2**52 take the batched route, larger ones `is_prime`.
     """

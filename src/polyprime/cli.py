@@ -23,8 +23,7 @@ from .poly import IntPolynomial, poly_from_text, sample_uniform
 from .rng import stream
 from .runio import (format_cell, parse_float, parse_int_exact,
                     parse_int_list, parse_pattern, load_config_file,
-                    utc_now_iso, write_csv, write_manifest_generic,
-                    write_run)
+                    utc_now_iso, write_csv, write_manifest, write_run)
 from .series import (interchange_identity_check, series_f, series_f_tuple,
                      tuple_sum_identity_residual)
 
@@ -159,11 +158,13 @@ def _gowers_cmd(args) -> int:
     multiplier = parse_int_exact(args.multiplier, "multiplier")
     if args.target not in ("one", "delta", "liouville", "mobius"):
         raise ConfigError(f"unknown gowers target {args.target!r}")
+    started = utc_now_iso()
     rows = []
     for size in sizes:
         values, label = _gowers_values(args.target, mode, size, multiplier)
         norm = gowers_norm_cyclic(values, s)
         rows.append([label, s, norm])
+    finished = utc_now_iso()
     fields = ["N" if mode == "interval" else "M", "s", "norm"]
     for row in rows:
         print(",".join(format_cell(v) for v in row))
@@ -171,13 +172,14 @@ def _gowers_cmd(args) -> int:
         os.makedirs(args.out_dir, exist_ok=True)
         path = os.path.join(args.out_dir, "gowers.csv")
         write_csv(path, fields, rows)
-        write_manifest_generic(
+        write_manifest(
             os.path.join(args.out_dir, "manifest.json"),
-            subcommand="gowers",
-            config={"target": args.target, "mode": mode,
-                    "sizes": list(sizes), "s": s,
-                    "multiplier": multiplier},
-            outputs={"csv": "gowers.csv"})
+            {"subcommand": "gowers",
+             "config": {"target": args.target, "mode": mode,
+                        "sizes": list(sizes), "s": s,
+                        "multiplier": multiplier},
+             "outputs": {"csv": "gowers.csv"}},
+            started, finished)
         print(f"wrote {path}")
     return 0
 

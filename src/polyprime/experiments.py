@@ -13,11 +13,12 @@ columns.  The command line, the run and the CSV writer read that table
 and hold no per-kind code.
 
 Statistic conventions.  Sums over n always mean 1 <= n <= X.  A zero
-value of f(n) contributes 0 wherever an arithmetic function is applied
-and increments the zero-evaluation audit counter, which is reported per
-sample.  Each statistic evaluates f once at its points and hands the
-values to the batched kernels of `arith` (`liouville_many`,
-`von_mangoldt_many`, `is_prime_many`).
+value of f(n) contributes 0 wherever an arithmetic function is applied.
+Each statistic evaluates f once at its points, hands the values to the
+pure batched kernels of `arith` (`liouville_many`, `von_mangoldt_many`,
+`is_prime_many`), and counts the zero values it met from that same list;
+the count is reported per sample as zero_evals.  The Bateman-Horn
+statistic of `bh-moments` is the tuple statistic at the one shift 0.
 """
 
 import functools
@@ -29,8 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import (is_prime_many, liouville_many, von_mangoldt_many,
-                    zero_audit)
+from .arith import is_prime_many, liouville_many, von_mangoldt_many
 from .errors import BudgetError, ConfigError, ConsistencyError
 from .moments import gaussian_moment, sigma_squared
 from .poly import IntPolynomial, sample_uniform, sample_uniform_residue
@@ -131,12 +131,6 @@ class EmpiricalDistribution:
             n += 1
         return EmpiricalDistribution(tuple(sorted(acc.items())), n)
 
-    def probability(self, k: int) -> float:
-        for kk, c in self.counts:
-            if kk == k:
-                return c / self.total
-        return 0.0
-
     def moment(self, k: int) -> float:
         return math.fsum(c * kk ** k for kk, c in self.counts) / self.total
 
@@ -155,62 +149,57 @@ class EmpiricalDistribution:
         return 0.5 * acc
 
 
-def bh_statistic(f: IntPolynomial, X: int, w: int,
-                 series_value=None) -> float:
-    """Average of the von Mangoldt weight along f minus its series."""
-    if series_value is None:
-        series_value = series_f(f, w).value
-    total = math.fsum(von_mangoldt_many([f.eval(n)
-                                         for n in range(1, X + 1)]))
-    return total / X - float(series_value)
-
-
 def tuple_statistic(f: IntPolynomial, X: int, shifts, w: int,
-                    series_value=None) -> float:
+                    series_value=None) -> tuple:
     """Average of the product of von Mangoldt weights at shifted points.
 
-    The product at n is taken in shift order and stops at its first zero
-    weight, so a zero value f(n + l) is audited only when every earlier
-    shift's weight at n was nonzero.
+    Returns (average minus the tuple series, zero values met).  The
+    product at n is taken in shift order and stops at its first zero
+    weight, so a zero value f(n + l) is counted only when every earlier
+    shift's weight at n was nonzero.  At the one shift 0 this is the
+    Bateman-Horn statistic, the average of the von Mangoldt weight along
+    f minus its series, with every zero value counted.
     """
     if series_value is None:
         series_value = series_f_tuple(f, shifts, w).value
     shifts = list(shifts)
     lo = 1 + min(shifts)
     vals = [f.eval(m) for m in range(lo, X + max(shifts) + 1)]
-    # Zeros stay out of the kernel, which would audit every one of them.
-    lams = iter(von_mangoldt_many([v for v in vals if v]))
-    weight = [next(lams) if v else 0.0 for v in vals]
+    weight = von_mangoldt_many(vals)
     terms = []
+    zeros = 0
     for n in range(1, X + 1):
         v = 1.0
         for l in shifts:
             i = n + l - lo
             v *= weight[i]
             if v == 0.0:
-                if vals[i] == 0:
-                    zero_audit.count += 1
+                zeros += vals[i] == 0
                 break
         terms.append(v)
-    return math.fsum(terms) / X - float(series_value)
+    return math.fsum(terms) / X - float(series_value), zeros
 
 
-def chowla_normalized_sum(f: IntPolynomial, X: int) -> float:
-    """Sum of the Liouville function along f, scaled by X**(-1/2)."""
-    total = sum(liouville_many([f.eval(n) for n in range(1, X + 1)]))
-    return total / math.sqrt(X)
+def chowla_normalized_sum(f: IntPolynomial, X: int) -> tuple:
+    """(sum of the Liouville function along f scaled by X**(-1/2), number
+    of zero values of f among f(1..X))."""
+    vals = [f.eval(n) for n in range(1, X + 1)]
+    return sum(liouville_many(vals)) / math.sqrt(X), vals.count(0)
 
 
-def sign_pattern_statistic(f: IntPolynomial, X: int, pattern) -> float:
+def sign_pattern_statistic(f: IntPolynomial, X: int, pattern) -> tuple:
     """Normalized count of n <= X whose Liouville window matches pattern.
 
-    The plain indicator count is cross-checked against the product
-    identity 1{window = pattern} = 2^(-s) prod(1 + eps_i * lam_i) at
-    every n whose window is free of zero values; a mismatch raises.
+    Returns (normalized count, number of zero values of f among the
+    window values f(2..X+s)).  The plain indicator count is
+    cross-checked against the product identity 1{window = pattern} =
+    2^(-s) prod(1 + eps_i * lam_i) at every n whose window is free of
+    zero values; a mismatch raises.
     """
     eps = tuple(pattern)
     s = len(eps)
-    lam = [0, 0] + liouville_many([f.eval(m) for m in range(2, X + s + 1)])
+    vals = [f.eval(m) for m in range(2, X + s + 1)]
+    lam = [0, 0] + liouville_many(vals)
     count = 0
     for n in range(1, X + 1):
         window = lam[n + 1: n + 1 + s]
@@ -224,7 +213,7 @@ def sign_pattern_statistic(f: IntPolynomial, X: int, pattern) -> float:
             if (prod >> s) != int(match):
                 raise ConsistencyError(
                     f"sign indicator mismatch at n={n}: window {window}")
-    return (count - X / 2 ** s) / math.sqrt(X)
+    return (count - X / 2 ** s) / math.sqrt(X), vals.count(0)
 
 
 def interval_count_distribution(f: IntPolynomial, X: int,
@@ -302,13 +291,13 @@ def run_sample(cfg: ExperimentConfig, index: int,
     """
     kind = KINDS[cfg.kind]
     rng = stream(cfg.seed, index)
-    zero_audit.reset()
     if series is None:
         series = kind.run_series(cfg)
     f, attempts, sv = kind.draw(cfg, rng, series)
+    stats, zero_evals = kind.stats(cfg, f, sv)
     return SampleRecord(index=index, coeffs=f.coeffs, series=sv.value,
-                        stats=kind.stats(cfg, f, sv), attempts=attempts,
-                        zero_evals=zero_audit.reset())
+                        stats=stats, attempts=attempts,
+                        zero_evals=zero_evals)
 
 
 def _mean_stderr(vals):
@@ -372,14 +361,23 @@ def _draw_bateman_horn(cfg, rng, series):
                               "meeting the Bateman-Horn hypotheses")
 
 
+def _stat(value_zeros):
+    """A statistic's (value, zero_evals) as a Kind's (stats, zero_evals)."""
+    value, zeros = value_zeros
+    return {"stat": value}, zeros
+
+
 def _linear_forms_stats(cfg, f, sv):
     fn = von_mangoldt_many if cfg.target == "von-mangoldt" \
         else liouville_many
-    return {"stat": float(math.prod(fn([f.eval(n) for n in cfg.ns])))}
+    vals = [f.eval(n) for n in cfg.ns]
+    return {"stat": float(math.prod(fn(vals)))}, vals.count(0)
 
 
 def _poisson_gaps_stats(cfg, f, sv):
     """Prime counts of f in windows holding calL primes on average.
+
+    Primality counts no zero values, so zero_evals is 0.
 
     The scale of f's prime density is its own mean of log|f(n)| over
     1 <= n <= X, where a value with |f(n)| < 2 (0 or +-1) counts as
@@ -401,7 +399,7 @@ def _poisson_gaps_stats(cfg, f, sv):
             "window_real": window_real,
             "mean_count": dist.moment(1),
             "tv": dist.tv_poisson(cfg.calL),
-            **_gaussian_window_stats(dist, float(sv.value) / logscale, L)}
+            **_gaussian_window_stats(dist, float(sv.value) / logscale, L)}, 0
 
 
 def _stat_values(records, warnings):
@@ -488,8 +486,9 @@ class Kind:
     `run_series(cfg)` is the series shared by every sample of a run, or
     None when it depends on f.  `draw(cfg, rng, series)` returns (f,
     attempts, f's series), given the run's series.  `stats(cfg, f,
-    series)` are the sample's statistics, named by `columns` in
-    samples.csv order.  `rows(cfg, records, warnings)` are the
+    series)` returns (stats, zero_evals): the sample's statistics, named
+    by `columns` in samples.csv order, and the number of zero values of
+    f the statistic met.  `rows(cfg, records, warnings)` are the
     aggregates.csv rows as (key, estimate, stderr, predicted); it may
     append run warnings.  Entries reach the traced public functions
     through this module's globals, at call time.
@@ -511,8 +510,8 @@ KINDS = {
         "moments of the averaged von Mangoldt statistic minus its "
         "truncated series",
         draw=_draw,
-        stats=lambda cfg, f, sv: {"stat": bh_statistic(
-            f, cfg.X, cfg.w, series_value=sv.value)},
+        stats=lambda cfg, f, sv: _stat(tuple_statistic(
+            f, cfg.X, (0,), cfg.w, series_value=sv.value)),
         rows=_centred_rows),
     "tuples": Kind(
         "shifted-tuple version of the von Mangoldt statistic",
@@ -525,14 +524,14 @@ KINDS = {
                 (lambda cfg: all(abs(l) <= cfg.X for l in cfg.shifts),
                  "shifts must satisfy |shift| <= X")),
         draw=_draw_tuples,
-        stats=lambda cfg, f, sv: {"stat": tuple_statistic(
-            f, cfg.X, cfg.shifts, cfg.w, series_value=sv.value)},
+        stats=lambda cfg, f, sv: _stat(tuple_statistic(
+            f, cfg.X, cfg.shifts, cfg.w, series_value=sv.value)),
         rows=_centred_rows),
     "chowla-clt": Kind(
         "normalized Liouville sums along random polynomials against "
         "Gaussian moments",
         draw=_draw,
-        stats=lambda cfg, f, sv: {"stat": chowla_normalized_sum(f, cfg.X)},
+        stats=lambda cfg, f, sv: _stat(chowla_normalized_sum(f, cfg.X)),
         rows=_chowla_rows),
     "sign-patterns": Kind(
         "Liouville sign-pattern counts against the predicted variance",
@@ -543,8 +542,8 @@ KINDS = {
                 (lambda cfg: all(e in (-1, 1) for e in cfg.pattern),
                  "pattern entries must be +1 or -1")),
         draw=_draw,
-        stats=lambda cfg, f, sv: {"stat": sign_pattern_statistic(
-            f, cfg.X, cfg.pattern)},
+        stats=lambda cfg, f, sv: _stat(sign_pattern_statistic(
+            f, cfg.X, cfg.pattern)),
         rows=_sign_pattern_rows),
     "poisson-gaps": Kind(
         "prime counts in tuned windows against Poisson and Gaussian "

@@ -49,9 +49,6 @@ class IntPolynomial:
                 out[j] += a * math.comb(i, j) * c ** (i - j)
         return IntPolynomial(tuple(out))
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def to_text(self) -> str:
         return ";".join(str(c) for c in self.coeffs)
 

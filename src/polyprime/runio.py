@@ -12,7 +12,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -149,12 +149,17 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 
     Manifests written by older versions may carry the retired key
     deterministic_reduction, which never changed a run; it is dropped
-    with a warning.
+    with a warning.  Any other key that is not an ExperimentConfig field
+    raises ConfigError.
     """
     d = dict(d)
     if d.pop("deterministic_reduction", None) is not None:
         warnings.warn("ignoring retired manifest key "
                       "'deterministic_reduction'")
+    known = {f.name for f in fields(ExperimentConfig)}
+    for key in d:
+        if key not in known:
+            raise ConfigError(f"unknown manifest config key {key!r}")
     for key in ("shifts", "pattern", "ns", "f0"):
         if key in d:
             d[key] = tuple(d[key])
@@ -165,34 +170,12 @@ def utc_now_iso() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def write_manifest(path: str, cfg: ExperimentConfig, started: str,
-                   finished: str, warnings) -> None:
-    doc = {
-        "subcommand": cfg.kind,
-        "config": config_to_dict(cfg),
-        "master_seed": cfg.seed,
-        "package_version": __version__,
-        "started_at": started,
-        "finished_at": finished,
-        "outputs": {"samples": SAMPLES_CSV, "aggregates": AGGREGATES_CSV},
-        "warnings": list(warnings),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_manifest_generic(path: str, subcommand: str, config: dict,
-                           outputs: dict) -> None:
-    """Manifest for non-experiment subcommands (no sampling seed)."""
-    doc = {
-        "subcommand": subcommand,
-        "config": config,
-        "package_version": __version__,
-        "started_at": utc_now_iso(),
-        "finished_at": utc_now_iso(),
-        "outputs": outputs,
-    }
+def write_manifest(path: str, doc: dict, started: str,
+                   finished: str) -> None:
+    """doc as JSON, with the package version and the times the caller
+    took just before and just after its work."""
+    doc = dict(doc, package_version=__version__, started_at=started,
+               finished_at=finished)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -215,6 +198,13 @@ def write_run(out_dir: str, result: RunResult, started: str,
     }
     write_samples_csv(paths["samples"], result)
     write_aggregates_csv(paths["aggregates"], result)
-    write_manifest(paths["manifest"], result.config, started, finished,
-                   result.warnings)
+    cfg = result.config
+    write_manifest(paths["manifest"],
+                   {"subcommand": cfg.kind,
+                    "config": config_to_dict(cfg),
+                    "master_seed": cfg.seed,
+                    "outputs": {"samples": SAMPLES_CSV,
+                                "aggregates": AGGREGATES_CSV},
+                    "warnings": list(result.warnings)},
+                   started, finished)
     return paths

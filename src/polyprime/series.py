@@ -34,22 +34,8 @@ class TruncatedSeries:
         if v != self.value:
             raise ValueError("value does not match the factor product")
 
-    def factor_at(self, p: int) -> Fraction:
-        for q, fac in self.local_factors:
-            if q == p:
-                return fac
-        raise KeyError(p)
-
     def to_text(self) -> str:
         return f"{self.value.numerator}/{self.value.denominator}"
-
-
-def primorial(w: int) -> int:
-    """Product of all primes <= w."""
-    out = 1
-    for p in primes_upto(w):
-        out *= int(p)
-    return out
 
 
 def _assemble(w: int, factors) -> TruncatedSeries:
@@ -60,15 +46,11 @@ def _assemble(w: int, factors) -> TruncatedSeries:
 
 
 def series_f(f: IntPolynomial, w: int) -> TruncatedSeries:
-    """Single-polynomial series: factor (count of unit values / p)/(1-1/p)."""
-    if w < 2:
-        raise ConfigError("truncation bound w must be >= 2")
-    factors = []
-    for p in primes_upto(w):
-        p = int(p)
-        count = count_unit_values_mod_p(f, p, [0])
-        factors.append((p, Fraction(count, p - 1)))
-    return _assemble(w, factors)
+    """Single-polynomial series: factor (count of unit values / p)/(1-1/p).
+
+    It is the tuple series at the one shift 0.
+    """
+    return series_f_tuple(f, (0,), w)
 
 
 def series_f_tuple(f: IntPolynomial, shifts, w: int) -> TruncatedSeries:

@@ -195,7 +195,7 @@ def test_toy_kind_needs_one_table_entry(monkeypatch, tmp_path, capsys):
         keys={"L": "toy integer key"},
         checks=((lambda cfg: cfg.L <= 9, "L must be <= 9 for toy"),),
         draw=experiments.KINDS["chowla-clt"].draw,
-        stats=lambda cfg, f, sv: {"stat": 0.0},
+        stats=lambda cfg, f, sv: ({"stat": 0.0}, 0),
         rows=lambda cfg, records, warnings: [
             ("L", float(cfg.L), math.nan, math.nan)])
     monkeypatch.setitem(experiments.KINDS, "toy", toy)
@@ -262,6 +262,32 @@ def test_gowers_delta_interval_files(tmp_path, capsys):
     # has U^2 norm M**(-3/4).
     assert float(rows[1][2]) == pytest.approx(53 ** -0.75, rel=1e-12)
     assert (out / "manifest.json").exists()
+
+
+def test_gowers_manifest_times_bracket_the_norms(monkeypatch, tmp_path,
+                                                capsys):
+    import polyprime.cli as cli
+    import polyprime.runio as runio
+    ticks = iter(range(100))
+    norms_at = []
+
+    def now():
+        return f"t{next(ticks):03d}"
+
+    def norm(values, s):
+        norms_at.append(now())
+        return gowers_norm_cyclic(values, s)
+
+    for module in (cli, runio):
+        monkeypatch.setattr(module, "utc_now_iso", now)
+    monkeypatch.setattr(cli, "gowers_norm_cyclic", norm)
+    out = tmp_path / "g"
+    assert main(["gowers", "--target", "liouville", "--N", "10,20",
+                 "--s", "2", "--out-dir", str(out)]) == 0
+    doc = json.loads((out / "manifest.json").read_text())
+    assert len(norms_at) == 2
+    assert doc["started_at"] < norms_at[0] < norms_at[1] < \
+        doc["finished_at"]
 
 
 def test_gowers_requires_exactly_one_domain(capsys):

@@ -7,13 +7,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from polyprime.arith import (is_prime, liouville, primes_upto, von_mangoldt,
-                             zero_audit)
+from polyprime.arith import is_prime, liouville, primes_upto, von_mangoldt
 from polyprime.errors import ConfigError
 from polyprime.experiments import (
     EmpiricalDistribution,
     ExperimentConfig,
-    bh_statistic,
     chowla_normalized_sum,
     iid_sign_simulation,
     interval_count_distribution,
@@ -66,15 +64,18 @@ def vm_by_trial_division(m):
     return math.log(p) if m == 1 else 0.0
 
 
+# The bh-moments statistic is the tuple statistic at the one shift 0.
+
 def test_bh_statistic_zero_poly():
-    assert bh_statistic(IntPolynomial((0,)), 50, 3) == 0.0
+    assert tuple_statistic(IntPolynomial((0,)), 50, (0,), 3) == (0.0, 50)
 
 
 def test_bh_statistic_2x():
     # Lambda(2n) is log 2 exactly when 2n is a power of two: n in
     # {1, 2, 4, 8} for X = 8; the series vanishes at p = 2.
-    got = bh_statistic(IntPolynomial((0, 2)), 8, 2)
+    got, zeros = tuple_statistic(IntPolynomial((0, 2)), 8, (0,), 2)
     assert got == pytest.approx(4 * math.log(2) / 8, abs=1e-14)
+    assert zeros == 0
 
 
 def test_bh_statistic_identity_poly_against_sieve():
@@ -85,15 +86,16 @@ def test_bh_statistic_identity_poly_against_sieve():
             psi += math.log(p)
             pk *= p
     want = psi / 100 - 1.0
-    got = bh_statistic(X_POLY, 100, 5)
+    got, _ = tuple_statistic(X_POLY, 100, (0,), 5)
     assert got == pytest.approx(want, abs=1e-12)
     assert got == pytest.approx(-0.059546887706426, abs=1e-12)
 
 
 def test_tuple_statistic_single_shift_reduces_to_bh():
-    for f in (X_POLY, IntPolynomial((1, 0, 1)), IntPolynomial((3, 2))):
-        assert tuple_statistic(f, 40, [0], 3) == pytest.approx(
-            bh_statistic(f, 40, 3), abs=1e-14)
+    for f in (X_POLY, IntPolynomial((1, 0, 1)), IntPolynomial((3, 2)),
+              IntPolynomial((-7, 1))):
+        sv = series_f(f, 3).value
+        assert tuple_statistic(f, 40, [0], 3) == ref_bh(f, 40, sv)
 
 
 def test_tuple_statistic_always_composite_with_zero_series():
@@ -102,7 +104,7 @@ def test_tuple_statistic_always_composite_with_zero_series():
 
     # p = 2 already.
     f = IntPolynomial((0, 30))
-    assert tuple_statistic(f, 30, [0, 1], 5) == 0.0
+    assert tuple_statistic(f, 30, [0, 1], 5) == (0.0, 0)
 
 
 def test_tuple_statistic_twin_shifts_against_oracle():
@@ -111,32 +113,34 @@ def test_tuple_statistic_twin_shifts_against_oracle():
     acc = math.fsum(vm_by_trial_division(n) * vm_by_trial_division(n + 2)
                     for n in range(1, X + 1))
     want = acc / X - sv
-    assert tuple_statistic(X_POLY, X, [0, 2], w) == pytest.approx(
-        want, abs=1e-12)
+    got, zeros = tuple_statistic(X_POLY, X, [0, 2], w)
+    assert got == pytest.approx(want, abs=1e-12)
+    assert zeros == 0
 
 
 def test_chowla_constant_polynomial_degenerate():
-    assert chowla_normalized_sum(IntPolynomial((1,)), 100) == 10.0
+    assert chowla_normalized_sum(IntPolynomial((1,)), 100) == (10.0, 0)
 
 
 def test_chowla_identity_poly_frozen():
     # L(100) = -2 from a sieve, so the normalized sum is exactly -0.2.
-    assert chowla_normalized_sum(X_POLY, 100) == pytest.approx(-0.2,
-                                                               abs=1e-15)
+    got, zeros = chowla_normalized_sum(X_POLY, 100)
+    assert got == pytest.approx(-0.2, abs=1e-15)
+    assert zeros == 0
 
 
 def test_chowla_x2_plus_1_against_trial_division():
     X = 100
     want = sum(lam_by_trial_division(n * n + 1)
                for n in range(1, X + 1)) / math.sqrt(X)
-    got = chowla_normalized_sum(IntPolynomial((1, 0, 1)), X)
+    got, _ = chowla_normalized_sum(IntPolynomial((1, 0, 1)), X)
     assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_sign_pattern_s1_relates_to_liouville_sum():
     X = 100
     total = sum(liouville(n) for n in range(2, X + 2))
-    stat = sign_pattern_statistic(X_POLY, X, (-1,))
+    stat, _ = sign_pattern_statistic(X_POLY, X, (-1,))
     # count(-1) = (X - total)/2 because no window value is 0 here.
     want = ((X - total) / 2 - X / 2) / math.sqrt(X)
     assert stat == pytest.approx(want, abs=1e-12)
@@ -149,7 +153,7 @@ def test_sign_pattern_pair_count_against_enumeration():
         if liouville(n + 1) == 1 and liouville(n + 2) == 1:
             count += 1
     want = (count - X / 4) / math.sqrt(X)
-    got = sign_pattern_statistic(X_POLY, X, (1, 1))
+    got, _ = sign_pattern_statistic(X_POLY, X, (1, 1))
     assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -158,7 +162,7 @@ def test_sign_pattern_counts_partition_x():
     f = IntPolynomial((1, 0, 1))
     total = 0.0
     for pattern in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        stat = sign_pattern_statistic(f, X, pattern)
+        stat, _ = sign_pattern_statistic(f, X, pattern)
         total += stat * math.sqrt(X) + X / 4
     assert total == pytest.approx(X, abs=1e-9)
 
@@ -167,9 +171,8 @@ def test_sign_pattern_tolerates_zero_values():
     # f(5) = 0 puts a zero into some windows; those windows simply never
     # match and skip the product identity check.
     f = IntPolynomial((-5, 1))
-    zero_audit.reset()
-    stat = sign_pattern_statistic(f, 10, (-1,))
-    assert zero_audit.reset() > 0
+    stat, zeros = sign_pattern_statistic(f, 10, (-1,))
+    assert zeros > 0
     count = sum(1 for n in range(1, 11) if lam_by_trial_division(n - 4) == -1)
     assert stat == pytest.approx((count - 5) / math.sqrt(10), abs=1e-12)
 
@@ -177,8 +180,9 @@ def test_sign_pattern_tolerates_zero_values():
 def test_interval_distribution_window_one():
     dist = interval_count_distribution(X_POLY, 30, 1)
     assert dist.total == 30
-    assert dist.probability(1) == 10 / 30  # ten primes up to 30
-    assert dist.probability(0) == 20 / 30
+    counts = dict(dist.counts)
+    assert counts[1] / dist.total == 10 / 30  # ten primes up to 30
+    assert counts[0] / dist.total == 20 / 30
 
 
 def test_interval_distribution_against_recount():
@@ -242,7 +246,7 @@ def test_empirical_distribution_validation():
     d = EmpiricalDistribution.from_values([0, 1, 1, 2])
     assert d.counts == ((0, 1), (1, 2), (2, 1))
     assert d.total == 4
-    assert d.probability(3) == 0.0
+    assert dict(d.counts).get(3, 0) / d.total == 0.0
 
 
 def test_tv_poisson_point_mass():
@@ -472,51 +476,69 @@ def test_zero_eval_audit_surfaces_in_records():
         assert any("zero evaluations" in wrn for wrn in res.warnings)
 
 
+def test_run_sample_repeats_after_a_run_of_another_kind():
+    # f = a*x + b with |a|, |b| <= 3 hits zeros; nothing a run of another
+    # kind leaves behind in the process may change a record.
+    cfg = ExperimentConfig(kind="bh-moments", d=1, H=3, X=40, samples=20,
+                           seed=11, w=3)
+    first = [run_sample(cfg, i) for i in range(cfg.samples)]
+    assert any(rec.zero_evals for rec in first)
+    other = run_experiment(ExperimentConfig(kind="chowla-clt", d=1, H=5,
+                                            X=50, samples=60, seed=13))
+    assert any(rec.zero_evals for rec in other.records)
+    assert [run_sample(cfg, i) for i in range(cfg.samples)] == first
+
+
 # Per-n reference loops: the statistics as they were computed before the
-# batched kernels, one scalar arithmetic call per point.
+# batched kernels, one scalar arithmetic call per point, each with the
+# number of zero values of f it evaluated.
 
 def ref_bh(f, X, sv):
-    total = math.fsum(von_mangoldt(f.eval(n)) for n in range(1, X + 1))
-    return total / X - float(sv)
+    vals = [f.eval(n) for n in range(1, X + 1)]
+    total = math.fsum(von_mangoldt(v) for v in vals)
+    return total / X - float(sv), sum(1 for v in vals if v == 0)
 
 
 def ref_tuple(f, X, shifts, sv):
+    zeros = 0
+
     def term(n):
+        nonlocal zeros
         v = 1.0
         for l in shifts:
-            v *= von_mangoldt(f.eval(n + l))
+            value = f.eval(n + l)
+            zeros += value == 0
+            v *= von_mangoldt(value)
             if v == 0.0:
                 return 0.0
         return v
 
-    return math.fsum(term(n) for n in range(1, X + 1)) / X - float(sv)
+    total = math.fsum(term(n) for n in range(1, X + 1))
+    return total / X - float(sv), zeros
 
 
 def ref_chowla(f, X):
-    return sum(liouville(f.eval(n)) for n in range(1, X + 1)) / math.sqrt(X)
+    vals = [f.eval(n) for n in range(1, X + 1)]
+    return (sum(liouville(v) for v in vals) / math.sqrt(X),
+            sum(1 for v in vals if v == 0))
 
 
 def ref_sign(f, X, pattern):
     s = len(pattern)
     lam = [0] * (X + s + 1)
+    zeros = 0
     for m in range(2, X + s + 1):
+        zeros += f.eval(m) == 0
         lam[m] = liouville(f.eval(m))
     count = sum(1 for n in range(1, X + 1)
                 if lam[n + 1: n + 1 + s] == list(pattern))
-    return (count - X / 2 ** s) / math.sqrt(X)
+    return (count - X / 2 ** s) / math.sqrt(X), zeros
 
 
 def ref_interval(f, X, L):
     flags = [is_prime(f.eval(m)) for m in range(1, X + L)]
     counts = [sum(flags[x - 1: x - 1 + L]) for x in range(1, X + 1)]
     return EmpiricalDistribution.from_values(counts)
-
-
-def audited(fn, *args):
-    """fn(*args) with the number of zero evaluations it audited."""
-    zero_audit.reset()
-    out = fn(*args)
-    return out, zero_audit.reset()
 
 
 def small_polys(seed, count):
@@ -531,17 +553,16 @@ def test_statistics_match_reference_loops():
     zeros = 0
     for f in small_polys(20261018, 60):
         sv = series_f(f, w).value
-        got = audited(bh_statistic, f, X, w, sv)
-        assert got == audited(ref_bh, f, X, sv), f
+        got = tuple_statistic(f, X, (0,), w, sv)
+        assert got == ref_bh(f, X, sv), f
         zeros += got[1]
-        assert audited(chowla_normalized_sum, f, X) == \
-            audited(ref_chowla, f, X), f
+        assert chowla_normalized_sum(f, X) == ref_chowla(f, X), f
         for pattern in ((1,), (-1, 1), (1, 1, -1)):
-            assert audited(sign_pattern_statistic, f, X, pattern) == \
-                audited(ref_sign, f, X, pattern), (f, pattern)
+            assert sign_pattern_statistic(f, X, pattern) == \
+                ref_sign(f, X, pattern), (f, pattern)
         for L in (1, 4):
-            assert audited(interval_count_distribution, f, X, L) == \
-                audited(ref_interval, f, X, L), (f, L)
+            assert interval_count_distribution(f, X, L) == \
+                ref_interval(f, X, L), (f, L)
     assert zeros > 0
 
 
@@ -555,10 +576,8 @@ def test_statistics_match_reference_loops_across_2_52():
                                 for _ in range(4)) + (10 ** 9 - 7,))
         assert abs(f.eval(1)) < 2 ** 52 < abs(f.eval(X))
         sv = series_f(f, w).value
-        assert audited(bh_statistic, f, X, w, sv) == \
-            audited(ref_bh, f, X, sv), f
-        assert audited(chowla_normalized_sum, f, X) == \
-            audited(ref_chowla, f, X), f
+        assert tuple_statistic(f, X, (0,), w, sv) == ref_bh(f, X, sv), f
+        assert chowla_normalized_sum(f, X) == ref_chowla(f, X), f
 
 
 def test_tuple_statistic_matches_reference_loop():
@@ -567,8 +586,8 @@ def test_tuple_statistic_matches_reference_loop():
     for f in small_polys(20261019, 40):
         for shifts in ((0, 2), (2, 0), (-3, 1, 4), (0, 1, 2, 3, 6)):
             sv = series_f_tuple(f, shifts, w).value
-            got = audited(tuple_statistic, f, X, shifts, w, sv)
-            assert got == audited(ref_tuple, f, X, shifts, sv), (f, shifts)
+            got = tuple_statistic(f, X, shifts, w, sv)
+            assert got == ref_tuple(f, X, shifts, sv), (f, shifts)
             zeros += got[1]
     assert zeros > 0
 
@@ -576,11 +595,11 @@ def test_tuple_statistic_matches_reference_loop():
 def test_tuple_statistic_zero_behind_zero_weight_not_audited():
     # f(6) = 0.  At n = 4 the shift-0 weight Lambda(|f(4)|) = Lambda(6)
     # is 0, so the product stops before f(n + 2) = f(6) is evaluated;
-    # only n = 6, where f(6) is the first factor, audits the zero.
+    # only n = 6, where f(6) is the first factor, counts the zero.
     f = IntPolynomial((-18, 3))
-    got = audited(tuple_statistic, f, 10, (0, 2), 3, 0)
+    got = tuple_statistic(f, 10, (0, 2), 3, 0)
     assert got[1] == 1
-    assert got == audited(ref_tuple, f, 10, (0, 2), 0)
+    assert got == ref_tuple(f, 10, (0, 2), 0)
 
 
 def test_linear_forms_matches_reference_products():
@@ -592,13 +611,12 @@ def test_linear_forms_matches_reference_products():
         for i in range(cfg.samples):
             rec = run_sample(cfg, i)
             vals = [IntPolynomial(rec.coeffs).eval(n) for n in cfg.ns]
-            zero_audit.reset()
             fn = von_mangoldt if target == "von-mangoldt" else liouville
             prod = 1.0 if target == "von-mangoldt" else 1
             for v in vals:
                 prod *= fn(v)
             assert rec.stats["stat"] == float(prod)
-            assert rec.zero_evals == zero_audit.reset()
+            assert rec.zero_evals == sum(1 for v in vals if v == 0)
             zeros += rec.zero_evals
         assert zeros > 0
 

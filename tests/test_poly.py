@@ -43,7 +43,7 @@ def test_sample_uniform_degenerate():
     rng = stream(1, 0)
     f = sample_uniform(1, 0, rng)
     assert f.coeffs == (0, 0)
-    assert f.is_zero()
+    assert not any(f.coeffs)
 
 
 def test_sample_uniform_deterministic():

@@ -124,6 +124,13 @@ def test_write_run_and_manifest_roundtrip(tmp_path):
                                          "ks_gaussian"]
     with open(paths["manifest"]) as fh:
         doc = json.load(fh)
+    assert sorted(doc) == ["config", "finished_at", "master_seed",
+                           "outputs", "package_version", "started_at",
+                           "subcommand", "warnings"]
+    assert doc["started_at"] == "2026-08-18T00:00:00+00:00"
+    assert doc["finished_at"] == "2026-08-18T00:00:01+00:00"
+    assert doc["outputs"] == {"samples": "samples.csv",
+                              "aggregates": "aggregates.csv"}
     assert doc["subcommand"] == "chowla-clt"
     assert doc["master_seed"] == 11
     assert doc["config"]["H"] == 50
@@ -167,6 +174,21 @@ def test_manifest_with_retired_key_loads_and_reruns(tmp_path):
         with open(p2[key], "rb") as fh:
             b2 = fh.read()
         assert b1 == b2
+
+
+def test_manifest_with_unknown_key_is_config_error(tmp_path):
+    cfg = ExperimentConfig(kind="chowla-clt", d=1, H=30, X=20, samples=3,
+                           seed=8)
+    with pytest.raises(ConfigError, match="'progress'"):
+        config_from_dict(dict(config_to_dict(cfg), progress=True))
+    p1 = write_run(str(tmp_path / "a"), run_experiment(cfg), "t0", "t1")
+    with open(p1["manifest"]) as fh:
+        doc = json.load(fh)
+    doc["config"]["progress"] = 10
+    with open(p1["manifest"], "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(ConfigError, match="'progress'"):
+        load_manifest_config(p1["manifest"])
 
 
 def test_worker_count_does_not_change_bytes(tmp_path):

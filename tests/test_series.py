@@ -1,9 +1,11 @@
 """Exact truncated singular series and their identities."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
+from polyprime.arith import primes_upto
 from polyprime.errors import BudgetError, ConfigError
 from polyprime.poly import IntPolynomial, sample_uniform
 from polyprime.rng import stream
@@ -12,7 +14,6 @@ from polyprime.series import (
     interchange_identity_check,
     lemma_lower_bound,
     lemma_upper_bound,
-    primorial,
     series_f,
     series_f_tuple,
     series_linear_system,
@@ -25,10 +26,10 @@ X2_1 = IntPolynomial((1, 0, 1))
 
 
 def test_primorial():
-    assert primorial(2) == 2
-    assert primorial(3) == 6
-    assert primorial(10) == 210
-    assert primorial(1) == 1
+    assert math.prod(primes_upto(2).tolist()) == 2
+    assert math.prod(primes_upto(3).tolist()) == 6
+    assert math.prod(primes_upto(10).tolist()) == 210
+    assert math.prod(primes_upto(1).tolist()) == 1
 
 
 def test_series_f_identity_poly():
@@ -42,15 +43,15 @@ def test_series_f_identity_poly():
 def test_series_f_always_even_vanishes():
     ts = series_f(X2_X_2, 2)
     assert ts.value == 0
-    assert ts.factor_at(2) == 0
+    assert dict(ts.local_factors)[2] == 0
     assert ts.to_text() == "0/1"
 
 
 def test_series_f_x2_plus_1():
     ts = series_f(X2_1, 3)
     assert ts.value == Fraction(3, 2)
-    assert ts.factor_at(2) == 1
-    assert ts.factor_at(3) == Fraction(3, 2)
+    assert dict(ts.local_factors)[2] == 1
+    assert dict(ts.local_factors)[3] == Fraction(3, 2)
 
 
 def test_series_f_rejects_tiny_w():
@@ -68,7 +69,7 @@ def test_truncated_series_product_invariant():
         TruncatedSeries(w=3, local_factors=((2, Fraction(1)),),
                         value=Fraction(7))
     with pytest.raises(KeyError):
-        ts.factor_at(23)
+        dict(ts.local_factors)[23]
 
 
 def test_series_f_tuple_single_shift_reduces():
@@ -79,8 +80,8 @@ def test_series_f_tuple_single_shift_reduces():
 def test_series_f_tuple_examples():
     assert series_f_tuple(X, [0, 1], 2).value == 0
     ts = series_f_tuple(X, [0, 2], 3)
-    assert ts.factor_at(2) == 2
-    assert ts.factor_at(3) == Fraction(3, 4)
+    assert dict(ts.local_factors)[2] == 2
+    assert dict(ts.local_factors)[3] == Fraction(3, 4)
     assert ts.value == Fraction(3, 2)
 
 
@@ -101,7 +102,7 @@ def test_series_f_tuple_shift_invariance():
 def test_series_residue_dependence_mod_primorial():
     rng = stream(20260818, 22)
     for w in (3, 5):
-        P = primorial(w)
+        P = math.prod(primes_upto(w).tolist())
         for _ in range(40):
             f = sample_uniform(3, 50, rng)
             assert series_f(f, w).value == series_f(f.reduce_mod(P), w).value
@@ -162,11 +163,11 @@ def test_series_linear_system_indicator_kills_factor():
     f0 = IntPolynomial((0, 1))
     ts = series_linear_system([0], f0, 2, 3, 1)
     assert ts.value == 0
-    assert ts.factor_at(2) == 0
+    assert dict(ts.local_factors)[2] == 0
     # With evaluation point 1, f0(1) = 1 is a unit mod 2: factor p/(p-1).
-    ts2 = series_linear_system([1], f0, 2, 3, 1)
-    assert ts2.factor_at(2) == Fraction(2, 1)
-    assert ts2.factor_at(3) == Fraction(3 * 6, 9 * 2)  # count 6 over 3^2
+    factors = dict(series_linear_system([1], f0, 2, 3, 1).local_factors)
+    assert factors[2] == Fraction(2, 1)
+    assert factors[3] == Fraction(3 * 6, 9 * 2)  # count 6 over 3^2
 
 
 def test_series_linear_system_modulus_above_w():
@@ -194,8 +195,8 @@ def test_series_linear_system_m1_matches_direct_product():
             if all(vals):
                 count += 1
         got = series_linear_system([0, 1], IntPolynomial((0,)), 1, p, 2)
-        assert got.factor_at(p) == Fraction(count * p ** 2,
-                                            p ** 3 * (p - 1) ** 2)
+        assert dict(got.local_factors)[p] == Fraction(
+            count * p ** 2, p ** 3 * (p - 1) ** 2)
 
 
 def test_interchange_identity_examples():
