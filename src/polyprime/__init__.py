@@ -8,7 +8,7 @@ output is reproducible bit for bit for any worker count.
 
 from ._version import __version__
 from .arith import (Factorization, factorize, is_prime, is_prime_many,
-                    liouville, liouville_many, liouville_sieve, mobius,
+                    liouville, liouville_many, liouville_sieve,
                     mobius_sieve, primes_upto, von_mangoldt,
                     von_mangoldt_many)
 from .errors import (BudgetError, ConfigError, ConsistencyError,

@@ -2,39 +2,42 @@
 
 Arithmetic functions are extended to all of Z by f(n) = f(-n), so both p
 and -p count as prime.  At 0 the completely multiplicative conventions
-break down; liouville and von_mangoldt return 0 there by convention, and
-mobius(0) raises.  The kernels are pure: they keep no state between
-calls, and the statistics that use them count the zero values they meet
-themselves.
+break down; liouville and von_mangoldt return 0 there.  The kernels are
+pure: they keep no state between calls, and the statistics that use them
+count the zero values they meet themselves.
 
-There are two routes to the same answers.
+There is one route.  `liouville_many`, `von_mangoldt_many` and
+`is_prime_many` take a whole list of values, such as f(1..X), and the
+scalar `liouville`, `von_mangoldt` and `is_prime` are each the list of
+one.  Every value is first split into the primes p below a bound B that
+divide it and a cofactor m with no prime factor below B (trial division
+may also stop early, at an m that is 1 or prime).  A cofactor
+1 < m < B**2 is then prime, and a composite m < B**3 is a product of
+exactly two primes; Miller-Rabin tells the two cases apart.  Only a
+cofactor m >= B**3 needs more: Liouville factors it (`factorize`), and
+von Mangoldt runs Miller-Rabin and asks `perfect_power` whether a
+composite m is a power of a prime.  For von Mangoldt and primality a
+value's split stops after its first small prime, which settles the
+answer.
 
-The scalar route (`factorize`, `is_prime`, `liouville`, `von_mangoldt`)
-takes one integer at a time.  Factoring strategy, in order: trial
-division by primes below 1024, a deterministic Miller-Rabin test,
-perfect-power extraction, then Brent's cycle-finding rho with batched
-gcds under an explicit iteration budget.  Exceeding the budget raises
-FactorBudgetError instead of stalling.  Miller-Rabin picks its bases by
-the size of n: 2, 3, 5, 7 below 3,215,031,751, Sinclair's seven bases
-below 2**64 and 13 fixed witnesses below ~3.3e24, each a proof there.
+The small primes are found in one of two ways, chosen by size because a
+float64 quotient is exact only below 2**52.  Below it a numpy sieve
+tests every prime p < B in blocks; B is the least power of two >= 32 with
+B**3 above the largest such value, at most 2**16.  At 2**52 and above
+each value is trial-divided by the primes below B = 1024.
 
-The batched route (`liouville_many`, `von_mangoldt_many`,
-`is_prime_many`) takes a whole list of values, such as f(1..X), and is
-what the experiments use.  It picks a sieve bound B from the largest
-value (the least power of two >= 32 with B**3 above it, at most 2**16),
-finds every prime p < B dividing each value in numpy blocks, and
-divides those out.  Every prime factor of the cofactor m left over is
-then above B, so m < B**2 is prime, and a composite m < B**3 is a product
-of exactly two primes.  Only composites m >= B**3 reach `factorize`.
-For von Mangoldt and primality a value leaves the sieve after the block
-of its first hit, which settles the answer.  The float64 divisibility
-test of the sieve is exact below 2**52; values of 2**52 and more take
-the scalar route one at a time.  The scalar functions also stay as the
-test oracle.
+`factorize` trial-divides the same way, then splits what is left with
+Miller-Rabin, perfect-power extraction and Brent's cycle-finding rho with
+batched gcds under an explicit iteration budget.  Exceeding the budget
+raises FactorBudgetError instead of stalling.  Miller-Rabin picks its
+bases by the size of n: 2, 3, 5, 7 below 3,215,031,751, Sinclair's seven
+bases below 2**64 and 13 fixed witnesses below ~3.3e24, each a proof
+there.
 """
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,7 +67,8 @@ def primes_upto(n: int) -> np.ndarray:
     return np.nonzero(sieve)[0].astype(np.int64)
 
 
-_TRIAL_PRIMES = tuple(int(p) for p in primes_upto(1024))
+_TRIAL_BOUND = 1024
+_TRIAL_PRIMES = tuple(int(p) for p in primes_upto(_TRIAL_BOUND))
 
 
 def _mr_round(n: int, d: int, s: int, a: int) -> bool:
@@ -83,22 +87,12 @@ def _mr_round(n: int, d: int, s: int, a: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Primality of |n|: trial division below 1024, then Miller-Rabin.
+    """Primality of |n|, as `is_prime_many([n])[0]`.
 
     Deterministic below ~3.3e24 and reproducible above (see
     `_miller_rabin`).
     """
-    n = abs(n)
-    if n < 2:
-        return False
-    for p in _TRIAL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-        if p * p > n:
-            return True
-    return _miller_rabin(n)
+    return is_prime_many([n])[0]
 
 
 def _miller_rabin(n: int) -> bool:
@@ -224,32 +218,22 @@ class Factorization:
     def big_omega(self) -> int:
         return sum(e for _, e in self.factors)
 
-    @property
-    def is_squarefree(self) -> bool:
-        return all(e == 1 for _, e in self.factors)
-
 
 def factorize(n: int, budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
     """Full factorization of n != 0 under an iteration budget."""
     if n == 0:
         raise ValueError("0 has no factorization")
     sign = -1 if n < 0 else 1
-    m = abs(n)
-    found = {}
-    for p in _TRIAL_PRIMES:
-        if p * p > m:
-            break
-        while m % p == 0:
-            found[p] = found.get(p, 0) + 1
-            m //= p
+    small, m = _trial_split(abs(n))
+    found = Counter(small)
     state = _RhoState(budget)
     stack = [(m, 1)] if m > 1 else []
     while stack:
         m, mult = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            found[m] = found.get(m, 0) + mult
+        # Each entry is a divisor > 1 of the trial cofactor, so it is
+        # prime or has no prime factor below the trial bound.
+        if _cofactor_is_prime(m, _TRIAL_BOUND):
+            found[m] += mult
             continue
         pw = perfect_power(m)
         if pw is not None:
@@ -263,45 +247,18 @@ def factorize(n: int, budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
 
 
 def liouville(n: int, budget: int = DEFAULT_RHO_BUDGET) -> int:
-    """(-1)**big_omega(|n|); 0 at n = 0."""
-    if n == 0:
-        return 0
-    if abs(n) == 1:
-        return 1
-    return -1 if factorize(n, budget=budget).big_omega % 2 else 1
-
-
-def mobius(n: int, budget: int = DEFAULT_RHO_BUDGET) -> int:
-    """Mobius function of |n|.  Undefined at 0 (domain error)."""
-    if n == 0:
-        raise ValueError("mobius is undefined at 0")
-    f = factorize(n, budget=budget)
-    if not f.is_squarefree:
-        return 0
-    return -1 if len(f.factors) % 2 else 1
-
-
-def _prime_power_base(m: int):
-    """Prime p with m = p**k, if m >= 2 is a prime power, else None."""
-    while True:
-        pw = perfect_power(m)
-        if pw is None:
-            break
-        m = pw[0]
-    return m if is_prime(m) else None
+    """(-1)**big_omega(|n|); 0 at n = 0.  As `liouville_many([n])[0]`."""
+    return liouville_many([n], budget=budget)[0]
 
 
 def von_mangoldt(n: int) -> float:
     """log p when |n| is a positive power of the prime p, else 0.0.
 
-    0 at n = 0; no rho budget is involved because only a perfect-power
-    reduction plus one primality test is needed.
+    0 at n = 0.  As `von_mangoldt_many([n])[0]`: no rho budget is
+    involved, because a Miller-Rabin test and a perfect-power test settle
+    every cofactor.
     """
-    m = abs(n)
-    if m < 2:
-        return 0.0
-    p = _prime_power_base(m)
-    return math.log(p) if p is not None else 0.0
+    return von_mangoldt_many([n])[0]
 
 
 _SIEVE_CAP = 1 << 16
@@ -378,90 +335,102 @@ def _sieve_split(values, full=True):
     return bound, small, rest
 
 
-def _by_size(values, batched, scalar) -> list:
-    """batched(low) for the values below 2**52, taken as one list, and
-    scalar(v) for each larger value, merged back in the order of values.
+def _trial_split(m: int, full: bool = True):
+    """(small, rest) of m >= 1 by trial division below _TRIAL_BOUND.
+
+    small lists the primes dividing m, ascending and each repeated by
+    its multiplicity, and rest is m divided by all of them.  Division
+    stops once p * p > rest, so rest is 1, a prime, or free of primes
+    below _TRIAL_BOUND.  With full=False it also stops after the first
+    prime that divides m, as a row leaves `_sieve_split`.
+    """
+    small = []
+    for p in _TRIAL_PRIMES:
+        if p * p > m:
+            break
+        if m % p == 0:
+            while m % p == 0:
+                small.append(p)
+                m //= p
+            if not full:
+                break
+    return small, m
+
+
+def _split(values, full: bool):
+    """(bounds, small, rest): for each value a bound B, the primes below
+    B dividing it and its cofactor, as `_sieve_split` gives them.
+
+    The values below 2**52 go through `_sieve_split` as one list, with
+    its bound; each larger value goes through `_trial_split`, with bound
+    _TRIAL_BOUND.  Either way a cofactor rest > 1 is prime if it is
+    below B**2, and a product of two primes if it is a composite below
+    B**3.
     """
     values = [int(v) for v in values]
-    low = iter(batched([v for v in values if abs(v) < _FLOAT_EXACT]))
-    return [next(low) if abs(v) < _FLOAT_EXACT else scalar(v)
-            for v in values]
+    low = [v for v in values if abs(v) < _FLOAT_EXACT]
+    bound, small, rest = _sieve_split(low, full)
+    if len(low) == len(values):
+        return [bound] * len(values), small, rest
+    pairs = iter(zip(small, rest))
+    return tuple(zip(*[(bound, *next(pairs)) if abs(v) < _FLOAT_EXACT
+                       else (_TRIAL_BOUND, *_trial_split(abs(v), full))
+                       for v in values]))
 
 
 def _cofactor_is_prime(m: int, bound: int) -> bool:
-    """Primality of m > 1 whose prime factors all exceed `bound` >= 32."""
+    """Primality of m > 1 with no prime factor below min(bound, m**0.5)."""
     return m < bound * bound or _miller_rabin(m)
 
 
 def liouville_many(values, budget: int = DEFAULT_RHO_BUDGET) -> list:
-    """[liouville(v) for v in values].
+    """(-1)**big_omega(|v|) for each of values; 0 for a zero value.
 
-    Values below 2**52 take the batched route, larger ones `liouville`.
-    Each zero value gives 0, as in `liouville`; each composite cofactor
-    above B**3 is factored under its own rho budget.
+    Each cofactor of B**3 or more is factored under its own rho budget.
     """
-    def batched(low):
-        bound, small, rest = _sieve_split(low)
-        out = []
-        for ps, m in zip(small, rest):
-            if m == 0:
-                out.append(0)
-                continue
-            omega = len(ps)
-            if m > 1:
-                if _cofactor_is_prime(m, bound):
-                    omega += 1
-                elif m < bound ** 3:
-                    omega += 2
-                else:
-                    omega += factorize(m, budget=budget).big_omega
-            out.append(-1 if omega % 2 else 1)
-        return out
-
-    return _by_size(values, batched, lambda v: liouville(v, budget=budget))
+    out = []
+    for bound, ps, m in zip(*_split(values, full=True)):
+        if m == 0:
+            out.append(0)
+            continue
+        omega = len(ps)
+        if m >= bound ** 3:
+            omega += factorize(m, budget=budget).big_omega
+        elif m > 1:
+            omega += 1 if _cofactor_is_prime(m, bound) else 2
+        out.append(-1 if omega % 2 else 1)
+    return out
 
 
 def von_mangoldt_many(values) -> list:
-    """[von_mangoldt(v) for v in values].
-
-    Values below 2**52 take the batched route, larger ones
-    `von_mangoldt`.  Each zero value gives 0.0, as in `von_mangoldt`.
-    """
-    def batched(low):
-        bound, small, rest = _sieve_split(low, full=False)
-        out = []
-        for ps, m in zip(small, rest):
-            p = None
-            if ps:
-                if m == 1 and ps[0] == ps[-1]:  # ps ascends: one prime
-                    p = ps[0]
-            elif m > 1:
-                if _cofactor_is_prime(m, bound):
-                    p = m
-                elif m < bound ** 3:
-                    r = math.isqrt(m)
-                    p = r if r * r == m else None
-                else:
-                    p = _prime_power_base(m)
-            out.append(math.log(p) if p is not None else 0.0)
-        return out
-
-    return _by_size(values, batched, von_mangoldt)
+    """log p for each of values that is +-p**k (p prime, k >= 1), else 0.0."""
+    out = []
+    for bound, ps, m in zip(*_split(values, full=False)):
+        p = None
+        if ps:
+            if m == 1 and ps[0] == ps[-1]:  # ps ascends: one prime
+                p = ps[0]
+        elif m > 1:
+            if _cofactor_is_prime(m, bound):
+                p = m
+            elif m < bound ** 3:
+                r = math.isqrt(m)
+                p = r if r * r == m else None
+            else:
+                # A maximal exponent leaves a base that is no power.
+                pw = perfect_power(m)
+                if pw is not None and _cofactor_is_prime(pw[0], bound):
+                    p = pw[0]
+        out.append(math.log(p) if p is not None else 0.0)
+    return out
 
 
 def is_prime_many(values) -> list:
-    """[is_prime(v) for v in values].
-
-    Values below 2**52 take the batched route, larger ones `is_prime`.
-    """
-    def batched(low):
-        # With a small prime hit, |v| is prime only if it is that prime.
-        bound, small, rest = _sieve_split(low, full=False)
-        return [len(ps) == 1 and m == 1 if ps
-                else m > 1 and _cofactor_is_prime(m, bound)
-                for ps, m in zip(small, rest)]
-
-    return _by_size(values, batched, is_prime)
+    """Primality of |v| for each of values."""
+    # With a small prime hit, |v| is prime only if it is that prime.
+    return [len(ps) == 1 and m == 1 if ps
+            else m > 1 and _cofactor_is_prime(m, bound)
+            for bound, ps, m in zip(*_split(values, full=False))]
 
 
 def liouville_sieve(n: int) -> np.ndarray:
@@ -481,7 +450,7 @@ def liouville_sieve(n: int) -> np.ndarray:
 
 
 def mobius_sieve(n: int) -> np.ndarray:
-    """Array M with M[m] = mobius(m) for 0 <= m <= n (M[0] = 0)."""
+    """Array M with M[m] the Mobius function of m, 0 <= m <= n (M[0] = 0)."""
     mu = np.ones(n + 1, dtype=np.int8)
     if n >= 0:
         mu[0] = 0

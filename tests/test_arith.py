@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import polyprime.arith as arith
 from polyprime.arith import (
+    DEFAULT_RHO_BUDGET,
     Factorization,
     factorize,
     iroot,
@@ -19,7 +20,6 @@ from polyprime.arith import (
     liouville,
     liouville_many,
     liouville_sieve,
-    mobius,
     mobius_sieve,
     perfect_power,
     primes_upto,
@@ -137,7 +137,6 @@ def test_factorize_examples():
     assert f.sign == 1
     assert f.factors == ((2, 3), (3, 2), (5, 1))
     assert f.big_omega == 6
-    assert not f.is_squarefree
     g = factorize(-12)
     assert g.sign == -1
     assert g.factors == ((2, 2), (3, 1))
@@ -208,26 +207,17 @@ def test_liouville_completely_multiplicative():
 
 
 def test_mobius_values():
-    assert mobius(1) == 1
-    assert mobius(2) == -1
-    assert mobius(4) == 0
-    assert mobius(6) == 1
-    assert mobius(30) == -1
-    assert mobius(-30) == -1
-
-
-def test_mobius_zero_is_domain_error():
-    with pytest.raises(ValueError):
-        mobius(0)
+    mu = mobius_sieve(30)
+    assert [int(mu[n]) for n in (0, 1, 2, 4, 6, 30)] == [0, 1, -1, 0, 1, -1]
 
 
 def test_mobius_squarefree_matches_liouville():
-    for n in range(1, 2000):
-        m = mobius(n)
-        if factorize(n).is_squarefree:
-            assert m == liouville(n)
+    mu = mobius_sieve(2000)
+    for n in range(1, 2001):
+        if all(e == 1 for _, e in factorize(n).factors):
+            assert mu[n] == liouville(n)
         else:
-            assert m == 0
+            assert mu[n] == 0
 
 
 def test_von_mangoldt_values():
@@ -260,8 +250,8 @@ def test_von_mangoldt_brute_force():
 def test_lambda_from_mobius_check():
     # liouville(n) is the sum of mobius(n / r^2) over r with r^2 | n.
     for n in range(1, 400):
-        total = sum(mobius(n // (r * r)) for r in range(1, math.isqrt(n) + 1)
-                    if n % (r * r) == 0)
+        total = sum(sympy.mobius(n // (r * r))
+                    for r in range(1, math.isqrt(n) + 1) if n % (r * r) == 0)
         assert liouville(n) == total, n
 
 
@@ -276,7 +266,7 @@ def test_mobius_sieve_matches_pointwise():
     mu = mobius_sieve(1000)
     assert mu[0] == 0
     for n in range(1, 1001):
-        assert int(mu[n]) == mobius(n)
+        assert int(mu[n]) == sympy.mobius(n)
 
 
 def test_least_prime_at_least():
@@ -289,10 +279,13 @@ def test_least_prime_at_least():
 
 # The batched kernels (liouville_many, von_mangoldt_many, is_prime_many).
 
-def _scalar_and_batched(values):
-    """Scalar and batched answers, side by side."""
-    want = ([liouville(v) for v in values], [von_mangoldt(v) for v in values],
-            [is_prime(v) for v in values])
+def _sympy_and_batched(values):
+    """sympy's answers and the batched kernels', side by side."""
+    facs = [sympy.factorint(abs(v)) if v else None for v in values]
+    want = ([(-1) ** sum(f.values()) if f is not None else 0 for f in facs],
+            [math.log(next(iter(f))) if f and len(f) == 1 else 0.0
+             for f in facs],
+            [bool(sympy.isprime(abs(v))) for v in values])
     got = (liouville_many(values), von_mangoldt_many(values),
            is_prime_many(values))
     return want, got
@@ -339,8 +332,8 @@ def kernel_values(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(kernel_values())
-def test_batched_kernels_match_scalar(values):
-    want, got = _scalar_and_batched(values)
+def test_batched_kernels_match_sympy(values):
+    want, got = _sympy_and_batched(values)
     assert got == want
 
 
@@ -350,7 +343,7 @@ def test_batched_kernels_fixed_edges():
               P16[0] * P16[1], -P16[0] ** 2, b ** 2 - 1, b ** 3 - 1,
               *(e + d for e in EDGES for d in (-3, -1, 0, 1, 3)),
               *BIG_COFACTORS]
-    want, got = _scalar_and_batched(values)
+    want, got = _sympy_and_batched(values)
     assert got == want
     # The two zeros take the sentinels of liouville and von Mangoldt.
     assert [(got[0][i], got[1][i], got[2][i]) for i in (0, 3)] == \
@@ -400,9 +393,9 @@ def test_sieve_split_against_sympy():
 
 
 def test_batched_kernels_route_by_size(monkeypatch):
-    # Values of 2**52 and more go to the scalar functions one at a time;
-    # the sieve sees only the smaller ones, in order, with its bound
-    # taken from them alone.
+    # Values of 2**52 and more are trial-divided one at a time; the sieve
+    # sees only the smaller ones, in order, with its bound taken from
+    # them alone.
     seen = []
     split = arith._sieve_split
 
@@ -414,21 +407,59 @@ def test_batched_kernels_route_by_size(monkeypatch):
     monkeypatch.setattr(arith, "_sieve_split", spy)
     values = [6, 2 ** 52 - 1, 2 ** 52, -(2 ** 61 - 1), 0, -35, 2 ** 80 + 1]
     low = [6, 2 ** 52 - 1, 0, -35]
-    want, got = _scalar_and_batched(values)
+    want, got = _sympy_and_batched(values)
     assert got == want
     assert seen == [(low, 2 ** 16)] * 3
     assert is_prime_many([7, 2 ** 61 + 1]) == [True, False]
     assert seen[-1] == ([7], 32)
 
 
+# Above 2**52 values are trial-divided by the primes below 1024; 1031 is
+# the first prime above that bound.  The list mixes cofactors settled by
+# the first small prime (3**40, 3 * 2**60), prime cofactors (2**64 + 13),
+# and composite cofactors beyond 1024**3: prime powers for perfect_power
+# and products of two primes for rho.
+LARGE_VALUES = [s * 1031 ** k for k in range(6, 13) for s in (1, -1)] + [
+    3 ** 40, 3 * 2 ** 60, (2 ** 61 - 1) ** 2, 1031 * (2 ** 61 - 1),
+    2 ** 64 + 13, 3 * (2 ** 64 + 13)]
+
+
+def test_large_values_match_sympy(monkeypatch):
+    assert min(map(abs, LARGE_VALUES)) >= 2 ** 52
+    calls = []
+
+    def spy(name):
+        real = getattr(arith, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append((name, *args[1:], *kwargs.values()))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(arith, name, wrapped)
+
+    for name in ("_trial_split", "perfect_power", "factorize"):
+        spy(name)
+    want, got = _sympy_and_batched(LARGE_VALUES)
+    assert got == want
+    assert {("_trial_split", True), ("_trial_split", False),
+            ("perfect_power",), ("factorize", DEFAULT_RHO_BUDGET)} \
+        <= set(calls)
+    assert [liouville(v) for v in LARGE_VALUES] == want[0]
+    assert [von_mangoldt(v) for v in LARGE_VALUES] == want[1]
+    assert [is_prime(v) for v in LARGE_VALUES] == want[2]
+    for v in LARGE_VALUES:
+        f = factorize(v)
+        assert f.sign * math.prod(p ** e for p, e in f.factors) == v
+        assert dict(f.factors) == sympy.factorint(abs(v)), v
+
+
 def test_batched_kernels_no_rho_below_cap(monkeypatch):
-    # Below 2**48 every cofactor is below B**3, so nothing reaches the
-    # scalar factorization route.
+    # Below 2**48 every cofactor is below B**3, so neither factorize nor
+    # perfect_power is reached.
     def refuse(*args, **kwargs):
-        raise AssertionError("factorize called")
+        raise AssertionError("factorize or perfect_power called")
 
     monkeypatch.setattr(arith, "factorize", refuse)
-    monkeypatch.setattr(arith, "_prime_power_base", refuse)
+    monkeypatch.setattr(arith, "perfect_power", refuse)
     rng = stream(20260818, 104)
     values = [rng.randrange(1, 2 ** 48) for _ in range(300)]
     values += [P16[0] * P16[1], P16[0] ** 2, 2 ** 48 - 59]

@@ -7,9 +7,10 @@ import re
 
 import numpy as np
 import pytest
+import sympy
 
 import polyprime.experiments as experiments
-from polyprime.arith import liouville, mobius
+from polyprime.arith import liouville
 from polyprime.cli import main
 from polyprime.gowers import gowers_norm_cyclic
 from polyprime.runio import format_cell
@@ -238,7 +239,7 @@ def test_gowers_cyclic_stdout(capsys):
 
 def test_gowers_cyclic_places_f_n_at_n_mod_m(capsys):
     sizes = (1, 2, 31, 101)
-    for target, func in (("liouville", liouville), ("mobius", mobius)):
+    for target, func in (("liouville", liouville), ("mobius", sympy.mobius)):
         assert main(["gowers", "--target", target, "--M",
                      ",".join(map(str, sizes)), "--s", "2"]) == 0
         want = []
