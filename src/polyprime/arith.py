@@ -14,11 +14,11 @@ divide it and a cofactor m with no prime factor below B (trial division
 may also stop early, at an m that is 1 or prime).  A cofactor
 1 < m < B**2 is then prime, and a composite m < B**3 is a product of
 exactly two primes; Miller-Rabin tells the two cases apart.  Only a
-cofactor m >= B**3 needs more: Liouville factors it (`factorize`), and
-von Mangoldt runs Miller-Rabin and asks `perfect_power` whether a
-composite m is a power of a prime.  For von Mangoldt and primality a
-value's split stops after its first small prime, which settles the
-answer.
+cofactor m >= B**3 needs more: Liouville factors it from B on, with the
+loop that `factorize` runs after its trial division, and von Mangoldt
+runs Miller-Rabin and asks `perfect_power` whether a composite m is a
+power of a prime.  For von Mangoldt and primality a value's split stops
+after its first small prime, which settles the answer.
 
 The small primes are found in one of two ways, chosen by size because a
 float64 quotient is exact only below 2**52.  Below it a numpy sieve
@@ -225,14 +225,22 @@ def factorize(n: int, budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
         raise ValueError("0 has no factorization")
     sign = -1 if n < 0 else 1
     small, m = _trial_split(abs(n))
-    found = Counter(small)
+    found = Counter(small) + _factor_cofactor(m, _TRIAL_BOUND, budget)
+    return Factorization(n=n, sign=sign,
+                         factors=tuple(sorted(found.items())))
+
+
+def _factor_cofactor(m: int, bound: int, budget: int) -> Counter:
+    """Prime factors of m >= 1, which has none below bound, as a Counter;
+    Miller-Rabin, perfect powers and rho split m under its own budget."""
+    found = Counter()
     state = _RhoState(budget)
     stack = [(m, 1)] if m > 1 else []
     while stack:
         m, mult = stack.pop()
-        # Each entry is a divisor > 1 of the trial cofactor, so it is
-        # prime or has no prime factor below the trial bound.
-        if _cofactor_is_prime(m, _TRIAL_BOUND):
+        # Each entry is a divisor > 1 of the cofactor, so it is prime or
+        # has no prime factor below the bound.
+        if _cofactor_is_prime(m, bound):
             found[m] += mult
             continue
         pw = perfect_power(m)
@@ -242,8 +250,7 @@ def factorize(n: int, budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
         d = _brent_rho(m, state)
         stack.append((d, mult))
         stack.append((m // d, mult))
-    return Factorization(n=n, sign=sign,
-                         factors=tuple(sorted(found.items())))
+    return found
 
 
 def liouville(n: int, budget: int = DEFAULT_RHO_BUDGET) -> int:
@@ -386,7 +393,8 @@ def _cofactor_is_prime(m: int, bound: int) -> bool:
 def liouville_many(values, budget: int = DEFAULT_RHO_BUDGET) -> list:
     """(-1)**big_omega(|v|) for each of values; 0 for a zero value.
 
-    Each cofactor of B**3 or more is factored under its own rho budget.
+    Each cofactor of B**3 or more is factored from B on (no second trial
+    division) under its own rho budget.
     """
     out = []
     for bound, ps, m in zip(*_split(values, full=True)):
@@ -395,7 +403,7 @@ def liouville_many(values, budget: int = DEFAULT_RHO_BUDGET) -> list:
             continue
         omega = len(ps)
         if m >= bound ** 3:
-            omega += factorize(m, budget=budget).big_omega
+            omega += sum(_factor_cofactor(m, bound, budget).values())
         elif m > 1:
             omega += 1 if _cofactor_is_prime(m, bound) else 2
         out.append(-1 if omega % 2 else 1)

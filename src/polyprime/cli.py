@@ -1,54 +1,35 @@
 """Command line front end.
 
-One subcommand per entry of `experiments.KINDS`, with that entry's
-flags, plus exact-computation helpers.  Config can come from a key=value
-file (--config) with individual flags taking precedence.  Exit codes: 0
-success, 1 configuration problem, 2 exhausted arithmetic budget, 3
-self-test failure.
+One subcommand per entry of `experiments.KINDS`, with a flag per config
+key built from its ExperimentConfig field, plus exact-computation
+helpers.  Config can come from a key=value file (--config) with
+individual flags taking precedence.  Exit codes: 0 success, 1
+configuration problem, 2 exhausted arithmetic budget, 3 self-test
+failure.
 """
 
 import argparse
 import math
 import os
 import sys
+from dataclasses import MISSING, fields
 
 import numpy as np
 
 from .arith import liouville_sieve, mobius_sieve
 from .errors import BudgetError, ConfigError
-from .experiments import KINDS, ExperimentConfig, run_experiment
+from .experiments import (KINDS, ExperimentConfig, parse_int_exact,
+                          parse_int_list, run_experiment)
 from .gowers import gowers_norm_cyclic, interval_embedding
 from .moments import poisson_central_moment, stein_chen_check
 from .poly import IntPolynomial, poly_from_text, sample_uniform
 from .rng import stream
-from .runio import (format_cell, parse_float, parse_int_exact,
-                    parse_int_list, parse_pattern, load_config_file,
-                    utc_now_iso, write_csv, write_manifest, write_run)
+from .runio import (format_cell, load_config_file, utc_now_iso, write_csv,
+                    write_manifest, write_run)
 from .series import (interchange_identity_check, series_f, series_f_tuple,
                      tuple_sum_identity_residual)
 
-COMMON_KEYS = {
-    "d": "polynomial degree bound",
-    "H": "coefficient bound (scientific notation ok, e.g. 1e7)",
-    "X": "summation range 1..X",
-    "w": "series truncation: primes p <= w (default 5)",
-    "samples": "number of sampled polynomials",
-    "seed": "master seed for the per-sample streams",
-    "workers": "worker processes (default 1)",
-    "k-max": "largest moment order reported (default 4)",
-    "out-dir": "output directory (default runs/<subcommand>)",
-}
-REQUIRED_KEYS = ("d", "H", "X", "samples", "seed")
-# How a config key's text becomes its ExperimentConfig value; the keys
-# not listed here are integers.
-PARSERS = {
-    "calL": parse_float,
-    "shifts": parse_int_list,
-    "ns": parse_int_list,
-    "pattern": parse_pattern,
-    "f0": lambda text, key: tuple(poly_from_text(text).coeffs),
-    "target": lambda text, key: text,
-}
+OUT_DIR_HELP = "output directory (default runs/<subcommand>)"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,28 +39,42 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _config_keys(kind: str) -> dict:
+    """A kind's config keys in --help order, each with its field: the
+    fields no kind names (`kind` has no metadata and is no key), then
+    out-dir, the one key only the command line has and has no field,
+    then the kind's own."""
+    named = {name for entry in KINDS.values() for name in entry.keys}
+    by_name = {f.name: f for f in fields(ExperimentConfig) if f.metadata}
+    names = [*(name for name in by_name if name not in named), "out_dir",
+             *KINDS[kind].keys]
+    return {name.replace("_", "-"): by_name.get(name) for name in names}
+
+
 def _build_cfg(kind: str, args) -> tuple[ExperimentConfig, str]:
-    allowed = (*COMMON_KEYS, *KINDS[kind].keys)
+    keys = _config_keys(kind)
     merged = {}
     if args.config:
         for key, value in load_config_file(args.config).items():
-            if key not in allowed:
+            if key not in keys:
                 raise ConfigError(f"unknown config key {key!r} for {kind}")
             merged[key] = value
-    for key in allowed:
+    for key in keys:
         v = getattr(args, key.replace("-", "_"))
         if v is not None:
             merged[key] = v
-    for key in REQUIRED_KEYS + KINDS[kind].required:
-        if key not in merged:
-            raise ConfigError(f"missing required config value {key!r}")
     out_dir = merged.pop("out-dir", f"runs/{kind}")
-    # Required keys are parsed first, so the bad value that is named does
-    # not depend on the order of the config file's lines.
-    order = (*REQUIRED_KEYS, *allowed)
-    values = {key.replace("-", "_"):
-              PARSERS.get(key, parse_int_exact)(merged[key], key)
-              for key in sorted(merged, key=order.index)}
+    del keys["out-dir"]
+    # Required keys (fields with no default) are checked and parsed
+    # first, so the bad value that is named does not depend on the order
+    # of the config file's lines.
+    ordered = sorted(keys.items(),
+                     key=lambda kf: kf[1].default is not MISSING)
+    for key, f in ordered:
+        if f.default is MISSING and key not in merged:
+            raise ConfigError(f"missing required config value {key!r}")
+    values = {f.name: f.metadata["parse"](merged[key], key)
+              for key, f in ordered if key in merged}
     return ExperimentConfig(kind=kind, **values).validate(), out_dir
 
 
@@ -251,9 +246,10 @@ def build_parser() -> _Parser:
     for kind, entry in KINDS.items():
         s = sub.add_parser(kind, help=entry.blurb)
         s.add_argument("--config", help="key=value config file")
-        for key, hlp in {**COMMON_KEYS, **entry.keys}.items():
+        for key, f in _config_keys(kind).items():
             s.add_argument(f"--{key}", dest=key.replace("-", "_"),
-                           metavar="V", help=hlp)
+                           metavar="V",
+                           help=f.metadata["help"] if f else OUT_DIR_HELP)
 
     s = sub.add_parser("series", help="print an exact truncated series")
     s.add_argument("--poly", required=True, metavar="V",

@@ -7,10 +7,11 @@ uses the random stream derived from (master seed, i), so results do not
 depend on how samples are distributed over worker processes, and the
 per-sample output is byte-identical for any worker count.
 
-Each experiment kind is one `Kind` entry of `KINDS`: its config keys,
-validation, sampler, series, statistic, aggregation and samples.csv
-columns.  The command line, the run and the CSV writer read that table
-and hold no per-kind code.
+Each experiment kind is one `Kind` entry of `KINDS`: its own config
+keys, validation, sampler, series, statistic, aggregation and samples.csv
+columns; each config key is one `ExperimentConfig` field.  The command
+line, the run and the CSV writer read the table and the fields and hold
+no per-kind code.
 
 Statistic conventions.  Sums over n always mean 1 <= n <= X.  A zero
 value of f(n) contributes 0 wherever an arithmetic function is applied.
@@ -25,7 +26,8 @@ import functools
 import math
 import multiprocessing
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 import numpy as np
@@ -33,32 +35,92 @@ import numpy as np
 from .arith import is_prime_many, liouville_many, von_mangoldt_many
 from .errors import BudgetError, ConfigError, ConsistencyError
 from .moments import gaussian_moment, sigma_squared
-from .poly import IntPolynomial, sample_uniform, sample_uniform_residue
+from .poly import (REJECTION_CAP, IntPolynomial, poly_from_text,
+                   sample_uniform, sample_uniform_residue)
 from .rng import child_seed, stream
 from .series import series_f, series_f_tuple, series_linear_system
 
-REJECTION_CAP = 10 ** 6
+
+def parse_int_exact(text: str, key: str) -> int:
+    """Integer parse that also accepts scientific notation, exactly.
+
+    "1e9" becomes 10**9 with no float rounding; "2.5e1" is 25; "2.5"
+    is rejected because it is not integral.
+    """
+    t = text.strip()
+    try:
+        return int(t)
+    except ValueError:
+        pass
+    try:
+        dec = Decimal(t)
+    except InvalidOperation:
+        raise ConfigError(f"{key}: {text!r} is not an integer")
+    if dec != dec.to_integral_value():
+        raise ConfigError(f"{key}: {text!r} is not integral")
+    return int(dec.to_integral_value())
 
 
-@dataclass(frozen=True)
+def parse_float(text: str, key: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"{key}: {text!r} is not a number")
+
+
+def parse_int_list(text: str, key: str) -> tuple:
+    parts = [s.strip() for s in str(text).split(",") if s.strip() != ""]
+    if not parts:
+        raise ConfigError(f"{key}: empty list")
+    return tuple(parse_int_exact(s, key) for s in parts)
+
+
+def parse_pattern(text: str, key: str = "pattern") -> tuple:
+    """Sign pattern from "+-" style text or a comma list of +1/-1."""
+    t = str(text).strip()
+    if t and all(c in "+-" for c in t):
+        return tuple(1 if c == "+" else -1 for c in t)
+    vals = parse_int_list(t, key)
+    if any(v not in (-1, 1) for v in vals):
+        raise ConfigError(f"{key}: entries must be +1 or -1")
+    return vals
+
+
+def _key(help: str, default=MISSING, parse=parse_int_exact):
+    """A config key's field: its default (none: required), its --flag
+    help text and the parser of its text form, parse(text, key)."""
+    return field(default=default, metadata={"help": help, "parse": parse})
+
+
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
+    """One run's configuration.  Every field but `kind` is a config key,
+    spelled with - for _; the keys no `Kind` names are common to all."""
+
     kind: str
-    d: int
-    H: int
-    X: int
-    samples: int
-    seed: int
-    w: int = 5
-    workers: int = 1
-    k_max: int = 4
-    shifts: tuple = ()
-    pattern: tuple = ()
-    calL: float = 1.0
-    L: int = 0  # explicit window override; 0 means derive from calL
-    ns: tuple = (1,)
-    M: int = 1
-    f0: tuple = (0,)
-    target: str = "von-mangoldt"
+    d: int = _key("polynomial degree bound")
+    H: int = _key("coefficient bound (scientific notation ok, e.g. 1e7)")
+    X: int = _key("summation range 1..X")
+    w: int = _key("series truncation: primes p <= w (default 5)", 5)
+    samples: int = _key("number of sampled polynomials")
+    seed: int = _key("master seed for the per-sample streams")
+    workers: int = _key("worker processes (default 1)", 1)
+    k_max: int = _key("largest moment order reported (default 4)", 4)
+    shifts: tuple = _key("comma-separated distinct shifts, e.g. 0,2", (),
+                         parse_int_list)
+    pattern: tuple = _key("sign pattern, e.g. ++ or +1,-1", (),
+                          parse_pattern)
+    calL: float = _key("target mean window count (default 1.0); the "
+                       "window length is calL * mean log|f(n)| / S_w(f)",
+                       1.0, parse_float)
+    L: int = _key("fixed window length override", 0)  # 0: from calL
+    ns: tuple = _key("comma-separated distinct evaluation points "
+                     "(default 1)", (1,), parse_int_list)
+    M: int = _key("residue modulus (default 1)", 1)
+    f0: tuple = _key("residue polynomial, a0;a1;... (default 0)", (0,),
+                     lambda text, key: tuple(poly_from_text(text).coeffs))
+    target: str = _key("von-mangoldt or liouville", "von-mangoldt",
+                       lambda text, key: text)
 
     def validate(self) -> "ExperimentConfig":
         if self.kind not in KINDS:
@@ -223,12 +285,12 @@ def interval_count_distribution(f: IntPolynomial, X: int,
         raise ConfigError("L must be >= 1")
     flags = is_prime_many([f.eval(m) for m in range(1, X + L)])
     running = sum(flags[:L])
-    acc = {}
+    counts = []
     for x in range(1, X + 1):
-        acc[running] = acc.get(running, 0) + 1
+        counts.append(running)
         if x < X:
             running += -int(flags[x - 1]) + int(flags[x + L - 1])
-    return EmpiricalDistribution(tuple(sorted(acc.items())), X)
+    return EmpiricalDistribution.from_values(counts)
 
 
 def _phi(t: float) -> float:
@@ -479,10 +541,11 @@ def _poisson_gaps_rows(cfg, records, warnings):
 class Kind:
     """Everything the program knows about one experiment kind.
 
-    `keys` maps each extra config key (also a --flag, and an
-    ExperimentConfig field that holds its default) to its help text;
-    `required` lists those that must be given.  `checks` pairs a test of
-    the config with the ConfigError message for when it fails.
+    `keys` names the ExperimentConfig fields that are this kind's own
+    config keys; each field declares its key's default, help text and
+    parser, and no two kinds name the same field.  `checks` pairs a test
+    of the config with the ConfigError message for when it fails; an own
+    key that must be given is required by one of them.
     `run_series(cfg)` is the series shared by every sample of a run, or
     None when it depends on f.  `draw(cfg, rng, series)` returns (f,
     attempts, f's series), given the run's series.  `stats(cfg, f,
@@ -498,8 +561,7 @@ class Kind:
     draw: Callable
     stats: Callable
     rows: Callable
-    keys: dict = field(default_factory=dict)
-    required: tuple = ()
+    keys: tuple = ()
     checks: tuple = ()
     run_series: Callable = lambda cfg: None
     columns: tuple = ("stat",)
@@ -515,8 +577,7 @@ KINDS = {
         rows=_centred_rows),
     "tuples": Kind(
         "shifted-tuple version of the von Mangoldt statistic",
-        keys={"shifts": "comma-separated distinct shifts, e.g. 0,2"},
-        required=("shifts",),
+        keys=("shifts",),
         checks=((lambda cfg: cfg.shifts,
                  "shifts is required for tuple statistics"),
                 (lambda cfg: len(set(cfg.shifts)) == len(cfg.shifts),
@@ -535,8 +596,7 @@ KINDS = {
         rows=_chowla_rows),
     "sign-patterns": Kind(
         "Liouville sign-pattern counts against the predicted variance",
-        keys={"pattern": "sign pattern, e.g. ++ or +1,-1"},
-        required=("pattern",),
+        keys=("pattern",),
         checks=((lambda cfg: cfg.pattern,
                  "pattern is required for sign patterns"),
                 (lambda cfg: all(e in (-1, 1) for e in cfg.pattern),
@@ -548,9 +608,7 @@ KINDS = {
     "poisson-gaps": Kind(
         "prime counts in tuned windows against Poisson and Gaussian "
         "predictions",
-        keys={"calL": "target mean window count (default 1.0); the window "
-                      "length is calL * mean log|f(n)| / S_w(f)",
-              "L": "fixed window length override"},
+        keys=("calL", "L"),
         checks=((lambda cfg: cfg.calL > 0, "calL must be positive"),
                 (lambda cfg: cfg.L >= 0, "L must be >= 1 when set")),
         draw=_draw_bateman_horn,
@@ -561,11 +619,7 @@ KINDS = {
     "linear-forms": Kind(
         "products of arithmetic functions at fixed points over a "
         "residue-constrained family",
-        keys={"ns": "comma-separated distinct evaluation points "
-                    "(default 1)",
-              "M": "residue modulus (default 1)",
-              "f0": "residue polynomial, a0;a1;... (default 0)",
-              "target": "von-mangoldt or liouville"},
+        keys=("ns", "M", "f0", "target"),
         checks=((lambda cfg: cfg.ns, "ns is required for linear forms"),
                 (lambda cfg: len(set(cfg.ns)) == len(cfg.ns),
                  "ns entries must be distinct"),

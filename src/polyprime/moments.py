@@ -65,15 +65,6 @@ class MomentPolynomial:
         out = [self.coeff(r) + other.coeff(r) for r in range(n)]
         return _poly(out)
 
-    def __mul__(self, other):
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return _poly(out)
-
     def scale(self, c: int) -> "MomentPolynomial":
         return _poly([c * a for a in self.coeffs])
 

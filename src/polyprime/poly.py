@@ -15,6 +15,10 @@ import numpy as np
 from .errors import BudgetError, ConfigError
 from .rng import uniform_int
 
+# Draws a rejection sampler makes before it gives up with BudgetError.
+REJECTION_CAP = 10 ** 6
+
+
 @dataclass(frozen=True)
 class IntPolynomial:
     coeffs: tuple
@@ -49,9 +53,6 @@ class IntPolynomial:
                 out[j] += a * math.comb(i, j) * c ** (i - j)
         return IntPolynomial(tuple(out))
 
-    def to_text(self) -> str:
-        return ";".join(str(c) for c in self.coeffs)
-
 
 def poly_from_text(text: str) -> IntPolynomial:
     """Parse the "a0;a1;..." coefficient format."""
@@ -75,8 +76,7 @@ def sample_uniform(d: int, H: int, rng: random.Random) -> IntPolynomial:
 
 
 def sample_uniform_residue(d: int, H: int, rng: random.Random,
-                           f0: IntPolynomial, M: int,
-                           max_attempts: int = 1_000_000):
+                           f0: IntPolynomial, M: int):
     """Uniform draw conditioned on f congruent to f0 mod M.
 
     Plain rejection keeps the conditional distribution exactly uniform.
@@ -90,12 +90,12 @@ def sample_uniform_residue(d: int, H: int, rng: random.Random,
     want = [c % M for c in f0.coeffs] + [0] * (d + 1 - len(f0.coeffs))
     if len(want) != d + 1:
         raise ConfigError("residue polynomial has higher degree than d")
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, REJECTION_CAP + 1):
         f = sample_uniform(d, H, rng)
         if all(c % M == r for c, r in zip(f.coeffs, want)):
             return f, attempt
     raise BudgetError(f"no draw matched the residue class mod {M} "
-                      f"in {max_attempts} attempts")
+                      f"in {REJECTION_CAP} attempts")
 
 
 def count_unit_values_mod_p(f: IntPolynomial, p: int, shifts) -> int:

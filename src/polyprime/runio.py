@@ -1,4 +1,4 @@
-"""Run persistence: config parsing, manifests, and CSV emission.
+"""Run persistence: config files, manifests, and CSV emission.
 
 Reproducibility contract: rerunning the experiment described by a
 manifest produces byte-identical samples.csv and aggregates.csv.  That
@@ -14,7 +14,6 @@ import os
 import warnings
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
-from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from ._version import __version__
@@ -24,51 +23,6 @@ from .experiments import KINDS, ExperimentConfig, RunResult
 SAMPLES_CSV = "samples.csv"
 AGGREGATES_CSV = "aggregates.csv"
 MANIFEST_JSON = "manifest.json"
-
-
-def parse_int_exact(text: str, key: str) -> int:
-    """Integer parse that also accepts scientific notation, exactly.
-
-    "1e9" becomes 10**9 with no float rounding; "2.5e1" is 25; "2.5"
-    is rejected because it is not integral.
-    """
-    t = text.strip()
-    try:
-        return int(t)
-    except ValueError:
-        pass
-    try:
-        dec = Decimal(t)
-    except InvalidOperation:
-        raise ConfigError(f"{key}: {text!r} is not an integer")
-    if dec != dec.to_integral_value():
-        raise ConfigError(f"{key}: {text!r} is not integral")
-    return int(dec.to_integral_value())
-
-
-def parse_float(text: str, key: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"{key}: {text!r} is not a number")
-
-
-def parse_int_list(text: str, key: str) -> tuple:
-    parts = [s.strip() for s in str(text).split(",") if s.strip() != ""]
-    if not parts:
-        raise ConfigError(f"{key}: empty list")
-    return tuple(parse_int_exact(s, key) for s in parts)
-
-
-def parse_pattern(text: str, key: str = "pattern") -> tuple:
-    """Sign pattern from "+-" style text or a comma list of +1/-1."""
-    t = str(text).strip()
-    if t and all(c in "+-" for c in t):
-        return tuple(1 if c == "+" else -1 for c in t)
-    vals = parse_int_list(t, key)
-    if any(v not in (-1, 1) for v in vals):
-        raise ConfigError(f"{key}: entries must be +1 or -1")
-    return vals
 
 
 def load_config_file(path: str) -> dict:
@@ -135,17 +89,9 @@ def write_aggregates_csv(path: str, result: RunResult) -> None:
                      "predicted", "verdict"], rows)
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    d = asdict(cfg)
-    d["shifts"] = list(cfg.shifts)
-    d["pattern"] = list(cfg.pattern)
-    d["ns"] = list(cfg.ns)
-    d["f0"] = list(cfg.f0)
-    return d
-
-
 def config_from_dict(d: dict) -> ExperimentConfig:
-    """ExperimentConfig from config_to_dict output, as a manifest stores it.
+    """ExperimentConfig from a manifest's config, the JSON of asdict(cfg)
+    with every list turned back into a tuple.
 
     Manifests written by older versions may carry the retired key
     deterministic_reduction, which never changed a run; it is dropped
@@ -160,10 +106,8 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     for key in d:
         if key not in known:
             raise ConfigError(f"unknown manifest config key {key!r}")
-    for key in ("shifts", "pattern", "ns", "f0"):
-        if key in d:
-            d[key] = tuple(d[key])
-    return ExperimentConfig(**d).validate()
+    return ExperimentConfig(**{key: tuple(v) if isinstance(v, list) else v
+                               for key, v in d.items()}).validate()
 
 
 def utc_now_iso() -> str:
@@ -201,7 +145,7 @@ def write_run(out_dir: str, result: RunResult, started: str,
     cfg = result.config
     write_manifest(paths["manifest"],
                    {"subcommand": cfg.kind,
-                    "config": config_to_dict(cfg),
+                    "config": asdict(cfg),
                     "master_seed": cfg.seed,
                     "outputs": {"samples": SAMPLES_CSV,
                                 "aggregates": AGGREGATES_CSV},

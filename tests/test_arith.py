@@ -436,13 +436,13 @@ def test_large_values_match_sympy(monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(arith, name, wrapped)
 
-    for name in ("_trial_split", "perfect_power", "factorize"):
+    for name in ("_trial_split", "perfect_power", "_factor_cofactor"):
         spy(name)
     want, got = _sympy_and_batched(LARGE_VALUES)
     assert got == want
     assert {("_trial_split", True), ("_trial_split", False),
-            ("perfect_power",), ("factorize", DEFAULT_RHO_BUDGET)} \
-        <= set(calls)
+            ("perfect_power",),
+            ("_factor_cofactor", 1024, DEFAULT_RHO_BUDGET)} <= set(calls)
     assert [liouville(v) for v in LARGE_VALUES] == want[0]
     assert [von_mangoldt(v) for v in LARGE_VALUES] == want[1]
     assert [is_prime(v) for v in LARGE_VALUES] == want[2]
@@ -453,12 +453,12 @@ def test_large_values_match_sympy(monkeypatch):
 
 
 def test_batched_kernels_no_rho_below_cap(monkeypatch):
-    # Below 2**48 every cofactor is below B**3, so neither factorize nor
-    # perfect_power is reached.
+    # Below 2**48 every cofactor is below B**3, so neither the rho loop
+    # nor perfect_power is reached.
     def refuse(*args, **kwargs):
-        raise AssertionError("factorize or perfect_power called")
+        raise AssertionError("_factor_cofactor or perfect_power called")
 
-    monkeypatch.setattr(arith, "factorize", refuse)
+    monkeypatch.setattr(arith, "_factor_cofactor", refuse)
     monkeypatch.setattr(arith, "perfect_power", refuse)
     rng = stream(20260818, 104)
     values = [rng.randrange(1, 2 ** 48) for _ in range(300)]

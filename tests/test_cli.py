@@ -12,8 +12,9 @@ import sympy
 import polyprime.experiments as experiments
 from polyprime.arith import liouville
 from polyprime.cli import main
+from polyprime.experiments import ExperimentConfig, run_experiment
 from polyprime.gowers import gowers_norm_cyclic
-from polyprime.runio import format_cell
+from polyprime.runio import format_cell, load_manifest_config, write_run
 
 
 def test_no_subcommand_prints_help(capsys):
@@ -100,6 +101,10 @@ def test_missing_required_key_named(capsys):
                "--seed", "1"])
     assert rc == 1
     assert "'X'" in capsys.readouterr().err
+    for kind, key in (("tuples", "shifts"), ("sign-patterns", "pattern")):
+        assert main([kind, "--d", "1", "--H", "10", "--X", "10",
+                     "--samples", "2", "--seed", "1"]) == 1
+        assert key in capsys.readouterr().err
 
 
 def test_duplicate_shifts_rejected(capsys):
@@ -142,6 +147,40 @@ def test_linear_forms_flags(tmp_path):
     assert doc["config"]["ns"] == [1, 2]
     assert doc["config"]["f0"] == [1, 0]
     assert doc["config"]["target"] == "liouville"
+
+
+# Per kind: flags beyond the common ones, and the config fields they set.
+REPLAY_RUNS = {
+    "bh-moments": ({"w": "3"}, {"w": 3}),
+    "tuples": ({"shifts": "0,2"}, {"shifts": (0, 2)}),
+    "chowla-clt": ({"k-max": "2"}, {"k_max": 2}),
+    "sign-patterns": ({"pattern": "+-"}, {"pattern": (1, -1)}),
+    "poisson-gaps": ({"calL": "0.5", "L": "3"}, {"calL": 0.5, "L": 3}),
+    "linear-forms": ({"ns": "1,2", "M": "2", "f0": "1;0",
+                      "target": "liouville"},
+                     {"ns": (1, 2), "M": 2, "f0": (1, 0),
+                      "target": "liouville"}),
+}
+
+
+def test_manifest_config_replays_each_kind(tmp_path, capsys):
+    assert set(REPLAY_RUNS) == set(experiments.KINDS)
+    for kind, (flags, values) in REPLAY_RUNS.items():
+        out = tmp_path / kind
+        argv = [kind, "--d", "1", "--H", "1e2", "--X", "12", "--samples",
+                "3", "--seed", "4", "--out-dir", str(out)]
+        for key, value in flags.items():
+            argv += [f"--{key}", value]
+        assert main(argv) == 0
+        cfg = load_manifest_config(str(out / "manifest.json"))
+        assert cfg == ExperimentConfig(kind=kind, d=1, H=100, X=12,
+                                       samples=3, seed=4, **values)
+        paths = write_run(str(tmp_path / f"{kind}-replay"),
+                          run_experiment(cfg), "t0", "t1")
+        for name in ("samples", "aggregates"):
+            with open(paths[name], "rb") as fh:
+                assert fh.read() == (out / f"{name}.csv").read_bytes()
+    capsys.readouterr()
 
 
 COMMON_FLAGS = ("config", "d", "H", "X", "w", "samples", "seed", "workers",
@@ -193,7 +232,7 @@ def test_deterministic_reduction_is_an_unknown_key(tmp_path, capsys):
 def test_toy_kind_needs_one_table_entry(monkeypatch, tmp_path, capsys):
     toy = experiments.Kind(
         "a constant statistic",
-        keys={"L": "toy integer key"},
+        keys=("L",),
         checks=((lambda cfg: cfg.L <= 9, "L must be <= 9 for toy"),),
         draw=experiments.KINDS["chowla-clt"].draw,
         stats=lambda cfg, f, sv: ({"stat": 0.0}, 0),

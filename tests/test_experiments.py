@@ -3,6 +3,7 @@
 import math
 import os
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from polyprime.arith import is_prime, liouville, primes_upto, von_mangoldt
 from polyprime.errors import ConfigError
 from polyprime.experiments import (
+    KINDS,
     EmpiricalDistribution,
     ExperimentConfig,
     chowla_normalized_sum,
@@ -459,6 +461,17 @@ def test_config_validation_errors():
     for case in bad_cases:
         with pytest.raises(ConfigError):
             ExperimentConfig(**case).validate()
+
+
+def test_each_config_key_is_declared_once_on_its_field():
+    names = [f.name for f in fields(ExperimentConfig)]
+    for f in fields(ExperimentConfig):
+        if f.name != "kind":
+            assert f.metadata["help"], f.name
+            assert callable(f.metadata["parse"]), f.name
+    owners = Counter(name for entry in KINDS.values() for name in entry.keys)
+    assert set(owners) <= set(names) - {"kind"}
+    assert max(owners.values()) == 1
 
 
 def test_zero_eval_audit_surfaces_in_records():

@@ -102,7 +102,6 @@ def test_shift_matches_eval():
 
 
 def test_text_roundtrip():
-    assert X2_X_2.to_text() == "2;1;1"
     assert poly_from_text("2;1;1") == X2_X_2
     assert poly_from_text(" -1 ; 0 ; 3 ").coeffs == (-1, 0, 3)
     with pytest.raises(ConfigError):

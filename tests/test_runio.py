@@ -2,22 +2,25 @@
 
 import csv
 import json
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
 
 from polyprime.errors import ConfigError
-from polyprime.experiments import ExperimentConfig, run_experiment
-from polyprime.runio import (
-    config_from_dict,
-    config_to_dict,
-    format_cell,
-    load_config_file,
-    load_manifest_config,
+from polyprime.experiments import (
+    ExperimentConfig,
     parse_float,
     parse_int_exact,
     parse_int_list,
     parse_pattern,
+    run_experiment,
+)
+from polyprime.runio import (
+    config_from_dict,
+    format_cell,
+    load_config_file,
+    load_manifest_config,
     sample_fieldnames,
     write_run,
 )
@@ -99,7 +102,7 @@ def test_sample_fieldnames():
 def test_config_roundtrip():
     cfg = ExperimentConfig(kind="tuples", d=2, H=100, X=50, samples=10,
                            seed=99, w=3, shifts=(0, 2)).validate()
-    assert config_from_dict(config_to_dict(cfg)) == cfg
+    assert config_from_dict(asdict(cfg)) == cfg
 
 
 def test_write_run_and_manifest_roundtrip(tmp_path):
@@ -180,7 +183,7 @@ def test_manifest_with_unknown_key_is_config_error(tmp_path):
     cfg = ExperimentConfig(kind="chowla-clt", d=1, H=30, X=20, samples=3,
                            seed=8)
     with pytest.raises(ConfigError, match="'progress'"):
-        config_from_dict(dict(config_to_dict(cfg), progress=True))
+        config_from_dict(dict(asdict(cfg), progress=True))
     p1 = write_run(str(tmp_path / "a"), run_experiment(cfg), "t0", "t1")
     with open(p1["manifest"]) as fh:
         doc = json.load(fh)
