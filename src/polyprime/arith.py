@@ -301,16 +301,16 @@ def _sieve_split(values, full=True):
     blocks of at most _SIEVE_CHUNK elements.  That is exact here: if p
     does not divide v, v / p is at least 1/p from every integer, which
     is more than half an ulp of v / p.  As rows leave, the blocks take
-    more primes at a time.  The buffers are allocated once per call.
+    more primes at a time; the buffers are made once, sized to the call.
     """
     mags = [abs(int(v)) for v in values]
     bound = _sieve_bound(max(mags, default=0))
     small = [[] for _ in mags]
     rest = list(mags)
     count = int(np.searchsorted(_SIEVE_PRIMES, bound))
-    q = np.empty(_SIEVE_CHUNK)
+    q = np.empty(min(_SIEVE_CHUNK, len(mags) * count))
     fl = np.empty_like(q)
-    mask = np.empty(_SIEVE_CHUNK, dtype=bool)
+    mask = np.empty(len(q), dtype=bool)
     for r0 in range(0, len(mags), _SIEVE_CHUNK):
         rows = np.array([i for i in range(r0, min(r0 + _SIEVE_CHUNK,
                                                   len(mags))) if mags[i]],

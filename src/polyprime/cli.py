@@ -3,22 +3,23 @@
 One subcommand per entry of `experiments.KINDS`, with a flag per config
 key built from its ExperimentConfig field, plus exact-computation
 helpers.  Config can come from a key=value file (--config) with
-individual flags taking precedence.  Exit codes: 0 success, 1
-configuration problem, 2 exhausted arithmetic budget, 3 self-test
-failure.
+individual flags taking precedence; the merged text goes as `Text` to
+`ExperimentConfig.from_dict`, which parses and checks it.  Exit codes:
+0 success, 1 configuration problem, 2 exhausted arithmetic budget, 3
+self-test failure.
 """
 
 import argparse
 import math
 import os
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import fields
 
 import numpy as np
 
 from .arith import liouville_sieve, mobius_sieve
 from .errors import BudgetError, ConfigError
-from .experiments import (KINDS, ExperimentConfig, parse_int_exact,
+from .experiments import (KINDS, ExperimentConfig, Text, parse_int_exact,
                           parse_int_list, run_experiment)
 from .gowers import gowers_norm_cyclic, interval_embedding
 from .moments import poisson_central_moment, stein_chen_check
@@ -40,42 +41,33 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _config_keys(kind: str) -> dict:
-    """A kind's config keys in --help order, each with its field: the
-    fields no kind names (`kind` has no metadata and is no key), then
-    out-dir, the one key only the command line has and has no field,
+    """A kind's config keys in --help order, each with its help text:
+    the ExperimentConfig fields no kind names (`kind` has no metadata
+    and is no key), then out-dir, the one key only the command line has,
     then the kind's own."""
     named = {name for entry in KINDS.values() for name in entry.keys}
-    by_name = {f.name: f for f in fields(ExperimentConfig) if f.metadata}
-    names = [*(name for name in by_name if name not in named), "out_dir",
+    helps = {f.name: f.metadata["help"] for f in fields(ExperimentConfig)
+             if f.metadata}
+    helps["out_dir"] = OUT_DIR_HELP
+    names = [*(name for name in helps if name not in named),
              *KINDS[kind].keys]
-    return {name.replace("_", "-"): by_name.get(name) for name in names}
+    return {name.replace("_", "-"): helps[name] for name in names}
 
 
 def _build_cfg(kind: str, args) -> tuple[ExperimentConfig, str]:
     keys = _config_keys(kind)
-    merged = {}
-    if args.config:
-        for key, value in load_config_file(args.config).items():
-            if key not in keys:
-                raise ConfigError(f"unknown config key {key!r} for {kind}")
-            merged[key] = value
+    merged = load_config_file(args.config) if args.config else {}
+    for key in merged:
+        if key not in keys:
+            raise ConfigError(f"unknown config key {key!r} for {kind}")
     for key in keys:
         v = getattr(args, key.replace("-", "_"))
         if v is not None:
             merged[key] = v
     out_dir = merged.pop("out-dir", f"runs/{kind}")
-    del keys["out-dir"]
-    # Required keys (fields with no default) are checked and parsed
-    # first, so the bad value that is named does not depend on the order
-    # of the config file's lines.
-    ordered = sorted(keys.items(),
-                     key=lambda kf: kf[1].default is not MISSING)
-    for key, f in ordered:
-        if f.default is MISSING and key not in merged:
-            raise ConfigError(f"missing required config value {key!r}")
-    values = {f.name: f.metadata["parse"](merged[key], key)
-              for key, f in ordered if key in merged}
-    return ExperimentConfig(kind=kind, **values).validate(), out_dir
+    return ExperimentConfig.from_dict(
+        {"kind": kind, **{key.replace("-", "_"): Text(v)
+                          for key, v in merged.items()}}), out_dir
 
 
 def _run_experiment_cmd(kind: str, args) -> int:
@@ -246,10 +238,9 @@ def build_parser() -> _Parser:
     for kind, entry in KINDS.items():
         s = sub.add_parser(kind, help=entry.blurb)
         s.add_argument("--config", help="key=value config file")
-        for key, f in _config_keys(kind).items():
+        for key, help in _config_keys(kind).items():
             s.add_argument(f"--{key}", dest=key.replace("-", "_"),
-                           metavar="V",
-                           help=f.metadata["help"] if f else OUT_DIR_HELP)
+                           metavar="V", help=help)
 
     s = sub.add_parser("series", help="print an exact truncated series")
     s.add_argument("--poly", required=True, metavar="V",

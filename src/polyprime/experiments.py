@@ -22,11 +22,12 @@ the count is reported per sample as zero_evals.  The Bateman-Horn
 statistic of `bh-moments` is the tuple statistic at the one shift 0.
 """
 
+import contextlib
 import functools
 import math
 import multiprocessing
 from collections.abc import Callable
-from dataclasses import MISSING, dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -35,67 +36,83 @@ import numpy as np
 from .arith import is_prime_many, liouville_many, von_mangoldt_many
 from .errors import BudgetError, ConfigError, ConsistencyError
 from .moments import gaussian_moment, sigma_squared
-from .poly import (REJECTION_CAP, IntPolynomial, poly_from_text,
-                   sample_uniform, sample_uniform_residue)
+from .poly import (REJECTION_CAP, IntPolynomial, sample_uniform,
+                   sample_uniform_residue)
 from .rng import child_seed, stream
 from .series import series_f, series_f_tuple, series_linear_system
 
 
-def parse_int_exact(text: str, key: str) -> int:
-    """Integer parse that also accepts scientific notation, exactly.
+class Text(str):
+    """A config value as typed in a --flag or a config file.  Only a Text
+    is read as text: ExperimentConfig refuses any other str but `target`."""
 
-    "1e9" becomes 10**9 with no float rounding; "2.5e1" is 25; "2.5"
-    is rejected because it is not integral.
-    """
-    t = text.strip()
+
+def parse_int_exact(value, key: str) -> int:
+    """An int (not a bool), or its text, exact in scientific notation:
+    "1e9" is 10**9, "2.5e1" is 25, and "2.5" is not integral."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if not isinstance(value, str):
+        raise ConfigError(f"{key}: {value!r} is not an integer")
     try:
-        return int(t)
-    except ValueError:
-        pass
-    try:
-        dec = Decimal(t)
+        dec = Decimal(value)
     except InvalidOperation:
-        raise ConfigError(f"{key}: {text!r} is not an integer")
-    if dec != dec.to_integral_value():
-        raise ConfigError(f"{key}: {text!r} is not integral")
-    return int(dec.to_integral_value())
+        raise ConfigError(f"{key}: {value!r} is not an integer")
+    if not dec.is_finite() or dec != dec.to_integral_value():
+        raise ConfigError(f"{key}: {value!r} is not integral")
+    return int(dec)
 
 
-def parse_float(text: str, key: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"{key}: {text!r} is not a number")
+def parse_float(value, key: str) -> float:
+    """An int or float (not a bool), or its text."""
+    if isinstance(value, str | int | float) and not isinstance(value, bool):
+        with contextlib.suppress(ValueError, OverflowError):
+            return float(value)
+    raise ConfigError(f"{key}: {value!r} is not a number")
 
 
-def parse_int_list(text: str, key: str) -> tuple:
-    parts = [s.strip() for s in str(text).split(",") if s.strip() != ""]
-    if not parts:
-        raise ConfigError(f"{key}: empty list")
-    return tuple(parse_int_exact(s, key) for s in parts)
+def parse_int_list(value, key: str) -> tuple:
+    """A list or tuple of ints, or its comma-separated text."""
+    if isinstance(value, str):
+        value = [s.strip() for s in value.split(",") if s.strip() != ""]
+        if not value:
+            raise ConfigError(f"{key}: empty list")
+    elif not isinstance(value, list | tuple):
+        raise ConfigError(f"{key}: {value!r} is not a list")
+    return tuple(parse_int_exact(v, key) for v in value)
 
 
-def parse_pattern(text: str, key: str = "pattern") -> tuple:
-    """Sign pattern from "+-" style text or a comma list of +1/-1."""
-    t = str(text).strip()
+def parse_pattern(value, key: str = "pattern") -> tuple:
+    """Sign pattern: entries +1/-1, or the text "+-" or "+1,-1"."""
+    t = value.strip() if isinstance(value, str) else ""
     if t and all(c in "+-" for c in t):
         return tuple(1 if c == "+" else -1 for c in t)
-    vals = parse_int_list(t, key)
+    vals = parse_int_list(value, key)
     if any(v not in (-1, 1) for v in vals):
         raise ConfigError(f"{key}: entries must be +1 or -1")
     return vals
 
 
+def _parse_coeffs(value, key: str) -> tuple:
+    """Polynomial coefficients a0, a1, ...: ints, or the text a0;a1;..."""
+    coeffs = parse_int_list(
+        value.split(";") if isinstance(value, str) else value, key)
+    if not coeffs:
+        raise ConfigError(f"{key}: no coefficients")
+    return coeffs
+
+
 def _key(help: str, default=MISSING, parse=parse_int_exact):
     """A config key's field: its default (none: required), its --flag
-    help text and the parser of its text form, parse(text, key)."""
+    help text and its parser, parse(value or text, key) -> value."""
     return field(default=default, metadata={"help": help, "parse": parse})
 
 
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """One run's configuration.  Every field but `kind` is a config key,
-    spelled with - for _; the keys no `Kind` names are common to all."""
+    """One run's configuration, checked as it is built.  Every field but
+    `kind` is a config key, spelled with - for _; the keys no `Kind`
+    names are common to all.  A bad key raises ConfigError naming it."""
 
     kind: str
     d: int = _key("polynomial degree bound")
@@ -118,16 +135,22 @@ class ExperimentConfig:
                      "(default 1)", (1,), parse_int_list)
     M: int = _key("residue modulus (default 1)", 1)
     f0: tuple = _key("residue polynomial, a0;a1;... (default 0)", (0,),
-                     lambda text, key: tuple(poly_from_text(text).coeffs))
+                     _parse_coeffs)
     target: str = _key("von-mangoldt or liouville", "von-mangoldt",
-                       lambda text, key: text)
+                       lambda value, key: str(value))
 
-    def validate(self) -> "ExperimentConfig":
-        if self.kind not in KINDS:
+    def __post_init__(self):
+        if not isinstance(self.kind, str) or self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
+        for f in fields(self)[1:]:  # each field after `kind` is a key
+            key, value = f.name.replace("_", "-"), getattr(self, f.name)
+            if not isinstance(value, Text) \
+                    and isinstance(value, str) != (f.type is str):
+                raise ConfigError(f"{key}: {value!r} is not of type "
+                                  f"{f.type.__name__}")
+            object.__setattr__(self, f.name, f.metadata["parse"](value, key))
         for key in ("d", "H", "X", "samples"):
-            v = getattr(self, key)
-            if not isinstance(v, int) or v < 1:
+            if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be a positive integer")
         if self.w < 2:
             raise ConfigError("w must be >= 2")
@@ -135,12 +158,24 @@ class ExperimentConfig:
             raise ConfigError("workers must be >= 1")
         if self.k_max < 1:
             raise ConfigError("k-max must be >= 1")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         for ok, message in KINDS[self.kind].checks:
             if not ok(self):
                 raise ConfigError(message)
-        return self
+
+    @classmethod
+    def from_dict(cls, values: dict) -> "ExperimentConfig":
+        """The config of outside input, a manifest's values or the flags'
+        Text, by field name; names an unknown or missing required key."""
+        known = {f.name: f.default for f in fields(cls)}
+        for key in values:
+            if key not in known:
+                raise ConfigError(f"unknown config key {key!r}")
+        for key, default in known.items():
+            if default is MISSING and key not in values:
+                raise ConfigError(f"missing required config value {key!r}")
+        return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -544,8 +579,8 @@ class Kind:
     `keys` names the ExperimentConfig fields that are this kind's own
     config keys; each field declares its key's default, help text and
     parser, and no two kinds name the same field.  `checks` pairs a test
-    of the config with the ConfigError message for when it fails; an own
-    key that must be given is required by one of them.
+    of the parsed config with the ConfigError message for when it fails;
+    an own key that must be given is required by one of them.
     `run_series(cfg)` is the series shared by every sample of a run, or
     None when it depends on f.  `draw(cfg, rng, series)` returns (f,
     attempts, f's series), given the run's series.  `stats(cfg, f,
@@ -598,9 +633,7 @@ KINDS = {
         "Liouville sign-pattern counts against the predicted variance",
         keys=("pattern",),
         checks=((lambda cfg: cfg.pattern,
-                 "pattern is required for sign patterns"),
-                (lambda cfg: all(e in (-1, 1) for e in cfg.pattern),
-                 "pattern entries must be +1 or -1")),
+                 "pattern is required for sign patterns"),),
         draw=_draw,
         stats=lambda cfg, f, sv: _stat(sign_pattern_statistic(
             f, cfg.X, cfg.pattern)),
@@ -656,7 +689,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     one callable that both the pool and the single-worker loop map over
     the sample indices; a bad modulus therefore fails before sampling.
     """
-    cfg = cfg.validate()
     run = functools.partial(run_sample, cfg,
                             series=KINDS[cfg.kind].run_series(cfg))
     indices = range(cfg.samples)

@@ -4,7 +4,8 @@ Reproducibility contract: rerunning the experiment described by a
 manifest produces byte-identical samples.csv and aggregates.csv.  That
 pins down the formatting here: floats are written with repr (shortest
 round-trip form), rationals as "num/den", coefficient tuples in the
-semicolon format, and rows always in sample-index order.
+semicolon format, and rows always in sample-index order.  A manifest's
+config is checked on loading like the flags.
 """
 
 import csv
@@ -12,7 +13,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -90,24 +91,18 @@ def write_aggregates_csv(path: str, result: RunResult) -> None:
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    """ExperimentConfig from a manifest's config, the JSON of asdict(cfg)
-    with every list turned back into a tuple.
+    """ExperimentConfig from a manifest's config, the JSON of asdict(cfg),
+    built by `ExperimentConfig.from_dict` and so checked like the flags.
 
     Manifests written by older versions may carry the retired key
     deterministic_reduction, which never changed a run; it is dropped
-    with a warning.  Any other key that is not an ExperimentConfig field
-    raises ConfigError.
+    with a warning.
     """
     d = dict(d)
     if d.pop("deterministic_reduction", None) is not None:
         warnings.warn("ignoring retired manifest key "
                       "'deterministic_reduction'")
-    known = {f.name for f in fields(ExperimentConfig)}
-    for key in d:
-        if key not in known:
-            raise ConfigError(f"unknown manifest config key {key!r}")
-    return ExperimentConfig(**{key: tuple(v) if isinstance(v, list) else v
-                               for key, v in d.items()}).validate()
+    return ExperimentConfig.from_dict(d)
 
 
 def utc_now_iso() -> str:

@@ -4,17 +4,21 @@ import csv
 import json
 import math
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polyprime.experiments as experiments
 from polyprime.arith import liouville
-from polyprime.cli import main
+from polyprime.cli import _build_cfg, build_parser, main
 from polyprime.experiments import ExperimentConfig, run_experiment
 from polyprime.gowers import gowers_norm_cyclic
-from polyprime.runio import format_cell, load_manifest_config, write_run
+from polyprime.runio import (config_from_dict, format_cell,
+                             load_manifest_config, write_run)
 
 
 def test_no_subcommand_prints_help(capsys):
@@ -121,6 +125,15 @@ def test_bad_integer_flag_names_key(capsys):
     assert "H" in capsys.readouterr().err
 
 
+def test_bad_f0_and_infinite_integer_name_key(capsys):
+    argv = ["linear-forms", "--d", "1", "--H", "30", "--X", "10",
+            "--samples", "2", "--seed", "9"]
+    for flags, key in ((["--f0", ""], "f0"), (["--f0", "1;x"], "f0"),
+                       (["--H", "inf"], "H")):
+        assert main(argv + flags) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+
+
 def test_sign_patterns_end_to_end(tmp_path):
     out = tmp_path / "run"
     rc = main(["sign-patterns", "--d", "1", "--H", "20", "--X", "20",
@@ -181,6 +194,58 @@ def test_manifest_config_replays_each_kind(tmp_path, capsys):
             with open(paths[name], "rb") as fh:
                 assert fh.read() == (out / f"{name}.csv").read_bytes()
     capsys.readouterr()
+
+
+def int_text(lo, hi):
+    """An int in [lo, hi] as a flag writes it, at times as 1eK."""
+    return st.one_of(st.integers(lo, hi).map(str),
+                     st.integers(0, 12).filter(lambda e: lo <= 10 ** e <= hi)
+                     .map(lambda e: f"1e{e}"))
+
+
+def distinct_ints(lo, hi):
+    return st.lists(st.integers(lo, hi), min_size=1, max_size=4,
+                    unique=True).map(lambda v: ",".join(map(str, v)))
+
+
+def own_flags(kind, X):
+    return {
+        "tuples": st.fixed_dictionaries({"shifts": distinct_ints(-X, X)}),
+        # argparse drops a flag value that is exactly "--", so that one
+        # pattern can be given only as -1,-1 on the command line.
+        "sign-patterns": st.fixed_dictionaries({"pattern": st.one_of(
+            st.text("+-", min_size=1, max_size=4).filter(
+                lambda t: t != "--"),
+            st.lists(st.sampled_from(["1", "-1", "+1"]), min_size=1,
+                     max_size=4).map(",".join))}),
+        "poisson-gaps": st.fixed_dictionaries({}, optional={
+            "calL": st.floats(1e-3, 1e3).map(repr),
+            "L": int_text(0, 50)}),
+        "linear-forms": st.fixed_dictionaries({}, optional={
+            "ns": distinct_ints(-20, 20), "M": int_text(1, 100),
+            "f0": st.lists(st.integers(-9, 9), min_size=1, max_size=4)
+            .map(lambda c: ";".join(map(str, c))),
+            "target": st.sampled_from(["von-mangoldt", "liouville"])}),
+    }.get(kind, st.just({}))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_flags_and_manifest_json_build_one_config(data):
+    kind = data.draw(st.sampled_from(sorted(experiments.KINDS)))
+    X = data.draw(st.integers(1, 500))
+    flags = data.draw(st.fixed_dictionaries(
+        {"d": int_text(1, 4), "H": int_text(1, 10 ** 12),
+         "samples": int_text(1, 10 ** 4), "seed": int_text(0, 2 ** 64)},
+        optional={"w": int_text(2, 100), "workers": int_text(1, 8),
+                  "k-max": int_text(1, 8)}))
+    flags["X"] = str(X)
+    flags.update(data.draw(own_flags(kind, X)))
+    argv = [kind, *(f"--{key}={v}" for key, v in flags.items())]
+    cfg, _ = _build_cfg(kind, build_parser().parse_args(argv))
+    doc = json.loads(json.dumps(asdict(cfg)))
+    assert config_from_dict(doc) == cfg
+    assert ExperimentConfig(**doc) == cfg
 
 
 COMMON_FLAGS = ("config", "d", "H", "X", "w", "samples", "seed", "workers",

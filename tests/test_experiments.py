@@ -3,7 +3,7 @@
 import math
 import os
 from collections import Counter
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
@@ -437,7 +437,7 @@ def test_poisson_gaps_window_from_own_log_scale():
 
 def test_config_validation_errors():
     good = dict(kind="chowla-clt", d=1, H=10, X=10, samples=2, seed=0)
-    ExperimentConfig(**good).validate()
+    ExperimentConfig(**good)
     bad_cases = [
         dict(good, kind="nope"),
         dict(good, d=0),
@@ -460,7 +460,7 @@ def test_config_validation_errors():
     ]
     for case in bad_cases:
         with pytest.raises(ConfigError):
-            ExperimentConfig(**case).validate()
+            ExperimentConfig(**case)
 
 
 def test_each_config_key_is_declared_once_on_its_field():
@@ -469,6 +469,8 @@ def test_each_config_key_is_declared_once_on_its_field():
         if f.name != "kind":
             assert f.metadata["help"], f.name
             assert callable(f.metadata["parse"]), f.name
+            if f.default is not MISSING:  # a default passes its parser
+                assert f.metadata["parse"](f.default, f.name) == f.default
     owners = Counter(name for entry in KINDS.values() for name in entry.keys)
     assert set(owners) <= set(names) - {"kind"}
     assert max(owners.values()) == 1

@@ -101,8 +101,71 @@ def test_sample_fieldnames():
 
 def test_config_roundtrip():
     cfg = ExperimentConfig(kind="tuples", d=2, H=100, X=50, samples=10,
-                           seed=99, w=3, shifts=(0, 2)).validate()
+                           seed=99, w=3, shifts=(0, 2))
     assert config_from_dict(asdict(cfg)) == cfg
+
+
+# One malformed value each, on a valid manifest config of the kind; GONE
+# deletes the key.
+GONE = object()
+VALID = dict(d=1, H=30, X=20, samples=3, seed=8)
+BAD_MANIFEST_VALUES = [
+    ("tuples", "shifts", 2),
+    ("chowla-clt", "w", "5"),
+    ("chowla-clt", "k_max", "4"),
+    ("chowla-clt", "H", GONE),
+    ("chowla-clt", "kind", GONE),
+    ("poisson-gaps", "calL", "x"),
+    ("chowla-clt", "d", True),
+    ("chowla-clt", "workers", 2.0),
+    ("linear-forms", "target", 3),
+    ("linear-forms", "f0", []),
+    ("tuples", "pattern", [1, 0]),
+]
+
+
+def names_key(exc, key):
+    """The message names key as a flag spells it."""
+    key = key.replace("_", "-")
+    msg = str(exc.value)
+    return msg.startswith(f"{key}: ") or f"'{key}'" in msg
+
+
+@pytest.mark.parametrize("kind, key, value", BAD_MANIFEST_VALUES)
+def test_bad_manifest_value_is_config_error_naming_key(tmp_path, kind, key,
+                                                       value):
+    d = dict(asdict(ExperimentConfig(kind=kind, shifts=(0, 2), **VALID)),
+             **{key: value})
+    if value is GONE:
+        del d[key]
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(d)
+    assert names_key(exc, key), exc.value
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"config": d}))
+    with pytest.raises(ConfigError) as exc:
+        load_manifest_config(str(path))
+    assert names_key(exc, key), exc.value
+
+
+@pytest.mark.parametrize("kind, key, value",
+                         [case for case in BAD_MANIFEST_VALUES
+                          if case[2] is not GONE])
+def test_bad_value_type_is_config_error_naming_key(kind, key, value):
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig(**dict(dict(VALID, kind=kind, shifts=(0, 2)),
+                                **{key: value}))
+    assert names_key(exc, key), exc.value
+
+
+def test_value_forms_are_normalized():
+    cfg = ExperimentConfig(kind="linear-forms", ns=[1, 2], f0=[1, 0],
+                           shifts=[], pattern=[1, -1], calL=2, **VALID)
+    assert cfg == ExperimentConfig(kind="linear-forms", ns=(1, 2),
+                                   f0=(1, 0), pattern=(1, -1), calL=2.0,
+                                   **VALID)
+    assert (cfg.ns, cfg.f0, cfg.shifts) == ((1, 2), (1, 0), ())
+    assert isinstance(cfg.calL, float)
 
 
 def test_write_run_and_manifest_roundtrip(tmp_path):
@@ -137,7 +200,7 @@ def test_write_run_and_manifest_roundtrip(tmp_path):
     assert doc["subcommand"] == "chowla-clt"
     assert doc["master_seed"] == 11
     assert doc["config"]["H"] == 50
-    assert load_manifest_config(paths["manifest"]) == cfg.validate()
+    assert load_manifest_config(paths["manifest"]) == cfg
 
 
 def test_rerun_from_manifest_is_byte_identical(tmp_path):
