@@ -21,10 +21,15 @@ power of a prime.  For von Mangoldt and primality a value's split stops
 after its first small prime, which settles the answer.
 
 The small primes are found in one of two ways, chosen by size because a
-float64 quotient is exact only below 2**52.  Below it a numpy sieve
-tests every prime p < B in blocks; B is the least power of two >= 32 with
-B**3 above the largest such value, at most 2**16.  At 2**52 and above
-each value is trial-divided by the primes below B = 1024.
+float64 quotient is exact only below 2**52.  Below it a sieve splits the
+values together; B is the least power of two >= 32 with B**3 above the
+largest such value, at most 2**16.  The powers of two come off each
+value by bit operations, then numpy tests the odd primes p < B in
+blocks: the 8 smallest first, then blocks as wide as its buffer of
+2**15 quotients allows.  For von Mangoldt and primality the values that
+a small prime settles, most of them, leave before the wide blocks.  At
+2**52 and above each value is trial-divided by the primes below
+B = 1024.
 
 `factorize` trial-divides the same way, then splits what is left with
 Miller-Rabin, perfect-power extraction and Brent's cycle-finding rho with
@@ -142,16 +147,20 @@ def iroot(n: int, k: int) -> int:
         x = y
 
 
-def perfect_power(m: int):
-    """(base, exp) with m = base**exp, exp >= 2 maximal, else None."""
+def perfect_power(m: int, bound: int = 2):
+    """(base, exp) with m = base**exp, exp >= 2 maximal, else None.
+
+    m must have no prime factor below `bound`.  Then a base is at least
+    `bound`, so only the prime exponents k with bound**k <= m are tried.
+    """
     if m < 4:
         return None
     for p in _TRIAL_PRIMES:
-        if p > m.bit_length():
+        if bound ** p > m:
             break
         r = iroot(m, p)
         if r ** p == m:
-            sub = perfect_power(r)
+            sub = perfect_power(r, bound)
             if sub is not None:
                 return sub[0], sub[1] * p
             return r, p
@@ -243,7 +252,7 @@ def _factor_cofactor(m: int, bound: int, budget: int) -> Counter:
         if _cofactor_is_prime(m, bound):
             found[m] += mult
             continue
-        pw = perfect_power(m)
+        pw = perfect_power(m, bound)
         if pw is not None:
             stack.append((pw[0], mult * pw[1]))
             continue
@@ -273,6 +282,7 @@ _SIEVE_PRIMES = primes_upto(_SIEVE_CAP)
 _SIEVE_PRIMES_F = _SIEVE_PRIMES.astype(np.float64)
 _SIEVE_PRIMES_INT = _SIEVE_PRIMES.tolist()
 _SIEVE_CHUNK = 1 << 15  # elements per numpy block of the sieve
+_FIRST_BLOCK = 8  # odd primes in a row chunk's first block
 _FLOAT_EXACT = 1 << 52  # below this v / p == floor(v / p) iff p | v
 
 
@@ -297,28 +307,37 @@ def _sieve_split(values, full=True):
     row's first prime p is divided out in full, so |v| is a power of p
     iff rest[i] is 1 and small[i] holds p alone.
 
-    p | v is tested in numpy as v / p == floor(v / p) in float64, in
-    blocks of at most _SIEVE_CHUNK elements.  That is exact here: if p
-    does not divide v, v / p is at least 1/p from every integer, which
-    is more than half an ulp of v / p.  As rows leave, the blocks take
-    more primes at a time; the buffers are made once, sized to the call.
+    The blocks run as follows.  The powers of two come off every value
+    first, by bit operations; with full=False an even row leaves there.
+    The odd primes are then tested in numpy, on chunks of at most
+    _SIEVE_CHUNK rows: first the _FIRST_BLOCK smallest, then blocks as
+    wide as _SIEVE_CHUNK // rows allows, a cap the first block obeys too.
+    With full=False the rows settled by a small prime, most of them,
+    leave before the wide blocks, and each later block widens as rows
+    leave.  The buffers are made once, sized to the call.
+
+    p | v is tested as v / p == floor(v / p) in float64.  That is exact
+    here: if p does not divide v, v / p is at least 1/p from every
+    integer, which is more than half an ulp of v / p.
     """
     mags = [abs(int(v)) for v in values]
     bound = _sieve_bound(max(mags, default=0))
-    small = [[] for _ in mags]
-    rest = list(mags)
+    twos = [((m & -m) >> 1).bit_length() for m in mags]  # 0 at m = 0
+    small = [[2] * k for k in twos]
+    rest = [m >> k for m, k in zip(mags, twos)]
     count = int(np.searchsorted(_SIEVE_PRIMES, bound))
     q = np.empty(min(_SIEVE_CHUNK, len(mags) * count))
     fl = np.empty_like(q)
     mask = np.empty(len(q), dtype=bool)
     for r0 in range(0, len(mags), _SIEVE_CHUNK):
         rows = np.array([i for i in range(r0, min(r0 + _SIEVE_CHUNK,
-                                                  len(mags))) if mags[i]],
+                                                  len(mags)))
+                         if rest[i] > 1 and (full or not small[i])],
                         dtype=np.int64)
-        v = np.array([float(mags[i]) for i in rows.tolist()])[:, None]
-        c0 = 0
+        v = np.array([float(rest[i]) for i in rows.tolist()])[:, None]
+        c0, width = 1, _FIRST_BLOCK  # _SIEVE_PRIMES[0] is 2
         while c0 < count and len(rows):
-            c1 = min(c0 + _SIEVE_CHUNK // len(rows), count)
+            c1 = min(c0 + min(width, _SIEVE_CHUNK // len(rows)), count)
             size = len(rows) * (c1 - c0)
             qb = q[:size].reshape(len(rows), c1 - c0)
             fb = fl[:size].reshape(qb.shape)
@@ -338,7 +357,7 @@ def _sieve_split(values, full=True):
                 keep = np.ones(len(rows), dtype=bool)
                 keep[hit_rows] = False
                 rows, v = rows[keep], v[keep]
-            c0 = c1
+            c0, width = c1, count
     return bound, small, rest
 
 
@@ -426,7 +445,7 @@ def von_mangoldt_many(values) -> list:
                 p = r if r * r == m else None
             else:
                 # A maximal exponent leaves a base that is no power.
-                pw = perfect_power(m)
+                pw = perfect_power(m, bound)
                 if pw is not None and _cofactor_is_prime(pw[0], bound):
                     p = pw[0]
         out.append(math.log(p) if p is not None else 0.0)

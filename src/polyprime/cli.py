@@ -17,7 +17,8 @@ from dataclasses import fields
 
 import numpy as np
 
-from .arith import liouville_sieve, mobius_sieve
+from .arith import (factorize, is_prime_many, liouville_many,
+                    liouville_sieve, mobius_sieve, von_mangoldt_many)
 from .errors import BudgetError, ConfigError
 from .experiments import (KINDS, ExperimentConfig, Text, parse_int_exact,
                           parse_int_list, run_experiment)
@@ -63,7 +64,9 @@ def _build_cfg(kind: str, args) -> tuple[ExperimentConfig, str]:
     for key in keys:
         v = getattr(args, key.replace("-", "_"))
         if v is not None:
-            merged[key] = v
+            # argparse removes a value that is exactly "--" (as in
+            # --pattern=--) and hands the flag an empty list instead.
+            merged[key] = "--" if v == [] else v
     out_dir = merged.pop("out-dir", f"runs/{kind}")
     return ExperimentConfig.from_dict(
         {"kind": kind, **{key.replace("-", "_"): Text(v)
@@ -224,6 +227,25 @@ def _selftest_cmd(args) -> int:
         (x2_1, 6, 2, 3), (x2_1, 12, 2, 3), (x2_1, 24, 2, 3))]
     report("tuple series sum identity (x, x^2 + 1; L <= 24, r <= 2)",
            got == [0, 0, 0, 8, 27, 54, 108])
+
+    # The batched kernels split values below 2**52 with the numpy sieve;
+    # factorize trial-divides every value instead.
+    def by_factorize(v):
+        if v == 0:
+            return 0, 0.0, False
+        f = factorize(v)
+        return ((-1) ** f.big_omega,
+                math.log(f.factors[0][0]) if len(f.factors) == 1 else 0.0,
+                f.factors == ((abs(v), 1),))
+
+    mixed = [0, 1, -1, 2, -2, 2 ** 51, -(3 ** 30), 1031 ** 5, 65521 ** 3,
+             -65537 * 65539, 3 * 65537, 999_999_999_989 * 2 ** 9,
+             10 ** 14 + 31, 2 ** 52 - 1, 2 ** 52 + 1, -(2 ** 61 - 1),
+             (2 ** 61 - 1) ** 2, 1031 ** 7, 3 * 5 * 7 * 11 * 1031 ** 4]
+    report("batched kernels agree with factorize (mixed list)",
+           list(zip(liouville_many(mixed), von_mangoldt_many(mixed),
+                    is_prime_many(mixed))) == [by_factorize(v)
+                                               for v in mixed])
 
     return 3 if failures else 0
 

@@ -15,8 +15,9 @@ no per-kind code.
 
 Statistic conventions.  Sums over n always mean 1 <= n <= X.  A zero
 value of f(n) contributes 0 wherever an arithmetic function is applied.
-Each statistic evaluates f once at its points, hands the values to the
-pure batched kernels of `arith` (`liouville_many`, `von_mangoldt_many`,
+Each statistic evaluates f once at each of its points, a range of
+consecutive n by `IntPolynomial.values`, hands the values to the pure
+batched kernels of `arith` (`liouville_many`, `von_mangoldt_many`,
 `is_prime_many`), and counts the zero values it met from that same list;
 the count is reported per sample as zero_evals.  The Bateman-Horn
 statistic of `bh-moments` is the tuple statistic at the one shift 0.
@@ -39,7 +40,8 @@ from .moments import gaussian_moment, sigma_squared
 from .poly import (REJECTION_CAP, IntPolynomial, sample_uniform,
                    sample_uniform_residue)
 from .rng import child_seed, stream
-from .series import series_f, series_f_tuple, series_linear_system
+from .series import (prime_factors_at_most, series_f, series_f_tuple,
+                     series_linear_system)
 
 
 class Text(str):
@@ -162,7 +164,7 @@ class ExperimentConfig:
             raise ConfigError("seed must be a nonnegative integer")
         for ok, message in KINDS[self.kind].checks:
             if not ok(self):
-                raise ConfigError(message)
+                raise ConfigError(message.format_map(vars(self)))
 
     @classmethod
     def from_dict(cls, values: dict) -> "ExperimentConfig":
@@ -261,7 +263,7 @@ def tuple_statistic(f: IntPolynomial, X: int, shifts, w: int,
         series_value = series_f_tuple(f, shifts, w).value
     shifts = list(shifts)
     lo = 1 + min(shifts)
-    vals = [f.eval(m) for m in range(lo, X + max(shifts) + 1)]
+    vals = f.values(lo, X + max(shifts))
     weight = von_mangoldt_many(vals)
     terms = []
     zeros = 0
@@ -280,7 +282,7 @@ def tuple_statistic(f: IntPolynomial, X: int, shifts, w: int,
 def chowla_normalized_sum(f: IntPolynomial, X: int) -> tuple:
     """(sum of the Liouville function along f scaled by X**(-1/2), number
     of zero values of f among f(1..X))."""
-    vals = [f.eval(n) for n in range(1, X + 1)]
+    vals = f.values(1, X)
     return sum(liouville_many(vals)) / math.sqrt(X), vals.count(0)
 
 
@@ -295,7 +297,7 @@ def sign_pattern_statistic(f: IntPolynomial, X: int, pattern) -> tuple:
     """
     eps = tuple(pattern)
     s = len(eps)
-    vals = [f.eval(m) for m in range(2, X + s + 1)]
+    vals = f.values(2, X + s)
     lam = [0, 0] + liouville_many(vals)
     count = 0
     for n in range(1, X + 1):
@@ -316,9 +318,14 @@ def sign_pattern_statistic(f: IntPolynomial, X: int, pattern) -> tuple:
 def interval_count_distribution(f: IntPolynomial, X: int,
                                 L: int) -> EmpiricalDistribution:
     """Distribution of the prime count of f over windows [x, x+L), x <= X."""
+    return _window_count_distribution(f.values(1, X + L - 1), X, L)
+
+
+def _window_count_distribution(vals, X: int, L: int):
+    """`interval_count_distribution` of f, given vals = f(1..X+L-1)."""
     if L < 1:
         raise ConfigError("L must be >= 1")
-    flags = is_prime_many([f.eval(m) for m in range(1, X + L)])
+    flags = is_prime_many(vals)
     running = sum(flags[:L])
     counts = []
     for x in range(1, X + 1):
@@ -483,15 +490,16 @@ def _poisson_gaps_stats(cfg, f, sv):
     integer >= 1 (window_real keeps the unrounded value).  An explicit L
     overrides the window.
     """
-    logscale = math.fsum(math.log(max(abs(f.eval(n)), 2))
-                         for n in range(1, cfg.X + 1)) / cfg.X
+    vals = f.values(1, cfg.X)
+    logscale = math.fsum(math.log(max(abs(v), 2)) for v in vals) / cfg.X
     if cfg.L:
         L = cfg.L
         window_real = float(cfg.L)
     else:
         window_real = cfg.calL * logscale / float(sv.value)
         L = max(1, round(window_real))
-    dist = interval_count_distribution(f, cfg.X, L)
+    dist = _window_count_distribution(
+        vals + f.values(cfg.X + 1, cfg.X + L - 1), cfg.X, L)
     return {"window": L,
             "window_real": window_real,
             "mean_count": dist.moment(1),
@@ -579,8 +587,9 @@ class Kind:
     `keys` names the ExperimentConfig fields that are this kind's own
     config keys; each field declares its key's default, help text and
     parser, and no two kinds name the same field.  `checks` pairs a test
-    of the parsed config with the ConfigError message for when it fails;
-    an own key that must be given is required by one of them.
+    of the parsed config with the ConfigError message for when it fails,
+    in which a field name in braces, as in {w}, stands for its value; an
+    own key that must be given is required by one of them.
     `run_series(cfg)` is the series shared by every sample of a run, or
     None when it depends on f.  `draw(cfg, rng, series)` returns (f,
     attempts, f's series), given the run's series.  `stats(cfg, f,
@@ -657,6 +666,13 @@ KINDS = {
                 (lambda cfg: len(set(cfg.ns)) == len(cfg.ns),
                  "ns entries must be distinct"),
                 (lambda cfg: cfg.M >= 1, "M must be >= 1"),
+                (lambda cfg: prime_factors_at_most(cfg.M, cfg.w),
+                 "M must have no prime factor above w={w}"),
+                (lambda cfg: cfg.M <= 2 * cfg.H + 1,
+                 "M must be at most 2H+1 (H={H}), or the residue class "
+                 "may be empty"),
+                (lambda cfg: len(cfg.f0) <= cfg.d + 1,
+                 "f0 must have at most d+1 coefficients (d={d})"),
                 (lambda cfg: cfg.target in ("von-mangoldt", "liouville"),
                  "target must be von-mangoldt or liouville")),
         run_series=lambda cfg: series_linear_system(

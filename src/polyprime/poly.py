@@ -6,6 +6,7 @@ keep a fixed coefficient length.  Evaluation is exact arbitrary-precision
 arithmetic throughout.
 """
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -37,6 +38,20 @@ class IntPolynomial:
         for c in reversed(self.coeffs):
             v = v * n + c
         return v
+
+    def values(self, lo: int, hi: int) -> list:
+        """[f(lo), ..., f(hi)], exactly: d nested running sums of the
+        forward differences of f at lo, of which the d-th is constant.
+        Empty when hi < lo."""
+        d = self.degree
+        diffs = [self.eval(n) for n in range(lo, lo + d + 1)]
+        for k in range(1, d + 1):  # diffs[k] becomes the k-th difference
+            for i in range(d, k - 1, -1):
+                diffs[i] -= diffs[i - 1]
+        seq = itertools.repeat(diffs[d])
+        for start in reversed(diffs[:d]):
+            seq = itertools.accumulate(seq, initial=start)
+        return list(itertools.islice(seq, max(hi - lo + 1, 0)))
 
     def reduce_mod(self, M: int) -> "IntPolynomial":
         """Coefficientwise canonical representatives in [0, M)."""

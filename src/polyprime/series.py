@@ -69,6 +69,16 @@ def series_f_tuple(f: IntPolynomial, shifts, w: int) -> TruncatedSeries:
     return _assemble(w, factors)
 
 
+def prime_factors_at_most(M: int, w: int) -> bool:
+    """Whether every prime factor of M >= 1 is at most w."""
+    p = 2
+    while p <= w and p * p <= M:
+        while M % p == 0:
+            M //= p
+        p += 1
+    return M <= w  # M is now 1, a prime, or free of primes up to w
+
+
 def series_linear_system(ns, f0: IntPolynomial, M: int, w: int,
                          d: int) -> TruncatedSeries:
     """Series for averages over f congruent to f0 mod M, truncated at w.
@@ -88,12 +98,7 @@ def series_linear_system(ns, f0: IntPolynomial, M: int, w: int,
     if len(set(ns)) != len(ns):
         raise ConfigError("evaluation points must be distinct")
     t = len(ns)
-    rem = M
-    for p in primes_upto(w):
-        p = int(p)
-        while rem % p == 0:
-            rem //= p
-    if rem != 1:
+    if not prime_factors_at_most(M, w):
         raise ConfigError(f"modulus {M} has a prime factor above w={w}")
     factors = []
     for p in primes_upto(w):

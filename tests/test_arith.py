@@ -113,6 +113,21 @@ def test_perfect_power():
     assert perfect_power(PRIME_1E18 ** 2) == (PRIME_1E18, 2)
 
 
+def test_perfect_power_bound_against_sympy():
+    # Cofactors m >= B**3 free of primes below B, as the batched kernels
+    # and factorize pass them on with their B: prime powers up to
+    # exponent 12, powers of products, and products that are no power.
+    for bound in (1024, 2 ** 16):
+        p, q, r = (sympy.nextprime(bound * c) for c in (1, 5, 2 ** 20))
+        ms = [b ** k for b in (p, q, r, p * q, p * r) for k in range(1, 13)]
+        ms += [p ** 3 * q, p ** 2 * q ** 4, p * q * r, (p * q) ** 2 * r ** 2]
+        for m in (m for m in ms if m >= bound ** 3):
+            want = sympy.perfect_power(m)
+            got = perfect_power(m, bound=bound)
+            assert got == (tuple(want) if want else None), m
+            assert perfect_power(m) == got, m
+
+
 def test_perfect_power_exhaustive_small():
     powers = {}
     for b in range(2, 100):
@@ -392,6 +407,57 @@ def test_sieve_split_against_sympy():
     assert stopped
 
 
+def check_sieve_split(values, full):
+    """The contract of _sieve_split, value by value, against the product
+    of the primes below B: a full split leaves a rest coprime to it, and a
+    stopped one a prefix of the full split, ending with all of its first
+    prime."""
+    bound, small, rest = arith._sieve_split(values, full=True)
+    below = math.prod(sympy.primerange(bound))
+    for v, ps, m in zip(values, small, rest):
+        assert ps == sorted(ps) and all(p < bound for p in ps), v
+        assert all(sympy.isprime(p) for p in set(ps)), v
+        assert m * math.prod(ps) == abs(v), v
+        assert math.gcd(m, below) == 1 or v == 0, v
+    if full:
+        return
+    got = arith._sieve_split(values, full=False)
+    assert got[0] == bound
+    for v, ps, m, whole in zip(values, *got[1:], small):
+        assert ps == whole[:len(ps)] and bool(ps) == bool(whole), v
+        assert not ps or ps.count(ps[0]) == whole.count(ps[0]), v
+        assert m * math.prod(ps) == abs(v), v
+
+
+EDGE_SPLIT_VALUES = [0, 1, -1, *(s * 2 ** k for k in range(52)
+                                 for s in (1, -1, 3, -7))]
+
+
+def test_sieve_split_edge_values():
+    values = [v for v in EDGE_SPLIT_VALUES if abs(v) < 2 ** 52]
+    for full in (True, False):
+        check_sieve_split(values, full)
+    bound, small, rest = arith._sieve_split(values, full=False)
+    assert small[:3] == [[], [], []] and rest[:3] == [0, 1, 1]
+    for v, ps, m in zip(values[3:], small[3:], rest[3:]):
+        twos = (abs(v) & -abs(v)).bit_length() - 1
+        assert ps == [2] * twos if twos else ps in ([], [3], [7]), v
+
+
+def test_sieve_split_long_lists():
+    # Past _SIEVE_CHUNK // 8 rows a first block of 8 primes no longer
+    # fits the buffer, and past _SIEVE_CHUNK rows the rows come in
+    # chunks; a stopped split must still follow the contract.
+    assert arith._SIEVE_CHUNK // 8 < 5009 < arith._SIEVE_CHUNK
+    rng = stream(20260818, 108)
+    values = [rng.randrange(-2 ** 48, 2 ** 48) for _ in range(5009)]
+    check_sieve_split(values + EDGE_SPLIT_VALUES[:90], full=False)
+    values = list(range(-17000, 17000)) + EDGE_SPLIT_VALUES[:50]
+    assert len(values) > arith._SIEVE_CHUNK
+    for full in (True, False):
+        check_sieve_split(values, full)
+
+
 def test_batched_kernels_route_by_size(monkeypatch):
     # Values of 2**52 and more are trial-divided one at a time; the sieve
     # sees only the smaller ones, in order, with its bound taken from
@@ -441,7 +507,7 @@ def test_large_values_match_sympy(monkeypatch):
     want, got = _sympy_and_batched(LARGE_VALUES)
     assert got == want
     assert {("_trial_split", True), ("_trial_split", False),
-            ("perfect_power",),
+            ("perfect_power", 1024),
             ("_factor_cofactor", 1024, DEFAULT_RHO_BUDGET)} <= set(calls)
     assert [liouville(v) for v in LARGE_VALUES] == want[0]
     assert [von_mangoldt(v) for v in LARGE_VALUES] == want[1]

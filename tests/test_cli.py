@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import polyprime.experiments as experiments
 from polyprime.arith import liouville
 from polyprime.cli import _build_cfg, build_parser, main
+from polyprime.errors import ConfigError
 from polyprime.experiments import ExperimentConfig, run_experiment
 from polyprime.gowers import gowers_norm_cyclic
 from polyprime.runio import (config_from_dict, format_cell,
@@ -134,6 +135,50 @@ def test_bad_f0_and_infinite_integer_name_key(capsys):
         assert capsys.readouterr().err.startswith(f"config error: {key}: ")
 
 
+def test_linear_forms_refused_when_built(monkeypatch, capsys):
+    # Each of these once failed only after the run had started; now the
+    # config refuses it, naming the key, before any sampling or series.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(experiments, "run_experiment", refuse)
+    monkeypatch.setattr("polyprime.cli.run_experiment", refuse)
+    argv = ["linear-forms", "--H", "30", "--X", "1", "--samples", "2",
+            "--seed", "9"]
+    for flags, key in ((["--f0", "1;2;3", "--d", "1"], "f0"),
+                       (["--f0", "1;0;0", "--d", "1"], "f0"),
+                       (["--M", "14", "--w", "5", "--d", "1"], "M"),
+                       (["--M", "200", "--H", "3", "--d", "1"], "M")):
+        assert main(argv + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} must "), err
+        assert re.search(r"\((d|H)=\d+\)|w=5$", err.strip()), err
+    keys = {"kind": "linear-forms", "d": 1, "H": 30, "X": 1, "samples": 2,
+            "seed": 9}
+    for bad in ({"f0": (1, 2, 3)}, {"M": 14}, {"M": 61, "H": 30}):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**{**keys, **bad})
+    # The edges themselves are fine: d+1 coefficients, M = 2H+1 when its
+    # prime factors are at most w, a prime M = w.
+    for good in ({"f0": (1, 2)}, {"M": 9, "H": 4, "w": 3}, {"M": 7, "w": 7}):
+        ExperimentConfig(**{**keys, **good})
+
+
+def test_all_minus_pattern_of_length_two(tmp_path):
+    # argparse hands a flag whose value is exactly "--" an empty list.
+    argv = ["sign-patterns", "--d", "1", "--H", "20", "--X", "20",
+            "--samples", "4", "--seed", "3"]
+    for i, pattern in enumerate(("--pattern=--", "--pattern=-1,-1")):
+        assert main(argv + [pattern, "--out-dir", str(tmp_path / str(i))]) \
+            == 0
+    doc = json.loads((tmp_path / "0" / "manifest.json").read_text())
+    assert doc["config"]["pattern"] == [-1, -1]
+    for name in ("samples.csv", "aggregates.csv"):
+        assert (tmp_path / "0" / name).read_bytes() == \
+            (tmp_path / "1" / name).read_bytes()
+    assert main(argv[:1] + ["--d=--"] + argv[3:] + ["--pattern=+-"]) == 1
+
+
 def test_sign_patterns_end_to_end(tmp_path):
     out = tmp_path / "run"
     rc = main(["sign-patterns", "--d", "1", "--H", "20", "--X", "20",
@@ -208,22 +253,25 @@ def distinct_ints(lo, hi):
                     unique=True).map(lambda v: ",".join(map(str, v)))
 
 
-def own_flags(kind, X):
+def own_flags(kind, X, d, H, w):
+    """A kind's own flags, valid beside the common keys d, H and w."""
+    # A modulus is a product of primes up to w, and at most 2H+1.
+    moduli = st.lists(st.sampled_from(list(sympy.primerange(2, w + 1))),
+                      max_size=3).map(math.prod).filter(
+                          lambda M: M <= min(100, 2 * H + 1))
     return {
         "tuples": st.fixed_dictionaries({"shifts": distinct_ints(-X, X)}),
-        # argparse drops a flag value that is exactly "--", so that one
-        # pattern can be given only as -1,-1 on the command line.
         "sign-patterns": st.fixed_dictionaries({"pattern": st.one_of(
-            st.text("+-", min_size=1, max_size=4).filter(
-                lambda t: t != "--"),
+            st.text("+-", min_size=1, max_size=4),
             st.lists(st.sampled_from(["1", "-1", "+1"]), min_size=1,
                      max_size=4).map(",".join))}),
         "poisson-gaps": st.fixed_dictionaries({}, optional={
             "calL": st.floats(1e-3, 1e3).map(repr),
             "L": int_text(0, 50)}),
         "linear-forms": st.fixed_dictionaries({}, optional={
-            "ns": distinct_ints(-20, 20), "M": int_text(1, 100),
-            "f0": st.lists(st.integers(-9, 9), min_size=1, max_size=4)
+            "ns": distinct_ints(-20, 20), "M": moduli.map(str),
+            "f0": st.lists(st.integers(-9, 9), min_size=1,
+                           max_size=min(4, d + 1))
             .map(lambda c: ";".join(map(str, c))),
             "target": st.sampled_from(["von-mangoldt", "liouville"])}),
     }.get(kind, st.just({}))
@@ -240,7 +288,9 @@ def test_flags_and_manifest_json_build_one_config(data):
         optional={"w": int_text(2, 100), "workers": int_text(1, 8),
                   "k-max": int_text(1, 8)}))
     flags["X"] = str(X)
-    flags.update(data.draw(own_flags(kind, X)))
+    d, H, w = (experiments.parse_int_exact(flags.get(key, "5"), key)
+               for key in ("d", "H", "w"))
+    flags.update(data.draw(own_flags(kind, X, d, H, w)))
     argv = [kind, *(f"--{key}={v}" for key, v in flags.items())]
     cfg, _ = _build_cfg(kind, build_parser().parse_args(argv))
     doc = json.loads(json.dumps(asdict(cfg)))
@@ -410,5 +460,5 @@ def test_gowers_budget_exit_code():
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count(": ok") == 5
+    assert out.count(": ok") == 6
     assert "FAIL" not in out

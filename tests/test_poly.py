@@ -33,6 +33,23 @@ def test_eval_exact_bignum():
     assert f.eval(10 ** 6) == 10 ** 9 * 10 ** 18 + 1
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=1, max_size=7),
+       st.integers(-10 ** 6, 10 ** 6), st.integers(-1, 40))
+def test_values_match_eval(coeffs, lo, count):
+    # Degrees 0 to 6; count 1 is lo == hi and count 0 or -1 is empty.
+    f = IntPolynomial(tuple(coeffs))
+    assert f.values(lo, lo + count - 1) == \
+        [f.eval(n) for n in range(lo, lo + count)]
+
+
+def test_values_examples():
+    assert X2_X_2.values(-2, 2) == [4, 2, 2, 4, 8]
+    assert IntPolynomial((7,)).values(5, 7) == [7, 7, 7]
+    assert X.values(3, 3) == [3]
+    assert X.values(3, 2) == []
+
+
 def test_degree_allows_zero_leading_coefficient():
     f = IntPolynomial((3, 1, 0))
     assert f.degree == 2

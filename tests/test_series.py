@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from polyprime.arith import primes_upto
 from polyprime.errors import BudgetError, ConfigError
@@ -14,6 +15,7 @@ from polyprime.series import (
     interchange_identity_check,
     lemma_lower_bound,
     lemma_upper_bound,
+    prime_factors_at_most,
     series_f,
     series_f_tuple,
     series_linear_system,
@@ -252,3 +254,13 @@ def test_tuple_sum_budget():
         tuple_sum_identity_residual(X, 3000, 3, 2)
     with pytest.raises(ConfigError):
         tuple_sum_identity_residual(X, 0, 1, 2)
+
+
+def test_prime_factors_at_most_against_sympy():
+    for M in range(1, 2000):
+        fac = sympy.factorint(M)
+        for w in (2, 3, 4, 5, 6, 7, 41, 43, 44):
+            assert prime_factors_at_most(M, w) == \
+                all(p <= w for p in fac), (M, w)
+    assert prime_factors_at_most(2 ** 40 * 3 ** 20 * 65521, 65521)
+    assert not prime_factors_at_most(3 * (2 ** 61 - 1), 10 ** 6)
