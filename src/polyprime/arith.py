@@ -147,20 +147,16 @@ def iroot(n: int, k: int) -> int:
         x = y
 
 
-def perfect_power(m: int, bound: int = 2):
-    """(base, exp) with m = base**exp, exp >= 2 maximal, else None.
-
-    m must have no prime factor below `bound`.  Then a base is at least
-    `bound`, so only the prime exponents k with bound**k <= m are tried.
-    """
+def perfect_power(m: int):
+    """(base, exp) with m = base**exp, exp >= 2 maximal, else None."""
     if m < 4:
         return None
     for p in _TRIAL_PRIMES:
-        if bound ** p > m:
+        if p > m.bit_length():
             break
         r = iroot(m, p)
         if r ** p == m:
-            sub = perfect_power(r, bound)
+            sub = perfect_power(r)
             if sub is not None:
                 return sub[0], sub[1] * p
             return r, p
@@ -252,7 +248,7 @@ def _factor_cofactor(m: int, bound: int, budget: int) -> Counter:
         if _cofactor_is_prime(m, bound):
             found[m] += mult
             continue
-        pw = perfect_power(m, bound)
+        pw = perfect_power(m)
         if pw is not None:
             stack.append((pw[0], mult * pw[1]))
             continue
@@ -445,7 +441,7 @@ def von_mangoldt_many(values) -> list:
                 p = r if r * r == m else None
             else:
                 # A maximal exponent leaves a base that is no power.
-                pw = perfect_power(m, bound)
+                pw = perfect_power(m)
                 if pw is not None and _cofactor_is_prime(pw[0], bound):
                     p = pw[0]
         out.append(math.log(p) if p is not None else 0.0)

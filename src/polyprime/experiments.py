@@ -19,7 +19,9 @@ Each statistic evaluates f once at each of its points, a range of
 consecutive n by `IntPolynomial.values`, hands the values to the pure
 batched kernels of `arith` (`liouville_many`, `von_mangoldt_many`,
 `is_prime_many`), and counts the zero values it met from that same list;
-the count is reported per sample as zero_evals.  The Bateman-Horn
+the count is reported per sample as zero_evals.  poisson-gaps is the
+exception: it evaluates f(1..X) once for its scale and again for its
+windows.  The Bateman-Horn
 statistic of `bh-moments` is the tuple statistic at the one shift 0.
 """
 
@@ -164,7 +166,7 @@ class ExperimentConfig:
             raise ConfigError("seed must be a nonnegative integer")
         for ok, message in KINDS[self.kind].checks:
             if not ok(self):
-                raise ConfigError(message.format_map(vars(self)))
+                raise ConfigError(message)
 
     @classmethod
     def from_dict(cls, values: dict) -> "ExperimentConfig":
@@ -318,14 +320,9 @@ def sign_pattern_statistic(f: IntPolynomial, X: int, pattern) -> tuple:
 def interval_count_distribution(f: IntPolynomial, X: int,
                                 L: int) -> EmpiricalDistribution:
     """Distribution of the prime count of f over windows [x, x+L), x <= X."""
-    return _window_count_distribution(f.values(1, X + L - 1), X, L)
-
-
-def _window_count_distribution(vals, X: int, L: int):
-    """`interval_count_distribution` of f, given vals = f(1..X+L-1)."""
     if L < 1:
         raise ConfigError("L must be >= 1")
-    flags = is_prime_many(vals)
+    flags = is_prime_many(f.values(1, X + L - 1))
     running = sum(flags[:L])
     counts = []
     for x in range(1, X + 1):
@@ -498,8 +495,7 @@ def _poisson_gaps_stats(cfg, f, sv):
     else:
         window_real = cfg.calL * logscale / float(sv.value)
         L = max(1, round(window_real))
-    dist = _window_count_distribution(
-        vals + f.values(cfg.X + 1, cfg.X + L - 1), cfg.X, L)
+    dist = interval_count_distribution(f, cfg.X, L)
     return {"window": L,
             "window_real": window_real,
             "mean_count": dist.moment(1),
@@ -587,9 +583,8 @@ class Kind:
     `keys` names the ExperimentConfig fields that are this kind's own
     config keys; each field declares its key's default, help text and
     parser, and no two kinds name the same field.  `checks` pairs a test
-    of the parsed config with the ConfigError message for when it fails,
-    in which a field name in braces, as in {w}, stands for its value; an
-    own key that must be given is required by one of them.
+    of the parsed config with the ConfigError message for when it fails;
+    an own key that must be given is required by one of them.
     `run_series(cfg)` is the series shared by every sample of a run, or
     None when it depends on f.  `draw(cfg, rng, series)` returns (f,
     attempts, f's series), given the run's series.  `stats(cfg, f,
@@ -667,12 +662,12 @@ KINDS = {
                  "ns entries must be distinct"),
                 (lambda cfg: cfg.M >= 1, "M must be >= 1"),
                 (lambda cfg: prime_factors_at_most(cfg.M, cfg.w),
-                 "M must have no prime factor above w={w}"),
+                 "M must have no prime factor above w"),
                 (lambda cfg: cfg.M <= 2 * cfg.H + 1,
-                 "M must be at most 2H+1 (H={H}), or the residue class "
+                 "M must be at most 2H+1, or the residue class "
                  "may be empty"),
                 (lambda cfg: len(cfg.f0) <= cfg.d + 1,
-                 "f0 must have at most d+1 coefficients (d={d})"),
+                 "f0 must have at most d+1 coefficients"),
                 (lambda cfg: cfg.target in ("von-mangoldt", "liouville"),
                  "target must be von-mangoldt or liouville")),
         run_series=lambda cfg: series_linear_system(

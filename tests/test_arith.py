@@ -113,21 +113,6 @@ def test_perfect_power():
     assert perfect_power(PRIME_1E18 ** 2) == (PRIME_1E18, 2)
 
 
-def test_perfect_power_bound_against_sympy():
-    # Cofactors m >= B**3 free of primes below B, as the batched kernels
-    # and factorize pass them on with their B: prime powers up to
-    # exponent 12, powers of products, and products that are no power.
-    for bound in (1024, 2 ** 16):
-        p, q, r = (sympy.nextprime(bound * c) for c in (1, 5, 2 ** 20))
-        ms = [b ** k for b in (p, q, r, p * q, p * r) for k in range(1, 13)]
-        ms += [p ** 3 * q, p ** 2 * q ** 4, p * q * r, (p * q) ** 2 * r ** 2]
-        for m in (m for m in ms if m >= bound ** 3):
-            want = sympy.perfect_power(m)
-            got = perfect_power(m, bound=bound)
-            assert got == (tuple(want) if want else None), m
-            assert perfect_power(m) == got, m
-
-
 def test_perfect_power_exhaustive_small():
     powers = {}
     for b in range(2, 100):
@@ -507,7 +492,7 @@ def test_large_values_match_sympy(monkeypatch):
     want, got = _sympy_and_batched(LARGE_VALUES)
     assert got == want
     assert {("_trial_split", True), ("_trial_split", False),
-            ("perfect_power", 1024),
+            ("perfect_power",),
             ("_factor_cofactor", 1024, DEFAULT_RHO_BUDGET)} <= set(calls)
     assert [liouville(v) for v in LARGE_VALUES] == want[0]
     assert [von_mangoldt(v) for v in LARGE_VALUES] == want[1]

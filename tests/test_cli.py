@@ -152,7 +152,6 @@ def test_linear_forms_refused_when_built(monkeypatch, capsys):
         assert main(argv + flags) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {key} must "), err
-        assert re.search(r"\((d|H)=\d+\)|w=5$", err.strip()), err
     keys = {"kind": "linear-forms", "d": 1, "H": 30, "X": 1, "samples": 2,
             "seed": 9}
     for bad in ({"f0": (1, 2, 3)}, {"M": 14}, {"M": 61, "H": 30}):

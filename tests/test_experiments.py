@@ -684,7 +684,7 @@ def test_linear_forms_modulus_above_w_fails_before_sampling(
                "--M", "14", "--f0", "1;0", "--w", "5", "--seed", "1",
                "--out-dir", str(tmp_path)])
     assert rc == 1
-    assert "prime factor above w=5" in capsys.readouterr().err
+    assert "M must have no prime factor above w" in capsys.readouterr().err
 
 
 def test_traced_functions_are_called_through_module_globals(monkeypatch):
