@@ -25,7 +25,7 @@ from .moments import (MomentPolynomial, gaussian_coefficient_sum,
                       poisson_raw_moment, sigma_squared, stein_chen_check,
                       stirling2)
 from .poly import (IntPolynomial, count_unit_tuples_linear_system,
-                   count_unit_values_mod_p, poly_from_text, sample_uniform,
+                   count_unit_values_mod_p, sample_uniform,
                    sample_uniform_residue)
 from .series import (TruncatedSeries, interchange_identity_check,
                      lemma_lower_bound, lemma_upper_bound, series_f,

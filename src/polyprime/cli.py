@@ -1,37 +1,38 @@
 """Command line front end.
 
-One subcommand per entry of `experiments.KINDS`, with a flag per config
-key built from its ExperimentConfig field, plus exact-computation
-helpers.  Config can come from a key=value file (--config) with
-individual flags taking precedence; the merged text goes as `Text` to
-`ExperimentConfig.from_dict`, which parses and checks it.  Exit codes:
-0 success, 1 configuration problem, 2 exhausted arithmetic budget, 3
-self-test failure.
+One subcommand per entry of `experiments.KINDS`, plus series, gowers and
+selftest.  Each but selftest builds one config with a flag per config key,
+made from its field; an experiment's keys can also come from a key=value
+file (--config), under the flags.  The merged text goes as `Text` to the
+config's `from_dict`, which parses and checks it.  A gowers manifest's
+config holds target, N, M, s and multiplier.  Exit codes: 0 success, 1
+configuration problem, 2 exhausted arithmetic budget, 3 self-test failure.
 """
 
 import argparse
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 
 from .arith import (factorize, is_prime_many, liouville_many,
                     liouville_sieve, mobius_sieve, von_mangoldt_many)
+from .config import GowersConfig, SeriesConfig, Text
 from .errors import BudgetError, ConfigError
-from .experiments import (KINDS, ExperimentConfig, Text, parse_int_exact,
-                          parse_int_list, run_experiment)
-from .gowers import gowers_norm_cyclic, interval_embedding
+from .experiments import KINDS, ExperimentConfig, run_experiment
+from .gowers import gowers_norm_cyclic, gowers_norm_interval
 from .moments import poisson_central_moment, stein_chen_check
-from .poly import IntPolynomial, poly_from_text, sample_uniform
+from .poly import IntPolynomial, sample_uniform
 from .rng import stream
 from .runio import (format_cell, load_config_file, utc_now_iso, write_csv,
                     write_manifest, write_run)
-from .series import (interchange_identity_check, series_f, series_f_tuple,
+from .series import (interchange_identity_check, series_f_tuple,
                      tuple_sum_identity_residual)
 
 OUT_DIR_HELP = "output directory (default runs/<subcommand>)"
+CONFIGS = {"series": SeriesConfig, "gowers": GowersConfig}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,45 +42,54 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _config_keys(kind: str) -> dict:
-    """A kind's config keys in --help order, each with its help text:
-    the ExperimentConfig fields no kind names (`kind` has no metadata
-    and is no key), then out-dir, the one key only the command line has,
-    then the kind's own."""
-    named = {name for entry in KINDS.values() for name in entry.keys}
-    helps = {f.name: f.metadata["help"] for f in fields(ExperimentConfig)
-             if f.metadata}
-    helps["out_dir"] = OUT_DIR_HELP
-    names = [*(name for name in helps if name not in named),
-             *KINDS[kind].keys]
-    return {name.replace("_", "-"): helps[name] for name in names}
+def _config_keys(name: str) -> dict:
+    """A subcommand's config keys in --help order, each with its help text
+    and whether its flag is required (no default and no --config file):
+    for a kind, the ExperimentConfig keys no kind names, out-dir (the one
+    key only the command line has) and its own; else its config's keys,
+    and out-dir for gowers."""
+    keys = {f.name: (f.metadata["help"],
+                     name not in KINDS and f.default is MISSING)
+            for f in fields(CONFIGS.get(name, ExperimentConfig))
+            if f.metadata}
+    if name in KINDS:
+        named = {key for entry in KINDS.values() for key in entry.keys}
+        keys = {**{key: v for key, v in keys.items() if key not in named},
+                "out_dir": (OUT_DIR_HELP, False),
+                **{key: keys[key] for key in KINDS[name].keys}}
+    elif name == "gowers":
+        keys["out_dir"] = ("also write gowers.csv and a manifest here", False)
+    return {key.replace("_", "-"): v for key, v in keys.items()}
 
 
-def _build_cfg(kind: str, args) -> tuple[ExperimentConfig, str]:
-    keys = _config_keys(kind)
-    merged = load_config_file(args.config) if args.config else {}
+def _build_cfg(name: str, args) -> tuple:
+    """A subcommand's config from its flags over a --config file's keys,
+    and its out-dir (default: runs/<kind> for a kind, else None)."""
+    keys = _config_keys(name)
+    merged = load_config_file(args.config) \
+        if getattr(args, "config", None) else {}
     for key in merged:
         if key not in keys:
-            raise ConfigError(f"unknown config key {key!r} for {kind}")
+            raise ConfigError(f"unknown config key {key!r} for {name}")
     for key in keys:
         v = getattr(args, key.replace("-", "_"))
         if v is not None:
             # argparse removes a value that is exactly "--" (as in
             # --pattern=--) and hands the flag an empty list instead.
             merged[key] = "--" if v == [] else v
-    out_dir = merged.pop("out-dir", f"runs/{kind}")
-    return ExperimentConfig.from_dict(
-        {"kind": kind, **{key.replace("-", "_"): Text(v)
-                          for key, v in merged.items()}}), out_dir
+    values = {key.replace("-", "_"): Text(v) for key, v in merged.items()}
+    if name in KINDS:
+        values = {"kind": name, "out_dir": f"runs/{name}", **values}
+    out_dir = values.pop("out_dir", None)
+    return CONFIGS.get(name, ExperimentConfig).from_dict(values), out_dir
 
 
-def _run_experiment_cmd(kind: str, args) -> int:
-    cfg, out_dir = _build_cfg(kind, args)
+def _run_experiment_cmd(cfg: ExperimentConfig, out_dir: str) -> int:
     started = utc_now_iso()
     result = run_experiment(cfg)
     finished = utc_now_iso()
     paths = write_run(out_dir, result, started, finished)
-    print(f"{kind}: {cfg.samples} samples, seed {cfg.seed}")
+    print(f"{cfg.kind}: {cfg.samples} samples, seed {cfg.seed}")
     def short(x):
         return "-" if math.isnan(x) else f"{x:.6g}"
 
@@ -96,85 +106,50 @@ def _run_experiment_cmd(kind: str, args) -> int:
     return 0
 
 
-def _series_cmd(args) -> int:
-    f = poly_from_text(args.poly)
-    w = parse_int_exact(args.w, "w")
-    if args.shifts:
-        ts = series_f_tuple(f, parse_int_list(args.shifts, "shifts"), w)
-    else:
-        ts = series_f(f, w)
-    if args.factors:
+def _series_cmd(cfg: SeriesConfig, factors: bool) -> int:
+    ts = series_f_tuple(IntPolynomial(cfg.poly), cfg.shifts, cfg.w)
+    if factors:
         for p, fac in ts.local_factors:
             print(f"p={p} factor={fac.numerator}/{fac.denominator}")
     print(ts.to_text())
     return 0
 
 
-def _gowers_values(target: str, mode: str, size: int, multiplier: int):
-    """(values array, domain label) for one gowers CSV row."""
-    if mode == "cyclic":
-        M = size
-        if target == "one":
-            return np.ones(M), M
-        if target == "delta":
-            arr = np.zeros(M)
-            arr[0] = 1.0
-            return arr, M
-        sieve = liouville_sieve(M) if target == "liouville" \
-            else mobius_sieve(M)
-        arr = sieve[:M].astype(np.float64)
-        arr[0] = sieve[M]
-        return arr, M
-    N = size
-    if target == "one":
-        func = lambda n: 1.0
-    elif target == "delta":
-        func = lambda n: 1.0 if n == 1 else 0.0
+def _gowers_norm(cfg: GowersConfig, size: int) -> float:
+    """The U^s norm of cfg.target on the interval [1, size] when cfg has
+    N, else on Z/(size)Z with f(n) at n mod size for n = 1..size."""
+    if cfg.target in ("one", "delta"):  # delta is 1 at n = 1 only
+        f = np.arange(size + 1) == 1 if cfg.target == "delta" \
+            else np.ones(size + 1)
     else:
-        sieve = liouville_sieve(N) if target == "liouville" \
-            else mobius_sieve(N)
-        func = lambda n: float(sieve[n])
-    arr, M = interval_embedding(func, N, multiplier=multiplier)
-    return arr, N
+        f = (liouville_sieve if cfg.target == "liouville"
+             else mobius_sieve)(size)
+    if cfg.N:
+        return gowers_norm_interval(f.__getitem__, size, cfg.s,
+                                    cfg.multiplier)
+    return gowers_norm_cyclic(np.roll(f[1:], 1), cfg.s)
 
 
-def _gowers_cmd(args) -> int:
-    if bool(args.N) == bool(args.M):
-        raise ConfigError("give exactly one of --N (interval) or "
-                          "--M (cyclic)")
-    mode = "interval" if args.N else "cyclic"
-    sizes = parse_int_list(args.N or args.M, "N" if args.N else "M")
-    s = parse_int_exact(args.s, "s")
-    multiplier = parse_int_exact(args.multiplier, "multiplier")
-    if args.target not in ("one", "delta", "liouville", "mobius"):
-        raise ConfigError(f"unknown gowers target {args.target!r}")
+def _gowers_cmd(cfg: GowersConfig, out_dir) -> int:
     started = utc_now_iso()
-    rows = []
-    for size in sizes:
-        values, label = _gowers_values(args.target, mode, size, multiplier)
-        norm = gowers_norm_cyclic(values, s)
-        rows.append([label, s, norm])
+    rows = [[size, cfg.s, _gowers_norm(cfg, size)]
+            for size in cfg.N or cfg.M]
     finished = utc_now_iso()
-    fields = ["N" if mode == "interval" else "M", "s", "norm"]
     for row in rows:
         print(",".join(format_cell(v) for v in row))
-    if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
-        path = os.path.join(args.out_dir, "gowers.csv")
-        write_csv(path, fields, rows)
-        write_manifest(
-            os.path.join(args.out_dir, "manifest.json"),
-            {"subcommand": "gowers",
-             "config": {"target": args.target, "mode": mode,
-                        "sizes": list(sizes), "s": s,
-                        "multiplier": multiplier},
-             "outputs": {"csv": "gowers.csv"}},
-            started, finished)
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        path = os.path.join(out_dir, "gowers.csv")
+        write_csv(path, ["N" if cfg.N else "M", "s", "norm"], rows)
+        write_manifest(os.path.join(out_dir, "manifest.json"),
+                       {"subcommand": "gowers", "config": asdict(cfg),
+                        "outputs": {"csv": "gowers.csv"}},
+                       started, finished)
         print(f"wrote {path}")
     return 0
 
 
-def _selftest_cmd(args) -> int:
+def _selftest_cmd() -> int:
     failures = 0
 
     def report(name, ok):
@@ -257,37 +232,19 @@ def build_parser() -> _Parser:
                                  "seeded Monte Carlo experiments.")
     sub = parser.add_subparsers(dest="subcommand", parser_class=_Parser)
 
-    for kind, entry in KINDS.items():
-        s = sub.add_parser(kind, help=entry.blurb)
-        s.add_argument("--config", help="key=value config file")
-        for key, help in _config_keys(kind).items():
+    blurbs = {**{kind: entry.blurb for kind, entry in KINDS.items()},
+              "series": "print an exact truncated series",
+              "gowers": "uniformity norms of standard sequences"}
+    for name, blurb in blurbs.items():
+        s = sub.add_parser(name, help=blurb)
+        if name in KINDS:
+            s.add_argument("--config", help="key=value config file")
+        for key, (help, required) in _config_keys(name).items():
             s.add_argument(f"--{key}", dest=key.replace("-", "_"),
-                           metavar="V", help=help)
-
-    s = sub.add_parser("series", help="print an exact truncated series")
-    s.add_argument("--poly", required=True, metavar="V",
-                   help="coefficients a0;a1;... e.g. 2;1;1")
-    s.add_argument("--w", required=True, metavar="V",
-                   help="truncation bound")
-    s.add_argument("--shifts", metavar="V",
-                   help="optional distinct shifts for the tuple series")
-    s.add_argument("--factors", action="store_true",
-                   help="also print the per-prime local factors")
-
-    s = sub.add_parser("gowers", help="uniformity norms of standard "
-                                      "sequences")
-    s.add_argument("--target", required=True, metavar="V",
-                   help="one, delta, liouville, or mobius")
-    s.add_argument("--N", metavar="V",
-                   help="comma list of interval lengths")
-    s.add_argument("--M", metavar="V",
-                   help="comma list of cyclic group sizes")
-    s.add_argument("--s", default="2", metavar="V", help="norm order")
-    s.add_argument("--multiplier", default="5", metavar="V",
-                   help="embedding modulus is least prime >= "
-                        "multiplier*N (default 5)")
-    s.add_argument("--out-dir", dest="out_dir", metavar="V",
-                   help="also write gowers.csv and a manifest here")
+                           metavar="V", help=help, required=required)
+        if name == "series":
+            s.add_argument("--factors", action="store_true",
+                           help="also print the per-prime local factors")
 
     sub.add_parser("selftest", help="run the exact identity suites")
     return parser
@@ -300,15 +257,14 @@ def main(argv=None) -> int:
         if not args.subcommand:
             parser.print_help()
             return 1
-        if args.subcommand in KINDS:
-            return _run_experiment_cmd(args.subcommand, args)
-        if args.subcommand == "series":
-            return _series_cmd(args)
-        if args.subcommand == "gowers":
-            return _gowers_cmd(args)
         if args.subcommand == "selftest":
-            return _selftest_cmd(args)
-        raise ConfigError(f"unknown subcommand {args.subcommand!r}")
+            return _selftest_cmd()
+        cfg, out_dir = _build_cfg(args.subcommand, args)
+        if args.subcommand == "series":
+            return _series_cmd(cfg, args.factors)
+        if args.subcommand == "gowers":
+            return _gowers_cmd(cfg, out_dir)
+        return _run_experiment_cmd(cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

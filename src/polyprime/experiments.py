@@ -21,22 +21,22 @@ batched kernels of `arith` (`liouville_many`, `von_mangoldt_many`,
 `is_prime_many`), and counts the zero values it met from that same list;
 the count is reported per sample as zero_evals.  poisson-gaps is the
 exception: it evaluates f(1..X) once for its scale and again for its
-windows.  The Bateman-Horn
-statistic of `bh-moments` is the tuple statistic at the one shift 0.
+windows.  The Bateman-Horn statistic of `bh-moments` is the tuple
+statistic at the one shift 0.
 """
 
-import contextlib
 import functools
 import math
 import multiprocessing
 from collections.abc import Callable
-from dataclasses import MISSING, dataclass, field, fields
-from decimal import Decimal, InvalidOperation
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .arith import is_prime_many, liouville_many, von_mangoldt_many
+from .config import (Config, _key, _parse_coeffs, parse_float,
+                     parse_int_list, parse_pattern)
 from .errors import BudgetError, ConfigError, ConsistencyError
 from .moments import gaussian_moment, sigma_squared
 from .poly import (REJECTION_CAP, IntPolynomial, sample_uniform,
@@ -46,77 +46,10 @@ from .series import (prime_factors_at_most, series_f, series_f_tuple,
                      series_linear_system)
 
 
-class Text(str):
-    """A config value as typed in a --flag or a config file.  Only a Text
-    is read as text: ExperimentConfig refuses any other str but `target`."""
-
-
-def parse_int_exact(value, key: str) -> int:
-    """An int (not a bool), or its text, exact in scientific notation:
-    "1e9" is 10**9, "2.5e1" is 25, and "2.5" is not integral."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if not isinstance(value, str):
-        raise ConfigError(f"{key}: {value!r} is not an integer")
-    try:
-        dec = Decimal(value)
-    except InvalidOperation:
-        raise ConfigError(f"{key}: {value!r} is not an integer")
-    if not dec.is_finite() or dec != dec.to_integral_value():
-        raise ConfigError(f"{key}: {value!r} is not integral")
-    return int(dec)
-
-
-def parse_float(value, key: str) -> float:
-    """An int or float (not a bool), or its text."""
-    if isinstance(value, str | int | float) and not isinstance(value, bool):
-        with contextlib.suppress(ValueError, OverflowError):
-            return float(value)
-    raise ConfigError(f"{key}: {value!r} is not a number")
-
-
-def parse_int_list(value, key: str) -> tuple:
-    """A list or tuple of ints, or its comma-separated text."""
-    if isinstance(value, str):
-        value = [s.strip() for s in value.split(",") if s.strip() != ""]
-        if not value:
-            raise ConfigError(f"{key}: empty list")
-    elif not isinstance(value, list | tuple):
-        raise ConfigError(f"{key}: {value!r} is not a list")
-    return tuple(parse_int_exact(v, key) for v in value)
-
-
-def parse_pattern(value, key: str = "pattern") -> tuple:
-    """Sign pattern: entries +1/-1, or the text "+-" or "+1,-1"."""
-    t = value.strip() if isinstance(value, str) else ""
-    if t and all(c in "+-" for c in t):
-        return tuple(1 if c == "+" else -1 for c in t)
-    vals = parse_int_list(value, key)
-    if any(v not in (-1, 1) for v in vals):
-        raise ConfigError(f"{key}: entries must be +1 or -1")
-    return vals
-
-
-def _parse_coeffs(value, key: str) -> tuple:
-    """Polynomial coefficients a0, a1, ...: ints, or the text a0;a1;..."""
-    coeffs = parse_int_list(
-        value.split(";") if isinstance(value, str) else value, key)
-    if not coeffs:
-        raise ConfigError(f"{key}: no coefficients")
-    return coeffs
-
-
-def _key(help: str, default=MISSING, parse=parse_int_exact):
-    """A config key's field: its default (none: required), its --flag
-    help text and its parser, parse(value or text, key) -> value."""
-    return field(default=default, metadata={"help": help, "parse": parse})
-
-
 @dataclass(frozen=True, kw_only=True)
-class ExperimentConfig:
+class ExperimentConfig(Config):
     """One run's configuration, checked as it is built.  Every field but
-    `kind` is a config key, spelled with - for _; the keys no `Kind`
-    names are common to all.  A bad key raises ConfigError naming it."""
+    `kind` is a config key; the keys no `Kind` names are common to all."""
 
     kind: str
     d: int = _key("polynomial degree bound")
@@ -143,43 +76,17 @@ class ExperimentConfig:
     target: str = _key("von-mangoldt or liouville", "von-mangoldt",
                        lambda value, key: str(value))
 
-    def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in KINDS:
-            raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        for f in fields(self)[1:]:  # each field after `kind` is a key
-            key, value = f.name.replace("_", "-"), getattr(self, f.name)
-            if not isinstance(value, Text) \
-                    and isinstance(value, str) != (f.type is str):
-                raise ConfigError(f"{key}: {value!r} is not of type "
-                                  f"{f.type.__name__}")
-            object.__setattr__(self, f.name, f.metadata["parse"](value, key))
+    def _checks(self):
+        yield isinstance(self.kind, str) and self.kind in KINDS, \
+            f"unknown experiment kind {self.kind!r}"
         for key in ("d", "H", "X", "samples"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be a positive integer")
-        if self.w < 2:
-            raise ConfigError("w must be >= 2")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-        if self.k_max < 1:
-            raise ConfigError("k-max must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
+            yield getattr(self, key) >= 1, f"{key} must be a positive integer"
+        yield self.w >= 2, "w must be >= 2"
+        yield self.workers >= 1, "workers must be >= 1"
+        yield self.k_max >= 1, "k-max must be >= 1"
+        yield self.seed >= 0, "seed must be a nonnegative integer"
         for ok, message in KINDS[self.kind].checks:
-            if not ok(self):
-                raise ConfigError(message)
-
-    @classmethod
-    def from_dict(cls, values: dict) -> "ExperimentConfig":
-        """The config of outside input, a manifest's values or the flags'
-        Text, by field name; names an unknown or missing required key."""
-        known = {f.name: f.default for f in fields(cls)}
-        for key in values:
-            if key not in known:
-                raise ConfigError(f"unknown config key {key!r}")
-        for key, default in known.items():
-            if default is MISSING and key not in values:
-                raise ConfigError(f"missing required config value {key!r}")
-        return cls(**values)
+            yield ok(self), message
 
 
 @dataclass(frozen=True)
@@ -582,9 +489,10 @@ class Kind:
 
     `keys` names the ExperimentConfig fields that are this kind's own
     config keys; each field declares its key's default, help text and
-    parser, and no two kinds name the same field.  `checks` pairs a test
-    of the parsed config with the ConfigError message for when it fails;
-    an own key that must be given is required by one of them.
+    parser.  A field no kind names is common to all kinds, and one that
+    kinds name (k_max: the three moment kinds) is theirs only.  `checks`
+    pairs a test of the parsed config with the ConfigError message for
+    when it fails; an own key that must be given is required by one.
     `run_series(cfg)` is the series shared by every sample of a run, or
     None when it depends on f.  `draw(cfg, rng, series)` returns (f,
     attempts, f's series), given the run's series.  `stats(cfg, f,
@@ -610,13 +518,14 @@ KINDS = {
     "bh-moments": Kind(
         "moments of the averaged von Mangoldt statistic minus its "
         "truncated series",
+        keys=("k_max",),
         draw=_draw,
         stats=lambda cfg, f, sv: _stat(tuple_statistic(
             f, cfg.X, (0,), cfg.w, series_value=sv.value)),
         rows=_centred_rows),
     "tuples": Kind(
         "shifted-tuple version of the von Mangoldt statistic",
-        keys=("shifts",),
+        keys=("shifts", "k_max"),
         checks=((lambda cfg: cfg.shifts,
                  "shifts is required for tuple statistics"),
                 (lambda cfg: len(set(cfg.shifts)) == len(cfg.shifts),
@@ -630,6 +539,7 @@ KINDS = {
     "chowla-clt": Kind(
         "normalized Liouville sums along random polynomials against "
         "Gaussian moments",
+        keys=("k_max",),
         draw=_draw,
         stats=lambda cfg, f, sv: _stat(chowla_normalized_sum(f, cfg.X)),
         rows=_chowla_rows),

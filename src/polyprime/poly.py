@@ -59,26 +59,6 @@ class IntPolynomial:
             raise ValueError("modulus must be >= 1")
         return IntPolynomial(tuple(c % M for c in self.coeffs))
 
-    def shift(self, c: int) -> "IntPolynomial":
-        """The expanded composition f(x + c)."""
-        d = self.degree
-        out = [0] * (d + 1)
-        for i, a in enumerate(self.coeffs):
-            for j in range(i + 1):
-                out[j] += a * math.comb(i, j) * c ** (i - j)
-        return IntPolynomial(tuple(out))
-
-
-def poly_from_text(text: str) -> IntPolynomial:
-    """Parse the "a0;a1;..." coefficient format."""
-    parts = [s.strip() for s in text.split(";")]
-    try:
-        coeffs = tuple(int(s) for s in parts)
-    except ValueError:
-        raise ConfigError(f"bad polynomial text {text!r}: "
-                          "expected semicolon-separated integers")
-    return IntPolynomial(coeffs)
-
 
 def sample_uniform(d: int, H: int, rng: random.Random) -> IntPolynomial:
     """Uniform draw from degree <= d polynomials with |a_i| <= H."""

@@ -18,6 +18,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from ._version import __version__
+from .config import GowersConfig
 from .errors import ConfigError
 from .experiments import KINDS, ExperimentConfig, RunResult
 
@@ -120,10 +121,13 @@ def write_manifest(path: str, doc: dict, started: str,
         fh.write("\n")
 
 
-def load_manifest_config(path: str) -> ExperimentConfig:
-    """Rebuild the exact ExperimentConfig a manifest records."""
+def load_manifest_config(path: str) -> ExperimentConfig | GowersConfig:
+    """Rebuild the exact config a manifest records: a GowersConfig for a
+    gowers run, else an ExperimentConfig."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if doc.get("subcommand") == "gowers":
+        return GowersConfig.from_dict(doc["config"])
     return config_from_dict(doc["config"])
 
 

@@ -4,7 +4,9 @@ import csv
 import json
 import math
 import re
-from dataclasses import asdict
+import shlex
+from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from hypothesis import strategies as st
 
 import polyprime.experiments as experiments
 from polyprime.arith import liouville
-from polyprime.cli import _build_cfg, build_parser, main
+from polyprime.cli import _build_cfg, _gowers_cmd, build_parser, main
+from polyprime.config import GowersConfig, parse_int_exact
 from polyprime.errors import ConfigError
 from polyprime.experiments import ExperimentConfig, run_experiment
 from polyprime.gowers import gowers_norm_cyclic
@@ -57,6 +60,13 @@ def test_series_tuple_shifts(capsys):
 def test_series_bad_poly_exits_one(capsys):
     assert main(["series", "--poly", "1;x", "--w", "3"]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_series_poly_takes_scientific_notation(capsys):
+    assert main(["series", "--poly", "1e2;1", "--w", "7"]) == 0
+    assert main(["series", "--poly", "100;1", "--w", "7"]) == 0
+    first, second = capsys.readouterr().out.splitlines()
+    assert first == second
 
 
 def test_chowla_pipeline(tmp_path, capsys):
@@ -258,8 +268,12 @@ def own_flags(kind, X, d, H, w):
     moduli = st.lists(st.sampled_from(list(sympy.primerange(2, w + 1))),
                       max_size=3).map(math.prod).filter(
                           lambda M: M <= min(100, 2 * H + 1))
+    k_max = {"k-max": int_text(1, 8)}
     return {
-        "tuples": st.fixed_dictionaries({"shifts": distinct_ints(-X, X)}),
+        "bh-moments": st.fixed_dictionaries({}, optional=k_max),
+        "tuples": st.fixed_dictionaries({"shifts": distinct_ints(-X, X)},
+                                        optional=k_max),
+        "chowla-clt": st.fixed_dictionaries({}, optional=k_max),
         "sign-patterns": st.fixed_dictionaries({"pattern": st.one_of(
             st.text("+-", min_size=1, max_size=4),
             st.lists(st.sampled_from(["1", "-1", "+1"]), min_size=1,
@@ -273,7 +287,7 @@ def own_flags(kind, X, d, H, w):
                            max_size=min(4, d + 1))
             .map(lambda c: ";".join(map(str, c))),
             "target": st.sampled_from(["von-mangoldt", "liouville"])}),
-    }.get(kind, st.just({}))
+    }[kind]
 
 
 @settings(max_examples=40, deadline=None)
@@ -284,10 +298,9 @@ def test_flags_and_manifest_json_build_one_config(data):
     flags = data.draw(st.fixed_dictionaries(
         {"d": int_text(1, 4), "H": int_text(1, 10 ** 12),
          "samples": int_text(1, 10 ** 4), "seed": int_text(0, 2 ** 64)},
-        optional={"w": int_text(2, 100), "workers": int_text(1, 8),
-                  "k-max": int_text(1, 8)}))
+        optional={"w": int_text(2, 100), "workers": int_text(1, 8)}))
     flags["X"] = str(X)
-    d, H, w = (experiments.parse_int_exact(flags.get(key, "5"), key)
+    d, H, w = (parse_int_exact(flags.get(key, "5"), key)
                for key in ("d", "H", "w"))
     flags.update(data.draw(own_flags(kind, X, d, H, w)))
     argv = [kind, *(f"--{key}={v}" for key, v in flags.items())]
@@ -298,11 +311,11 @@ def test_flags_and_manifest_json_build_one_config(data):
 
 
 COMMON_FLAGS = ("config", "d", "H", "X", "w", "samples", "seed", "workers",
-                "k-max", "out-dir")
+                "out-dir")
 OWN_FLAGS = {
-    "bh-moments": (),
-    "tuples": ("shifts",),
-    "chowla-clt": (),
+    "bh-moments": ("k-max",),
+    "tuples": ("shifts", "k-max"),
+    "chowla-clt": ("k-max",),
     "sign-patterns": ("pattern",),
     "poisson-gaps": ("calL", "L"),
     "linear-forms": ("ns", "M", "f0", "target"),
@@ -328,6 +341,28 @@ def test_each_kind_takes_common_keys_and_its_own(tmp_path, capsys):
         assert main([kind, "--config", str(cfgfile)]) == 1
         assert f"unknown config key {foreign!r} for {kind}" \
             in capsys.readouterr().err
+
+
+def test_series_and_gowers_flags_are_their_config_fields(capsys):
+    assert help_flags("series", capsys) == ["poly", "w", "shifts", "factors"]
+    assert help_flags("gowers", capsys) == [
+        *(f.name for f in fields(GowersConfig)), "out-dir"]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_examples_build_their_configs():
+    # Parsed and built, not run: a flag the program no longer has fails
+    # here rather than in the docs.
+    lines = [line for line in README.read_text(encoding="utf-8").splitlines()
+             if line.startswith("polyprime ")]
+    assert len(lines) == 11
+    parser = build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line)[1:])
+        if args.subcommand != "selftest":
+            _build_cfg(args.subcommand, args)
 
 
 def test_deterministic_reduction_is_an_unknown_key(tmp_path, capsys):
@@ -384,6 +419,40 @@ def test_linear_forms_bad_target(capsys):
     assert "target" in capsys.readouterr().err
 
 
+SMALL_RUN = ["--d", "1", "--H", "10", "--X", "10", "--samples", "2",
+             "--seed", "1"]
+# argv, and the one line it writes to stderr as it exits 1.
+CONFIG_ERRORS = [
+    (["gowers", "--target", "one", "--N", "0"], "N entries must be >= 1"),
+    (["gowers", "--target", "one", "--M", "0"], "M entries must be >= 1"),
+    (["gowers", "--target", "one", "--M", "5", "--s", "0"],
+     "s must be >= 1"),
+    (["gowers", "--target", "one", "--N", "5", "--multiplier", "1"],
+     "multiplier must be >= 2"),
+    (["gowers", "--target", "theta", "--M", "5"],
+     "unknown gowers target 'theta'"),
+    (["gowers", "--target", "one", "--N", "5", "--s", "2.5"],
+     "s: '2.5' is not integral"),
+    (["gowers", "--M", "5"],
+     "the following arguments are required: --target"),
+    (["series", "--poly", "1;x", "--w", "3"], "poly: 'x' is not an integer"),
+    (["series", "--w", "3"], "the following arguments are required: --poly"),
+    (["chowla-clt", *SMALL_RUN, "--k-max", "0"], "k-max must be >= 1"),
+    (["sign-patterns", *SMALL_RUN, "--pattern", "+", "--k-max", "2"],
+     "unrecognized arguments: --k-max 2"),
+    (["poisson-gaps", *SMALL_RUN, "--k-max", "2"],
+     "unrecognized arguments: --k-max 2"),
+    (["linear-forms", *SMALL_RUN, "--k-max", "2"],
+     "unrecognized arguments: --k-max 2"),
+]
+
+
+@pytest.mark.parametrize("argv, message", CONFIG_ERRORS)
+def test_config_errors_exit_one(argv, message, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_gowers_cyclic_stdout(capsys):
     assert main(["gowers", "--target", "one", "--M", "11",
                  "--s", "2"]) == 0
@@ -421,6 +490,7 @@ def test_gowers_delta_interval_files(tmp_path, capsys):
 def test_gowers_manifest_times_bracket_the_norms(monkeypatch, tmp_path,
                                                 capsys):
     import polyprime.cli as cli
+    import polyprime.gowers as gowers
     import polyprime.runio as runio
     ticks = iter(range(100))
     norms_at = []
@@ -428,13 +498,14 @@ def test_gowers_manifest_times_bracket_the_norms(monkeypatch, tmp_path,
     def now():
         return f"t{next(ticks):03d}"
 
-    def norm(values, s):
+    def norm(values, s, **kwargs):
         norms_at.append(now())
-        return gowers_norm_cyclic(values, s)
+        return gowers_norm_cyclic(values, s, **kwargs)
 
     for module in (cli, runio):
         monkeypatch.setattr(module, "utc_now_iso", now)
-    monkeypatch.setattr(cli, "gowers_norm_cyclic", norm)
+    # Interval rows reach the norm through gowers_norm_interval.
+    monkeypatch.setattr(gowers, "gowers_norm_cyclic", norm)
     out = tmp_path / "g"
     assert main(["gowers", "--target", "liouville", "--N", "10,20",
                  "--s", "2", "--out-dir", str(out)]) == 0
@@ -442,6 +513,22 @@ def test_gowers_manifest_times_bracket_the_norms(monkeypatch, tmp_path,
     assert len(norms_at) == 2
     assert doc["started_at"] < norms_at[0] < norms_at[1] < \
         doc["finished_at"]
+
+
+def test_gowers_manifest_replays(tmp_path, capsys):
+    out = tmp_path / "g"
+    assert main(["gowers", "--target", "liouville", "--N", "10,20",
+                 "--out-dir", str(out)]) == 0
+    doc = json.loads((out / "manifest.json").read_text())
+    assert doc["subcommand"] == "gowers"
+    assert doc["config"] == {"target": "liouville", "N": [10, 20], "M": [],
+                             "s": 2, "multiplier": 5}
+    cfg = load_manifest_config(str(out / "manifest.json"))
+    assert cfg == GowersConfig(target="liouville", N=(10, 20))
+    assert _gowers_cmd(cfg, str(tmp_path / "replay")) == 0
+    assert (tmp_path / "replay" / "gowers.csv").read_bytes() == \
+        (out / "gowers.csv").read_bytes()
+    capsys.readouterr()
 
 
 def test_gowers_requires_exactly_one_domain(capsys):

@@ -7,16 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyprime.arith import primes_upto
+from polyprime.config import _parse_coeffs
 from polyprime.errors import ConfigError
 from polyprime.poly import (
     IntPolynomial,
     count_unit_tuples_linear_system,
     count_unit_values_mod_p,
-    poly_from_text,
     sample_uniform,
     sample_uniform_residue,
 )
 from polyprime.rng import stream
+from polyprime.runio import format_cell
 
 X2_X_2 = IntPolynomial((2, 1, 1))  # x^2 + x + 2, the always-even staple
 X = IntPolynomial((0, 1))
@@ -108,21 +109,24 @@ def test_eval_reduce_compatibility():
         assert f.eval(n) % p == f.reduce_mod(p).eval(n % p) % p
 
 
-def test_shift_matches_eval():
+def test_shift_matches_eval(shift):
     rng = stream(20260818, 14)
     for _ in range(100):
         f = sample_uniform(3, 20, rng)
         c = rng.randrange(-10, 10)
-        g = f.shift(c)
+        g = shift(f, c)
         for x in (-3, 0, 1, 7):
             assert g.eval(x) == f.eval(x + c)
 
 
 def test_text_roundtrip():
-    assert poly_from_text("2;1;1") == X2_X_2
-    assert poly_from_text(" -1 ; 0 ; 3 ").coeffs == (-1, 0, 3)
-    with pytest.raises(ConfigError):
-        poly_from_text("2;x;1")
+    # The a0;a1;... text of --poly and --f0, as samples.csv writes coeffs.
+    assert IntPolynomial(_parse_coeffs("2;1;1", "poly")) == X2_X_2
+    assert _parse_coeffs(format_cell(X2_X_2.coeffs), "poly") == (2, 1, 1)
+    assert _parse_coeffs(" -1 ; 0 ; 3 ", "poly") == (-1, 0, 3)
+    assert _parse_coeffs("1e2;-2.5e1", "poly") == (100, -25)
+    with pytest.raises(ConfigError, match="^poly: 'x' is not an integer$"):
+        _parse_coeffs("2;x;1", "poly")
     with pytest.raises(ValueError):
         IntPolynomial(())
 

@@ -7,15 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from polyprime.errors import ConfigError
-from polyprime.experiments import (
-    ExperimentConfig,
+from polyprime.config import (
+    GowersConfig,
     parse_float,
     parse_int_exact,
     parse_int_list,
     parse_pattern,
-    run_experiment,
 )
+from polyprime.errors import ConfigError
+from polyprime.experiments import ExperimentConfig, run_experiment
 from polyprime.runio import (
     config_from_dict,
     format_cell,
@@ -156,6 +156,35 @@ def test_bad_value_type_is_config_error_naming_key(kind, key, value):
         ExperimentConfig(**dict(dict(VALID, kind=kind, shifts=(0, 2)),
                                 **{key: value}))
     assert names_key(exc, key), exc.value
+
+
+# One malformed value each, on a valid gowers manifest config, with the
+# error it gives; GONE deletes the key, and "mode" is a key of the
+# config that gowers manifests held before GowersConfig.
+BAD_GOWERS_VALUES = [
+    ("target", "theta", "unknown gowers target 'theta'"),
+    ("target", GONE, "missing required config value 'target'"),
+    ("N", [10, 0], "N entries must be >= 1"),
+    ("N", 10, "N: 10 is not a list"),
+    ("M", [5], "give exactly one of --N (interval) or --M (cyclic)"),
+    ("s", "2", "s: '2' is not of type int"),
+    ("s", 0, "s must be >= 1"),
+    ("multiplier", 1, "multiplier must be >= 2"),
+    ("mode", "interval", "unknown config key 'mode'"),
+]
+
+
+@pytest.mark.parametrize("key, value, message", BAD_GOWERS_VALUES)
+def test_bad_gowers_manifest_value_is_config_error(tmp_path, key, value,
+                                                   message):
+    d = dict(asdict(GowersConfig(target="one", N=(10, 20))), **{key: value})
+    if value is GONE:
+        del d[key]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"subcommand": "gowers", "config": d}))
+    with pytest.raises(ConfigError) as exc:
+        load_manifest_config(str(path))
+    assert str(exc.value) == message
 
 
 def test_value_forms_are_normalized():

@@ -92,13 +92,14 @@ def test_series_f_tuple_distinct_shifts_required():
         series_f_tuple(X, [1, 1], 3)
 
 
-def test_series_f_tuple_shift_invariance():
+def test_series_f_tuple_shift_invariance(shift):
     rng = stream(20260818, 21)
     for _ in range(50):
         f = sample_uniform(2, 15, rng)
         c = rng.randrange(-8, 9)
         w = (3, 5, 7)[rng.randrange(3)]
-        assert series_f_tuple(f, [c], w).value == series_f(f.shift(c), w).value
+        assert series_f_tuple(f, [c], w).value == \
+            series_f(shift(f, c), w).value
 
 
 def test_series_residue_dependence_mod_primorial():
