@@ -1,38 +1,38 @@
 """Command line front end.
 
 One subcommand per entry of `experiments.KINDS`, plus series, gowers and
-selftest.  Each but selftest builds one config with a flag per config key,
-made from its field; an experiment's keys can also come from a key=value
-file (--config), under the flags.  The merged text goes as `Text` to the
-config's `from_dict`, which parses and checks it.  A gowers manifest's
-config holds target, N, M, s and multiplier.  Exit codes: 0 success, 1
-configuration problem, 2 exhausted arithmetic budget, 3 self-test failure.
+selftest.  Each but selftest builds one config (`config.CONFIGS`) with a
+flag per config key, made from its field; an experiment's keys can also
+come from a key=value file (--config), under the flags.  The merged text
+goes as `Text` to the config's `from_dict`, which parses and checks it.
+Experiments, and gowers given --out-dir, write their files through
+`runio.write_files`; an empty --out-dir is refused before the run.  Exit
+codes: 0 success, 1 configuration problem, 2 exhausted arithmetic
+budget, 3 self-test failure.
 """
 
 import argparse
 import math
-import os
 import sys
-from dataclasses import MISSING, asdict, fields
+from dataclasses import MISSING, fields
 
 import numpy as np
 
 from .arith import (factorize, is_prime_many, liouville_many,
                     liouville_sieve, mobius_sieve, von_mangoldt_many)
-from .config import GowersConfig, SeriesConfig, Text
+from .config import CONFIGS, GowersConfig, SeriesConfig, Text
 from .errors import BudgetError, ConfigError
 from .experiments import KINDS, ExperimentConfig, run_experiment
 from .gowers import gowers_norm_cyclic, gowers_norm_interval
 from .moments import poisson_central_moment, stein_chen_check
 from .poly import IntPolynomial, sample_uniform
 from .rng import stream
-from .runio import (format_cell, load_config_file, utc_now_iso, write_csv,
-                    write_manifest, write_run)
+from .runio import (format_cell, load_config_file, utc_now_iso, write_files,
+                    write_run)
 from .series import (interchange_identity_check, series_f_tuple,
                      tuple_sum_identity_residual)
 
 OUT_DIR_HELP = "output directory (default runs/<subcommand>)"
-CONFIGS = {"series": SeriesConfig, "gowers": GowersConfig}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -64,7 +64,8 @@ def _config_keys(name: str) -> dict:
 
 def _build_cfg(name: str, args) -> tuple:
     """A subcommand's config from its flags over a --config file's keys,
-    and its out-dir (default: runs/<kind> for a kind, else None)."""
+    and its out-dir (default: runs/<kind> for a kind, else None; never
+    empty)."""
     keys = _config_keys(name)
     merged = load_config_file(args.config) \
         if getattr(args, "config", None) else {}
@@ -81,6 +82,8 @@ def _build_cfg(name: str, args) -> tuple:
     if name in KINDS:
         values = {"kind": name, "out_dir": f"runs/{name}", **values}
     out_dir = values.pop("out_dir", None)
+    if out_dir == "":
+        raise ConfigError("out-dir: empty path")
     return CONFIGS.get(name, ExperimentConfig).from_dict(values), out_dir
 
 
@@ -138,14 +141,12 @@ def _gowers_cmd(cfg: GowersConfig, out_dir) -> int:
     for row in rows:
         print(",".join(format_cell(v) for v in row))
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, "gowers.csv")
-        write_csv(path, ["N" if cfg.N else "M", "s", "norm"], rows)
-        write_manifest(os.path.join(out_dir, "manifest.json"),
-                       {"subcommand": "gowers", "config": asdict(cfg),
-                        "outputs": {"csv": "gowers.csv"}},
-                       started, finished)
-        print(f"wrote {path}")
+        paths = write_files(
+            out_dir, "gowers", cfg,
+            {"csv": ("gowers.csv", ["N" if cfg.N else "M", "s", "norm"],
+                     rows)},
+            started, finished)
+        print(f"wrote {paths['csv']}")
     return 0
 
 

@@ -1,6 +1,7 @@
 """The config grammar every subcommand shares: frozen dataclasses built
 on `Config`, one `_key` field per config key, from which the command line
-builds its flags and `from_dict` rebuilds a manifest's config."""
+builds its flags and `from_dict` rebuilds a manifest's config.  Both take
+the class from `CONFIGS`, ExperimentConfig for an experiment kind."""
 
 import contextlib
 from dataclasses import MISSING, dataclass, field, fields
@@ -146,3 +147,7 @@ class SeriesConfig(Config):
     w: int = _key("truncation bound")
     shifts: tuple = _key("distinct shifts for the tuple series (default 0)",
                          (0,), parse_int_list)
+
+
+# The config class of each subcommand that is not an experiment kind.
+CONFIGS = {"series": SeriesConfig, "gowers": GowersConfig}

@@ -605,10 +605,10 @@ def _aggregate(cfg: ExperimentConfig, records) -> RunResult:
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Run all samples (possibly in a worker pool) and aggregate.
 
-    The run's shared series (the kind's `run_series`, if any) is
-    computed once, before any worker starts, and bound with cfg into the
-    one callable that both the pool and the single-worker loop map over
-    the sample indices; a bad modulus therefore fails before sampling.
+    The run's shared series (the kind's `run_series`, if any) depends on
+    cfg alone, not on the sampled f, so it is computed once, before any
+    worker starts, and bound with cfg into the one callable that both the
+    pool and the single-worker loop map over the sample indices.
     """
     run = functools.partial(run_sample, cfg,
                             series=KINDS[cfg.kind].run_series(cfg))

@@ -21,8 +21,9 @@ a real function is provably nonnegative, so a materially negative result
 is an arithmetic bug; tiny negatives from rounding are clamped.
 
 Interval norms come from embedding the truncated sequence in Z/MZ with M
-the least prime at least 5N (zero padding kills wraparound), and the
-cyclic value is reported without any further normalization.
+the least prime at least multiplier*N, multiplier 5 by default (zero
+padding kills wraparound), and the cyclic value is reported without any
+further normalization.
 """
 
 import numpy as np

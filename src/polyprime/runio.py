@@ -1,4 +1,6 @@
-"""Run persistence: config files, manifests, and CSV emission.
+"""Run persistence: config files, and the one writer (`write_files`: CSV
+tables, then the manifest naming them) and one loader
+(`load_manifest_config`) of every run's files.
 
 Reproducibility contract: rerunning the experiment described by a
 manifest produces byte-identical samples.csv and aggregates.csv.  That
@@ -18,14 +20,9 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from ._version import __version__
-from .config import GowersConfig
+from .config import CONFIGS, Config
 from .errors import ConfigError
 from .experiments import KINDS, ExperimentConfig, RunResult
-
-SAMPLES_CSV = "samples.csv"
-AGGREGATES_CSV = "aggregates.csv"
-MANIFEST_JSON = "manifest.json"
-
 
 def load_config_file(path: str) -> dict:
     """key=value file to a raw string dict; later flags override these."""
@@ -59,12 +56,6 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def sample_fieldnames(kind: str):
-    return (["sample_index", "coeffs", "series"]
-            + list(KINDS[kind].columns)
-            + ["attempts", "zero_evals"])
-
-
 def write_csv(path: str, fieldnames, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -73,81 +64,68 @@ def write_csv(path: str, fieldnames, rows) -> None:
             writer.writerow([format_cell(v) for v in row])
 
 
-def write_samples_csv(path: str, result: RunResult) -> None:
-    kind = result.config.kind
-    keys = KINDS[kind].columns
-    rows = []
-    for r in result.records:
-        rows.append([r.index, r.coeffs, r.series]
-                    + [r.stats[k] for k in keys]
-                    + [r.attempts, r.zero_evals])
-    write_csv(path, sample_fieldnames(kind), rows)
-
-
-def write_aggregates_csv(path: str, result: RunResult) -> None:
-    rows = [[a.experiment, a.key, a.estimate, a.stderr, a.predicted,
-             a.verdict] for a in result.aggregates]
-    write_csv(path, ["experiment", "key", "estimate", "stderr",
-                     "predicted", "verdict"], rows)
-
-
-def config_from_dict(d: dict) -> ExperimentConfig:
-    """ExperimentConfig from a manifest's config, the JSON of asdict(cfg),
-    built by `ExperimentConfig.from_dict` and so checked like the flags.
-
-    Manifests written by older versions may carry the retired key
-    deterministic_reduction, which never changed a run; it is dropped
-    with a warning.
-    """
-    d = dict(d)
-    if d.pop("deterministic_reduction", None) is not None:
-        warnings.warn("ignoring retired manifest key "
-                      "'deterministic_reduction'")
-    return ExperimentConfig.from_dict(d)
-
-
 def utc_now_iso() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def write_manifest(path: str, doc: dict, started: str,
-                   finished: str) -> None:
-    """doc as JSON, with the package version and the times the caller
-    took just before and just after its work."""
-    doc = dict(doc, package_version=__version__, started_at=started,
-               finished_at=finished)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def load_manifest_config(path: str) -> Config:
+    """Rebuild the exact config a manifest records, of the class its
+    subcommand has in `CONFIGS` (an experiment kind's: ExperimentConfig),
+    checked like the flags.
 
-
-def load_manifest_config(path: str) -> ExperimentConfig | GowersConfig:
-    """Rebuild the exact config a manifest records: a GowersConfig for a
-    gowers run, else an ExperimentConfig."""
+    Experiment manifests written by older versions may carry the retired
+    key deterministic_reduction, which never changed a run; it is dropped
+    with a warning.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("subcommand") == "gowers":
-        return GowersConfig.from_dict(doc["config"])
-    return config_from_dict(doc["config"])
+    cls = CONFIGS.get(doc.get("subcommand"), ExperimentConfig)
+    values = dict(doc["config"])
+    if cls is ExperimentConfig \
+            and values.pop("deterministic_reduction", None) is not None:
+        warnings.warn("ignoring retired manifest key "
+                      "'deterministic_reduction'")
+    return cls.from_dict(values)
+
+
+def write_files(out_dir: str, subcommand: str, cfg: Config, tables: dict,
+                started: str, finished: str, **extra) -> dict:
+    """Write each table {role: (file name, header, rows)} as CSV under
+    out_dir, then a manifest of the run: its subcommand, config, the
+    file of each role as `outputs`, the extra keys, the package version
+    and the times the caller took just before and just after its work.
+    Returns the path of each role and of the manifest."""
+    os.makedirs(out_dir, exist_ok=True)
+    paths = {"manifest": os.path.join(out_dir, "manifest.json")}
+    for role, (name, header, rows) in tables.items():
+        paths[role] = os.path.join(out_dir, name)
+        write_csv(paths[role], header, rows)
+    doc = dict(extra, subcommand=subcommand, config=asdict(cfg),
+               outputs={role: name for role, (name, _, _) in tables.items()},
+               package_version=__version__, started_at=started,
+               finished_at=finished)
+    with open(paths["manifest"], "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return paths
 
 
 def write_run(out_dir: str, result: RunResult, started: str,
               finished: str) -> dict:
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "manifest": os.path.join(out_dir, MANIFEST_JSON),
-        "samples": os.path.join(out_dir, SAMPLES_CSV),
-        "aggregates": os.path.join(out_dir, AGGREGATES_CSV),
-    }
-    write_samples_csv(paths["samples"], result)
-    write_aggregates_csv(paths["aggregates"], result)
     cfg = result.config
-    write_manifest(paths["manifest"],
-                   {"subcommand": cfg.kind,
-                    "config": asdict(cfg),
-                    "master_seed": cfg.seed,
-                    "outputs": {"samples": SAMPLES_CSV,
-                                "aggregates": AGGREGATES_CSV},
-                    "warnings": list(result.warnings)},
-                   started, finished)
-    return paths
+    columns = KINDS[cfg.kind].columns
+    samples = [[r.index, r.coeffs, r.series]
+               + [r.stats[key] for key in columns]
+               + [r.attempts, r.zero_evals] for r in result.records]
+    aggregates = [[a.experiment, a.key, a.estimate, a.stderr, a.predicted,
+                   a.verdict] for a in result.aggregates]
+    return write_files(
+        out_dir, cfg.kind, cfg,
+        {"samples": ("samples.csv",
+                     ["sample_index", "coeffs", "series", *columns,
+                      "attempts", "zero_evals"], samples),
+         "aggregates": ("aggregates.csv",
+                        ["experiment", "key", "estimate", "stderr",
+                         "predicted", "verdict"], aggregates)},
+        started, finished, master_seed=cfg.seed,
+        warnings=list(result.warnings))

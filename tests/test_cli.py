@@ -21,8 +21,7 @@ from polyprime.config import GowersConfig, parse_int_exact
 from polyprime.errors import ConfigError
 from polyprime.experiments import ExperimentConfig, run_experiment
 from polyprime.gowers import gowers_norm_cyclic
-from polyprime.runio import (config_from_dict, format_cell,
-                             load_manifest_config, write_run)
+from polyprime.runio import format_cell, load_manifest_config, write_run
 
 
 def test_no_subcommand_prints_help(capsys):
@@ -250,6 +249,28 @@ def test_manifest_config_replays_each_kind(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_empty_out_dir_is_refused_before_the_run(monkeypatch, tmp_path,
+                                                 capsys):
+    import polyprime.cli as cli
+    ran = []
+    monkeypatch.setattr(cli, "run_experiment", ran.append)
+    monkeypatch.setattr(cli, "_gowers_norm", lambda *args: ran.append(args))
+    monkeypatch.chdir(tmp_path)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("out-dir=\n")
+    argvs = [["gowers", "--target", "one", "--N", "10", "--out-dir", ""]]
+    for kind, (flags, _) in REPLAY_RUNS.items():
+        argv = [kind, *SMALL_RUN,
+                *(f"--{key}={value}" for key, value in flags.items())]
+        argvs += [argv + ["--out-dir", ""], argv + ["--config", str(cfgfile)]]
+    for argv in argvs:
+        assert main(argv) == 1, argv
+        assert capsys.readouterr() == ("",
+                                       "config error: out-dir: empty path\n")
+    assert ran == []
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
 def int_text(lo, hi):
     """An int in [lo, hi] as a flag writes it, at times as 1eK."""
     return st.one_of(st.integers(lo, hi).map(str),
@@ -306,7 +327,7 @@ def test_flags_and_manifest_json_build_one_config(data):
     argv = [kind, *(f"--{key}={v}" for key, v in flags.items())]
     cfg, _ = _build_cfg(kind, build_parser().parse_args(argv))
     doc = json.loads(json.dumps(asdict(cfg)))
-    assert config_from_dict(doc) == cfg
+    assert ExperimentConfig.from_dict(doc) == cfg
     assert ExperimentConfig(**doc) == cfg
 
 
@@ -520,6 +541,11 @@ def test_gowers_manifest_replays(tmp_path, capsys):
     assert main(["gowers", "--target", "liouville", "--N", "10,20",
                  "--out-dir", str(out)]) == 0
     doc = json.loads((out / "manifest.json").read_text())
+    # No master_seed or warnings: the writer it shares with the
+    # experiments adds only the version and the two times.
+    assert sorted(doc) == ["config", "finished_at", "outputs",
+                           "package_version", "started_at", "subcommand"]
+    assert doc["outputs"] == {"csv": "gowers.csv"}
     assert doc["subcommand"] == "gowers"
     assert doc["config"] == {"target": "liouville", "N": [10, 20], "M": [],
                              "s": 2, "multiplier": 5}

@@ -1,14 +1,18 @@
-"""Package-wide invariants: no mutable module state, traced names exist."""
+"""Package-wide invariants: no mutable module state, traced names exist,
+the README's imports resolve."""
 
 import ast
 import dataclasses
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import polyprime
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
+README = ROOT / "README.md"
 
 
 def package_modules():
@@ -43,3 +47,14 @@ def test_traced_spans_name_existing_attributes():
                if not hasattr(importlib.import_module(f"polyprime.{module}"),
                               func)]
     assert missing == []
+
+
+def test_readme_imports_resolve():
+    # Each name has one import path, its submodule: an import the README
+    # shows from anywhere else fails here rather than for a reader.
+    lines = [line.strip()
+             for line in README.read_text(encoding="utf-8").splitlines()
+             if re.match(r"\s*from polyprime\S* import ", line)]
+    assert len(lines) == 4
+    for line in lines:
+        exec(line, {})

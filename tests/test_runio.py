@@ -17,11 +17,9 @@ from polyprime.config import (
 from polyprime.errors import ConfigError
 from polyprime.experiments import ExperimentConfig, run_experiment
 from polyprime.runio import (
-    config_from_dict,
     format_cell,
     load_config_file,
     load_manifest_config,
-    sample_fieldnames,
     write_run,
 )
 
@@ -92,17 +90,27 @@ def test_format_cell():
     assert format_cell(17) == "17"
 
 
-def test_sample_fieldnames():
-    assert sample_fieldnames("chowla-clt") == [
+def samples_header(tmp_path, kind, **keys):
+    """The header row of the samples.csv a small run of kind writes."""
+    cfg = ExperimentConfig(kind=kind, d=1, H=30, X=20, samples=2, seed=8,
+                           **keys)
+    paths = write_run(str(tmp_path / kind), run_experiment(cfg), "t0", "t1")
+    with open(paths["samples"], newline="") as fh:
+        return next(csv.reader(fh))
+
+
+def test_sample_fieldnames(tmp_path):
+    assert samples_header(tmp_path, "chowla-clt") == [
         "sample_index", "coeffs", "series", "stat", "attempts",
         "zero_evals"]
-    assert "window_real" in sample_fieldnames("poisson-gaps")
+    assert "window_real" in samples_header(tmp_path, "poisson-gaps", w=3,
+                                           calL=1.0)
 
 
 def test_config_roundtrip():
     cfg = ExperimentConfig(kind="tuples", d=2, H=100, X=50, samples=10,
                            seed=99, w=3, shifts=(0, 2))
-    assert config_from_dict(asdict(cfg)) == cfg
+    assert ExperimentConfig.from_dict(asdict(cfg)) == cfg
 
 
 # One malformed value each, on a valid manifest config of the kind; GONE
@@ -139,7 +147,7 @@ def test_bad_manifest_value_is_config_error_naming_key(tmp_path, kind, key,
     if value is GONE:
         del d[key]
     with pytest.raises(ConfigError) as exc:
-        config_from_dict(d)
+        ExperimentConfig.from_dict(d)
     assert names_key(exc, key), exc.value
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps({"config": d}))
@@ -159,8 +167,9 @@ def test_bad_value_type_is_config_error_naming_key(kind, key, value):
 
 
 # One malformed value each, on a valid gowers manifest config, with the
-# error it gives; GONE deletes the key, and "mode" is a key of the
-# config that gowers manifests held before GowersConfig.
+# error it gives; GONE deletes the key, "mode" is a key of the config
+# that gowers manifests held before GowersConfig, and the retired
+# experiment key deterministic_reduction was never a gowers key.
 BAD_GOWERS_VALUES = [
     ("target", "theta", "unknown gowers target 'theta'"),
     ("target", GONE, "missing required config value 'target'"),
@@ -171,6 +180,8 @@ BAD_GOWERS_VALUES = [
     ("s", 0, "s must be >= 1"),
     ("multiplier", 1, "multiplier must be >= 2"),
     ("mode", "interval", "unknown config key 'mode'"),
+    ("deterministic_reduction", True,
+     "unknown config key 'deterministic_reduction'"),
 ]
 
 
@@ -206,7 +217,8 @@ def test_write_run_and_manifest_roundtrip(tmp_path):
                       "2026-08-18T00:00:01+00:00")
     with open(paths["samples"], newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == sample_fieldnames("chowla-clt")
+    assert rows[0] == ["sample_index", "coeffs", "series", "stat",
+                       "attempts", "zero_evals"]
     assert len(rows) == 7
     assert rows[1][0] == "0"
     assert "/" in rows[1][2]  # series as num/den
@@ -275,7 +287,7 @@ def test_manifest_with_unknown_key_is_config_error(tmp_path):
     cfg = ExperimentConfig(kind="chowla-clt", d=1, H=30, X=20, samples=3,
                            seed=8)
     with pytest.raises(ConfigError, match="'progress'"):
-        config_from_dict(dict(asdict(cfg), progress=True))
+        ExperimentConfig.from_dict(dict(asdict(cfg), progress=True))
     p1 = write_run(str(tmp_path / "a"), run_experiment(cfg), "t0", "t1")
     with open(p1["manifest"]) as fh:
         doc = json.load(fh)
