@@ -9,33 +9,38 @@ count the zero values they meet themselves.
 There is one route.  `liouville_many`, `von_mangoldt_many` and
 `is_prime_many` take a whole list of values, such as f(1..X), and the
 scalar `liouville`, `von_mangoldt` and `is_prime` are each the list of
-one.  Every value is first split into the primes p below a bound B that
-divide it and a cofactor m with no prime factor below B (trial division
-may also stop early, at an m that is 1 or prime).  A cofactor
-1 < m < B**2 is then prime, and a composite m < B**3 is a product of
-exactly two primes; Miller-Rabin tells the two cases apart.  Only a
-cofactor m >= B**3 needs more: Liouville factors it from B on, with the
-loop that `factorize` runs after its trial division, and von Mangoldt
-runs Miller-Rabin and asks `perfect_power` whether a composite m is a
-power of a prime.  For von Mangoldt and primality a value's split stops
-after its first small prime, which settles the answer.
+one.  Every value is first split, under a bound of its own, into the
+primes p below that bound that divide it and a cofactor m with no prime
+factor below it.  The split may stop early, once m is below the square
+of the next prime to test, so that m is 1 or prime; the sieve then
+takes that prime as the value's bound.  A cofactor 1 < m < bound**2 is
+prime, and a composite m < bound**3 is a product of exactly two primes;
+Miller-Rabin tells the two cases apart.  Only a cofactor m >= bound**3 needs more:
+Liouville factors it from the bound on, with the loop that `factorize`
+runs after its trial division, and von Mangoldt runs Miller-Rabin and
+asks `perfect_power` whether a composite m is a power of a prime.  For
+von Mangoldt and primality a value's split stops after its first small
+prime, which settles the answer.
 
 The small primes are found in one of two ways, chosen by size because a
 float64 quotient is exact only below 2**52.  Below it a sieve splits the
-values together; B is the least power of two >= 32 with B**3 above the
-largest such value, at most 2**16.  The powers of two come off each
-value by bit operations, then numpy tests the odd primes p < B in
-blocks: the 8 smallest first, then blocks as wide as its buffer of
-2**15 quotients allows.  For von Mangoldt and primality the values that
-a small prime settles, most of them, leave before the wide blocks.  At
-2**52 and above each value is trial-divided by the primes below
-B = 1024.
+values together, under a top bound B: the least power of two >= 32 with
+B**3 above the largest such value, at most 2**16.  The powers of two
+come off each value by bit operations, then numpy tests the odd primes
+p < B in blocks: the 8 smallest first, then blocks as wide as its
+buffer of 2**15 quotients allows.  After each block a value leaves once
+its cofactor is below the square of the next prime, and for von
+Mangoldt and primality the values that a small prime settles, most of
+them, leave before the wide blocks; later blocks widen as values leave.
+A value that runs every block has bound B.  At 2**52 and above each
+value is trial-divided by the primes below 1024, its bound.
 
 `factorize` trial-divides the same way, then splits what is left with
 Miller-Rabin, perfect-power extraction and Brent's cycle-finding rho with
 batched gcds under an explicit iteration budget.  Exceeding the budget
-raises FactorBudgetError instead of stalling.  Miller-Rabin picks its
-bases by the size of n: 2, 3, 5, 7 below 3,215,031,751, Sinclair's seven
+raises FactorBudgetError instead of stalling.  Miller-Rabin takes the
+smallest base set proven for the size of n: Jaeschke's (Math. Comp. 61,
+1993) sets of 3 to 6 bases below 3,474,749,660,383, Sinclair's seven
 bases below 2**64 and 13 fixed witnesses below ~3.3e24, each a proof
 there.
 """
@@ -51,10 +56,16 @@ from .errors import FactorBudgetError
 
 DEFAULT_RHO_BUDGET = 10_000_000
 
-# Below each bound its bases make Miller-Rabin a proof.
-_MR_SMALL_BOUND = 3_215_031_751
-_MR_SMALL_BASES = (2, 3, 5, 7)
-_MR_64_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+# (bound, bases): below each bound its bases make Miller-Rabin a proof.
+# The first four bounds are the least composites that pass all of their
+# bases (Jaeschke 1993); Sinclair's seven bases hold below 2**64.
+_MR_BANDS = (
+    (4_759_123_141, (2, 7, 61)),
+    (1_122_004_669_633, (2, 13, 23, 1_662_803)),
+    (2_152_302_898_747, (2, 3, 5, 7, 11)),
+    (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
+    (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+)
 _MR_DET_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_DET_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXTRA_ROUNDS = 64
@@ -101,20 +112,21 @@ def is_prime(n: int) -> bool:
 
 
 def _miller_rabin(n: int) -> bool:
-    """Miller-Rabin on odd n > 7, with the bases picked by the size of n.
+    """Miller-Rabin on odd n > 7, with the smallest proven base set for n.
 
-    Bases 2, 3, 5, 7 are a proof below 3,215,031,751, Sinclair's seven
-    bases (all smaller than n there) below 2**64, and the 13 fixed
-    witnesses below ~3.3e24.  Above that the witnesses are topped up
-    with 64 extra bases drawn from a generator seeded by n itself, so
-    the answer is still reproducible run to run.
+    The bases are those of the first band of _MR_BANDS whose bound
+    exceeds n: Jaeschke's (Math. Comp. 61, 1993) 2, 7, 61 below
+    4,759,123,141; 2, 13, 23, 1662803 below 1,122,004,669,633; the
+    primes to 11 below 2,152,302,898,747 and to 13 below
+    3,474,749,660,383; then Sinclair's seven bases below 2**64.  No
+    composite n divides a base of its band, so a base that is 0 mod n
+    (skipped by `_mr_round`) is only ever met by a prime n.  Above
+    2**64 the 13 fixed witnesses are a proof below ~3.3e24; beyond that
+    they are topped up with 64 extra bases drawn from a generator seeded
+    by n itself, so the answer is still reproducible run to run.
     """
-    if n < _MR_SMALL_BOUND:
-        bases = _MR_SMALL_BASES
-    elif n < 1 << 64:
-        bases = _MR_64_BASES
-    else:
-        bases = _MR_DET_WITNESSES
+    bases = next((bases for bound, bases in _MR_BANDS if n < bound),
+                 _MR_DET_WITNESSES)
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -291,37 +303,45 @@ def _sieve_bound(top: int) -> int:
 
 
 def _sieve_split(values, full=True):
-    """Split each |v| < 2**52 at the sieve bound B.
+    """Split each |v| < 2**52 under a bound of its own, at most the top
+    bound B (`_sieve_bound` of the largest |v|).
 
-    Returns (B, small, rest): small[i] lists the primes p < B dividing
-    values[i], in ascending order and each repeated by its multiplicity,
-    and rest[i] is |v| divided by all of them, so every prime factor of
-    rest[i] exceeds B.  A zero value, and only a zero value, gives rest 0
-    (and small []).  With full=False a row leaves the sieve after the
-    block of primes in which it first has a hit, so its small[i] and
-    rest[i] stop there.  That settles von Mangoldt and primality: the
-    row's first prime p is divided out in full, so |v| is a power of p
-    iff rest[i] is 1 and small[i] holds p alone.
+    Returns (bounds, small, rest): small[i] lists the primes below
+    bounds[i] dividing values[i], in ascending order and each repeated by
+    its multiplicity, and rest[i] is |v| divided by all of them, so it
+    has no prime factor below bounds[i].  bounds[i] is the first prime
+    the row was not tested against, or B if it was tested against every
+    prime below B or its rest was 0 or 1 before the odd primes.  A row
+    leaves after a block once its rest is below the square of the next
+    prime, so rest[i] < bounds[i]**2 unless bounds[i] == B: the rest is
+    then 1 or a prime.  A zero value, and only a zero value, gives rest
+    0 (and small []).  With full=False a row also leaves after the block
+    of primes in which it first has a hit, so its small[i] and rest[i]
+    stop there, with any rest.  That settles von Mangoldt and primality:
+    the row's first prime p is divided out in full, so |v| is a power of
+    p iff rest[i] is 1 and small[i] holds p alone.
 
     The blocks run as follows.  The powers of two come off every value
-    first, by bit operations; with full=False an even row leaves there.
-    The odd primes are then tested in numpy, on chunks of at most
-    _SIEVE_CHUNK rows: first the _FIRST_BLOCK smallest, then blocks as
-    wide as _SIEVE_CHUNK // rows allows, a cap the first block obeys too.
-    With full=False the rows settled by a small prime, most of them,
-    leave before the wide blocks, and each later block widens as rows
-    leave.  The buffers are made once, sized to the call.
+    first, by bit operations; with full=False an even row leaves there,
+    with bound 3.  The odd primes are then tested in numpy, on chunks of
+    at most _SIEVE_CHUNK rows: first the _FIRST_BLOCK smallest, then
+    blocks as wide as _SIEVE_CHUNK // rows allows, a cap the first block
+    obeys too.  Each block widens as rows leave.  A float copy of each
+    row's rest, updated at its hits, decides who leaves in one vectorised
+    comparison per block.  The buffers are made once, sized to the call.
 
     p | v is tested as v / p == floor(v / p) in float64.  That is exact
     here: if p does not divide v, v / p is at least 1/p from every
     integer, which is more than half an ulp of v / p.
     """
     mags = [abs(int(v)) for v in values]
-    bound = _sieve_bound(max(mags, default=0))
+    top = _sieve_bound(max(mags, default=0))
     twos = [((m & -m) >> 1).bit_length() for m in mags]  # 0 at m = 0
     small = [[2] * k for k in twos]
     rest = [m >> k for m, k in zip(mags, twos)]
-    count = int(np.searchsorted(_SIEVE_PRIMES, bound))
+    bounds = np.array([top if full or not k else 3 for k in twos],
+                      dtype=np.int64)
+    count = int(np.searchsorted(_SIEVE_PRIMES, top))
     q = np.empty(min(_SIEVE_CHUNK, len(mags) * count))
     fl = np.empty_like(q)
     mask = np.empty(len(q), dtype=bool)
@@ -349,12 +369,18 @@ def _sieve_split(values, full=True):
                     small[i].append(p)
                     m //= p
                 rest[i] = m
+            if c1 == count:
+                break
+            if full:  # with full=False the rows with a hit leave anyway
+                v[hit_rows, 0] = [rest[i] for i in rows[hit_rows].tolist()]
+            # A rest below the next prime squared is 1 or a prime.
+            keep = v[:, 0] >= _SIEVE_PRIMES_F[c1] ** 2
             if not full:
-                keep = np.ones(len(rows), dtype=bool)
                 keep[hit_rows] = False
-                rows, v = rows[keep], v[keep]
+            bounds[rows[~keep]] = _SIEVE_PRIMES[c1]
+            rows, v = rows[keep], v[keep]
             c0, width = c1, count
-    return bound, small, rest
+    return bounds.tolist(), small, rest
 
 
 def _trial_split(m: int, full: bool = True):
@@ -380,22 +406,22 @@ def _trial_split(m: int, full: bool = True):
 
 
 def _split(values, full: bool):
-    """(bounds, small, rest): for each value a bound B, the primes below
-    B dividing it and its cofactor, as `_sieve_split` gives them.
+    """(bounds, small, rest): for each value a bound, the primes below it
+    dividing the value and its cofactor, as `_sieve_split` gives them.
 
     The values below 2**52 go through `_sieve_split` as one list, with
-    its bound; each larger value goes through `_trial_split`, with bound
+    its bounds; each larger value goes through `_trial_split`, with bound
     _TRIAL_BOUND.  Either way a cofactor rest > 1 is prime if it is
-    below B**2, and a product of two primes if it is a composite below
-    B**3.
+    below bound**2, and a product of two primes if it is a composite
+    below bound**3.
     """
     values = [int(v) for v in values]
     low = [v for v in values if abs(v) < _FLOAT_EXACT]
-    bound, small, rest = _sieve_split(low, full)
+    split = _sieve_split(low, full)
     if len(low) == len(values):
-        return [bound] * len(values), small, rest
-    pairs = iter(zip(small, rest))
-    return tuple(zip(*[(bound, *next(pairs)) if abs(v) < _FLOAT_EXACT
+        return split
+    rows = zip(*split)
+    return tuple(zip(*[next(rows) if abs(v) < _FLOAT_EXACT
                        else (_TRIAL_BOUND, *_trial_split(abs(v), full))
                        for v in values]))
 

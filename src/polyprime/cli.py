@@ -6,20 +6,23 @@ flag per config key, made from its field; an experiment's keys can also
 come from a key=value file (--config), under the flags.  The merged text
 goes as `Text` to the config's `from_dict`, which parses and checks it.
 Experiments, and gowers given --out-dir, write their files through
-`runio.write_files`; an empty --out-dir is refused before the run.  Exit
-codes: 0 success, 1 configuration problem, 2 exhausted arithmetic
-budget, 3 self-test failure.
+`runio.write_files`; an --out-dir that is empty, or cannot be made a
+directory, is refused before the run.  Exit codes: 0 success, 1
+configuration problem, 2 exhausted arithmetic budget, 3 self-test
+failure.
 """
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import MISSING, fields
 
 import numpy as np
 
-from .arith import (factorize, is_prime_many, liouville_many,
-                    liouville_sieve, mobius_sieve, von_mangoldt_many)
+from .arith import (_TRIAL_BOUND, _split, factorize, is_prime_many,
+                    liouville_many, liouville_sieve, mobius_sieve,
+                    von_mangoldt_many)
 from .config import CONFIGS, GowersConfig, SeriesConfig, Text
 from .errors import BudgetError, ConfigError
 from .experiments import KINDS, ExperimentConfig, run_experiment
@@ -65,7 +68,8 @@ def _config_keys(name: str) -> dict:
 def _build_cfg(name: str, args) -> tuple:
     """A subcommand's config from its flags over a --config file's keys,
     and its out-dir (default: runs/<kind> for a kind, else None; never
-    empty)."""
+    empty).  The out-dir is made here, so that a path that cannot be a
+    directory is refused before the run."""
     keys = _config_keys(name)
     merged = load_config_file(args.config) \
         if getattr(args, "config", None) else {}
@@ -84,7 +88,14 @@ def _build_cfg(name: str, args) -> tuple:
     out_dir = values.pop("out_dir", None)
     if out_dir == "":
         raise ConfigError("out-dir: empty path")
-    return CONFIGS.get(name, ExperimentConfig).from_dict(values), out_dir
+    cfg = CONFIGS.get(name, ExperimentConfig).from_dict(values)
+    if out_dir is not None:
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"out-dir: cannot make directory {out_dir!r}: "
+                              f"{exc.strerror}") from None
+    return cfg, out_dir
 
 
 def _run_experiment_cmd(cfg: ExperimentConfig, out_dir: str) -> int:
@@ -205,7 +216,11 @@ def _selftest_cmd() -> int:
            got == [0, 0, 0, 8, 27, 54, 108])
 
     # The batched kernels split values below 2**52 with the numpy sieve;
-    # factorize trial-divides every value instead.
+    # factorize trial-divides every value instead.  The list holds the
+    # bounds of the Miller-Rabin bands, each a strong pseudoprime to the
+    # bases below it, a row that leaves the sieve part-way (65521 once its
+    # 3s are off), and rows that must not leave after the first block of
+    # primes 3 to 23 (29**2 and 29 * 31 times small primes).
     def by_factorize(v):
         if v == 0:
             return 0, 0.0, False
@@ -214,14 +229,26 @@ def _selftest_cmd() -> int:
                 math.log(f.factors[0][0]) if len(f.factors) == 1 else 0.0,
                 f.factors == ((abs(v), 1),))
 
+    pseudo = [4_759_123_141, 1_122_004_669_633, 2_152_302_898_747,
+              3_474_749_660_383, 341_550_071_728_321]
     mixed = [0, 1, -1, 2, -2, 2 ** 51, -(3 ** 30), 1031 ** 5, 65521 ** 3,
              -65537 * 65539, 3 * 65537, 999_999_999_989 * 2 ** 9,
              10 ** 14 + 31, 2 ** 52 - 1, 2 ** 52 + 1, -(2 ** 61 - 1),
-             (2 ** 61 - 1) ** 2, 1031 ** 7, 3 * 5 * 7 * 11 * 1031 ** 4]
-    report("batched kernels agree with factorize (mixed list)",
-           list(zip(liouville_many(mixed), von_mangoldt_many(mixed),
-                    is_prime_many(mixed))) == [by_factorize(v)
-                                               for v in mixed])
+             (2 ** 61 - 1) ** 2, 1031 ** 7, 3 * 5 * 7 * 11 * 1031 ** 4,
+             *pseudo, 3 ** 20 * 65521, -(2 ** 20) * 29 ** 2, 3 ** 9 * 29 * 31]
+    ok = (list(zip(liouville_many(mixed), von_mangoldt_many(mixed),
+                   is_prime_many(mixed))) == [by_factorize(v) for v in mixed]
+          and not any(is_prime_many(pseudo)))
+    # Each row of the split has a rest free of primes below its bound,
+    # and below the bound squared unless the row ran every sieve block
+    # or was trial-divided.
+    bounds, small, rest = _split(mixed, full=True)
+    top = max(bounds)
+    ok = ok and all(v == 0 or m * math.prod(ps) == abs(v)
+                    and all(p >= b for p, _ in factorize(m).factors)
+                    and (m < b * b or b in (top, _TRIAL_BOUND))
+                    for v, b, ps, m in zip(mixed, bounds, small, rest))
+    report("batched kernels agree with factorize (mixed list)", ok)
 
     return 3 if failures else 0
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import polyprime.arith as arith
@@ -361,57 +361,76 @@ def test_sieve_bound():
     assert arith._sieve_bound(10 ** 30) == 2 ** 16
 
 
+# Rows whose rest falls below the next prime squared part-way through
+# the sieve: a prime just below 2**16 alone or times a power of 2 or of
+# 3 or 3**5 * 5 * 7; and two such primes (which must run every block).
+Q16 = 65521
+LEAVERS = [3 ** 20 * Q16, -(2 ** 36) * Q16, Q16, -(3 ** 5 * 5 * 7) * Q16]
+STAYERS = [Q16 * 65519, 3 * 5 * 7 * Q16 * 65519]
+
+
 def test_sieve_split_against_sympy():
-    # The sieve itself: every prime below B with its multiplicity, and a
-    # cofactor free of them, up to the float64 limit 2**52.
+    # The sieve itself: each row lists exactly the primes below its own
+    # bound, with multiplicity, and a rest free of them; a rest of the
+    # bound squared or more only at the top bound B (or, without full,
+    # after a hit).  Values up to the float64 limit 2**52.
     rng = stream(20260818, 107)
     values = [2 ** 52 + d for d in range(-80, 0)]
     values += [rng.randrange(1, 2 ** 22) * 3 ** 5 * 7 * 65521
                for _ in range(40)]
     values += [0, 1, -1, -(2 ** 32 - 5) * 2 ** 10 * 3 * 5 * 7]
     values += [rng.randrange(-2 ** 20, 2 ** 20) for _ in range(40)]
+    values += LEAVERS + STAYERS
     assert max(map(abs, values)) < 2 ** 52
-    # Without full, a row stops after the block of its first hit: its
-    # primes are a nonempty prefix of the full list, ending with all of
-    # that first prime.
+    # Without full, a row also stops after the block of its first hit,
+    # so some rows end under a smaller bound than with full.
     stopped = 0
     for chunk in (values[:40], values[40:], values[150:]):
-        bound, small, rest = arith._sieve_split(chunk)
-        for v, ps, m in zip(chunk, small, rest):
-            fac = sympy.factorint(abs(v), limit=bound) if abs(v) > 1 else {}
-            want = [p for p, e in sorted(fac.items()) if p < bound
-                    for _ in range(e)]
-            assert ps == want, v
-            assert m == (abs(v) // math.prod(ps) if v else 0), v
-        _, part, part_rest = arith._sieve_split(chunk, full=False)
-        stopped += part != small
-        for v, ps, m, full in zip(chunk, part, part_rest, small):
-            assert ps == full[:len(ps)], v
-            assert ps == full or full.count(ps[0]) == ps.count(ps[0]), v
-            assert m == (abs(v) // math.prod(ps) if v else 0), v
+        top = arith._sieve_bound(max(map(abs, chunk)))
+        whole = arith._sieve_split(chunk)
+        part = arith._sieve_split(chunk, full=False)
+        for full, (bounds, small, rest) in ((True, whole), (False, part)):
+            for v, b, ps, m in zip(chunk, bounds, small, rest):
+                assert b == top or b < top and sympy.isprime(b), v
+                fac = sympy.factorint(abs(v), limit=b) if abs(v) > 1 \
+                    else {}
+                want = [p for p, e in sorted(fac.items()) if p < b
+                        for _ in range(e)]
+                assert ps == want, v
+                assert m == (abs(v) // math.prod(ps) if v else 0), v
+                assert m < b * b or b == top or ps and not full, v
+        stopped += sum(b < w for b, w in zip(part[0], whole[0]))
+        got = dict(zip(chunk, zip(*whole)))
+        for v in LEAVERS:
+            if v in got:
+                b, _, m = got[v]
+                assert 29 < b < top and m == Q16, v
+        for v in STAYERS:
+            if v in got:
+                assert got[v][0] == top, v
     assert stopped
 
 
 def check_sieve_split(values, full):
-    """The contract of _sieve_split, value by value, against the product
-    of the primes below B: a full split leaves a rest coprime to it, and a
-    stopped one a prefix of the full split, ending with all of its first
-    prime."""
-    bound, small, rest = arith._sieve_split(values, full=True)
-    below = math.prod(sympy.primerange(bound))
-    for v, ps, m in zip(values, small, rest):
-        assert ps == sorted(ps) and all(p < bound for p in ps), v
+    """The contract of _sieve_split, row by row, against the product of
+    the primes below the row's bound: the listed primes are primes below
+    it, the rest times them is |v| and the rest is coprime to that
+    product (so they are exactly the primes below the bound, with
+    multiplicity).  The rest is below the bound squared unless the bound
+    is the top bound B or, with full=False, the row had a hit."""
+    top = arith._sieve_bound(max(map(abs, values), default=0))
+    got = arith._sieve_split(values, full)
+    below = {}
+    for v, b, ps, m in zip(values, *got):
+        assert b == top or b < top and sympy.isprime(b), v
+        assert ps == sorted(ps) and all(p < b for p in ps), v
         assert all(sympy.isprime(p) for p in set(ps)), v
         assert m * math.prod(ps) == abs(v), v
-        assert math.gcd(m, below) == 1 or v == 0, v
-    if full:
-        return
-    got = arith._sieve_split(values, full=False)
-    assert got[0] == bound
-    for v, ps, m, whole in zip(values, *got[1:], small):
-        assert ps == whole[:len(ps)] and bool(ps) == bool(whole), v
-        assert not ps or ps.count(ps[0]) == whole.count(ps[0]), v
-        assert m * math.prod(ps) == abs(v), v
+        if b not in below:
+            below[b] = math.prod(sympy.primerange(b))
+        assert math.gcd(m, below[b]) == 1 or v == 0, v
+        assert m < b * b or b == top or ps and not full, v
+    return got
 
 
 EDGE_SPLIT_VALUES = [0, 1, -1, *(s * 2 ** k for k in range(52)
@@ -422,7 +441,7 @@ def test_sieve_split_edge_values():
     values = [v for v in EDGE_SPLIT_VALUES if abs(v) < 2 ** 52]
     for full in (True, False):
         check_sieve_split(values, full)
-    bound, small, rest = arith._sieve_split(values, full=False)
+    _, small, rest = arith._sieve_split(values, full=False)
     assert small[:3] == [[], [], []] and rest[:3] == [0, 1, 1]
     for v, ps, m in zip(values[3:], small[3:], rest[3:]):
         twos = (abs(v) & -abs(v)).bit_length() - 1
@@ -445,14 +464,15 @@ def test_sieve_split_long_lists():
 
 def test_batched_kernels_route_by_size(monkeypatch):
     # Values of 2**52 and more are trial-divided one at a time; the sieve
-    # sees only the smaller ones, in order, with its bound taken from
-    # them alone.
+    # sees only the smaller ones, in order, with its top bound (that of
+    # a zero value, or of a row that runs every block) taken from them
+    # alone.
     seen = []
     split = arith._sieve_split
 
     def spy(values, full=True):
         out = split(values, full)
-        seen.append((list(values), out[0]))
+        seen.append((list(values), max(out[0])))
         return out
 
     monkeypatch.setattr(arith, "_sieve_split", spy)
@@ -461,8 +481,10 @@ def test_batched_kernels_route_by_size(monkeypatch):
     want, got = _sympy_and_batched(values)
     assert got == want
     assert seen == [(low, 2 ** 16)] * 3
-    assert is_prime_many([7, 2 ** 61 + 1]) == [True, False]
-    assert seen[-1] == ([7], 32)
+    # 37 * 41 runs every block below 32, so its bound is the top bound:
+    # 32 from [37 * 41] alone, where 2**61 + 1 would have made it 2**16.
+    assert is_prime_many([37 * 41, 2 ** 61 + 1]) == [False, False]
+    assert seen[-1] == ([37 * 41], 32)
 
 
 # Above 2**52 values are trial-divided by the primes below 1024; 1031 is
@@ -557,3 +579,54 @@ def test_cofactor_miller_rabin_against_sympy():
         assert not arith._miller_rabin(n), n
     assert is_prime_many([3215031751, 3825123056546413051,
                           318665857834031151167461]) == [False] * 3
+
+
+# Each bound is a composite that is a strong pseudoprime to all of its
+# bases: below it they are a proof (Jaeschke, Math. Comp. 61, 1993), at
+# it they are not.  The first and last are the old bound of 2, 3, 5, 7
+# and the bound of the primes to 17.
+MR_BANDS = ((3_215_031_751, (2, 3, 5, 7)),
+            (4_759_123_141, (2, 7, 61)),
+            (1_122_004_669_633, (2, 13, 23, 1_662_803)),
+            (2_152_302_898_747, (2, 3, 5, 7, 11)),
+            (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
+            (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)))
+
+
+def test_miller_rabin_band_bounds():
+    assert arith._MR_BANDS[:4] == MR_BANDS[1:5]
+    for n, bases in MR_BANDS:
+        assert not sympy.isprime(n)
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        assert all(arith._mr_round(n, d, s, a) for a in bases), n
+        assert not arith._miller_rabin(n), n
+        for m in range(n - 199, n + 200, 2):
+            assert arith._miller_rabin(m) == sympy.isprime(m), m
+    bounds = [n for n, _ in MR_BANDS]
+    assert is_prime_many(bounds) == [False] * len(bounds)
+    assert liouville_many(bounds) == [-1, 1, 1, -1, -1, 1]
+
+
+@st.composite
+def smooth_values(draw):
+    """Values below 2**52 with a large smooth part: a product of small
+    primes and their powers times a cofactor that is 1, a prime near
+    2**16 or 2**32, or a product of two primes above 2**16."""
+    smooth = draw(st.lists(st.sampled_from(primes_upto(2000).tolist()),
+                           min_size=1, max_size=12).map(math.prod))
+    cofactor = draw(st.sampled_from((1, Q16, 65519, *P16, P32,
+                                     P16[0] * P16[1], P16[0] ** 2)))
+    value = smooth * cofactor
+    assume(value < 2 ** 52)
+    return value * draw(st.sampled_from((1, -1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(smooth_values(), min_size=1, max_size=30))
+def test_batched_kernels_on_smooth_values_match_sympy(values):
+    want, got = _sympy_and_batched(values)
+    assert got == want
+    for full in (True, False):
+        check_sieve_split(values, full)

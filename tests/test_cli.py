@@ -271,6 +271,32 @@ def test_empty_out_dir_is_refused_before_the_run(monkeypatch, tmp_path,
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
+def test_out_dir_that_cannot_be_made_is_refused_before_the_run(
+        monkeypatch, tmp_path, capsys):
+    # A path naming a file, or a directory under a file, exits 1 naming
+    # out-dir before any sample or norm; a fresh nested path is made.
+    import polyprime.cli as cli
+    ran = []
+    monkeypatch.setattr(cli, "run_experiment", ran.append)
+    monkeypatch.setattr(cli, "_gowers_norm", lambda *args: ran.append(args))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("x")
+    for out_dir, why in (("taken", "File exists"),
+                         ("taken/sub", "Not a directory")):
+        for argv in (["chowla-clt", *SMALL_RUN],
+                     ["gowers", "--target", "one", "--N", "10"]):
+            assert main(argv + ["--out-dir", out_dir]) == 1, argv
+            assert capsys.readouterr() == (
+                "", f"config error: out-dir: cannot make directory "
+                    f"{out_dir!r}: {why}\n")
+    assert ran == []
+    assert (tmp_path / "taken").read_text() == "x"
+    assert main(["gowers", "--target", "one", "--N", "10",
+                 "--out-dir", "a/b"]) == 0
+    assert ran and sorted(p.name for p in (tmp_path / "a/b").iterdir()) \
+        == ["gowers.csv", "manifest.json"]
+
+
 def int_text(lo, hi):
     """An int in [lo, hi] as a flag writes it, at times as 1eK."""
     return st.one_of(st.integers(lo, hi).map(str),
