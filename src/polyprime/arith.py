@@ -270,9 +270,9 @@ def _factor_cofactor(m: int, bound: int, budget: int) -> Counter:
     return found
 
 
-def liouville(n: int, budget: int = DEFAULT_RHO_BUDGET) -> int:
+def liouville(n: int) -> int:
     """(-1)**big_omega(|n|); 0 at n = 0.  As `liouville_many([n])[0]`."""
-    return liouville_many([n], budget=budget)[0]
+    return liouville_many([n])[0]
 
 
 def von_mangoldt(n: int) -> float:

@@ -19,15 +19,14 @@ Each statistic evaluates f once at each of its points, a range of
 consecutive n by `IntPolynomial.values`, hands the values to the pure
 batched kernels of `arith` (`liouville_many`, `von_mangoldt_many`,
 `is_prime_many`), and counts the zero values it met from that same list;
-the count is reported per sample as zero_evals.  poisson-gaps is the
-exception: it evaluates f(1..X) once for its scale and again for its
-windows.  The Bateman-Horn statistic of `bh-moments` is the tuple
-statistic at the one shift 0.
+the count is reported per sample as zero_evals.  The Bateman-Horn
+statistic of `bh-moments` is the tuple statistic at the one shift 0.
 """
 
 import functools
 import math
 import multiprocessing
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -117,46 +116,6 @@ class RunResult:
     warnings: list = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class EmpiricalDistribution:
-    """Counts of a nonnegative integer statistic over `total` trials."""
-
-    counts: tuple  # ((k, count), ...) ascending in k
-    total: int
-
-    def __post_init__(self):
-        if sum(c for _, c in self.counts) != self.total:
-            raise ValueError("counts must sum to total")
-        if any(c < 0 for _, c in self.counts):
-            raise ValueError("counts must be nonnegative")
-
-    @staticmethod
-    def from_values(values) -> "EmpiricalDistribution":
-        acc = {}
-        n = 0
-        for v in values:
-            acc[int(v)] = acc.get(int(v), 0) + 1
-            n += 1
-        return EmpiricalDistribution(tuple(sorted(acc.items())), n)
-
-    def moment(self, k: int) -> float:
-        return math.fsum(c * kk ** k for kk, c in self.counts) / self.total
-
-    def tv_poisson(self, lam: float) -> float:
-        """Total variation distance to Poisson(lam)."""
-        kmax = self.counts[-1][0] if self.counts else 0
-        pmf = math.exp(-lam)
-        acc = 0.0
-        covered = 0.0
-        got = dict(self.counts)
-        for k in range(kmax + 1):
-            acc += abs(got.get(k, 0) / self.total - pmf)
-            covered += pmf
-            pmf *= lam / (k + 1)
-        acc += max(0.0, 1.0 - covered)
-        return 0.5 * acc
-
-
 def tuple_statistic(f: IntPolynomial, X: int, shifts, w: int,
                     series_value=None) -> tuple:
     """Average of the product of von Mangoldt weights at shifted points.
@@ -224,19 +183,36 @@ def sign_pattern_statistic(f: IntPolynomial, X: int, pattern) -> tuple:
     return (count - X / 2 ** s) / math.sqrt(X), vals.count(0)
 
 
-def interval_count_distribution(f: IntPolynomial, X: int,
-                                L: int) -> EmpiricalDistribution:
-    """Distribution of the prime count of f over windows [x, x+L), x <= X."""
-    if L < 1:
-        raise ConfigError("L must be >= 1")
-    flags = is_prime_many(f.values(1, X + L - 1))
+def interval_count_distribution(values, L: int) -> Counter:
+    """Prime counts of f over the windows [x, x+L), 1 <= x <= X.
+
+    `values` are f(1..X+L-1).  The Counter maps k to the number of
+    windows holding exactly k values whose absolute value is prime.
+    """
+    if L < 1 or len(values) < L:
+        raise ValueError("need L >= 1 and at least L values")
+    flags = is_prime_many(values)
     running = sum(flags[:L])
-    counts = []
-    for x in range(1, X + 1):
-        counts.append(running)
-        if x < X:
-            running += -int(flags[x - 1]) + int(flags[x + L - 1])
-    return EmpiricalDistribution.from_values(counts)
+    counts = Counter([running])
+    for x in range(L, len(flags)):
+        running += flags[x] - flags[x - L]
+        counts[running] += 1
+    return counts
+
+
+def tv_poisson(counts: Counter, lam: float) -> float:
+    """Total variation distance between the distribution of the counts
+    (k -> number of trials with value k) and Poisson(lam)."""
+    total = sum(counts.values())
+    pmf = math.exp(-lam)
+    acc = 0.0
+    covered = 0.0
+    for k in range(max(counts, default=0) + 1):
+        acc += abs(counts[k] / total - pmf)
+        covered += pmf
+        pmf *= lam / (k + 1)
+    acc += max(0.0, 1.0 - covered)
+    return 0.5 * acc
 
 
 def _phi(t: float) -> float:
@@ -278,13 +254,14 @@ def iid_sign_simulation(X: int, pattern, trials: int, seed: int) -> float:
 _CDF_POINTS = (("cdf_tm1", -1.0), ("cdf_t0", 0.0), ("cdf_tp1", 1.0))
 
 
-def _gaussian_window_stats(dist: EmpiricalDistribution, p: float, L: int):
-    """Empirical CDF of the window count at the three reference thresholds."""
+def _gaussian_window_stats(counts: Counter, X: int, p: float, L: int):
+    """Empirical CDF of the X window counts at the three reference
+    thresholds."""
     sd = math.sqrt(max(p - p * p, 0.0) * L)
     out = {}
     for tag, t in _CDF_POINTS:
         thr = p * L + t * sd
-        out[tag] = sum(c for k, c in dist.counts if k <= thr) / dist.total
+        out[tag] = sum(c for k, c in counts.items() if k <= thr) / X
     return out
 
 
@@ -392,7 +369,8 @@ def _poisson_gaps_stats(cfg, f, sv):
     log 2, so the scale is at least log 2.  The prime density is
     p = S_w(f) / scale, and the window length is calL / p rounded to an
     integer >= 1 (window_real keeps the unrounded value).  An explicit L
-    overrides the window.
+    overrides the window.  f(1..X) is evaluated once for the scale and
+    extended by f(X+1..X+L-1) for the windows.
     """
     vals = f.values(1, cfg.X)
     logscale = math.fsum(math.log(max(abs(v), 2)) for v in vals) / cfg.X
@@ -402,12 +380,14 @@ def _poisson_gaps_stats(cfg, f, sv):
     else:
         window_real = cfg.calL * logscale / float(sv.value)
         L = max(1, round(window_real))
-    dist = interval_count_distribution(f, cfg.X, L)
+    counts = interval_count_distribution(
+        vals + f.values(cfg.X + 1, cfg.X + L - 1), L)
     return {"window": L,
             "window_real": window_real,
-            "mean_count": dist.moment(1),
-            "tv": dist.tv_poisson(cfg.calL),
-            **_gaussian_window_stats(dist, float(sv.value) / logscale, L)}, 0
+            "mean_count": sum(k * c for k, c in counts.items()) / cfg.X,
+            "tv": tv_poisson(counts, cfg.calL),
+            **_gaussian_window_stats(counts, cfg.X,
+                                     float(sv.value) / logscale, L)}, 0
 
 
 def _stat_values(records, warnings):
@@ -556,7 +536,8 @@ KINDS = {
         "prime counts in tuned windows against Poisson and Gaussian "
         "predictions",
         keys=("calL", "L"),
-        checks=((lambda cfg: cfg.calL > 0, "calL must be positive"),
+        checks=((lambda cfg: 0 < cfg.calL < math.inf,
+                 "calL must be positive and finite"),
                 (lambda cfg: cfg.L >= 0, "L must be >= 1 when set")),
         draw=_draw_bateman_horn,
         stats=_poisson_gaps_stats,

@@ -13,12 +13,15 @@ Both are exact rearrangements of the defining sum.  All M values of c come
 from one `np.correlate` call, so the work is still about M^s
 multiply-adds (M^2 for U^2, M correlations of M^2 each for U^3), with one
 Python-level call per shift above s = 2 instead of one per (s-1)-tuple of
-shifts.  For integer-valued f with |f| <= 1 and M^3 < 2^53 (the default
-budget allows U^2 only up to M = 70,710, where M^3 < 2^49), every c(h),
-every c(h)^2 and their sum are exact in float64, so the U^2 average is the
-correctly rounded value of the rational sum c(h)^2 / M^3.  The average of
-a real function is provably nonnegative, so a materially negative result
-is an arithmetic bug; tiny negatives from rounding are clamped.
+shifts.  Those are M^(s-2) calls in all, and a second cap of 10^6 bounds
+them, so a small M at a large s (M = 3, s = 20 is within the M^s budget)
+cannot run for hours.  For integer-valued f with |f| <= 1 and M^3 < 2^53
+(the default budget allows U^2 only up to M = 70,710, where M^3 < 2^49),
+every c(h), every c(h)^2 and their sum are exact in float64, so the U^2
+average is the correctly rounded value of the rational sum c(h)^2 / M^3.
+The average of a real function is provably nonnegative, so a materially
+negative result is an arithmetic bug; tiny negatives from rounding are
+clamped.
 
 Interval norms come from embedding the truncated sequence in Z/MZ with M
 the least prime at least multiplier*N, multiplier 5 by default (zero
@@ -33,6 +36,8 @@ from .errors import BudgetError, ConsistencyError
 
 # cap on the ~M**s multiplications the factored evaluation performs
 DEFAULT_OP_BUDGET = 5 * 10 ** 9
+# cap on the M**(s-2) Python-level U^2 calls the peel makes (~20 s)
+PEEL_CALL_CAP = 10 ** 6
 
 
 def _u_average(values: np.ndarray, s: int) -> float:
@@ -56,7 +61,12 @@ def _u_average(values: np.ndarray, s: int) -> float:
 
 def gowers_average(values, s: int,
                    op_budget: int = DEFAULT_OP_BUDGET) -> float:
-    """The U^s box average of f, before the 2^(-s) exponent root."""
+    """The U^s box average of f, before the 2^(-s) exponent root.
+
+    Refused with a BudgetError, before any work, when M^s exceeds
+    op_budget or, for s >= 3, when the M^(s-2) calls of the peel exceed
+    PEEL_CALL_CAP: each costs microseconds of Python however small M is.
+    """
     if s < 1:
         raise ValueError("s must be >= 1")
     arr = np.asarray(values, dtype=np.float64)
@@ -66,6 +76,9 @@ def gowers_average(values, s: int,
     if M ** s > op_budget:
         raise BudgetError(f"U^{s} on Z/{M}Z needs ~{M ** s} operations, "
                           f"over the budget of {op_budget}")
+    if s > 2 and M ** (s - 2) > PEEL_CALL_CAP:
+        raise BudgetError(f"U^{s} on Z/{M}Z peels through {M ** (s - 2)} "
+                          f"calls, over the cap of {PEEL_CALL_CAP}")
     avg = _u_average(arr, s)
     scale = float(np.max(np.abs(arr))) ** (2 ** s)
     tol = 1e-12 * max(scale, 1.0)
@@ -75,11 +88,9 @@ def gowers_average(values, s: int,
     return max(avg, 0.0)
 
 
-def gowers_norm_cyclic(values, s: int,
-                       op_budget: int = DEFAULT_OP_BUDGET) -> float:
+def gowers_norm_cyclic(values, s: int) -> float:
     """U^s norm of a real sequence indexed by Z/MZ."""
-    avg = gowers_average(values, s, op_budget=op_budget)
-    return avg ** (1.0 / 2 ** s)
+    return gowers_average(values, s) ** (1.0 / 2 ** s)
 
 
 def interval_embedding(func, N: int, multiplier: int = 5):
@@ -99,8 +110,7 @@ def interval_embedding(func, N: int, multiplier: int = 5):
     return arr, M
 
 
-def gowers_norm_interval(func, N: int, s: int, multiplier: int = 5,
-                         op_budget: int = DEFAULT_OP_BUDGET) -> float:
+def gowers_norm_interval(func, N: int, s: int, multiplier: int = 5) -> float:
     """U^s norm of f truncated to [1, N], via the cyclic embedding."""
     arr, _ = interval_embedding(func, N, multiplier=multiplier)
-    return gowers_norm_cyclic(arr, s, op_budget=op_budget)
+    return gowers_norm_cyclic(arr, s)

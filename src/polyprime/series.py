@@ -6,7 +6,7 @@ Fractions end to end and only get converted to float at the reporting
 boundary.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -25,24 +25,16 @@ class TruncatedSeries:
 
     w: int
     local_factors: tuple  # ((p, Fraction), ...) ascending in p
-    value: Fraction
+    value: Fraction = field(init=False)  # the product of the factors
 
     def __post_init__(self):
-        v = Fraction(1)
+        value = Fraction(1)
         for _, fac in self.local_factors:
-            v *= fac
-        if v != self.value:
-            raise ValueError("value does not match the factor product")
+            value *= fac
+        object.__setattr__(self, "value", value)
 
     def to_text(self) -> str:
         return f"{self.value.numerator}/{self.value.denominator}"
-
-
-def _assemble(w: int, factors) -> TruncatedSeries:
-    value = Fraction(1)
-    for _, fac in factors:
-        value *= fac
-    return TruncatedSeries(w=w, local_factors=tuple(factors), value=value)
 
 
 def series_f(f: IntPolynomial, w: int) -> TruncatedSeries:
@@ -66,7 +58,7 @@ def series_f_tuple(f: IntPolynomial, shifts, w: int) -> TruncatedSeries:
         p = int(p)
         count = count_unit_values_mod_p(f, p, shifts)
         factors.append((p, Fraction(count * p ** (k - 1), (p - 1) ** k)))
-    return _assemble(w, factors)
+    return TruncatedSeries(w, tuple(factors))
 
 
 def prime_factors_at_most(M: int, w: int) -> bool:
@@ -110,7 +102,7 @@ def series_linear_system(ns, f0: IntPolynomial, M: int, w: int,
             count = count_unit_tuples_linear_system(ns, d, p)
             fac = Fraction(count * p ** t, p ** (d + 1) * (p - 1) ** t)
         factors.append((p, fac))
-    return _assemble(w, factors)
+    return TruncatedSeries(w, tuple(factors))
 
 
 def lemma_upper_bound(w: int, k: int = 1) -> Fraction:
@@ -135,8 +127,7 @@ def lemma_lower_bound(w: int, d: int) -> Fraction:
     return out
 
 
-def interchange_identity_check(f: IntPolynomial, p: int, r: int,
-                               budget: int = INTERCHANGE_BUDGET) -> bool:
+def interchange_identity_check(f: IntPolynomial, p: int, r: int) -> bool:
     """Brute-force check of the shift-average rearrangement.
 
     Summing the count of x with f(x + l_i) a unit for all i, over all
@@ -145,7 +136,7 @@ def interchange_identity_check(f: IntPolynomial, p: int, r: int,
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    if p ** r * p > budget:
+    if p ** r * p > INTERCHANGE_BUDGET:
         raise BudgetError(f"interchange enumeration p^{r}*p exceeds budget")
     g = f.reduce_mod(p)
     unit = [g.eval(y) % p != 0 for y in range(p)]
@@ -157,8 +148,8 @@ def interchange_identity_check(f: IntPolynomial, p: int, r: int,
     return lhs == rhs
 
 
-def tuple_sum_identity_residual(f: IntPolynomial, L: int, r: int, w: int,
-                                budget: int = TUPLE_SUM_BUDGET) -> Fraction:
+def tuple_sum_identity_residual(f: IntPolynomial, L: int, r: int,
+                                w: int) -> Fraction:
     """(L * series)^r minus the sum of tuple series over distinct shifts.
 
     The shifts range over ordered r-tuples of distinct values in 1..L.
@@ -172,7 +163,7 @@ def tuple_sum_identity_residual(f: IntPolynomial, L: int, r: int, w: int,
     n_tuples = 1
     for i in range(r):
         n_tuples *= L - i
-    if n_tuples > budget:
+    if n_tuples > TUPLE_SUM_BUDGET:
         raise BudgetError(f"{n_tuples} shift tuples exceed the budget")
     total = (L * series_f(f, w).value) ** r
     acc = Fraction(0)

@@ -489,6 +489,8 @@ CONFIG_ERRORS = [
      "unrecognized arguments: --k-max 2"),
     (["poisson-gaps", *SMALL_RUN, "--k-max", "2"],
      "unrecognized arguments: --k-max 2"),
+    (["poisson-gaps", *SMALL_RUN, "--calL", "inf"],
+     "calL must be positive and finite"),
     (["linear-forms", *SMALL_RUN, "--k-max", "2"],
      "unrecognized arguments: --k-max 2"),
 ]
@@ -590,9 +592,12 @@ def test_gowers_requires_exactly_one_domain(capsys):
     capsys.readouterr()
 
 
-def test_gowers_budget_exit_code():
+def test_gowers_budget_exit_code(capsys):
     rc = main(["gowers", "--target", "one", "--M", "100000", "--s", "3"])
     assert rc == 2
+    # 3^20 is within the operation budget; the 3^18 peel calls are not.
+    assert main(["gowers", "--target", "one", "--M", "3", "--s", "20"]) == 2
+    assert "peels" in capsys.readouterr().err
 
 
 def test_selftest_passes(capsys):

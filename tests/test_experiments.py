@@ -8,11 +8,11 @@ from dataclasses import MISSING, fields
 import numpy as np
 import pytest
 
-from polyprime.arith import is_prime, liouville, primes_upto, von_mangoldt
+from polyprime.arith import (is_prime, is_prime_many, liouville, primes_upto,
+                             von_mangoldt)
 from polyprime.errors import ConfigError
 from polyprime.experiments import (
     KINDS,
-    EmpiricalDistribution,
     ExperimentConfig,
     chowla_normalized_sum,
     iid_sign_simulation,
@@ -22,6 +22,7 @@ from polyprime.experiments import (
     run_sample,
     sign_pattern_statistic,
     tuple_statistic,
+    tv_poisson,
 )
 from polyprime.poly import IntPolynomial, sample_uniform
 from polyprime.rng import stream
@@ -180,29 +181,28 @@ def test_sign_pattern_tolerates_zero_values():
 
 
 def test_interval_distribution_window_one():
-    dist = interval_count_distribution(X_POLY, 30, 1)
-    assert dist.total == 30
-    counts = dict(dist.counts)
-    assert counts[1] / dist.total == 10 / 30  # ten primes up to 30
-    assert counts[0] / dist.total == 20 / 30
+    counts = interval_count_distribution(X_POLY.values(1, 30), 1)
+    assert sum(counts.values()) == 30
+    assert counts[1] / 30 == 10 / 30  # ten primes up to 30
+    assert counts[0] / 30 == 20 / 30
 
 
 def test_interval_distribution_against_recount():
     X, L = 20, 5
-    dist = interval_count_distribution(X_POLY, X, L)
+    counts = interval_count_distribution(X_POLY.values(1, X + L - 1), L)
     acc = {}
     for x in range(1, X + 1):
         c = sum(1 for m in range(x, x + L)
                 if m >= 2 and all(m % q for q in range(2, m)))
         acc[c] = acc.get(c, 0) + 1
-    assert dict(dist.counts) == acc
+    assert counts == acc
 
 
 def test_interval_double_counting_identity():
     f = IntPolynomial((1, 0, 1))
     X, L = 50, 3
-    dist = interval_count_distribution(f, X, L)
-    lhs = sum(k * c for k, c in dist.counts)
+    counts = interval_count_distribution(f.values(1, X + L - 1), L)
+    lhs = sum(k * c for k, c in counts.items())
     rhs = 0
     for x in range(1, X + 1):
         rhs += sum(1 for m in range(x, x + L)
@@ -220,42 +220,23 @@ def is_prime_naive(m):
     return all(m % q for q in range(2, math.isqrt(m) + 1))
 
 
-def test_interval_moment_examples():
-    flat = EmpiricalDistribution(((0, 10),), 10)
-    assert flat.moment(1) == 0.0
-    assert flat.moment(3) == 0.0
-    half = EmpiricalDistribution(((0, 5), (1, 5)), 10)
-    assert half.moment(2) == 0.5
-
-
 def test_interval_moment_large_against_direct_sum():
     X, L, k = 10 ** 4, 20, 2
-    dist = interval_count_distribution(X_POLY, X, L)
+    counts = interval_count_distribution(X_POLY.values(1, X + L - 1), L)
     sieve = np.zeros(X + L + 1, dtype=bool)
     for p in primes_upto(X + L).tolist():
         sieve[p] = True
     direct = 0
     for x in range(1, X + 1):
         direct += int(sieve[x: x + L].sum()) ** k
-    assert dist.moment(k) == direct / X
-
-
-def test_empirical_distribution_validation():
-    with pytest.raises(ValueError):
-        EmpiricalDistribution(((0, 5),), 6)
-    with pytest.raises(ValueError):
-        EmpiricalDistribution(((0, -1), (1, 11)), 10)
-    d = EmpiricalDistribution.from_values([0, 1, 1, 2])
-    assert d.counts == ((0, 1), (1, 2), (2, 1))
-    assert d.total == 4
-    assert dict(d.counts).get(3, 0) / d.total == 0.0
+    assert sum(c * kk ** k for kk, c in counts.items()) == direct
 
 
 def test_tv_poisson_point_mass():
-    d = EmpiricalDistribution(((0, 10),), 10)
+    d = Counter({0: 10})
     want = 1.0 - math.exp(-1.0)
-    assert d.tv_poisson(1.0) == pytest.approx(want, abs=1e-12)
-    assert d.tv_poisson(0.0) == pytest.approx(0.0, abs=1e-12)
+    assert tv_poisson(d, 1.0) == pytest.approx(want, abs=1e-12)
+    assert tv_poisson(d, 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ks_statistic():
@@ -435,6 +416,41 @@ def test_poisson_gaps_window_from_own_log_scale():
     assert saw_zero
 
 
+def test_poisson_gaps_evaluates_each_point_once(monkeypatch):
+    # One is_prime_many call per sample, on f(1..X+L-1), built from the
+    # two ranges 1..X (the scale) and X+1..X+L-1 (the window tails).
+    import polyprime.experiments as experiments
+    ranges, lists = [], []
+    inner_values, inner_is_prime = IntPolynomial.values, is_prime_many
+
+    def values(f, lo, hi):
+        ranges.append((f.coeffs, lo, hi))
+        return inner_values(f, lo, hi)
+
+    def spy_is_prime(vals):
+        lists.append(list(vals))
+        return inner_is_prime(vals)
+
+    monkeypatch.setattr(IntPolynomial, "values", values)
+    monkeypatch.setattr(experiments, "is_prime_many", spy_is_prime)
+    X = 25
+    for extra in ({"calL": 3.0}, {"L": 7}, {"L": 1}):
+        ranges.clear()
+        lists.clear()
+        cfg = ExperimentConfig(kind="poisson-gaps", d=2, H=50, X=X,
+                               samples=4, seed=5, w=5, **extra)
+        records = run_experiment(cfg).records
+        assert len(lists) == len(records)
+        want_ranges = []
+        for rec, vals in zip(records, lists):
+            f, L = IntPolynomial(rec.coeffs), rec.stats["window"]
+            assert vals == [f.eval(n) for n in range(1, X + L)]
+            want_ranges += [(f.coeffs, 1, X), (f.coeffs, X + 1, X + L - 1)]
+        assert ranges == want_ranges
+        assert any(rec.stats["window"] > 1 for rec in records) \
+            or extra == {"L": 1}
+
+
 def test_config_validation_errors():
     good = dict(kind="chowla-clt", d=1, H=10, X=10, samples=2, seed=0)
     ExperimentConfig(**good)
@@ -454,6 +470,7 @@ def test_config_validation_errors():
         dict(good, kind="sign-patterns"),
         dict(good, kind="sign-patterns", pattern=(1, 0)),
         dict(good, kind="poisson-gaps", calL=0.0),
+        dict(good, kind="poisson-gaps", calL=math.inf),
         dict(good, kind="linear-forms", ns=()),
         dict(good, kind="linear-forms", ns=(1, 1)),
         dict(good, kind="linear-forms", target="theta"),
@@ -557,8 +574,7 @@ def ref_sign(f, X, pattern):
 
 def ref_interval(f, X, L):
     flags = [is_prime(f.eval(m)) for m in range(1, X + L)]
-    counts = [sum(flags[x - 1: x - 1 + L]) for x in range(1, X + 1)]
-    return EmpiricalDistribution.from_values(counts)
+    return Counter(sum(flags[x - 1: x - 1 + L]) for x in range(1, X + 1))
 
 
 def small_polys(seed, count):
@@ -581,8 +597,8 @@ def test_statistics_match_reference_loops():
             assert sign_pattern_statistic(f, X, pattern) == \
                 ref_sign(f, X, pattern), (f, pattern)
         for L in (1, 4):
-            assert interval_count_distribution(f, X, L) == \
-                ref_interval(f, X, L), (f, L)
+            assert interval_count_distribution(
+                f.values(1, X + L - 1), L) == ref_interval(f, X, L), (f, L)
     assert zeros > 0
 
 

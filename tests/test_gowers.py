@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from polyprime.arith import least_prime_at_least, liouville_sieve, mobius_sieve
 from polyprime.errors import BudgetError
+from polyprime import gowers
 from polyprime.gowers import (
     DEFAULT_OP_BUDGET,
+    PEEL_CALL_CAP,
     gowers_average,
     gowers_norm_cyclic,
     gowers_norm_interval,
@@ -255,3 +257,23 @@ def test_budget_error():
         gowers_average(np.ones(5), 0)
     with pytest.raises(ValueError):
         gowers_average([], 2)
+
+
+def test_peel_call_cap(monkeypatch):
+    # M^s is within the budget, but the peel would make M^(s-2) calls.
+    calls = []
+    real = gowers._u_average
+    monkeypatch.setattr(gowers, "_u_average",
+                        lambda values, s: calls.append(s) or real(values, s))
+    assert 3 ** 20 <= DEFAULT_OP_BUDGET and 3 ** 18 > PEEL_CALL_CAP
+    with pytest.raises(BudgetError, match="peels"):
+        gowers_average(np.ones(3), 20)
+    assert calls == []  # refused before any work
+    assert gowers_average(np.ones(4), 5) == 1.0
+    assert calls.count(2) == 4 ** 3
+    # The cap is on M^(s-2) itself; a stub stands in for the 10^6 calls.
+    assert PEEL_CALL_CAP == 10 ** 6
+    monkeypatch.setattr(gowers, "_u_average", lambda values, s: 0.0)
+    gowers_average(np.ones(1000), 4, op_budget=10 ** 13)
+    with pytest.raises(BudgetError, match="peels"):
+        gowers_average(np.ones(1001), 4, op_budget=10 ** 13)
