@@ -489,10 +489,10 @@ CONFIG_ERRORS = [
      "unrecognized arguments: --k-max 2"),
     (["poisson-gaps", *SMALL_RUN, "--k-max", "2"],
      "unrecognized arguments: --k-max 2"),
-    (["poisson-gaps", *SMALL_RUN, "--calL", "inf"],
-     "calL must be positive and finite"),
     (["linear-forms", *SMALL_RUN, "--k-max", "2"],
      "unrecognized arguments: --k-max 2"),
+    (["poisson-gaps", *SMALL_RUN, "--calL", "inf"],
+     "calL must be positive and finite"),
 ]
 
 
