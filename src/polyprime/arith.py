@@ -38,7 +38,7 @@ value is trial-divided by the primes below 1024, its bound.
 `factorize` trial-divides the same way, then splits what is left with
 Miller-Rabin, perfect-power extraction and Brent's cycle-finding rho with
 batched gcds under an explicit iteration budget.  Exceeding the budget
-raises FactorBudgetError instead of stalling.  Miller-Rabin takes the
+raises BudgetError instead of stalling.  Miller-Rabin takes the
 smallest base set proven for the size of n: Jaeschke's (Math. Comp. 61,
 1993) sets of 3 to 6 bases below 3,474,749,660,383, Sinclair's seven
 bases below 2**64 and 13 fixed witnesses below ~3.3e24, each a proof
@@ -48,11 +48,9 @@ there.
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import FactorBudgetError
+from .errors import BudgetError
 
 DEFAULT_RHO_BUDGET = 10_000_000
 
@@ -183,7 +181,7 @@ class _RhoState:
 
 
 def _brent_rho(m: int, state: _RhoState) -> int:
-    """A nontrivial factor of composite odd m, or FactorBudgetError."""
+    """A nontrivial factor of composite odd m, or BudgetError."""
     rng = random.Random(m ^ 0x9E3779B97F4A7C15)
     while True:
         y = rng.randrange(1, m)
@@ -200,7 +198,7 @@ def _brent_rho(m: int, state: _RhoState) -> int:
                 ys = y
                 batch = min(128, r - k)
                 if state.budget < batch:
-                    raise FactorBudgetError(
+                    raise BudgetError(
                         f"rho budget exhausted while splitting {m}")
                 state.budget -= batch
                 for _ in range(batch):
@@ -213,7 +211,7 @@ def _brent_rho(m: int, state: _RhoState) -> int:
             g = 1
             while g == 1:
                 if state.budget <= 0:
-                    raise FactorBudgetError(
+                    raise BudgetError(
                         f"rho budget exhausted while splitting {m}")
                 state.budget -= 1
                 ys = (ys * ys + c) % m
@@ -223,28 +221,14 @@ def _brent_rho(m: int, state: _RhoState) -> int:
         # cycle degenerated; retry with a fresh (y, c) pair
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Signed factorization n = sign * prod(p**e)."""
-
-    n: int
-    sign: int
-    factors: tuple  # sorted ((prime, exponent), ...)
-
-    @property
-    def big_omega(self) -> int:
-        return sum(e for _, e in self.factors)
-
-
-def factorize(n: int, budget: int = DEFAULT_RHO_BUDGET) -> Factorization:
-    """Full factorization of n != 0 under an iteration budget."""
+def factorize(n: int, budget: int = DEFAULT_RHO_BUDGET) -> tuple:
+    """The factorization of |n| for n != 0 under an iteration budget, as
+    the sorted tuple ((prime, exponent), ...)."""
     if n == 0:
         raise ValueError("0 has no factorization")
-    sign = -1 if n < 0 else 1
     small, m = _trial_split(abs(n))
     found = Counter(small) + _factor_cofactor(m, _TRIAL_BOUND, budget)
-    return Factorization(n=n, sign=sign,
-                         factors=tuple(sorted(found.items())))
+    return tuple(sorted(found.items()))
 
 
 def _factor_cofactor(m: int, bound: int, budget: int) -> Counter:

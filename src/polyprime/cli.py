@@ -26,7 +26,7 @@ from .arith import (_TRIAL_BOUND, _split, factorize, is_prime_many,
 from .config import CONFIGS, GowersConfig, SeriesConfig, Text
 from .errors import BudgetError, ConfigError
 from .experiments import KINDS, ExperimentConfig, run_experiment
-from .gowers import gowers_norm_cyclic, gowers_norm_interval
+from .gowers import check_budget, gowers_norm_cyclic, gowers_norm_interval
 from .moments import poisson_central_moment, stein_chen_check
 from .poly import IntPolynomial, sample_uniform
 from .rng import stream
@@ -131,7 +131,10 @@ def _series_cmd(cfg: SeriesConfig, factors: bool) -> int:
 
 def _gowers_norm(cfg: GowersConfig, size: int) -> float:
     """The U^s norm of cfg.target on the interval [1, size] when cfg has
-    N, else on Z/(size)Z with f(n) at n mod size for n = 1..size."""
+    N, else on Z/(size)Z with f(n) at n mod size for n = 1..size.  The
+    budget is checked before any array is built, on the interval at the
+    least modulus the embedding can have, multiplier * size."""
+    check_budget(cfg.multiplier * size if cfg.N else size, cfg.s)
     if cfg.target in ("one", "delta"):  # delta is 1 at n = 1 only
         f = np.arange(size + 1) == 1 if cfg.target == "delta" \
             else np.ones(size + 1)
@@ -225,9 +228,9 @@ def _selftest_cmd() -> int:
         if v == 0:
             return 0, 0.0, False
         f = factorize(v)
-        return ((-1) ** f.big_omega,
-                math.log(f.factors[0][0]) if len(f.factors) == 1 else 0.0,
-                f.factors == ((abs(v), 1),))
+        return ((-1) ** sum(e for _, e in f),
+                math.log(f[0][0]) if len(f) == 1 else 0.0,
+                f == ((abs(v), 1),))
 
     pseudo = [4_759_123_141, 1_122_004_669_633, 2_152_302_898_747,
               3_474_749_660_383, 341_550_071_728_321]
@@ -245,7 +248,7 @@ def _selftest_cmd() -> int:
     bounds, small, rest = _split(mixed, full=True)
     top = max(bounds)
     ok = ok and all(v == 0 or m * math.prod(ps) == abs(v)
-                    and all(p >= b for p, _ in factorize(m).factors)
+                    and all(p >= b for p, _ in factorize(m))
                     and (m < b * b or b in (top, _TRIAL_BOUND))
                     for v, b, ps, m in zip(mixed, bounds, small, rest))
     report("batched kernels agree with factorize (mixed list)", ok)

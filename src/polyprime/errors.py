@@ -13,9 +13,5 @@ class BudgetError(RuntimeError):
     """An enumeration or iteration cap was exceeded."""
 
 
-class FactorBudgetError(BudgetError):
-    """The factorization kernel ran out of its iteration budget."""
-
-
 class ConsistencyError(RuntimeError):
     """Two supposedly identical computations disagreed (an internal bug)."""

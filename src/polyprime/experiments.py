@@ -11,16 +11,26 @@ Each experiment kind is one `Kind` entry of `KINDS`: its own config
 keys, validation, sampler, series, statistic, aggregation and samples.csv
 columns; each config key is one `ExperimentConfig` field.  The command
 line, the run and the CSV writer read the table and the fields and hold
-no per-kind code.
+no per-kind code, but for the size check of `_check_points`.
 
 Statistic conventions.  Sums over n always mean 1 <= n <= X.  A zero
 value of f(n) contributes 0 wherever an arithmetic function is applied.
 Each statistic evaluates f once at each of its points, a range of
-consecutive n by `IntPolynomial.values`, hands the values to the pure
-batched kernels of `arith` (`liouville_many`, `von_mangoldt_many`,
-`is_prime_many`), and counts the zero values it met from that same list;
-the count is reported per sample as zero_evals.  The Bateman-Horn
-statistic of `bh-moments` is the tuple statistic at the one shift 0.
+consecutive n by `IntPolynomial.values` (linear-forms: the points ns),
+and hands the values to the pure batched kernels of `arith`
+(`liouville_many`, `von_mangoldt_many`, `is_prime_many`).  A run whose
+samples would each evaluate f at more than POINTS_CAP points is refused
+before its first sample.  The Bateman-Horn statistic of `bh-moments` is
+the tuple statistic at the one shift 0.
+
+The samples.csv column zero_evals is counted from the same values:
+  bh-moments, chowla-clt   each zero value among f(1..X), once
+  sign-patterns            each zero value among f(2..X+s), once
+  linear-forms             each zero value among f(ns), once
+  tuples                   each product stopped at a zero value, so one
+                           zero value can count once per shift
+                           (`tuple_statistic`)
+  poisson-gaps             nothing: always 0
 """
 
 import functools
@@ -41,8 +51,12 @@ from .moments import gaussian_moment, sigma_squared
 from .poly import (REJECTION_CAP, IntPolynomial, sample_uniform,
                    sample_uniform_residue)
 from .rng import child_seed, stream
-from .series import (prime_factors_at_most, series_f, series_f_tuple,
-                     series_linear_system)
+from .series import (lemma_lower_bound, prime_factors_at_most, series_f,
+                     series_f_tuple, series_linear_system)
+
+# Cap on the points at which one sample evaluates f.  At X = 10**6 one
+# chowla-clt sample (d = 1, H = 10) takes about 6.5 s and 300 MiB.
+POINTS_CAP = 10 ** 6
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -116,19 +130,21 @@ class RunResult:
     warnings: list = field(default_factory=list)
 
 
-def tuple_statistic(f: IntPolynomial, X: int, shifts, w: int,
-                    series_value=None) -> tuple:
+def tuple_statistic(f: IntPolynomial, X: int, shifts,
+                    series_value) -> tuple:
     """Average of the product of von Mangoldt weights at shifted points.
 
-    Returns (average minus the tuple series, zero values met).  The
+    Returns (the average minus series_value, the products stopped by a
+    zero value).  series_value is f's tuple series at shifts.  The
     product at n is taken in shift order and stops at its first zero
-    weight, so a zero value f(n + l) is counted only when every earlier
-    shift's weight at n was nonzero.  At the one shift 0 this is the
-    Bateman-Horn statistic, the average of the von Mangoldt weight along
-    f minus its series, with every zero value counted.
+    weight, which is counted when it comes from a zero value f(n + l).
+    So a zero value f(m) counts once for each n <= X and shift l with
+    n + l = m whose earlier shifts' weights at n were nonzero: at shifts
+    0, 2 the one zero of x - 5 counts at n = 3 and n = 5.  At the one
+    shift 0 this is the Bateman-Horn statistic, the average of the von
+    Mangoldt weight along f minus its series, with each zero value among
+    f(1..X) counted once.
     """
-    if series_value is None:
-        series_value = series_f_tuple(f, shifts, w).value
     shifts = list(shifts)
     lo = 1 + min(shifts)
     vals = f.values(lo, X + max(shifts))
@@ -265,19 +281,14 @@ def _gaussian_window_stats(counts: Counter, X: int, p: float, L: int):
     return out
 
 
-def run_sample(cfg: ExperimentConfig, index: int,
-               series=None) -> SampleRecord:
+def run_sample(cfg: ExperimentConfig, index: int, series) -> SampleRecord:
     """Compute one sample record; fully determined by (cfg.seed, index).
 
-    `series` is the run's shared series, which `run_experiment` computes
-    once with the kind's `run_series` and hands to every sample; when it
-    is None (a sample computed on its own) it is computed here, with the
-    same value.
+    `series` is the run's shared series, the kind's `run_series(cfg)`,
+    which `run_experiment` computes once and hands to every sample.
     """
     kind = KINDS[cfg.kind]
     rng = stream(cfg.seed, index)
-    if series is None:
-        series = kind.run_series(cfg)
     f, attempts, sv = kind.draw(cfg, rng, series)
     stats, zero_evals = kind.stats(cfg, f, sv)
     return SampleRecord(index=index, coeffs=f.coeffs, series=sv.value,
@@ -477,10 +488,10 @@ class Kind:
     None when it depends on f.  `draw(cfg, rng, series)` returns (f,
     attempts, f's series), given the run's series.  `stats(cfg, f,
     series)` returns (stats, zero_evals): the sample's statistics, named
-    by `columns` in samples.csv order, and the number of zero values of
-    f the statistic met.  `rows(cfg, records, warnings)` are the
-    aggregates.csv rows as (key, estimate, stderr, predicted); it may
-    append run warnings.  Entries reach the traced public functions
+    by `columns` in samples.csv order, and the kind's count of zero
+    values (see the module docstring).  `rows(cfg, records, warnings)`
+    are the aggregates.csv rows as (key, estimate, stderr, predicted); it
+    may append run warnings.  Entries reach the traced public functions
     through this module's globals, at call time.
     """
 
@@ -501,7 +512,7 @@ KINDS = {
         keys=("k_max",),
         draw=_draw,
         stats=lambda cfg, f, sv: _stat(tuple_statistic(
-            f, cfg.X, (0,), cfg.w, series_value=sv.value)),
+            f, cfg.X, (0,), sv.value)),
         rows=_centred_rows),
     "tuples": Kind(
         "shifted-tuple version of the von Mangoldt statistic",
@@ -514,7 +525,7 @@ KINDS = {
                  "shifts must satisfy |shift| <= X")),
         draw=_draw_tuples,
         stats=lambda cfg, f, sv: _stat(tuple_statistic(
-            f, cfg.X, cfg.shifts, cfg.w, series_value=sv.value)),
+            f, cfg.X, cfg.shifts, sv.value)),
         rows=_centred_rows),
     "chowla-clt": Kind(
         "normalized Liouville sums along random polynomials against "
@@ -583,14 +594,44 @@ def _aggregate(cfg: ExperimentConfig, records) -> RunResult:
                      warnings=warnings)
 
 
+def _check_points(cfg: ExperimentConfig) -> None:
+    """Refuse with a BudgetError naming the key a run whose samples would
+    each evaluate f at more than POINTS_CAP points: X, then X plus the
+    span of the shifts, the pattern or the windows.  A window from calL
+    is bounded for every f the draw accepts: calL times the largest
+    log|f(n)|, at most log((d+1) H X**d), over the least nonzero series,
+    `lemma_lower_bound(w, d)`.  linear-forms evaluates f at its ns only.
+    """
+    if cfg.kind == "linear-forms":
+        return
+    key, span = "X", 0
+    if cfg.kind == "tuples":
+        key, span = "shifts", max(cfg.shifts) - min(cfg.shifts)
+    elif cfg.kind == "sign-patterns":
+        key, span = "pattern", len(cfg.pattern) - 1
+    elif cfg.kind == "poisson-gaps" and cfg.L:
+        key, span = "L", cfg.L - 1
+    elif cfg.kind == "poisson-gaps":
+        log_top = max(math.log(cfg.d + 1) + math.log(cfg.H)
+                      + cfg.d * math.log(cfg.X), math.log(2))
+        key, span = "calL", (cfg.calL * log_top
+                             / float(lemma_lower_bound(cfg.w, cfg.d)))
+    for key, points in (("X", cfg.X), (key, cfg.X + span)):
+        if points > POINTS_CAP:
+            raise BudgetError(f"{key}: a sample would evaluate f at more "
+                              f"than the cap of {POINTS_CAP} points")
+
+
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Run all samples (possibly in a worker pool) and aggregate.
 
-    The run's shared series (the kind's `run_series`, if any) depends on
-    cfg alone, not on the sampled f, so it is computed once, before any
+    Sizes past POINTS_CAP are refused first (`_check_points`).  The
+    run's shared series (the kind's `run_series`, if any) depends on cfg
+    alone, not on the sampled f, so it is computed once, before any
     worker starts, and bound with cfg into the one callable that both the
     pool and the single-worker loop map over the sample indices.
     """
+    _check_points(cfg)
     run = functools.partial(run_sample, cfg,
                             series=KINDS[cfg.kind].run_series(cfg))
     indices = range(cfg.samples)

@@ -59,26 +59,29 @@ def _u_average(values: np.ndarray, s: int) -> float:
     return acc / M
 
 
-def gowers_average(values, s: int,
-                   op_budget: int = DEFAULT_OP_BUDGET) -> float:
-    """The U^s box average of f, before the 2^(-s) exponent root.
-
-    Refused with a BudgetError, before any work, when M^s exceeds
-    op_budget or, for s >= 3, when the M^(s-2) calls of the peel exceed
+def check_budget(M: int, s: int, op_budget: int = DEFAULT_OP_BUDGET) -> None:
+    """Refuse U^s on Z/MZ with a BudgetError when M^s exceeds op_budget
+    or, for s >= 3, when the M^(s-2) calls of the peel exceed
     PEEL_CALL_CAP: each costs microseconds of Python however small M is.
     """
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.shape[0] < 1:
-        raise ValueError("values must be a nonempty 1-d sequence")
-    M = arr.shape[0]
     if M ** s > op_budget:
         raise BudgetError(f"U^{s} on Z/{M}Z needs ~{M ** s} operations, "
                           f"over the budget of {op_budget}")
     if s > 2 and M ** (s - 2) > PEEL_CALL_CAP:
         raise BudgetError(f"U^{s} on Z/{M}Z peels through {M ** (s - 2)} "
                           f"calls, over the cap of {PEEL_CALL_CAP}")
+
+
+def gowers_average(values, s: int,
+                   op_budget: int = DEFAULT_OP_BUDGET) -> float:
+    """The U^s box average of f, before the 2^(-s) exponent root;
+    `check_budget` refuses it before any work."""
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 1 or arr.shape[0] < 1:
+        raise ValueError("values must be a nonempty 1-d sequence")
+    check_budget(arr.shape[0], s, op_budget)
     avg = _u_average(arr, s)
     scale = float(np.max(np.abs(arr))) ** (2 ** s)
     tol = 1e-12 * max(scale, 1.0)
@@ -97,7 +100,7 @@ def interval_embedding(func, N: int, multiplier: int = 5):
     """Zero-padded image of (f(1), ..., f(N)) in Z/MZ.
 
     M is the least prime at least multiplier*N, so that no box with all
-    corners in the support wraps around the cycle.  Returns (array, M).
+    corners in the support wraps around the cycle.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -107,10 +110,9 @@ def interval_embedding(func, N: int, multiplier: int = 5):
     arr = np.zeros(M, dtype=np.float64)
     for n in range(1, N + 1):
         arr[n] = func(n)
-    return arr, M
+    return arr
 
 
 def gowers_norm_interval(func, N: int, s: int, multiplier: int = 5) -> float:
     """U^s norm of f truncated to [1, N], via the cyclic embedding."""
-    arr, _ = interval_embedding(func, N, multiplier=multiplier)
-    return gowers_norm_cyclic(arr, s)
+    return gowers_norm_cyclic(interval_embedding(func, N, multiplier), s)

@@ -43,16 +43,12 @@ def load_config_file(path: str) -> dict:
 
 
 def format_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, float):
         return "" if math.isnan(value) else repr(value)
     if isinstance(value, (tuple, list)):
         return ";".join(str(v) for v in value)
-    if value is None:
-        return ""
     return str(value)
 
 

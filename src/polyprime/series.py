@@ -23,7 +23,6 @@ TUPLE_SUM_BUDGET = 10 ** 6
 class TruncatedSeries:
     """Product over primes p <= w of exact local factors."""
 
-    w: int
     local_factors: tuple  # ((p, Fraction), ...) ascending in p
     value: Fraction = field(init=False)  # the product of the factors
 
@@ -58,7 +57,7 @@ def series_f_tuple(f: IntPolynomial, shifts, w: int) -> TruncatedSeries:
         p = int(p)
         count = count_unit_values_mod_p(f, p, shifts)
         factors.append((p, Fraction(count * p ** (k - 1), (p - 1) ** k)))
-    return TruncatedSeries(w, tuple(factors))
+    return TruncatedSeries(tuple(factors))
 
 
 def prime_factors_at_most(M: int, w: int) -> bool:
@@ -102,7 +101,7 @@ def series_linear_system(ns, f0: IntPolynomial, M: int, w: int,
             count = count_unit_tuples_linear_system(ns, d, p)
             fac = Fraction(count * p ** t, p ** (d + 1) * (p - 1) ** t)
         factors.append((p, fac))
-    return TruncatedSeries(w, tuple(factors))
+    return TruncatedSeries(tuple(factors))
 
 
 def lemma_upper_bound(w: int, k: int = 1) -> Fraction:

@@ -339,7 +339,7 @@ def own_flags(kind, X, d, H, w):
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_flags_and_manifest_json_build_one_config(data):
+def test_flags_and_manifest_json_build_one_config(tmp_path_factory, data):
     kind = data.draw(st.sampled_from(sorted(experiments.KINDS)))
     X = data.draw(st.integers(1, 500))
     flags = data.draw(st.fixed_dictionaries(
@@ -350,7 +350,9 @@ def test_flags_and_manifest_json_build_one_config(data):
     d, H, w = (parse_int_exact(flags.get(key, "5"), key)
                for key in ("d", "H", "w"))
     flags.update(data.draw(own_flags(kind, X, d, H, w)))
-    argv = [kind, *(f"--{key}={v}" for key, v in flags.items())]
+    # Building makes the out-dir, so it is a scratch one, not runs/<kind>.
+    argv = [kind, f"--out-dir={tmp_path_factory.getbasetemp()}",
+            *(f"--{key}={v}" for key, v in flags.items())]
     cfg, _ = _build_cfg(kind, build_parser().parse_args(argv))
     doc = json.loads(json.dumps(asdict(cfg)))
     assert ExperimentConfig.from_dict(doc) == cfg
@@ -399,9 +401,11 @@ def test_series_and_gowers_flags_are_their_config_fields(capsys):
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def test_readme_examples_build_their_configs():
+def test_readme_examples_build_their_configs(monkeypatch, tmp_path):
     # Parsed and built, not run: a flag the program no longer has fails
-    # here rather than in the docs.
+    # here rather than in the docs.  Building makes each default out-dir,
+    # runs/<kind>, so it runs in a scratch directory.
+    monkeypatch.chdir(tmp_path)
     lines = [line for line in README.read_text(encoding="utf-8").splitlines()
              if line.startswith("polyprime ")]
     assert len(lines) == 11
@@ -598,6 +602,65 @@ def test_gowers_budget_exit_code(capsys):
     # 3^20 is within the operation budget; the 3^18 peel calls are not.
     assert main(["gowers", "--target", "one", "--M", "3", "--s", "20"]) == 2
     assert "peels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["chowla-clt", "--X", "1e10"], "X"),
+    (["tuples", "--X", "1e6", "--shifts", "0,2"], "shifts"),
+    (["sign-patterns", "--X", "1e6", "--pattern", "+-"], "pattern"),
+    (["poisson-gaps", "--X", "10", "--L", "1e9"], "L"),
+    (["poisson-gaps", "--X", "10", "--calL", "1e9"], "calL"),
+])
+def test_sizes_past_the_points_cap_are_refused_before_work(
+        argv, key, monkeypatch, tmp_path, capsys):
+    def refuse(*args):
+        raise AssertionError("f evaluated before the size was checked")
+
+    monkeypatch.setattr(experiments.IntPolynomial, "values", refuse)
+    rc = main(argv + ["--d", "1", "--H", "10", "--samples", "1",
+                      "--seed", "1", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"budget error: {key}: ")
+    assert str(experiments.POINTS_CAP) in err
+
+
+def test_gate_and_readme_sizes_are_well_inside_the_points_cap(monkeypatch):
+    # At a hundredth of the cap, every experiment size of the acceptance
+    # gate and the README still passes.
+    monkeypatch.setattr(experiments, "POINTS_CAP",
+                        experiments.POINTS_CAP // 100)
+    common = dict(samples=1, seed=1)
+    for keys in (
+            dict(kind="chowla-clt", d=2, H=10 ** 9, X=400),
+            dict(kind="bh-moments", d=1, H=10 ** 7, X=600, w=11),
+            dict(kind="tuples", d=1, H=10 ** 5, X=500, shifts=(0, 2), w=7),
+            dict(kind="sign-patterns", d=2, H=10 ** 9, X=400,
+                 pattern=(1, -1)),
+            dict(kind="poisson-gaps", d=1, H=10 ** 6, X=2000, w=100,
+                 calL=25.0),
+            dict(kind="poisson-gaps", d=1, H=10 ** 4, X=200, calL=2.0),
+            dict(kind="linear-forms", d=2, H=10 ** 8, X=1, ns=(1, 2), M=3,
+                 f0=(1, 0))):
+        experiments._check_points(ExperimentConfig(**keys, **common))
+
+
+def test_gowers_budget_is_checked_before_any_array(monkeypatch, capsys):
+    import polyprime.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("array built before the budget was checked")
+
+    for name in ("liouville_sieve", "mobius_sieve", "gowers_norm_interval",
+                 "gowers_norm_cyclic"):
+        monkeypatch.setattr(cli, name, refuse)
+    for target, size, s, message in (
+            ("liouville", "--N=1e9", "2", "over the budget"),
+            ("mobius", "--M=1e9", "2", "over the budget"),
+            ("mobius", "--N=1e5", "3", "over the budget"),
+            ("liouville", "--M=3", "20", "peels")):
+        assert main(["gowers", "--target", target, size, "--s", s]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_selftest_passes(capsys):

@@ -70,13 +70,14 @@ def vm_by_trial_division(m):
 # The bh-moments statistic is the tuple statistic at the one shift 0.
 
 def test_bh_statistic_zero_poly():
-    assert tuple_statistic(IntPolynomial((0,)), 50, (0,), 3) == (0.0, 50)
+    assert tuple_statistic(IntPolynomial((0,)), 50, (0,), 0) == (0.0, 50)
 
 
 def test_bh_statistic_2x():
     # Lambda(2n) is log 2 exactly when 2n is a power of two: n in
     # {1, 2, 4, 8} for X = 8; the series vanishes at p = 2.
-    got, zeros = tuple_statistic(IntPolynomial((0, 2)), 8, (0,), 2)
+    f = IntPolynomial((0, 2))
+    got, zeros = tuple_statistic(f, 8, (0,), series_f(f, 2).value)
     assert got == pytest.approx(4 * math.log(2) / 8, abs=1e-14)
     assert zeros == 0
 
@@ -89,7 +90,7 @@ def test_bh_statistic_identity_poly_against_sieve():
             psi += math.log(p)
             pk *= p
     want = psi / 100 - 1.0
-    got, _ = tuple_statistic(X_POLY, 100, (0,), 5)
+    got, _ = tuple_statistic(X_POLY, 100, (0,), series_f(X_POLY, 5).value)
     assert got == pytest.approx(want, abs=1e-12)
     assert got == pytest.approx(-0.059546887706426, abs=1e-12)
 
@@ -98,7 +99,8 @@ def test_tuple_statistic_single_shift_reduces_to_bh():
     for f in (X_POLY, IntPolynomial((1, 0, 1)), IntPolynomial((3, 2)),
               IntPolynomial((-7, 1))):
         sv = series_f(f, 3).value
-        assert tuple_statistic(f, 40, [0], 3) == ref_bh(f, 40, sv)
+        tuple_sv = series_f_tuple(f, [0], 3).value
+        assert tuple_statistic(f, 40, [0], tuple_sv) == ref_bh(f, 40, sv)
 
 
 def test_tuple_statistic_always_composite_with_zero_series():
@@ -107,16 +109,18 @@ def test_tuple_statistic_always_composite_with_zero_series():
 
     # p = 2 already.
     f = IntPolynomial((0, 30))
-    assert tuple_statistic(f, 30, [0, 1], 5) == (0.0, 0)
+    sv = series_f_tuple(f, [0, 1], 5).value
+    assert sv == 0
+    assert tuple_statistic(f, 30, [0, 1], sv) == (0.0, 0)
 
 
 def test_tuple_statistic_twin_shifts_against_oracle():
     X, w = 200, 3
-    sv = float(series_f_tuple(X_POLY, [0, 2], w).value)
+    sv = series_f_tuple(X_POLY, [0, 2], w).value
     acc = math.fsum(vm_by_trial_division(n) * vm_by_trial_division(n + 2)
                     for n in range(1, X + 1))
-    want = acc / X - sv
-    got, zeros = tuple_statistic(X_POLY, X, [0, 2], w)
+    want = acc / X - float(sv)
+    got, zeros = tuple_statistic(X_POLY, X, [0, 2], sv)
     assert got == pytest.approx(want, abs=1e-12)
     assert zeros == 0
 
@@ -259,10 +263,10 @@ def test_iid_sign_simulation_matches_sigma():
 def test_run_sample_deterministic():
     cfg = ExperimentConfig(kind="chowla-clt", d=2, H=10 ** 6, X=40,
                            samples=5, seed=424242)
-    a = run_sample(cfg, 3)
-    b = run_sample(cfg, 3)
+    a = run_sample(cfg, 3, None)
+    b = run_sample(cfg, 3, None)
     assert a == b
-    c = run_sample(cfg, 4)
+    c = run_sample(cfg, 4, None)
     assert c.coeffs != a.coeffs
 
 
@@ -518,12 +522,12 @@ def test_run_sample_repeats_after_a_run_of_another_kind():
     # kind leaves behind in the process may change a record.
     cfg = ExperimentConfig(kind="bh-moments", d=1, H=3, X=40, samples=20,
                            seed=11, w=3)
-    first = [run_sample(cfg, i) for i in range(cfg.samples)]
+    first = [run_sample(cfg, i, None) for i in range(cfg.samples)]
     assert any(rec.zero_evals for rec in first)
     other = run_experiment(ExperimentConfig(kind="chowla-clt", d=1, H=5,
                                             X=50, samples=60, seed=13))
     assert any(rec.zero_evals for rec in other.records)
-    assert [run_sample(cfg, i) for i in range(cfg.samples)] == first
+    assert [run_sample(cfg, i, None) for i in range(cfg.samples)] == first
 
 
 # Per-n reference loops: the statistics as they were computed before the
@@ -589,7 +593,7 @@ def test_statistics_match_reference_loops():
     zeros = 0
     for f in small_polys(20261018, 60):
         sv = series_f(f, w).value
-        got = tuple_statistic(f, X, (0,), w, sv)
+        got = tuple_statistic(f, X, (0,), sv)
         assert got == ref_bh(f, X, sv), f
         zeros += got[1]
         assert chowla_normalized_sum(f, X) == ref_chowla(f, X), f
@@ -612,7 +616,7 @@ def test_statistics_match_reference_loops_across_2_52():
                                 for _ in range(4)) + (10 ** 9 - 7,))
         assert abs(f.eval(1)) < 2 ** 52 < abs(f.eval(X))
         sv = series_f(f, w).value
-        assert tuple_statistic(f, X, (0,), w, sv) == ref_bh(f, X, sv), f
+        assert tuple_statistic(f, X, (0,), sv) == ref_bh(f, X, sv), f
         assert chowla_normalized_sum(f, X) == ref_chowla(f, X), f
 
 
@@ -622,7 +626,7 @@ def test_tuple_statistic_matches_reference_loop():
     for f in small_polys(20261019, 40):
         for shifts in ((0, 2), (2, 0), (-3, 1, 4), (0, 1, 2, 3, 6)):
             sv = series_f_tuple(f, shifts, w).value
-            got = tuple_statistic(f, X, shifts, w, sv)
+            got = tuple_statistic(f, X, shifts, sv)
             assert got == ref_tuple(f, X, shifts, sv), (f, shifts)
             zeros += got[1]
     assert zeros > 0
@@ -633,9 +637,24 @@ def test_tuple_statistic_zero_behind_zero_weight_not_audited():
     # is 0, so the product stops before f(n + 2) = f(6) is evaluated;
     # only n = 6, where f(6) is the first factor, counts the zero.
     f = IntPolynomial((-18, 3))
-    got = tuple_statistic(f, 10, (0, 2), 3, 0)
+    got = tuple_statistic(f, 10, (0, 2), 0)
     assert got[1] == 1
     assert got == ref_tuple(f, 10, (0, 2), 0)
+
+
+def test_tuples_zero_evals_counts_a_zero_once_per_shift():
+    # f = x - 5 has the one zero f(5).  At shifts 0, 2 the product stops
+    # there at n = 5 (shift 0) and at n = 3 (shift 2, after the nonzero
+    # weight Lambda(|f(3)|) = log 2), so the tuples column counts it twice;
+    # bh-moments counts it once and poisson-gaps not at all.
+    f = IntPolynomial((-5, 1))
+    for kind, keys, want in (("tuples", {"shifts": (0, 2)}, 2),
+                             ("bh-moments", {}, 1),
+                             ("poisson-gaps", {}, 0)):
+        cfg = ExperimentConfig(kind=kind, d=1, H=5, X=10, samples=1,
+                               seed=1, **keys)
+        sv = series_f_tuple(f, cfg.shifts or (0,), cfg.w)
+        assert KINDS[kind].stats(cfg, f, sv)[1] == want, kind
 
 
 def test_linear_forms_matches_reference_products():
@@ -644,8 +663,9 @@ def test_linear_forms_matches_reference_products():
                                samples=40, seed=17, w=3, ns=(1, 2, 3),
                                target=target)
         zeros = 0
+        series = KINDS[cfg.kind].run_series(cfg)
         for i in range(cfg.samples):
-            rec = run_sample(cfg, i)
+            rec = run_sample(cfg, i, series)
             vals = [IntPolynomial(rec.coeffs).eval(n) for n in cfg.ns]
             fn = von_mangoldt if target == "von-mangoldt" else liouville
             prod = 1.0 if target == "von-mangoldt" else 1
@@ -688,7 +708,9 @@ def test_linear_forms_records_match_lone_samples():
     for workers in (1, 2):
         cfg = ExperimentConfig(**LINEAR_FORMS_CFG, workers=workers)
         records = run_experiment(cfg).records
-        assert records == [run_sample(cfg, i) for i in range(cfg.samples)]
+        series = KINDS[cfg.kind].run_series(cfg)
+        assert records == [run_sample(cfg, i, series)
+                           for i in range(cfg.samples)]
 
 
 def test_linear_forms_modulus_above_w_fails_before_sampling(

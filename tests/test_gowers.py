@@ -113,8 +113,8 @@ def test_u2_liouville_cyclic_101_against_both_oracles():
 
 
 def test_interval_embedding_layout():
-    arr, M = interval_embedding(lambda n: float(n), 4)
-    assert M == 23  # least prime at least 20
+    arr = interval_embedding(lambda n: float(n), 4)
+    assert len(arr) == 23  # least prime at least 20
     assert arr[0] == 0.0
     assert arr[1:5].tolist() == [1.0, 2.0, 3.0, 4.0]
     assert not arr[5:].any()
@@ -145,7 +145,7 @@ def test_interval_indicator_matches_lattice_count():
 def test_interval_mobius_against_fourier_oracle():
     N = 50
     mu = mobius_sieve(N)
-    arr, M = interval_embedding(lambda n: float(mu[n]), N)
+    arr = interval_embedding(lambda n: float(mu[n]), N)
     got = gowers_norm_interval(lambda n: float(mu[n]), N, 2)
     assert got == pytest.approx(u2_average_fft(arr) ** 0.25, abs=1e-10)
 
@@ -233,7 +233,7 @@ def test_bench_liouville_u2_norms_are_exact():
     lam = liouville_sieve(3000)
     for N, norm in ((1000, 0.06188575575736718),
                     (3000, 0.04724873706241213)):
-        arr, _ = interval_embedding(lambda n: float(lam[n]), N)
+        arr = interval_embedding(lambda n: float(lam[n]), N)
         avg = gowers_average(arr, 2)
         assert avg == float(u2_interval_exact(lam, N))
         assert gowers_norm_interval(lambda n: float(lam[n]), N, 2) == norm

@@ -80,13 +80,10 @@ def test_load_config_file(tmp_path):
 
 
 def test_format_cell():
-    assert format_cell(True) == "true"
-    assert format_cell(False) == "false"
     assert format_cell(Fraction(3, 2)) == "3/2"
     assert format_cell(float("nan")) == ""
     assert format_cell(0.1) == "0.1"
     assert format_cell((2, 1, 1)) == "2;1;1"
-    assert format_cell(None) == ""
     assert format_cell(17) == "17"
 
 

@@ -67,7 +67,7 @@ def test_truncated_series_product_invariant():
     for _, fac in ts.local_factors:
         prod *= fac
     assert prod == ts.value
-    given = TruncatedSeries(3, ((2, Fraction(2)), (3, Fraction(3, 4))))
+    given = TruncatedSeries(((2, Fraction(2)), (3, Fraction(3, 4))))
     assert given.value == Fraction(3, 2)
     with pytest.raises(KeyError):
         dict(ts.local_factors)[23]
