@@ -26,7 +26,7 @@ from .arith import (_TRIAL_BOUND, _split, factorize, is_prime_many,
 from .config import CONFIGS, GowersConfig, SeriesConfig, Text
 from .errors import BudgetError, ConfigError
 from .experiments import KINDS, ExperimentConfig, run_experiment
-from .gowers import check_budget, gowers_norm_cyclic, gowers_norm_interval
+from .gowers import gowers_norm_cyclic, gowers_norm_interval
 from .moments import poisson_central_moment, stein_chen_check
 from .poly import IntPolynomial, sample_uniform
 from .rng import stream
@@ -68,8 +68,9 @@ def _config_keys(name: str) -> dict:
 def _build_cfg(name: str, args) -> tuple:
     """A subcommand's config from its flags over a --config file's keys,
     and its out-dir (default: runs/<kind> for a kind, else None; never
-    empty).  The out-dir is made here, so that a path that cannot be a
-    directory is refused before the run."""
+    empty).  The out-dir is made here, once the config is built, so that
+    a refused config makes no directory and a path that cannot be one is
+    refused before the run."""
     keys = _config_keys(name)
     merged = load_config_file(args.config) \
         if getattr(args, "config", None) else {}
@@ -131,10 +132,7 @@ def _series_cmd(cfg: SeriesConfig, factors: bool) -> int:
 
 def _gowers_norm(cfg: GowersConfig, size: int) -> float:
     """The U^s norm of cfg.target on the interval [1, size] when cfg has
-    N, else on Z/(size)Z with f(n) at n mod size for n = 1..size.  The
-    budget is checked before any array is built, on the interval at the
-    least modulus the embedding can have, multiplier * size."""
-    check_budget(cfg.multiplier * size if cfg.N else size, cfg.s)
+    N, else on Z/(size)Z with f(n) at n mod size for n = 1..size."""
     if cfg.target in ("one", "delta"):  # delta is 1 at n = 1 only
         f = np.arange(size + 1) == 1 if cfg.target == "delta" \
             else np.ones(size + 1)

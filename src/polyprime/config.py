@@ -7,7 +7,12 @@ import contextlib
 from dataclasses import MISSING, dataclass, field, fields
 from decimal import Decimal, InvalidOperation
 
-from .errors import ConfigError
+from .errors import BudgetError, ConfigError
+from .gowers import check_budget
+
+# Cap on a series truncation w: series_f takes about 4 s per polynomial
+# at w = 10**4, and its time grows like w**2.
+W_CAP = 10 ** 4
 
 
 class Text(str):
@@ -71,6 +76,13 @@ def _parse_coeffs(value, key: str) -> tuple:
     return coeffs
 
 
+def check_w(w: int) -> None:
+    """Refuse a series truncation past W_CAP with a BudgetError naming w."""
+    if w > W_CAP:
+        raise BudgetError(f"w: a series would run over the primes up to "
+                          f"{w}, past the cap of {W_CAP}")
+
+
 def _key(help: str, default=MISSING, parse=parse_int_exact):
     """A config key's field: its default (none: required), its --flag
     help text and its parser, parse(value or text, key) -> value."""
@@ -82,7 +94,8 @@ class Config:
     """The base of every subcommand's config.  Each field declared with
     `_key` is a config key, spelled with - for _ as a flag.  `_checks`
     yields (ok, message) pairs on the parsed keys; the first not ok is
-    raised.  A bad key raises ConfigError naming it."""
+    raised.  A bad key raises ConfigError naming it.  A size past its cap
+    raises BudgetError from `_checks`, once the checks before it pass."""
 
     def __post_init__(self):
         for f in fields(self):
@@ -136,6 +149,9 @@ class GowersConfig(Config):
             f"{'N' if self.N else 'M'} entries must be >= 1"
         yield self.s >= 1, "s must be >= 1"
         yield self.multiplier >= 2, "multiplier must be >= 2"
+        # An interval row's modulus is at least multiplier * N.
+        for size in self.N or self.M:
+            check_budget(self.multiplier * size if self.N else size, self.s)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -147,6 +163,10 @@ class SeriesConfig(Config):
     w: int = _key("truncation bound")
     shifts: tuple = _key("distinct shifts for the tuple series (default 0)",
                          (0,), parse_int_list)
+
+    def _checks(self):
+        check_w(self.w)
+        return ()
 
 
 # The config class of each subcommand that is not an experiment kind.

@@ -9,18 +9,18 @@ per-sample output is byte-identical for any worker count.
 
 Each experiment kind is one `Kind` entry of `KINDS`: its own config
 keys, validation, sampler, series, statistic, aggregation and samples.csv
-columns; each config key is one `ExperimentConfig` field.  The command
-line, the run and the CSV writer read the table and the fields and hold
-no per-kind code, but for the size check of `_check_points`.
+columns, and the span that bounds its points; each config key is one
+`ExperimentConfig` field.  The command line, the run and the CSV writer
+read the table and the fields and hold no per-kind code.
 
 Statistic conventions.  Sums over n always mean 1 <= n <= X.  A zero
 value of f(n) contributes 0 wherever an arithmetic function is applied.
 Each statistic evaluates f once at each of its points, a range of
 consecutive n by `IntPolynomial.values` (linear-forms: the points ns),
 and hands the values to the pure batched kernels of `arith`
-(`liouville_many`, `von_mangoldt_many`, `is_prime_many`).  A run whose
-samples would each evaluate f at more than POINTS_CAP points is refused
-before its first sample.  The Bateman-Horn statistic of `bh-moments` is
+(`liouville_many`, `von_mangoldt_many`, `is_prime_many`).  A config
+whose samples would each evaluate f at more than POINTS_CAP points is
+refused when it is built.  The Bateman-Horn statistic of `bh-moments` is
 the tuple statistic at the one shift 0.
 
 The samples.csv column zero_evals is counted from the same values:
@@ -44,7 +44,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import is_prime_many, liouville_many, von_mangoldt_many
-from .config import (Config, _key, _parse_coeffs, parse_float,
+from .config import (Config, _key, _parse_coeffs, check_w, parse_float,
                      parse_int_list, parse_pattern)
 from .errors import BudgetError, ConfigError, ConsistencyError
 from .moments import gaussian_moment, sigma_squared
@@ -57,6 +57,12 @@ from .series import (lemma_lower_bound, prime_factors_at_most, series_f,
 # Cap on the points at which one sample evaluates f.  At X = 10**6 one
 # chowla-clt sample (d = 1, H = 10) takes about 6.5 s and 300 MiB.
 POINTS_CAP = 10 ** 6
+# Largest moment order: (k-1)!! and the squares of the k-th powers of
+# the moment rows stay finite in float64 while |stat| < 6 * 10**4 (the
+# chowla-clt stat is at most sqrt(X) <= 1000 under POINTS_CAP).
+K_MAX_CAP = 32
+# Most worker processes a run may start.
+WORKERS_CAP = 64
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -80,7 +86,6 @@ class ExperimentConfig(Config):
     calL: float = _key("target mean window count (default 1.0); the "
                        "window length is calL * mean log|f(n)| / S_w(f)",
                        1.0, parse_float)
-    L: int = _key("fixed window length override", 0)  # 0: from calL
     ns: tuple = _key("comma-separated distinct evaluation points "
                      "(default 1)", (1,), parse_int_list)
     M: int = _key("residue modulus (default 1)", 1)
@@ -96,10 +101,22 @@ class ExperimentConfig(Config):
             yield getattr(self, key) >= 1, f"{key} must be a positive integer"
         yield self.w >= 2, "w must be >= 2"
         yield self.workers >= 1, "workers must be >= 1"
+        yield self.workers <= WORKERS_CAP, \
+            f"workers must be <= {WORKERS_CAP}"
         yield self.k_max >= 1, "k-max must be >= 1"
+        yield self.k_max <= K_MAX_CAP, f"k-max must be <= {K_MAX_CAP}"
         yield self.seed >= 0, "seed must be a nonnegative integer"
-        for ok, message in KINDS[self.kind].checks:
+        # Before the kind's checks: linear-forms trial-divides M up to w.
+        check_w(self.w)
+        kind = KINDS[self.kind]
+        for ok, message in kind.checks:
             yield ok(self), message
+        if (span := kind.span(self)) is not None:
+            for key, points in (("X", self.X), (span[0], self.X + span[1])):
+                if points > POINTS_CAP:
+                    raise BudgetError(f"{key}: a sample would evaluate f at "
+                                      f"more than the cap of {POINTS_CAP} "
+                                      "points")
 
 
 @dataclass(frozen=True)
@@ -379,18 +396,14 @@ def _poisson_gaps_stats(cfg, f, sv):
     1 <= n <= X, where a value with |f(n)| < 2 (0 or +-1) counts as
     log 2, so the scale is at least log 2.  The prime density is
     p = S_w(f) / scale, and the window length is calL / p rounded to an
-    integer >= 1 (window_real keeps the unrounded value).  An explicit L
-    overrides the window.  f(1..X) is evaluated once for the scale and
-    extended by f(X+1..X+L-1) for the windows.
+    integer >= 1 (window_real keeps the unrounded value).  f(1..X) is
+    evaluated once for the scale and extended by f(X+1..X+L-1) for the
+    windows.
     """
     vals = f.values(1, cfg.X)
     logscale = math.fsum(math.log(max(abs(v), 2)) for v in vals) / cfg.X
-    if cfg.L:
-        L = cfg.L
-        window_real = float(cfg.L)
-    else:
-        window_real = cfg.calL * logscale / float(sv.value)
-        L = max(1, round(window_real))
+    window_real = cfg.calL * logscale / float(sv.value)
+    L = max(1, round(window_real))
     counts = interval_count_distribution(
         vals + f.values(cfg.X + 1, cfg.X + L - 1), L)
     return {"window": L,
@@ -474,6 +487,15 @@ def _poisson_gaps_rows(cfg, records, warnings):
     return rows
 
 
+def _poisson_gaps_span(cfg):
+    """A bound on the window of every f the draw accepts: calL times the
+    largest log|f(n)|, at most log((d+1) H X**d), over the least nonzero
+    series, `lemma_lower_bound(w, d)`."""
+    log_top = (math.log(cfg.d + 1) + math.log(cfg.H)
+               + cfg.d * math.log(cfg.X))
+    return "calL", cfg.calL * log_top / float(lemma_lower_bound(cfg.w, cfg.d))
+
+
 @dataclass(frozen=True)
 class Kind:
     """Everything the program knows about one experiment kind.
@@ -491,8 +513,12 @@ class Kind:
     by `columns` in samples.csv order, and the kind's count of zero
     values (see the module docstring).  `rows(cfg, records, warnings)`
     are the aggregates.csv rows as (key, estimate, stderr, predicted); it
-    may append run warnings.  Entries reach the traced public functions
-    through this module's globals, at call time.
+    may append run warnings.  `span(cfg)`, read once `checks` pass, is
+    (key, extra) when one sample evaluates f at X + extra points at most,
+    extra set by key, or None when it evaluates f at fixed points only;
+    the config refuses X or X + extra past POINTS_CAP, naming X or key.
+    Entries reach the traced public functions through this module's
+    globals, at call time.
     """
 
     blurb: str
@@ -503,6 +529,7 @@ class Kind:
     checks: tuple = ()
     run_series: Callable = lambda cfg: None
     columns: tuple = ("stat",)
+    span: Callable = lambda cfg: ("X", 0)
 
 
 KINDS = {
@@ -526,7 +553,8 @@ KINDS = {
         draw=_draw_tuples,
         stats=lambda cfg, f, sv: _stat(tuple_statistic(
             f, cfg.X, cfg.shifts, sv.value)),
-        rows=_centred_rows),
+        rows=_centred_rows,
+        span=lambda cfg: ("shifts", max(cfg.shifts) - min(cfg.shifts))),
     "chowla-clt": Kind(
         "normalized Liouville sums along random polynomials against "
         "Gaussian moments",
@@ -542,19 +570,20 @@ KINDS = {
         draw=_draw,
         stats=lambda cfg, f, sv: _stat(sign_pattern_statistic(
             f, cfg.X, cfg.pattern)),
-        rows=_sign_pattern_rows),
+        rows=_sign_pattern_rows,
+        span=lambda cfg: ("pattern", len(cfg.pattern) - 1)),
     "poisson-gaps": Kind(
         "prime counts in tuned windows against Poisson and Gaussian "
         "predictions",
-        keys=("calL", "L"),
+        keys=("calL",),
         checks=((lambda cfg: 0 < cfg.calL < math.inf,
-                 "calL must be positive and finite"),
-                (lambda cfg: cfg.L >= 0, "L must be >= 1 when set")),
+                 "calL must be positive and finite"),),
         draw=_draw_bateman_horn,
         stats=_poisson_gaps_stats,
         rows=_poisson_gaps_rows,
         columns=("window", "window_real", "mean_count", "tv",
-                 *(tag for tag, _ in _CDF_POINTS))),
+                 *(tag for tag, _ in _CDF_POINTS)),
+        span=_poisson_gaps_span),
     "linear-forms": Kind(
         "products of arithmetic functions at fixed points over a "
         "residue-constrained family",
@@ -577,7 +606,8 @@ KINDS = {
         draw=lambda cfg, rng, series: (*sample_uniform_residue(
             cfg.d, cfg.H, rng, IntPolynomial(cfg.f0), cfg.M), series),
         stats=_linear_forms_stats,
-        rows=_linear_forms_rows),
+        rows=_linear_forms_rows,
+        span=lambda cfg: None),
 }
 
 
@@ -594,44 +624,14 @@ def _aggregate(cfg: ExperimentConfig, records) -> RunResult:
                      warnings=warnings)
 
 
-def _check_points(cfg: ExperimentConfig) -> None:
-    """Refuse with a BudgetError naming the key a run whose samples would
-    each evaluate f at more than POINTS_CAP points: X, then X plus the
-    span of the shifts, the pattern or the windows.  A window from calL
-    is bounded for every f the draw accepts: calL times the largest
-    log|f(n)|, at most log((d+1) H X**d), over the least nonzero series,
-    `lemma_lower_bound(w, d)`.  linear-forms evaluates f at its ns only.
-    """
-    if cfg.kind == "linear-forms":
-        return
-    key, span = "X", 0
-    if cfg.kind == "tuples":
-        key, span = "shifts", max(cfg.shifts) - min(cfg.shifts)
-    elif cfg.kind == "sign-patterns":
-        key, span = "pattern", len(cfg.pattern) - 1
-    elif cfg.kind == "poisson-gaps" and cfg.L:
-        key, span = "L", cfg.L - 1
-    elif cfg.kind == "poisson-gaps":
-        log_top = max(math.log(cfg.d + 1) + math.log(cfg.H)
-                      + cfg.d * math.log(cfg.X), math.log(2))
-        key, span = "calL", (cfg.calL * log_top
-                             / float(lemma_lower_bound(cfg.w, cfg.d)))
-    for key, points in (("X", cfg.X), (key, cfg.X + span)):
-        if points > POINTS_CAP:
-            raise BudgetError(f"{key}: a sample would evaluate f at more "
-                              f"than the cap of {POINTS_CAP} points")
-
-
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     """Run all samples (possibly in a worker pool) and aggregate.
 
-    Sizes past POINTS_CAP are refused first (`_check_points`).  The
-    run's shared series (the kind's `run_series`, if any) depends on cfg
-    alone, not on the sampled f, so it is computed once, before any
+    The run's shared series (the kind's `run_series`, if any) depends on
+    cfg alone, not on the sampled f, so it is computed once, before any
     worker starts, and bound with cfg into the one callable that both the
     pool and the single-worker loop map over the sample indices.
     """
-    _check_points(cfg)
     run = functools.partial(run_sample, cfg,
                             series=KINDS[cfg.kind].run_series(cfg))
     indices = range(cfg.samples)

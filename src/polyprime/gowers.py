@@ -38,6 +38,8 @@ from .errors import BudgetError, ConsistencyError
 DEFAULT_OP_BUDGET = 5 * 10 ** 9
 # cap on the M**(s-2) Python-level U^2 calls the peel makes (~20 s)
 PEEL_CALL_CAP = 10 ** 6
+# cap on the group size M itself, which bounds the arrays at s = 1
+SIZE_CAP = 10 ** 7
 
 
 def _u_average(values: np.ndarray, s: int) -> float:
@@ -60,9 +62,10 @@ def _u_average(values: np.ndarray, s: int) -> float:
 
 
 def check_budget(M: int, s: int, op_budget: int = DEFAULT_OP_BUDGET) -> None:
-    """Refuse U^s on Z/MZ with a BudgetError when M^s exceeds op_budget
-    or, for s >= 3, when the M^(s-2) calls of the peel exceed
-    PEEL_CALL_CAP: each costs microseconds of Python however small M is.
+    """Refuse U^s on Z/MZ with a BudgetError when M^s exceeds op_budget,
+    when, for s >= 3, the M^(s-2) calls of the peel exceed PEEL_CALL_CAP
+    (each costs microseconds of Python however small M is), or when M
+    exceeds SIZE_CAP (the arrays at s = 1, where M^s is only M).
     """
     if M ** s > op_budget:
         raise BudgetError(f"U^{s} on Z/{M}Z needs ~{M ** s} operations, "
@@ -70,6 +73,9 @@ def check_budget(M: int, s: int, op_budget: int = DEFAULT_OP_BUDGET) -> None:
     if s > 2 and M ** (s - 2) > PEEL_CALL_CAP:
         raise BudgetError(f"U^{s} on Z/{M}Z peels through {M ** (s - 2)} "
                           f"calls, over the cap of {PEEL_CALL_CAP}")
+    if M > SIZE_CAP:
+        raise BudgetError(f"U^{s} on Z/{M}Z: the group is larger than the "
+                          f"cap of {SIZE_CAP}")
 
 
 def gowers_average(values, s: int,

@@ -69,18 +69,22 @@ def load_manifest_config(path: str) -> Config:
     subcommand has in `CONFIGS` (an experiment kind's: ExperimentConfig),
     checked like the flags.
 
-    Experiment manifests written by older versions may carry the retired
-    key deterministic_reduction, which never changed a run; it is dropped
-    with a warning.
+    Experiment manifests written by older versions may carry retired
+    keys: deterministic_reduction, which never changed a run, is dropped
+    with a warning; the fixed window L is dropped when it is 0 (unset),
+    and any other L is refused, as no config can replay that run.
     """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     cls = CONFIGS.get(doc.get("subcommand"), ExperimentConfig)
     values = dict(doc["config"])
-    if cls is ExperimentConfig \
-            and values.pop("deterministic_reduction", None) is not None:
-        warnings.warn("ignoring retired manifest key "
-                      "'deterministic_reduction'")
+    if cls is ExperimentConfig:
+        if values.pop("deterministic_reduction", None) is not None:
+            warnings.warn("ignoring retired manifest key "
+                          "'deterministic_reduction'")
+        if values.pop("L", 0) != 0:
+            raise ConfigError("L: fixed windows are retired, so this run "
+                              "cannot be replayed")
     return cls.from_dict(values)
 
 

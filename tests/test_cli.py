@@ -17,11 +17,13 @@ from hypothesis import strategies as st
 import polyprime.experiments as experiments
 from polyprime.arith import liouville
 from polyprime.cli import _build_cfg, _gowers_cmd, build_parser, main
-from polyprime.config import GowersConfig, parse_int_exact
-from polyprime.errors import ConfigError
+from polyprime.config import (W_CAP, GowersConfig, SeriesConfig,
+                              parse_int_exact)
+from polyprime.errors import BudgetError, ConfigError
 from polyprime.experiments import ExperimentConfig, run_experiment
-from polyprime.gowers import gowers_norm_cyclic
+from polyprime.gowers import SIZE_CAP, gowers_norm_cyclic
 from polyprime.runio import format_cell, load_manifest_config, write_run
+from polyprime.series import lemma_lower_bound
 
 
 def test_no_subcommand_prints_help(capsys):
@@ -221,7 +223,7 @@ REPLAY_RUNS = {
     "tuples": ({"shifts": "0,2"}, {"shifts": (0, 2)}),
     "chowla-clt": ({"k-max": "2"}, {"k_max": 2}),
     "sign-patterns": ({"pattern": "+-"}, {"pattern": (1, -1)}),
-    "poisson-gaps": ({"calL": "0.5", "L": "3"}, {"calL": 0.5, "L": 3}),
+    "poisson-gaps": ({"calL": "0.5"}, {"calL": 0.5}),
     "linear-forms": ({"ns": "1,2", "M": "2", "f0": "1;0",
                       "target": "liouville"},
                      {"ns": (1, 2), "M": 2, "f0": (1, 0),
@@ -326,8 +328,7 @@ def own_flags(kind, X, d, H, w):
             st.lists(st.sampled_from(["1", "-1", "+1"]), min_size=1,
                      max_size=4).map(",".join))}),
         "poisson-gaps": st.fixed_dictionaries({}, optional={
-            "calL": st.floats(1e-3, 1e3).map(repr),
-            "L": int_text(0, 50)}),
+            "calL": st.floats(1e-3, 1e3).map(repr)}),
         "linear-forms": st.fixed_dictionaries({}, optional={
             "ns": distinct_ints(-20, 20), "M": moduli.map(str),
             "f0": st.lists(st.integers(-9, 9), min_size=1,
@@ -353,7 +354,18 @@ def test_flags_and_manifest_json_build_one_config(tmp_path_factory, data):
     # Building makes the out-dir, so it is a scratch one, not runs/<kind>.
     argv = [kind, f"--out-dir={tmp_path_factory.getbasetemp()}",
             *(f"--{key}={v}" for key, v in flags.items())]
-    cfg, _ = _build_cfg(kind, build_parser().parse_args(argv))
+    args = build_parser().parse_args(argv)
+    # Only a poisson-gaps window can pass the points cap at these sizes:
+    # at d = 4, w = 100 a calL of 1e3 bounds it by about 7.4e6 points.
+    if kind == "poisson-gaps":
+        calL = float(flags.get("calL", "1"))
+        window = calL * math.log((d + 1) * H * X ** d) \
+            / float(lemma_lower_bound(w, d))
+        if X + window > experiments.POINTS_CAP:
+            with pytest.raises(BudgetError, match="^calL: "):
+                _build_cfg(kind, args)
+            return
+    cfg, _ = _build_cfg(kind, args)
     doc = json.loads(json.dumps(asdict(cfg)))
     assert ExperimentConfig.from_dict(doc) == cfg
     assert ExperimentConfig(**doc) == cfg
@@ -366,7 +378,7 @@ OWN_FLAGS = {
     "tuples": ("shifts", "k-max"),
     "chowla-clt": ("k-max",),
     "sign-patterns": ("pattern",),
-    "poisson-gaps": ("calL", "L"),
+    "poisson-gaps": ("calL",),
     "linear-forms": ("ns", "M", "f0", "target"),
 }
 
@@ -432,17 +444,17 @@ def test_deterministic_reduction_is_an_unknown_key(tmp_path, capsys):
 def test_toy_kind_needs_one_table_entry(monkeypatch, tmp_path, capsys):
     toy = experiments.Kind(
         "a constant statistic",
-        keys=("L",),
-        checks=((lambda cfg: cfg.L <= 9, "L must be <= 9 for toy"),),
+        keys=("M",),
+        checks=((lambda cfg: cfg.M <= 9, "M must be <= 9 for toy"),),
         draw=experiments.KINDS["chowla-clt"].draw,
         stats=lambda cfg, f, sv: ({"stat": 0.0}, 0),
         rows=lambda cfg, records, warnings: [
-            ("L", float(cfg.L), math.nan, math.nan)])
+            ("M", float(cfg.M), math.nan, math.nan)])
     monkeypatch.setitem(experiments.KINDS, "toy", toy)
-    assert help_flags("toy", capsys) == [*COMMON_FLAGS, "L"]
+    assert help_flags("toy", capsys) == [*COMMON_FLAGS, "M"]
 
     cfgfile = tmp_path / "toy.cfg"
-    cfgfile.write_text("d=1\nH=10\nX=10\nsamples=3\nseed=1\nL=3\n")
+    cfgfile.write_text("d=1\nH=10\nX=10\nsamples=3\nseed=1\nM=3\n")
     out = tmp_path / "run"
     assert main(["toy", "--config", str(cfgfile), "--workers", "2",
                  "--out-dir", str(out)]) == 0
@@ -453,14 +465,14 @@ def test_toy_kind_needs_one_table_entry(monkeypatch, tmp_path, capsys):
                        "attempts", "zero_evals"]
     assert [r[3] for r in rows[1:]] == ["0.0"] * 3
     with open(out / "aggregates.csv", newline="") as fh:
-        assert list(csv.reader(fh))[1:] == [["toy", "L", "3.0", "", "",
+        assert list(csv.reader(fh))[1:] == [["toy", "M", "3.0", "", "",
                                              "info"]]
 
-    assert main(["toy", "--config", str(cfgfile), "--L", "10"]) == 1
-    assert "L must be <= 9 for toy" in capsys.readouterr().err
-    cfgfile.write_text("d=1\nH=10\nX=10\nsamples=3\nseed=1\nM=3\n")
+    assert main(["toy", "--config", str(cfgfile), "--M", "10"]) == 1
+    assert "M must be <= 9 for toy" in capsys.readouterr().err
+    cfgfile.write_text("d=1\nH=10\nX=10\nsamples=3\nseed=1\ncalL=3\n")
     assert main(["toy", "--config", str(cfgfile)]) == 1
-    assert "unknown config key 'M' for toy" in capsys.readouterr().err
+    assert "unknown config key 'calL' for toy" in capsys.readouterr().err
 
 
 def test_linear_forms_bad_target(capsys):
@@ -608,7 +620,7 @@ def test_gowers_budget_exit_code(capsys):
     (["chowla-clt", "--X", "1e10"], "X"),
     (["tuples", "--X", "1e6", "--shifts", "0,2"], "shifts"),
     (["sign-patterns", "--X", "1e6", "--pattern", "+-"], "pattern"),
-    (["poisson-gaps", "--X", "10", "--L", "1e9"], "L"),
+    (["tuples", "--X", "5e5", "--shifts=-5e5,5e5"], "shifts"),
     (["poisson-gaps", "--X", "10", "--calL", "1e9"], "calL"),
 ])
 def test_sizes_past_the_points_cap_are_refused_before_work(
@@ -617,17 +629,19 @@ def test_sizes_past_the_points_cap_are_refused_before_work(
         raise AssertionError("f evaluated before the size was checked")
 
     monkeypatch.setattr(experiments.IntPolynomial, "values", refuse)
+    out = tmp_path / "run"
     rc = main(argv + ["--d", "1", "--H", "10", "--samples", "1",
-                      "--seed", "1", "--out-dir", str(tmp_path)])
+                      "--seed", "1", "--out-dir", str(out)])
     assert rc == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"budget error: {key}: ")
-    assert str(experiments.POINTS_CAP) in err
+    assert capsys.readouterr().err == (
+        f"budget error: {key}: a sample would evaluate f at more than the "
+        f"cap of {experiments.POINTS_CAP} points\n")
+    assert not out.exists()
 
 
 def test_gate_and_readme_sizes_are_well_inside_the_points_cap(monkeypatch):
     # At a hundredth of the cap, every experiment size of the acceptance
-    # gate and the README still passes.
+    # gate and the README still builds its config.
     monkeypatch.setattr(experiments, "POINTS_CAP",
                         experiments.POINTS_CAP // 100)
     common = dict(samples=1, seed=1)
@@ -642,25 +656,81 @@ def test_gate_and_readme_sizes_are_well_inside_the_points_cap(monkeypatch):
             dict(kind="poisson-gaps", d=1, H=10 ** 4, X=200, calL=2.0),
             dict(kind="linear-forms", d=2, H=10 ** 8, X=1, ns=(1, 2), M=3,
                  f0=(1, 0))):
-        experiments._check_points(ExperimentConfig(**keys, **common))
+        ExperimentConfig(**keys, **common)
 
 
-def test_gowers_budget_is_checked_before_any_array(monkeypatch, capsys):
+def test_w_past_its_cap_is_refused_before_any_sieve(monkeypatch, tmp_path,
+                                                    capsys):
+    # poisson-gaps sieves to w for its window bound, and linear-forms
+    # trial-divides M up to w, both as the config is built.
+    import polyprime.series as series
+
+    def refuse(*args):
+        raise AssertionError("primes sieved before w was checked")
+
+    monkeypatch.setattr(series, "primes_upto", refuse)
+    out = tmp_path / "run"
+    for argv in (["chowla-clt", *SMALL_RUN, f"--out-dir={out}"],
+                 ["poisson-gaps", *SMALL_RUN, f"--out-dir={out}"],
+                 ["linear-forms", *SMALL_RUN, "--M=19", f"--out-dir={out}"],
+                 ["series", "--poly", "1;0;1"]):
+        assert main(argv + ["--w", "1e10"]) == 2
+        assert capsys.readouterr().err == (
+            "budget error: w: a series would run over the primes up to "
+            f"10000000000, past the cap of {W_CAP}\n")
+        assert not out.exists()
+    monkeypatch.undo()
+    SeriesConfig(poly=(1, 0, 1), w=W_CAP)
+    ExperimentConfig(kind="poisson-gaps", d=1, H=10, X=10, samples=1,
+                     seed=1, w=W_CAP)
+
+
+def test_k_max_and_workers_past_their_caps_exit_one(monkeypatch, tmp_path,
+                                                    capsys):
+    def refuse(*args):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(experiments.multiprocessing, "get_context", refuse)
+    for flag, message in (("--k-max=302", "k-max must be <= 32"),
+                          ("--workers=1e9", "workers must be <= 64")):
+        out = tmp_path / "run"
+        assert main(["chowla-clt", *SMALL_RUN, flag, "--out-dir",
+                     str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+    ExperimentConfig(kind="chowla-clt", d=1, H=10, X=10, samples=1, seed=1,
+                     k_max=experiments.K_MAX_CAP,
+                     workers=experiments.WORKERS_CAP)
+
+
+def test_gowers_budget_is_checked_before_any_array(monkeypatch, tmp_path,
+                                                   capsys):
+    # At s = 1 the operation budget admits M up to 5e9; the size cap of
+    # 10^7 refuses it, and a huge multiplier too.
     import polyprime.cli as cli
 
     def refuse(*args, **kwargs):
         raise AssertionError("array built before the budget was checked")
 
     for name in ("liouville_sieve", "mobius_sieve", "gowers_norm_interval",
-                 "gowers_norm_cyclic"):
+                 "gowers_norm_cyclic", "_gowers_norm"):
         monkeypatch.setattr(cli, name, refuse)
+    out = tmp_path / "g"
     for target, size, s, message in (
             ("liouville", "--N=1e9", "2", "over the budget"),
             ("mobius", "--M=1e9", "2", "over the budget"),
             ("mobius", "--N=1e5", "3", "over the budget"),
-            ("liouville", "--M=3", "20", "peels")):
-        assert main(["gowers", "--target", target, size, "--s", s]) == 2
+            ("liouville", "--M=3", "20", "peels"),
+            ("one", "--M=1e9", "1", "U^1 on Z/1000000000Z: the group is "
+             f"larger than the cap of {SIZE_CAP}"),
+            ("liouville", "--N=1e9", "1", "Z/5000000000Z: the group"),
+            ("one", "--N=3 --multiplier=1e7", "1", "Z/30000000Z: the group")):
+        assert main(["gowers", "--target", target, *size.split(), "--s", s,
+                     f"--out-dir={out}"]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+    GowersConfig(target="one", M=(SIZE_CAP,), s=1)
+    GowersConfig(target="one", N=(SIZE_CAP // 5,), s=1)
 
 
 def test_selftest_passes(capsys):

@@ -4,6 +4,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import MISSING, fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from polyprime.arith import (is_prime, is_prime_many, liouville, primes_upto,
                              von_mangoldt)
 from polyprime.errors import ConfigError
 from polyprime.experiments import (
+    K_MAX_CAP,
     KINDS,
     ExperimentConfig,
+    SampleRecord,
     chowla_normalized_sum,
     iid_sign_simulation,
     interval_count_distribution,
@@ -359,11 +362,10 @@ def test_run_experiment_linear_forms_liouville_prediction():
 
 def test_run_experiment_poisson_gaps_shape_and_override():
     cfg = ExperimentConfig(kind="poisson-gaps", d=1, H=60, X=50,
-                           samples=6, seed=8, w=3, calL=1.0, L=3)
+                           samples=6, seed=8, w=3, calL=0.5)
     res = run_experiment(cfg)
     for rec in res.records:
-        assert rec.stats["window"] == 3
-        assert rec.stats["window_real"] == 3.0
+        assert rec.stats["window"] == max(1, round(rec.stats["window_real"]))
         assert 0.0 <= rec.stats["tv"] <= 1.0
     keys = [r.key for r in res.aggregates]
     assert keys[:7] == ["tv_mean", "tv_min", "tv_q25", "tv_median",
@@ -438,7 +440,7 @@ def test_poisson_gaps_evaluates_each_point_once(monkeypatch):
     monkeypatch.setattr(IntPolynomial, "values", values)
     monkeypatch.setattr(experiments, "is_prime_many", spy_is_prime)
     X = 25
-    for extra in ({"calL": 3.0}, {"L": 7}, {"L": 1}):
+    for extra in ({"calL": 3.0}, {"calL": 7.0}, {"calL": 1e-6}):
         ranges.clear()
         lists.clear()
         cfg = ExperimentConfig(kind="poisson-gaps", d=2, H=50, X=X,
@@ -452,7 +454,22 @@ def test_poisson_gaps_evaluates_each_point_once(monkeypatch):
             want_ranges += [(f.coeffs, 1, X), (f.coeffs, X + 1, X + L - 1)]
         assert ranges == want_ranges
         assert any(rec.stats["window"] > 1 for rec in records) \
-            or extra == {"L": 1}
+            or extra == {"calL": 1e-6}
+
+
+def test_moment_rows_stay_finite_at_the_k_max_cap():
+    # The chowla-clt stat is at most sqrt(X) <= 1000 under the points cap.
+    cfg = ExperimentConfig(kind="chowla-clt", d=1, H=10, X=10, samples=3,
+                           seed=1, k_max=K_MAX_CAP)
+    records = [SampleRecord(index=i, coeffs=(0, 1), series=Fraction(1),
+                            stats={"stat": v}, attempts=1, zero_evals=0)
+               for i, v in enumerate((1000.0, -1000.0, 999.0))]
+    rows = KINDS["chowla-clt"].rows(cfg, records, [])
+    assert [key for key, *_ in rows][-2:] == [f"moment_{K_MAX_CAP}",
+                                               "ks_gaussian"]
+    # Each moment's estimate, stderr and prediction, and the KS distance.
+    assert all(math.isfinite(v) for row in rows[:-1] for v in row[1:])
+    assert math.isfinite(rows[-1][1])
 
 
 def test_config_validation_errors():

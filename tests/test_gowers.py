@@ -13,6 +13,7 @@ from polyprime import gowers
 from polyprime.gowers import (
     DEFAULT_OP_BUDGET,
     PEEL_CALL_CAP,
+    SIZE_CAP,
     gowers_average,
     gowers_norm_cyclic,
     gowers_norm_interval,
@@ -277,3 +278,15 @@ def test_peel_call_cap(monkeypatch):
     gowers_average(np.ones(1000), 4, op_budget=10 ** 13)
     with pytest.raises(BudgetError, match="peels"):
         gowers_average(np.ones(1001), 4, op_budget=10 ** 13)
+
+
+def test_size_cap_bounds_the_group_at_s_1():
+    # At s = 1 the operation budget alone would admit M up to 5e9.
+    assert SIZE_CAP < DEFAULT_OP_BUDGET
+    gowers.check_budget(SIZE_CAP, 1)
+    with pytest.raises(BudgetError, match=r"^U\^1 on Z/10000001Z: the group "
+                       r"is larger than the cap of 10000000$"):
+        gowers.check_budget(SIZE_CAP + 1, 1)
+    # Past both, the operation budget is named first.
+    with pytest.raises(BudgetError, match="over the budget"):
+        gowers.check_budget(10 ** 9, 2)

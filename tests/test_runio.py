@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from polyprime.config import (
     parse_int_list,
     parse_pattern,
 )
-from polyprime.errors import ConfigError
+from polyprime.errors import BudgetError, ConfigError
 from polyprime.experiments import ExperimentConfig, run_experiment
 from polyprime.runio import (
     format_cell,
@@ -278,6 +279,39 @@ def test_manifest_with_retired_key_loads_and_reruns(tmp_path):
         with open(p2[key], "rb") as fh:
             b2 = fh.read()
         assert b1 == b2
+
+
+def test_manifest_with_retired_window_l(tmp_path):
+    # Every experiment manifest of older versions records L, 0 when the
+    # window came from calL; such a run replays, and a fixed window does
+    # not.
+    cfg = ExperimentConfig(kind="poisson-gaps", d=1, H=30, X=20,
+                           samples=3, seed=8, calL=2.0)
+    path = tmp_path / "manifest.json"
+    for L, error in ((0, None), (3, "L: fixed windows are retired")):
+        path.write_text(json.dumps({"subcommand": "poisson-gaps",
+                                    "config": dict(asdict(cfg), L=L)}))
+        if error is None:
+            assert load_manifest_config(str(path)) == cfg
+        else:
+            with pytest.raises(ConfigError, match=f"^{error}"):
+                load_manifest_config(str(path))
+
+
+@pytest.mark.parametrize("subcommand, config, message", [
+    ("chowla-clt", dict(kind="chowla-clt", d=1, H=10, X=10 ** 7,
+                        samples=1, seed=1), "X: a sample would evaluate"),
+    ("chowla-clt", dict(kind="chowla-clt", d=1, H=10, X=10, samples=1,
+                        seed=1, w=10 ** 5), "w: a series would run"),
+    ("gowers", dict(target="one", N=[], M=[10 ** 9], s=1, multiplier=5),
+     "U^1 on Z/1000000000Z: the group is larger"),
+])
+def test_manifest_past_a_cap_is_refused(tmp_path, subcommand, config,
+                                        message):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"subcommand": subcommand, "config": config}))
+    with pytest.raises(BudgetError, match="^" + re.escape(message)):
+        load_manifest_config(str(path))
 
 
 def test_manifest_with_unknown_key_is_config_error(tmp_path):
