@@ -37,12 +37,12 @@ value is trial-divided by the primes below 1024, its bound.
 
 `factorize` trial-divides the same way, then splits what is left with
 Miller-Rabin, perfect-power extraction and Brent's cycle-finding rho with
-batched gcds under an explicit iteration budget.  Exceeding the budget
-raises BudgetError instead of stalling.  Miller-Rabin takes the
-smallest base set proven for the size of n: Jaeschke's (Math. Comp. 61,
-1993) sets of 3 to 6 bases below 3,474,749,660,383, Sinclair's seven
-bases below 2**64 and 13 fixed witnesses below ~3.3e24, each a proof
-there.
+batched gcds, at most RHO_BUDGET iterations for each value it factors.
+Exceeding them raises BudgetError instead of stalling.  Miller-Rabin
+takes the smallest base set proven for the size of n: Jaeschke's (Math.
+Comp. 61, 1993) sets of 3 to 6 bases below 3,474,749,660,383, Sinclair's
+seven bases below 2**64 and 13 fixed witnesses below ~3.3e24, each a
+proof there.
 """
 
 import math
@@ -52,7 +52,8 @@ import numpy as np
 
 from .errors import BudgetError
 
-DEFAULT_RHO_BUDGET = 10_000_000
+# Most rho iterations spent on the cofactor of one value.
+RHO_BUDGET = 10_000_000
 
 # (bound, bases): below each bound its bases make Miller-Rabin a proof.
 # The first four bounds are the least composites that pass all of their
@@ -221,21 +222,22 @@ def _brent_rho(m: int, state: _RhoState) -> int:
         # cycle degenerated; retry with a fresh (y, c) pair
 
 
-def factorize(n: int, budget: int = DEFAULT_RHO_BUDGET) -> tuple:
-    """The factorization of |n| for n != 0 under an iteration budget, as
-    the sorted tuple ((prime, exponent), ...)."""
+def factorize(n: int) -> tuple:
+    """The factorization of |n| for n != 0, as the sorted tuple
+    ((prime, exponent), ...); BudgetError past RHO_BUDGET."""
     if n == 0:
         raise ValueError("0 has no factorization")
     small, m = _trial_split(abs(n))
-    found = Counter(small) + _factor_cofactor(m, _TRIAL_BOUND, budget)
+    found = Counter(small) + _factor_cofactor(m, _TRIAL_BOUND)
     return tuple(sorted(found.items()))
 
 
-def _factor_cofactor(m: int, bound: int, budget: int) -> Counter:
+def _factor_cofactor(m: int, bound: int) -> Counter:
     """Prime factors of m >= 1, which has none below bound, as a Counter;
-    Miller-Rabin, perfect powers and rho split m under its own budget."""
+    Miller-Rabin, perfect powers and rho split m in at most RHO_BUDGET
+    rho iterations."""
     found = Counter()
-    state = _RhoState(budget)
+    state = _RhoState(RHO_BUDGET)
     stack = [(m, 1)] if m > 1 else []
     while stack:
         m, mult = stack.pop()
@@ -262,7 +264,7 @@ def liouville(n: int) -> int:
 def von_mangoldt(n: int) -> float:
     """log p when |n| is a positive power of the prime p, else 0.0.
 
-    0 at n = 0.  As `von_mangoldt_many([n])[0]`: no rho budget is
+    0 at n = 0.  As `von_mangoldt_many([n])[0]`: RHO_BUDGET is never
     involved, because a Miller-Rabin test and a perfect-power test settle
     every cofactor.
     """
@@ -415,11 +417,11 @@ def _cofactor_is_prime(m: int, bound: int) -> bool:
     return m < bound * bound or _miller_rabin(m)
 
 
-def liouville_many(values, budget: int = DEFAULT_RHO_BUDGET) -> list:
+def liouville_many(values) -> list:
     """(-1)**big_omega(|v|) for each of values; 0 for a zero value.
 
     Each cofactor of B**3 or more is factored from B on (no second trial
-    division) under its own rho budget.
+    division) in at most RHO_BUDGET rho iterations of its own.
     """
     out = []
     for bound, ps, m in zip(*_split(values, full=True)):
@@ -428,7 +430,7 @@ def liouville_many(values, budget: int = DEFAULT_RHO_BUDGET) -> list:
             continue
         omega = len(ps)
         if m >= bound ** 3:
-            omega += sum(_factor_cofactor(m, bound, budget).values())
+            omega += sum(_factor_cofactor(m, bound).values())
         elif m > 1:
             omega += 1 if _cofactor_is_prime(m, bound) else 2
         out.append(-1 if omega % 2 else 1)

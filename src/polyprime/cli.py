@@ -26,7 +26,7 @@ from .arith import (_TRIAL_BOUND, _split, factorize, is_prime_many,
 from .config import CONFIGS, GowersConfig, SeriesConfig, Text
 from .errors import BudgetError, ConfigError
 from .experiments import KINDS, ExperimentConfig, run_experiment
-from .gowers import gowers_norm_cyclic, gowers_norm_interval
+from .gowers import TARGETS, gowers_norm_cyclic, gowers_norm_interval
 from .moments import poisson_central_moment, stein_chen_check
 from .poly import IntPolynomial, sample_uniform
 from .rng import stream
@@ -133,12 +133,7 @@ def _series_cmd(cfg: SeriesConfig, factors: bool) -> int:
 def _gowers_norm(cfg: GowersConfig, size: int) -> float:
     """The U^s norm of cfg.target on the interval [1, size] when cfg has
     N, else on Z/(size)Z with f(n) at n mod size for n = 1..size."""
-    if cfg.target in ("one", "delta"):  # delta is 1 at n = 1 only
-        f = np.arange(size + 1) == 1 if cfg.target == "delta" \
-            else np.ones(size + 1)
-    else:
-        f = (liouville_sieve if cfg.target == "liouville"
-             else mobius_sieve)(size)
+    f = TARGETS[cfg.target](size)
     if cfg.N:
         return gowers_norm_interval(f.__getitem__, size, cfg.s,
                                     cfg.multiplier)

@@ -8,7 +8,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from decimal import Decimal, InvalidOperation
 
 from .errors import BudgetError, ConfigError
-from .gowers import check_budget
+from .gowers import TARGETS, check_budget
 
 # Cap on a series truncation w: series_f takes about 4 s per polynomial
 # at w = 10**4, and its time grows like w**2.
@@ -132,7 +132,7 @@ class Config:
 class GowersConfig(Config):
     """`polyprime gowers`: U^s norms of a target on [1, N] or on Z/MZ."""
 
-    target: str = _key("one, delta, liouville, or mobius",
+    target: str = _key(", ".join(TARGETS),
                        parse=lambda value, key: str(value))
     N: tuple = _key("comma list of interval lengths", (), parse_int_list)
     M: tuple = _key("comma list of cyclic group sizes", (), parse_int_list)
@@ -143,7 +143,7 @@ class GowersConfig(Config):
     def _checks(self):
         yield bool(self.N) != bool(self.M), \
             "give exactly one of --N (interval) or --M (cyclic)"
-        yield self.target in ("one", "delta", "liouville", "mobius"), \
+        yield self.target in TARGETS, \
             f"unknown gowers target {self.target!r}"
         yield min(self.N + self.M) >= 1, \
             f"{'N' if self.N else 'M'} entries must be >= 1"

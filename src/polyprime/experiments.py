@@ -8,10 +8,11 @@ depend on how samples are distributed over worker processes, and the
 per-sample output is byte-identical for any worker count.
 
 Each experiment kind is one `Kind` entry of `KINDS`: its own config
-keys, validation, sampler, series, statistic, aggregation and samples.csv
-columns, and the span that bounds its points; each config key is one
-`ExperimentConfig` field.  The command line, the run and the CSV writer
-read the table and the fields and hold no per-kind code.
+keys, validation, sampler, series, statistic (whose stats are its
+samples.csv columns), aggregation, and the span that bounds its points;
+each config key is one `ExperimentConfig` field.  The command line, the
+run and the CSV writer read the table and the fields and hold no
+per-kind code.
 
 Statistic conventions.  Sums over n always mean 1 <= n <= X.  A zero
 value of f(n) contributes 0 wherever an arithmetic function is applied.
@@ -63,6 +64,10 @@ POINTS_CAP = 10 ** 6
 K_MAX_CAP = 32
 # Most worker processes a run may start.
 WORKERS_CAP = 64
+# Cap on the degree bound d.  One bh-moments sample at H = 10**9,
+# X = 300, w = 5 takes 0.06-0.1 s at d = 10, 0.11-0.18 s at d = 100 and
+# 86-88 s at d = 1000 (one core of a 2-core Xeon).
+D_CAP = 100
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -108,6 +113,9 @@ class ExperimentConfig(Config):
         yield self.seed >= 0, "seed must be a nonnegative integer"
         # Before the kind's checks: linear-forms trial-divides M up to w.
         check_w(self.w)
+        if self.d > D_CAP:
+            raise BudgetError(f"d: a polynomial of degree up to {self.d} is "
+                              f"past the cap of {D_CAP}")
         kind = KINDS[self.kind]
         for ok, message in kind.checks:
             yield ok(self), message
@@ -509,11 +517,12 @@ class Kind:
     `run_series(cfg)` is the series shared by every sample of a run, or
     None when it depends on f.  `draw(cfg, rng, series)` returns (f,
     attempts, f's series), given the run's series.  `stats(cfg, f,
-    series)` returns (stats, zero_evals): the sample's statistics, named
-    by `columns` in samples.csv order, and the kind's count of zero
-    values (see the module docstring).  `rows(cfg, records, warnings)`
-    are the aggregates.csv rows as (key, estimate, stderr, predicted); it
-    may append run warnings.  `span(cfg)`, read once `checks` pass, is
+    series)` returns (stats, zero_evals): the sample's statistics as a
+    dict by samples.csv column, in column order and with the same keys
+    for every sample, and the kind's count of zero values (see the module
+    docstring).  `rows(cfg, records, warnings)` are the aggregates.csv
+    rows as (key, estimate, stderr, predicted); it may append run
+    warnings.  `span(cfg)`, read once `checks` pass, is
     (key, extra) when one sample evaluates f at X + extra points at most,
     extra set by key, or None when it evaluates f at fixed points only;
     the config refuses X or X + extra past POINTS_CAP, naming X or key.
@@ -528,7 +537,6 @@ class Kind:
     keys: tuple = ()
     checks: tuple = ()
     run_series: Callable = lambda cfg: None
-    columns: tuple = ("stat",)
     span: Callable = lambda cfg: ("X", 0)
 
 
@@ -581,8 +589,6 @@ KINDS = {
         draw=_draw_bateman_horn,
         stats=_poisson_gaps_stats,
         rows=_poisson_gaps_rows,
-        columns=("window", "window_real", "mean_count", "tv",
-                 *(tag for tag, _ in _CDF_POINTS)),
         span=_poisson_gaps_span),
     "linear-forms": Kind(
         "products of arithmetic functions at fixed points over a "

@@ -16,7 +16,7 @@ Python-level call per shift above s = 2 instead of one per (s-1)-tuple of
 shifts.  Those are M^(s-2) calls in all, and a second cap of 10^6 bounds
 them, so a small M at a large s (M = 3, s = 20 is within the M^s budget)
 cannot run for hours.  For integer-valued f with |f| <= 1 and M^3 < 2^53
-(the default budget allows U^2 only up to M = 70,710, where M^3 < 2^49),
+(OP_BUDGET allows U^2 only up to M = 70,710, where M^3 < 2^49),
 every c(h), every c(h)^2 and their sum are exact in float64, so the U^2
 average is the correctly rounded value of the rational sum c(h)^2 / M^3.
 The average of a real function is provably nonnegative, so a materially
@@ -31,15 +31,29 @@ further normalization.
 
 import numpy as np
 
-from .arith import least_prime_at_least
+from .arith import least_prime_at_least, liouville_sieve, mobius_sieve
 from .errors import BudgetError, ConsistencyError
 
 # cap on the ~M**s multiplications the factored evaluation performs
-DEFAULT_OP_BUDGET = 5 * 10 ** 9
+OP_BUDGET = 5 * 10 ** 9
 # cap on the M**(s-2) Python-level U^2 calls the peel makes (~20 s)
 PEEL_CALL_CAP = 10 ** 6
 # cap on the group size M itself, which bounds the arrays at s = 1
 SIZE_CAP = 10 ** 7
+# cap on the order s.  At M = 1 the caps above admit every s, and the
+# peel recurses s - 2 calls deep; at M >= 2 this cap refuses nothing
+# they admit, as 2**33 > OP_BUDGET.
+S_CAP = 32
+
+# Each target by name, as size -> array f with f[n] its value at n for
+# 0 <= n <= size.  The entries call the sieves through this module's
+# globals, at call time.
+TARGETS = {
+    "one": lambda size: np.ones(size + 1),
+    "delta": lambda size: np.arange(size + 1) == 1,  # 1 at n = 1 only
+    "liouville": lambda size: liouville_sieve(size),
+    "mobius": lambda size: mobius_sieve(size),
+}
 
 
 def _u_average(values: np.ndarray, s: int) -> float:
@@ -61,15 +75,19 @@ def _u_average(values: np.ndarray, s: int) -> float:
     return acc / M
 
 
-def check_budget(M: int, s: int, op_budget: int = DEFAULT_OP_BUDGET) -> None:
-    """Refuse U^s on Z/MZ with a BudgetError when M^s exceeds op_budget,
-    when, for s >= 3, the M^(s-2) calls of the peel exceed PEEL_CALL_CAP
-    (each costs microseconds of Python however small M is), or when M
-    exceeds SIZE_CAP (the arrays at s = 1, where M^s is only M).
+def check_budget(M: int, s: int) -> None:
+    """Refuse U^s on Z/MZ with a BudgetError when s exceeds S_CAP
+    (checked first, so no power of M is taken at a huge s), when M^s
+    exceeds OP_BUDGET, when, for s >= 3, the M^(s-2) calls of the peel
+    exceed PEEL_CALL_CAP (each costs microseconds of Python however small
+    M is), or when M exceeds SIZE_CAP (the arrays at s = 1, where M^s is
+    only M).
     """
-    if M ** s > op_budget:
+    if s > S_CAP:
+        raise BudgetError(f"s: U^{s} is past the cap of s = {S_CAP}")
+    if M ** s > OP_BUDGET:
         raise BudgetError(f"U^{s} on Z/{M}Z needs ~{M ** s} operations, "
-                          f"over the budget of {op_budget}")
+                          f"over the budget of {OP_BUDGET}")
     if s > 2 and M ** (s - 2) > PEEL_CALL_CAP:
         raise BudgetError(f"U^{s} on Z/{M}Z peels through {M ** (s - 2)} "
                           f"calls, over the cap of {PEEL_CALL_CAP}")
@@ -78,8 +96,7 @@ def check_budget(M: int, s: int, op_budget: int = DEFAULT_OP_BUDGET) -> None:
                           f"cap of {SIZE_CAP}")
 
 
-def gowers_average(values, s: int,
-                   op_budget: int = DEFAULT_OP_BUDGET) -> float:
+def gowers_average(values, s: int) -> float:
     """The U^s box average of f, before the 2^(-s) exponent root;
     `check_budget` refuses it before any work."""
     if s < 1:
@@ -87,7 +104,7 @@ def gowers_average(values, s: int,
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1 or arr.shape[0] < 1:
         raise ValueError("values must be a nonempty 1-d sequence")
-    check_budget(arr.shape[0], s, op_budget)
+    check_budget(arr.shape[0], s)
     avg = _u_average(arr, s)
     scale = float(np.max(np.abs(arr))) ** (2 ** s)
     tol = 1e-12 * max(scale, 1.0)

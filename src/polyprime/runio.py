@@ -22,7 +22,7 @@ from fractions import Fraction
 from ._version import __version__
 from .config import CONFIGS, Config
 from .errors import ConfigError
-from .experiments import KINDS, ExperimentConfig, RunResult
+from .experiments import ExperimentConfig, RunResult
 
 def load_config_file(path: str) -> dict:
     """key=value file to a raw string dict; later flags override these."""
@@ -113,7 +113,8 @@ def write_files(out_dir: str, subcommand: str, cfg: Config, tables: dict,
 def write_run(out_dir: str, result: RunResult, started: str,
               finished: str) -> dict:
     cfg = result.config
-    columns = KINDS[cfg.kind].columns
+    # A kind's stats dict holds its columns in order (samples >= 1).
+    columns = list(result.records[0].stats)
     samples = [[r.index, r.coeffs, r.series]
                + [r.stats[key] for key in columns]
                + [r.attempts, r.zero_evals] for r in result.records]

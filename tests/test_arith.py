@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 import polyprime.arith as arith
 from polyprime.arith import (
-    DEFAULT_RHO_BUDGET,
     factorize,
     iroot,
     is_prime,
@@ -166,11 +165,12 @@ def test_factorize_big_perfect_power():
     assert factorize(2 ** 64) == ((2, 64),)
 
 
-def test_factorize_budget_error():
+def test_factorize_budget_error(monkeypatch):
     # Splitting a semiprime with ~1e18-sized factors needs ~1e9 rho
     # iterations; a tiny budget must fail loudly, not hang or guess.
+    monkeypatch.setattr(arith, "RHO_BUDGET", 10_000)
     with pytest.raises(BudgetError):
-        factorize(HARD_SEMIPRIME, budget=10_000)
+        factorize(HARD_SEMIPRIME)
 
 
 def test_big_omega():
@@ -513,7 +513,7 @@ def test_large_values_match_sympy(monkeypatch):
     assert got == want
     assert {("_trial_split", True), ("_trial_split", False),
             ("perfect_power",),
-            ("_factor_cofactor", 1024, DEFAULT_RHO_BUDGET)} <= set(calls)
+            ("_factor_cofactor", 1024)} <= set(calls)
     assert [liouville(v) for v in LARGE_VALUES] == want[0]
     assert [von_mangoldt(v) for v in LARGE_VALUES] == want[1]
     assert [is_prime(v) for v in LARGE_VALUES] == want[2]
@@ -538,9 +538,10 @@ def test_batched_kernels_no_rho_below_cap(monkeypatch):
     von_mangoldt_many(values)
 
 
-def test_batched_kernels_budget_error():
+def test_batched_kernels_budget_error(monkeypatch):
+    monkeypatch.setattr(arith, "RHO_BUDGET", 10_000)
     with pytest.raises(BudgetError):
-        liouville_many([6, HARD_SEMIPRIME], budget=10_000)
+        liouville_many([6, HARD_SEMIPRIME])
 
 
 def test_batched_kernels_against_sympy():

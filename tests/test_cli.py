@@ -21,7 +21,7 @@ from polyprime.config import (W_CAP, GowersConfig, SeriesConfig,
                               parse_int_exact)
 from polyprime.errors import BudgetError, ConfigError
 from polyprime.experiments import ExperimentConfig, run_experiment
-from polyprime.gowers import SIZE_CAP, gowers_norm_cyclic
+from polyprime.gowers import S_CAP, SIZE_CAP, gowers_norm_cyclic
 from polyprime.runio import format_cell, load_manifest_config, write_run
 from polyprime.series import lemma_lower_bound
 
@@ -706,14 +706,18 @@ def test_k_max_and_workers_past_their_caps_exit_one(monkeypatch, tmp_path,
 def test_gowers_budget_is_checked_before_any_array(monkeypatch, tmp_path,
                                                    capsys):
     # At s = 1 the operation budget admits M up to 5e9; the size cap of
-    # 10^7 refuses it, and a huge multiplier too.
+    # 10^7 refuses it, and a huge multiplier too.  At M = 1 every cap but
+    # the one on s admits any s.
     import polyprime.cli as cli
+    import polyprime.gowers as gowers
 
     def refuse(*args, **kwargs):
         raise AssertionError("array built before the budget was checked")
 
-    for name in ("liouville_sieve", "mobius_sieve", "gowers_norm_interval",
-                 "gowers_norm_cyclic", "_gowers_norm"):
+    for name in ("liouville_sieve", "mobius_sieve"):
+        monkeypatch.setattr(gowers, name, refuse)
+    for name in ("gowers_norm_interval", "gowers_norm_cyclic",
+                 "_gowers_norm"):
         monkeypatch.setattr(cli, name, refuse)
     out = tmp_path / "g"
     for target, size, s, message in (
@@ -724,13 +728,37 @@ def test_gowers_budget_is_checked_before_any_array(monkeypatch, tmp_path,
             ("one", "--M=1e9", "1", "U^1 on Z/1000000000Z: the group is "
              f"larger than the cap of {SIZE_CAP}"),
             ("liouville", "--N=1e9", "1", "Z/5000000000Z: the group"),
-            ("one", "--N=3 --multiplier=1e7", "1", "Z/30000000Z: the group")):
+            ("one", "--N=3 --multiplier=1e7", "1", "Z/30000000Z: the group"),
+            ("one", "--M=1", "5000", "s: U^5000 is past the cap"),
+            ("liouville", "--M=1", "1e12", "s: U^1000000000000 is past")):
         assert main(["gowers", "--target", target, *size.split(), "--s", s,
                      f"--out-dir={out}"]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
     GowersConfig(target="one", M=(SIZE_CAP,), s=1)
     GowersConfig(target="one", N=(SIZE_CAP // 5,), s=1)
+    monkeypatch.undo()
+    assert main(["gowers", "--target", "one", "--M", "1",
+                 "--s", str(S_CAP)]) == 0
+    assert capsys.readouterr().out == f"1,{S_CAP},1.0\n"
+
+
+def test_d_past_its_cap_is_refused_before_any_draw(monkeypatch, tmp_path,
+                                                   capsys):
+    def refuse(*args):
+        raise AssertionError("f drawn before d was checked")
+
+    monkeypatch.setattr(experiments, "sample_uniform", refuse)
+    out = tmp_path / "run"
+    assert main(["chowla-clt", "--d", "1e9", "--H", "10", "--X", "10",
+                 "--samples", "1", "--seed", "1", "--out-dir",
+                 str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "budget error: d: a polynomial of degree up to 1000000000 is past "
+        f"the cap of {experiments.D_CAP}\n")
+    assert not out.exists()
+    ExperimentConfig(kind="chowla-clt", d=experiments.D_CAP, H=10, X=10,
+                     samples=1, seed=1)
 
 
 def test_selftest_passes(capsys):

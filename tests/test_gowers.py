@@ -11,9 +11,11 @@ from polyprime.arith import least_prime_at_least, liouville_sieve, mobius_sieve
 from polyprime.errors import BudgetError
 from polyprime import gowers
 from polyprime.gowers import (
-    DEFAULT_OP_BUDGET,
+    OP_BUDGET,
     PEEL_CALL_CAP,
+    S_CAP,
     SIZE_CAP,
+    TARGETS,
     gowers_average,
     gowers_norm_cyclic,
     gowers_norm_interval,
@@ -241,16 +243,18 @@ def test_bench_liouville_u2_norms_are_exact():
         assert norm == avg ** 0.25
 
 
-def test_budget_error():
+def test_budget_error(monkeypatch):
+    monkeypatch.setattr(gowers, "OP_BUDGET", 10 ** 6)
     with pytest.raises(BudgetError):
-        gowers_average(np.ones(100000), 2, op_budget=10 ** 6)
+        gowers_average(np.ones(100000), 2)
     # The check is M^s against the budget, whatever the base case costs.
-    budget = 10 ** 4
+    monkeypatch.setattr(gowers, "OP_BUDGET", 10 ** 4)
     for s, M in ((1, 10 ** 4), (2, 100), (3, 21), (4, 10)):
-        gowers_average(np.ones(M), s, op_budget=budget)
+        gowers_average(np.ones(M), s)
         with pytest.raises(BudgetError):
-            gowers_average(np.ones(M + 1), s, op_budget=budget)
-    assert DEFAULT_OP_BUDGET == 5 * 10 ** 9
+            gowers_average(np.ones(M + 1), s)
+    monkeypatch.undo()
+    assert OP_BUDGET == 5 * 10 ** 9
     for s, M in ((2, 70711), (3, 1710), (4, 266)):
         with pytest.raises(BudgetError):
             gowers_average(np.ones(M), s)
@@ -266,7 +270,7 @@ def test_peel_call_cap(monkeypatch):
     real = gowers._u_average
     monkeypatch.setattr(gowers, "_u_average",
                         lambda values, s: calls.append(s) or real(values, s))
-    assert 3 ** 20 <= DEFAULT_OP_BUDGET and 3 ** 18 > PEEL_CALL_CAP
+    assert 3 ** 20 <= OP_BUDGET and 3 ** 18 > PEEL_CALL_CAP
     with pytest.raises(BudgetError, match="peels"):
         gowers_average(np.ones(3), 20)
     assert calls == []  # refused before any work
@@ -275,14 +279,15 @@ def test_peel_call_cap(monkeypatch):
     # The cap is on M^(s-2) itself; a stub stands in for the 10^6 calls.
     assert PEEL_CALL_CAP == 10 ** 6
     monkeypatch.setattr(gowers, "_u_average", lambda values, s: 0.0)
-    gowers_average(np.ones(1000), 4, op_budget=10 ** 13)
+    monkeypatch.setattr(gowers, "OP_BUDGET", 10 ** 13)
+    gowers_average(np.ones(1000), 4)
     with pytest.raises(BudgetError, match="peels"):
-        gowers_average(np.ones(1001), 4, op_budget=10 ** 13)
+        gowers_average(np.ones(1001), 4)
 
 
 def test_size_cap_bounds_the_group_at_s_1():
     # At s = 1 the operation budget alone would admit M up to 5e9.
-    assert SIZE_CAP < DEFAULT_OP_BUDGET
+    assert SIZE_CAP < OP_BUDGET
     gowers.check_budget(SIZE_CAP, 1)
     with pytest.raises(BudgetError, match=r"^U\^1 on Z/10000001Z: the group "
                        r"is larger than the cap of 10000000$"):
@@ -290,3 +295,28 @@ def test_size_cap_bounds_the_group_at_s_1():
     # Past both, the operation budget is named first.
     with pytest.raises(BudgetError, match="over the budget"):
         gowers.check_budget(10 ** 9, 2)
+
+
+def test_s_cap_is_checked_before_any_power_of_m():
+    # At M = 1 the other caps admit every s; the peel would recurse s - 2
+    # calls deep.  At M >= 2 the operation budget refuses s past the cap.
+    assert 2 ** (S_CAP + 1) > OP_BUDGET
+    assert gowers_average(np.ones(1), S_CAP) == 1.0
+    for s in (S_CAP + 1, 5000, 10 ** 12):
+        with pytest.raises(BudgetError, match=rf"^s: U\^{s} is past the "
+                           rf"cap of s = {S_CAP}$"):
+            gowers.check_budget(1, s)
+
+
+def test_targets_call_the_sieves_at_call_time(monkeypatch):
+    calls = []
+    for name in ("liouville_sieve", "mobius_sieve"):
+        real = getattr(gowers, name)
+        monkeypatch.setattr(
+            gowers, name,
+            lambda n, real=real, name=name: calls.append(name) or real(n))
+    assert np.array_equal(TARGETS["liouville"](30), liouville_sieve(30))
+    assert np.array_equal(TARGETS["mobius"](30), mobius_sieve(30))
+    assert calls == ["liouville_sieve", "mobius_sieve"]
+    assert TARGETS["one"](3).tolist() == [1.0] * 4
+    assert TARGETS["delta"](3).tolist() == [False, True, False, False]
