@@ -37,8 +37,10 @@ value is trial-divided by the primes below 1024, its bound.
 
 `factorize` trial-divides the same way, then splits what is left with
 Miller-Rabin, perfect-power extraction and Brent's cycle-finding rho with
-batched gcds, at most RHO_BUDGET iterations for each value it factors.
-Exceeding them raises BudgetError instead of stalling.  Miller-Rabin
+batched gcds, within RHO_BUDGET for each value it factors.  The budget
+counts 64-bit words: a rho iteration on m costs ceil(m.bit_length() / 64),
+which is 1 below 2**64, so it bounds time as well as iterations.
+Exceeding it raises BudgetError instead of stalling.  Miller-Rabin
 takes the smallest base set proven for the size of n: Jaeschke's (Math.
 Comp. 61, 1993) sets of 3 to 6 bases below 3,474,749,660,383, Sinclair's
 seven bases below 2**64 and 13 fixed witnesses below ~3.3e24, each a
@@ -52,7 +54,8 @@ import numpy as np
 
 from .errors import BudgetError
 
-# Most rho iterations spent on the cofactor of one value.
+# Most rho work spent on the cofactor of one value, in 64-bit words: an
+# iteration on m costs ceil(m.bit_length() / 64), 1 below 2**64.
 RHO_BUDGET = 10_000_000
 
 # (bound, bases): below each bound its bases make Miller-Rabin a proof.
@@ -180,9 +183,18 @@ class _RhoState:
     def __init__(self, budget: int):
         self.budget = budget
 
+    def spend(self, units: int, m: int) -> None:
+        """Take units from the budget, or raise BudgetError naming m."""
+        if self.budget < units:
+            raise BudgetError("rho budget exhausted while splitting a "
+                              f"{m.bit_length()}-bit cofactor")
+        self.budget -= units
+
 
 def _brent_rho(m: int, state: _RhoState) -> int:
-    """A nontrivial factor of composite odd m, or BudgetError."""
+    """A nontrivial factor of composite odd m, or BudgetError.  Each
+    iteration costs the budget one unit per 64-bit word of m."""
+    cost = -(-m.bit_length() // 64)
     rng = random.Random(m ^ 0x9E3779B97F4A7C15)
     while True:
         y = rng.randrange(1, m)
@@ -198,10 +210,7 @@ def _brent_rho(m: int, state: _RhoState) -> int:
             while k < r and g == 1:
                 ys = y
                 batch = min(128, r - k)
-                if state.budget < batch:
-                    raise BudgetError(
-                        f"rho budget exhausted while splitting {m}")
-                state.budget -= batch
+                state.spend(batch * cost, m)
                 for _ in range(batch):
                     y = (y * y + c) % m
                     q = q * abs(x - y) % m
@@ -211,10 +220,7 @@ def _brent_rho(m: int, state: _RhoState) -> int:
         if g == m:
             g = 1
             while g == 1:
-                if state.budget <= 0:
-                    raise BudgetError(
-                        f"rho budget exhausted while splitting {m}")
-                state.budget -= 1
+                state.spend(cost, m)
                 ys = (ys * ys + c) % m
                 g = math.gcd(abs(x - ys), m)
         if g != m:
@@ -234,8 +240,7 @@ def factorize(n: int) -> tuple:
 
 def _factor_cofactor(m: int, bound: int) -> Counter:
     """Prime factors of m >= 1, which has none below bound, as a Counter;
-    Miller-Rabin, perfect powers and rho split m in at most RHO_BUDGET
-    rho iterations."""
+    Miller-Rabin, perfect powers and rho split m within RHO_BUDGET."""
     found = Counter()
     state = _RhoState(RHO_BUDGET)
     stack = [(m, 1)] if m > 1 else []
@@ -421,7 +426,7 @@ def liouville_many(values) -> list:
     """(-1)**big_omega(|v|) for each of values; 0 for a zero value.
 
     Each cofactor of B**3 or more is factored from B on (no second trial
-    division) in at most RHO_BUDGET rho iterations of its own.
+    division) within a RHO_BUDGET of its own.
     """
     out = []
     for bound, ps, m in zip(*_split(values, full=True)):

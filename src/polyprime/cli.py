@@ -8,8 +8,8 @@ goes as `Text` to the config's `from_dict`, which parses and checks it.
 Experiments, and gowers given --out-dir, write their files through
 `runio.write_files`; an --out-dir that is empty, or cannot be made a
 directory, is refused before the run.  Exit codes: 0 success, 1
-configuration problem, 2 exhausted arithmetic budget, 3 self-test
-failure.
+configuration problem, 2 a size past its cap or an exhausted budget
+(BudgetError), 3 self-test failure.
 """
 
 import argparse

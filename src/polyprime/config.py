@@ -56,6 +56,15 @@ def parse_int_list(value, key: str) -> tuple:
     return tuple(parse_int_exact(v, key) for v in value)
 
 
+def parse_points(value, key: str) -> tuple:
+    """A list of distinct ints (shifts or evaluation points), as
+    `parse_int_list` reads it."""
+    points = parse_int_list(value, key)
+    if len(set(points)) != len(points):
+        raise ConfigError(f"{key} must be distinct")
+    return points
+
+
 def parse_pattern(value, key: str = "pattern") -> tuple:
     """Sign pattern: entries +1/-1, or the text "+-" or "+1,-1"."""
     t = value.strip() if isinstance(value, str) else ""
@@ -77,7 +86,10 @@ def _parse_coeffs(value, key: str) -> tuple:
 
 
 def check_w(w: int) -> None:
-    """Refuse a series truncation past W_CAP with a BudgetError naming w."""
+    """Refuse a series truncation w below 2 (ConfigError) or past W_CAP
+    (BudgetError), naming w."""
+    if w < 2:
+        raise ConfigError("w must be >= 2")
     if w > W_CAP:
         raise BudgetError(f"w: a series would run over the primes up to "
                           f"{w}, past the cap of {W_CAP}")
@@ -162,7 +174,7 @@ class SeriesConfig(Config):
                        parse=_parse_coeffs)
     w: int = _key("truncation bound")
     shifts: tuple = _key("distinct shifts for the tuple series (default 0)",
-                         (0,), parse_int_list)
+                         (0,), parse_points)
 
     def _checks(self):
         check_w(self.w)

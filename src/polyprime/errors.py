@@ -1,16 +1,17 @@
 """Shared exception types.
 
 The command line maps these onto exit codes: configuration problems exit
-with 1 and exhausted arithmetic budgets with 2.
+with 1, and a size past its cap or an exhausted budget with 2.
 """
 
 
 class ConfigError(ValueError):
-    """A run configuration is invalid or incomplete."""
+    """A run configuration is invalid or incomplete.  Only the config
+    layer raises it: config, runio and cli."""
 
 
 class BudgetError(RuntimeError):
-    """An enumeration or iteration cap was exceeded."""
+    """A size past its cap, or an exhausted enumeration or rho budget."""
 
 
 class ConsistencyError(RuntimeError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError, ConfigError
+from .errors import BudgetError
 from .rng import uniform_int
 
 # Draws a rejection sampler makes before it gives up with BudgetError.
@@ -62,10 +62,6 @@ class IntPolynomial:
 
 def sample_uniform(d: int, H: int, rng: random.Random) -> IntPolynomial:
     """Uniform draw from degree <= d polynomials with |a_i| <= H."""
-    if d < 0:
-        raise ConfigError("degree must be >= 0")
-    if H < 0:
-        raise ConfigError("coefficient bound must be >= 0")
     return IntPolynomial(tuple(uniform_int(rng, -H, H)
                                for _ in range(d + 1)))
 
@@ -75,16 +71,12 @@ def sample_uniform_residue(d: int, H: int, rng: random.Random,
     """Uniform draw conditioned on f congruent to f0 mod M.
 
     Plain rejection keeps the conditional distribution exactly uniform.
-    Returns (polynomial, attempts).
+    Returns (polynomial, attempts).  The linear-forms config keeps M in
+    1..2H+1, so that the class is not empty.
     """
-    if M < 1:
-        raise ConfigError("modulus must be >= 1")
-    if 2 * H + 1 < M:
-        raise ConfigError("coefficient range narrower than the modulus; "
-                          "the residue class may be empty")
+    if len(f0.coeffs) > d + 1:
+        raise ValueError("residue polynomial has higher degree than d")
     want = [c % M for c in f0.coeffs] + [0] * (d + 1 - len(f0.coeffs))
-    if len(want) != d + 1:
-        raise ConfigError("residue polynomial has higher degree than d")
     for attempt in range(1, REJECTION_CAP + 1):
         f = sample_uniform(d, H, rng)
         if all(c % M == r for c, r in zip(f.coeffs, want)):

@@ -3,7 +3,9 @@
 Each series is an Euler product over primes p <= w of a local density
 factor.  The factors come from exact residue counts, so values are
 Fractions end to end and only get converted to float at the reporting
-boundary.
+boundary.  The functions assume checked input, as the run configs
+check it when they are built: w >= 2, distinct shifts or points, and a
+modulus M >= 1 with no prime factor above w.
 """
 
 from dataclasses import dataclass, field
@@ -11,7 +13,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from .arith import primes_upto
-from .errors import BudgetError, ConfigError
+from .errors import BudgetError
 from .poly import (IntPolynomial, count_unit_tuples_linear_system,
                    count_unit_values_mod_p)
 
@@ -46,11 +48,6 @@ def series_f(f: IntPolynomial, w: int) -> TruncatedSeries:
 
 def series_f_tuple(f: IntPolynomial, shifts, w: int) -> TruncatedSeries:
     """Shifted-tuple series with denominator (1 - 1/p)**k per prime."""
-    if w < 2:
-        raise ConfigError("truncation bound w must be >= 2")
-    shifts = list(shifts)
-    if len(set(shifts)) != len(shifts):
-        raise ConfigError("shifts must be distinct")
     k = len(shifts)
     factors = []
     for p in primes_upto(w):
@@ -81,16 +78,7 @@ def series_linear_system(ns, f0: IntPolynomial, M: int, w: int,
     per prime).  The series depends on the configuration only, not on a
     sampled f, so `run_experiment` computes it once per run.
     """
-    if w < 2:
-        raise ConfigError("truncation bound w must be >= 2")
-    if M < 1:
-        raise ConfigError("modulus must be >= 1")
-    ns = list(ns)
-    if len(set(ns)) != len(ns):
-        raise ConfigError("evaluation points must be distinct")
     t = len(ns)
-    if not prime_factors_at_most(M, w):
-        raise ConfigError(f"modulus {M} has a prime factor above w={w}")
     factors = []
     for p in primes_upto(w):
         p = int(p)
@@ -156,9 +144,9 @@ def tuple_sum_identity_residual(f: IntPolynomial, L: int, r: int,
     lower-order growth in L.
     """
     if L < 1:
-        raise ConfigError("L must be >= 1")
+        raise ValueError("L must be >= 1")
     if r < 1:
-        raise ConfigError("r must be >= 1")
+        raise ValueError("r must be >= 1")
     n_tuples = 1
     for i in range(r):
         n_tuples *= L - i

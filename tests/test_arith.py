@@ -1,6 +1,7 @@
 """Integer arithmetic layer: primality, factorization, sieves."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -171,6 +172,25 @@ def test_factorize_budget_error(monkeypatch):
     monkeypatch.setattr(arith, "RHO_BUDGET", 10_000)
     with pytest.raises(BudgetError):
         factorize(HARD_SEMIPRIME)
+
+
+def test_factorize_budget_bounds_time_on_large_values():
+    # A rho iteration on a 2000-bit value costs 32 budget units, one per
+    # 64-bit word, so the default budget stops after ~3e5 iterations, a
+    # 32nd of what a budget counted in iterations allows.
+    m = sympy.nextprime(2 ** 999) * sympy.nextprime(2 ** 1000)
+    start = time.perf_counter()
+    with pytest.raises(BudgetError):
+        factorize(m)
+    assert time.perf_counter() - start < 60
+
+
+def test_rho_budget_error_names_the_cofactor_by_size():
+    # A cofactor past Python's 4300-digit limit on int-to-str conversion
+    # is named by its size, so the run still exits with BudgetError.
+    m = 3 ** 9100  # 4342 digits
+    with pytest.raises(BudgetError, match=f"a {m.bit_length()}-bit cofactor"):
+        arith._brent_rho(m, arith._RhoState(0))
 
 
 def test_big_omega():

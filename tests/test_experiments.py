@@ -259,7 +259,7 @@ def test_iid_sign_simulation_matches_sigma():
     assert var == pytest.approx(0.25, rel=0.12)
     var2 = iid_sign_simulation(500, (1, 1), 2000, 20260819)
     assert var2 == pytest.approx(5 / 16, rel=0.12)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         iid_sign_simulation(10, (1,), 1, 0)
 
 

@@ -32,6 +32,22 @@ def test_no_module_level_mutable_package_instances():
     assert found == []
 
 
+def test_config_error_is_raised_only_in_the_config_layer():
+    # The configs check every rule of a run's input as they are built;
+    # the kernels assume checked input and raise no ConfigError.
+    layer = {"config.py", "runio.py", "cli.py"}
+    found = []
+    for path in sorted((ROOT / "src" / "polyprime").glob("*.py")):
+        if path.name in layer:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = getattr(node.exc, "func", node.exc)
+                if getattr(exc, "id", None) == "ConfigError":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_traced_spans_name_existing_attributes():
     # The benchmark's tracer wraps polyprime.<module>.<function> for each
     # Span("<module>", "<function>", ...) of its SPANS; the file is only

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from polyprime.arith import primes_upto
 from polyprime.config import _parse_coeffs
 from polyprime.errors import ConfigError
+from polyprime.experiments import ExperimentConfig
 from polyprime.poly import (
     IntPolynomial,
     count_unit_tuples_linear_system,
@@ -258,8 +259,14 @@ def test_sample_uniform_residue():
 
 
 def test_sample_uniform_residue_narrow_range_rejected():
-    with pytest.raises(ConfigError):
-        sample_uniform_residue(1, 1, stream(1, 1), IntPolynomial((2,)), 5)
+    # The config refuses a modulus above 2H+1; the sampler refuses an f0
+    # of more than d+1 coefficients, which would otherwise be cut short.
+    with pytest.raises(ConfigError, match="^M must be at most 2H\\+1"):
+        ExperimentConfig(kind="linear-forms", d=1, H=1, X=1, samples=1,
+                         seed=1, M=5, f0=(2,))
+    with pytest.raises(ValueError, match="higher degree than d"):
+        sample_uniform_residue(1, 1, stream(1, 1), IntPolynomial((0, 0, 1)),
+                               1)
 
 
 def test_sample_uniform_residue_uniform_within_class():

@@ -7,7 +7,9 @@ import pytest
 import sympy
 
 from polyprime.arith import primes_upto
+from polyprime.config import SeriesConfig
 from polyprime.errors import BudgetError, ConfigError
+from polyprime.experiments import ExperimentConfig
 from polyprime.poly import IntPolynomial, sample_uniform
 from polyprime.rng import stream
 from polyprime.series import (
@@ -57,8 +59,10 @@ def test_series_f_x2_plus_1():
 
 
 def test_series_f_rejects_tiny_w():
-    with pytest.raises(ConfigError):
-        series_f(X, 1)
+    # The config refuses w < 2; the kernel's empty product is 1.
+    with pytest.raises(ConfigError, match="^w must be >= 2$"):
+        SeriesConfig(poly=(0, 1), w=1)
+    assert series_f(X, 1).value == 1
 
 
 def test_truncated_series_product_invariant():
@@ -87,8 +91,8 @@ def test_series_f_tuple_examples():
 
 
 def test_series_f_tuple_distinct_shifts_required():
-    with pytest.raises(ConfigError):
-        series_f_tuple(X, [1, 1], 3)
+    with pytest.raises(ConfigError, match="^shifts must be distinct$"):
+        SeriesConfig(poly=(0, 1), w=5, shifts=(0, 0))
 
 
 def test_series_f_tuple_shift_invariance(shift):
@@ -172,17 +176,21 @@ def test_series_linear_system_indicator_kills_factor():
     assert factors[3] == Fraction(3 * 6, 9 * 2)  # count 6 over 3^2
 
 
+LINEAR_FORMS = dict(kind="linear-forms", d=1, H=30, X=1, samples=1,
+                    seed=1, f0=(1,))
+
+
 def test_series_linear_system_modulus_above_w():
-    with pytest.raises(ConfigError):
-        series_linear_system([1], IntPolynomial((1,)), 10, 3, 1)
+    with pytest.raises(ConfigError, match="^M must have no prime factor"):
+        ExperimentConfig(**LINEAR_FORMS, M=10, w=3)
     # M = 10 = 2 * 5 is fine once w reaches 5.
     ts = series_linear_system([1], IntPolynomial((1,)), 10, 5, 1)
     assert ts.value > 0
 
 
 def test_series_linear_system_duplicate_points():
-    with pytest.raises(ConfigError):
-        series_linear_system([1, 1], IntPolynomial((1,)), 1, 3, 1)
+    with pytest.raises(ConfigError, match="^ns must be distinct$"):
+        ExperimentConfig(**LINEAR_FORMS, ns=(1, 1), w=3)
 
 
 def test_series_linear_system_m1_matches_direct_product():
@@ -252,7 +260,7 @@ def test_tuple_sum_residual_linear_growth():
 def test_tuple_sum_budget():
     with pytest.raises(BudgetError):
         tuple_sum_identity_residual(X, 3000, 3, 2)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         tuple_sum_identity_residual(X, 0, 1, 2)
 
 
