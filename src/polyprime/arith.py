@@ -204,6 +204,7 @@ def _brent_rho(m: int, state: _RhoState) -> int:
         x = ys = y
         while g == 1:
             x = y
+            state.spend(r * cost, m)
             for _ in range(r):
                 y = (y * y + c) % m
             k = 0

@@ -8,7 +8,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from decimal import Decimal, InvalidOperation
 
 from .errors import BudgetError, ConfigError
-from .gowers import TARGETS, check_budget
+from .gowers import TARGETS, check_budget, embedding_modulus
 
 # Cap on a series truncation w: series_f takes about 4 s per polynomial
 # at w = 10**4, and its time grows like w**2.
@@ -161,9 +161,13 @@ class GowersConfig(Config):
             f"{'N' if self.N else 'M'} entries must be >= 1"
         yield self.s >= 1, "s must be >= 1"
         yield self.multiplier >= 2, "multiplier must be >= 2"
-        # An interval row's modulus is at least multiplier * N.
-        for size in self.N or self.M:
-            check_budget(self.multiplier * size if self.N else size, self.s)
+        # An interval row's modulus is at least multiplier * N, which is
+        # checked first, so that a huge N is refused before a prime search.
+        for size in self.M:
+            check_budget(size, self.s)
+        for size in self.N:
+            check_budget(self.multiplier * size, self.s)
+            check_budget(embedding_modulus(size, self.multiplier), self.s)
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -68,6 +68,12 @@ WORKERS_CAP = 64
 # X = 300, w = 5 takes 0.06-0.1 s at d = 10, 0.11-0.18 s at d = 100 and
 # 86-88 s at d = 1000 (one core of a 2-core Xeon).
 D_CAP = 100
+# Cap on the signs of a sign pattern.  One sample makes 2s numpy passes
+# over its X windows: at X = 10**6 they take 0.03 s at s = 64 and 0.6 s
+# at s = 1000 (one core of a 2-core Xeon).  Longer patterns add nothing:
+# in at most 10**6 windows, fewer than 10**-13 are expected to match 64
+# iid signs.
+PATTERN_CAP = 64
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -194,33 +200,37 @@ def chowla_normalized_sum(f: IntPolynomial, X: int) -> tuple:
     return sum(liouville_many(vals)) / math.sqrt(X), vals.count(0)
 
 
+def _window_count(signs: np.ndarray, X: int, pattern) -> tuple:
+    """The windows signs[n : n + s], 0 <= n < X, that equal pattern, in
+    one numpy pass per pattern position: (their count less X / 2**s, over
+    sqrt(X); the boolean array of the windows that match)."""
+    match = np.ones(X, dtype=bool)
+    for i, e in enumerate(pattern):
+        match &= signs[i: i + X] == e
+    return (int(match.sum()) - X / 2 ** len(pattern)) / math.sqrt(X), match
+
+
 def sign_pattern_statistic(f: IntPolynomial, X: int, pattern) -> tuple:
     """Normalized count of n <= X whose Liouville window matches pattern.
 
     Returns (normalized count, number of zero values of f among the
-    window values f(2..X+s)).  The plain indicator count is
-    cross-checked against the product identity 1{window = pattern} =
-    2^(-s) prod(1 + eps_i * lam_i) at every n whose window is free of
-    zero values; a mismatch raises.
+    window values f(2..X+s)).  The window of n is lambda(f(n+1..n+s)).
+    The match of every window is cross-checked against the product
+    identity 1{window = pattern} = prod((1 + eps_i * lam_i) // 2), in
+    which a zero value gives 0 as it gives no match; a mismatch raises.
     """
     eps = tuple(pattern)
-    s = len(eps)
-    vals = f.values(2, X + s)
-    lam = [0, 0] + liouville_many(vals)
-    count = 0
-    for n in range(1, X + 1):
-        window = lam[n + 1: n + 1 + s]
-        match = window == list(eps)
-        if match:
-            count += 1
-        if all(v != 0 for v in window):
-            prod = 1
-            for e, v in zip(eps, window):
-                prod *= 1 + e * v
-            if (prod >> s) != int(match):
-                raise ConsistencyError(
-                    f"sign indicator mismatch at n={n}: window {window}")
-    return (count - X / 2 ** s) / math.sqrt(X), vals.count(0)
+    vals = f.values(2, X + len(eps))
+    lam = np.array(liouville_many(vals), dtype=np.int8)
+    stat, match = _window_count(lam, X, eps)
+    prod = np.ones(X, dtype=np.int8)
+    for i, e in enumerate(eps):
+        prod *= (1 + e * lam[i: i + X]) // 2
+    if (bad := np.flatnonzero(prod != match)).size:
+        n = int(bad[0]) + 1
+        raise ConsistencyError(f"sign indicator mismatch at n={n}: window "
+                               f"{lam[n - 1: n - 1 + len(eps)].tolist()}")
+    return stat, vals.count(0)
 
 
 def interval_count_distribution(values, L: int) -> Counter:
@@ -276,18 +286,13 @@ def ks_statistic_gaussian(values) -> float:
 def iid_sign_simulation(X: int, pattern, trials: int, seed: int) -> float:
     """Empirical variance of the pattern count over iid uniform signs."""
     eps = tuple(pattern)
-    s = len(eps)
     if trials < 2:
         raise ValueError("trials must be >= 2")
     stats = np.empty(trials, dtype=np.float64)
-    norm = math.sqrt(X)
     for t in range(trials):
         g = np.random.Generator(np.random.PCG64(child_seed(seed, t)))
-        y = g.integers(0, 2, size=X + s).astype(np.int8) * 2 - 1
-        match = np.ones(X, dtype=bool)
-        for i in range(s):
-            match &= y[i: i + X] == eps[i]
-        stats[t] = (int(match.sum()) - X / 2 ** s) / norm
+        y = g.integers(0, 2, size=X + len(eps)).astype(np.int8) * 2 - 1
+        stats[t] = _window_count(y, X, eps)[0]
     return float(np.var(stats, ddof=1))
 
 
@@ -571,7 +576,9 @@ KINDS = {
         "Liouville sign-pattern counts against the predicted variance",
         keys=("pattern",),
         checks=((lambda cfg: cfg.pattern,
-                 "pattern is required for sign patterns"),),
+                 "pattern is required for sign patterns"),
+                (lambda cfg: len(cfg.pattern) <= PATTERN_CAP,
+                 f"pattern must have at most {PATTERN_CAP} signs")),
         draw=_draw,
         stats=lambda cfg, f, sv: _stat(sign_pattern_statistic(
             f, cfg.X, cfg.pattern)),

@@ -119,17 +119,21 @@ def gowers_norm_cyclic(values, s: int) -> float:
     return gowers_average(values, s) ** (1.0 / 2 ** s)
 
 
-def interval_embedding(func, N: int, multiplier: int = 5):
-    """Zero-padded image of (f(1), ..., f(N)) in Z/MZ.
+def embedding_modulus(N: int, multiplier: int) -> int:
+    """The modulus M of the interval embedding: the least prime at least
+    multiplier*N, so that no box with all corners in the support wraps
+    around the cycle."""
+    return least_prime_at_least(multiplier * N)
 
-    M is the least prime at least multiplier*N, so that no box with all
-    corners in the support wraps around the cycle.
-    """
+
+def interval_embedding(func, N: int, multiplier: int = 5):
+    """Zero-padded image of (f(1), ..., f(N)) in Z/MZ, M the
+    `embedding_modulus`."""
     if N < 1:
         raise ValueError("N must be >= 1")
     if multiplier < 2:
         raise ValueError("multiplier must be >= 2")
-    M = least_prime_at_least(multiplier * N)
+    M = embedding_modulus(N, multiplier)
     arr = np.zeros(M, dtype=np.float64)
     for n in range(1, N + 1):
         arr[n] = func(n)

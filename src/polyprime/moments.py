@@ -173,9 +173,17 @@ def gaussian_coefficient_sum(k: int, X: int) -> Fraction:
 def sigma_squared(pattern) -> Fraction:
     """Variance of the normalized sign-pattern count.
 
-    Sums the sign product over ordered pairs of nonempty subsets of
-    {1..s} that are translates of each other (the identity translate
-    included), scaled by 4**(-s).
+    The sum of the sign product over ordered pairs of nonempty subsets of
+    {1..s} that are translates of each other, scaled by 4**(-s), in closed
+    form.  At shift c the subsets lie in the s - |c| positions i with
+    i + c in range, and their products sum to prod(1 + eps_i eps_{i+c})
+    - 1: that is 2**(s-|c|) - 1 when the pattern agrees with itself
+    shifted by c, and -1 otherwise.  So
+
+        sigma^2 = 4**(-s) (2**s - 1 + 2 sum_{c=1}^{s-1}
+                           (2**(s-c) [eps[c:] == eps[:s-c]] - 1)),
+
+    O(s**2) comparisons in all.
     """
     eps = tuple(pattern)
     s = len(eps)
@@ -183,18 +191,7 @@ def sigma_squared(pattern) -> Fraction:
         raise ValueError("pattern must be nonempty")
     if any(e not in (-1, 1) for e in eps):
         raise ValueError("pattern entries must be +1 or -1")
-    total = 0
-    for mask in range(1, 1 << s):
-        t1 = [i for i in range(s) if mask >> i & 1]
-        p1 = 1
-        for i in t1:
-            p1 *= eps[i]
-        for c in range(-(s - 1), s):
-            t2 = [i + c for i in t1]
-            if t2[0] < 0 or t2[-1] >= s:
-                continue
-            p2 = 1
-            for i in t2:
-                p2 *= eps[i]
-            total += p1 * p2
+    total = 2 ** s - 1
+    for c in range(1, s):
+        total += 2 * ((2 ** (s - c) if eps[c:] == eps[:s - c] else 0) - 1)
     return Fraction(total, 4 ** s)

@@ -203,6 +203,20 @@ def test_sign_patterns_end_to_end(tmp_path):
     assert doc["config"]["pattern"] == [1, -1]
 
 
+def test_run_warnings_are_printed_and_kept_in_the_manifest(tmp_path,
+                                                           capsys):
+    # At H = 2 the sampled lines vanish at some n <= X (f = 0 vanishes at
+    # all ten), and the audit of those zero values warns.
+    out = tmp_path / "run"
+    assert main(["chowla-clt", "--d", "1", "--H", "2", "--X", "10",
+                 "--samples", "4", "--seed", "1", "--out-dir",
+                 str(out)]) == 0
+    warning = "10 zero evaluations of f were audited"
+    assert f"warning: {warning}" in capsys.readouterr().out.splitlines()
+    with open(out / "manifest.json") as fh:
+        assert json.load(fh)["warnings"] == [warning]
+
+
 def test_linear_forms_flags(tmp_path):
     out = tmp_path / "run"
     rc = main(["linear-forms", "--d", "1", "--H", "30", "--X", "10",
@@ -703,6 +717,22 @@ def test_k_max_and_workers_past_their_caps_exit_one(monkeypatch, tmp_path,
                      workers=experiments.WORKERS_CAP)
 
 
+def test_pattern_past_its_cap_exits_one(monkeypatch, tmp_path, capsys):
+    def refuse(*args):
+        raise AssertionError("f drawn before the pattern was checked")
+
+    monkeypatch.setattr(experiments, "sample_uniform", refuse)
+    out = tmp_path / "run"
+    cap = experiments.PATTERN_CAP
+    assert main(["sign-patterns", *SMALL_RUN, "--pattern",
+                 "+" * (cap + 1), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        f"config error: pattern must have at most {cap} signs\n"
+    assert not out.exists()
+    ExperimentConfig(kind="sign-patterns", d=1, H=10, X=10, samples=1,
+                     seed=1, pattern=(1, -1) * (cap // 2))
+
+
 def test_gowers_budget_is_checked_before_any_array(monkeypatch, tmp_path,
                                                    capsys):
     # At s = 1 the operation budget admits M up to 5e9; the size cap of
@@ -729,6 +759,10 @@ def test_gowers_budget_is_checked_before_any_array(monkeypatch, tmp_path,
              f"larger than the cap of {SIZE_CAP}"),
             ("liouville", "--N=1e9", "1", "Z/5000000000Z: the group"),
             ("one", "--N=3 --multiplier=1e7", "1", "Z/30000000Z: the group"),
+            # 5 N = 70,710 passes, but the run's modulus is the prime
+            # 70,717, and 70,717**2 is past the budget.
+            ("liouville", "--N=14142", "2", "U^2 on Z/70717Z needs"),
+            ("one", f"--N={SIZE_CAP // 5}", "1", "Z/10000019Z: the group"),
             ("one", "--M=1", "5000", "s: U^5000 is past the cap"),
             ("liouville", "--M=1", "1e12", "s: U^1000000000000 is past")):
         assert main(["gowers", "--target", target, *size.split(), "--s", s,
@@ -736,7 +770,9 @@ def test_gowers_budget_is_checked_before_any_array(monkeypatch, tmp_path,
         assert message in capsys.readouterr().err
         assert not out.exists()
     GowersConfig(target="one", M=(SIZE_CAP,), s=1)
-    GowersConfig(target="one", N=(SIZE_CAP // 5,), s=1)
+    # The least prime >= 5 N is 9,999,991 at the largest N admitted.
+    GowersConfig(target="one", N=(1_999_998,), s=1)
+    GowersConfig(target="liouville", N=(14_141,), s=2)
     monkeypatch.undo()
     assert main(["gowers", "--target", "one", "--M", "1",
                  "--s", str(S_CAP)]) == 0

@@ -1,5 +1,6 @@
 """Monte Carlo harness: statistics, distributions, determinism."""
 
+import csv
 import math
 import os
 from collections import Counter
@@ -29,6 +30,7 @@ from polyprime.experiments import (
 )
 from polyprime.poly import IntPolynomial, sample_uniform
 from polyprime.rng import stream
+from polyprime.runio import write_run
 from polyprime.series import series_f, series_f_tuple
 
 X_POLY = IntPolynomial((0, 1))
@@ -178,8 +180,8 @@ def test_sign_pattern_counts_partition_x():
 
 
 def test_sign_pattern_tolerates_zero_values():
-    # f(5) = 0 puts a zero into some windows; those windows simply never
-    # match and skip the product identity check.
+    # f(5) = 0 puts a zero into some windows; those windows never match,
+    # and the product identity gives them 0 as well.
     f = IntPolynomial((-5, 1))
     stat, zeros = sign_pattern_statistic(f, 10, (-1,))
     assert zeros > 0
@@ -330,6 +332,43 @@ def test_run_experiment_sign_patterns_rows():
     keys = [r.key for r in res.aggregates]
     assert keys == ["mean", "variance"]
     assert res.aggregates[1].predicted == pytest.approx(1 / 16)
+
+
+# A small config of each kind, but for samples and seed.
+ONE_SAMPLE_KEYS = {
+    "bh-moments": dict(d=1, H=1000, X=20),
+    "tuples": dict(d=1, H=1000, X=20, shifts=(0, 2)),
+    "chowla-clt": dict(d=2, H=1000, X=20),
+    "sign-patterns": dict(d=2, H=1000, X=20, pattern=(1, -1, -1)),
+    "poisson-gaps": dict(d=1, H=1000, X=40, calL=2.0),
+    "linear-forms": dict(d=2, H=1000, X=1, ns=(1, 2), M=3, f0=(1, 0)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_one_sample_run_writes_rows_with_zero_stderr(kind, tmp_path):
+    cfg = ExperimentConfig(kind=kind, samples=1, seed=7,
+                           **ONE_SAMPLE_KEYS[kind])
+    res = run_experiment(cfg)
+    write_run(str(tmp_path), res, "start", "finish")
+    with open(tmp_path / "samples.csv", encoding="utf-8") as fh:
+        assert len(list(csv.DictReader(fh))) == 1
+    with open(tmp_path / "aggregates.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["key"] for r in rows] == [a.key for a in res.aggregates]
+    for row in rows:
+        # A row with a standard error has 0.0 from one sample; the
+        # others (quantiles, KS) write nan as an empty cell.
+        assert row["stderr"] in ("0.0", ""), row
+        assert row["estimate"] not in ("", "nan"), row
+    if kind == "poisson-gaps":
+        tv = repr(res.records[0].stats["tv"])
+        assert [r["estimate"] for r in rows if r["key"] in
+                ("tv_min", "tv_q25", "tv_median", "tv_q75", "tv_max")] \
+            == [tv] * 5
+    if kind == "sign-patterns":
+        assert rows[1]["key"] == "variance"
+        assert rows[1]["estimate"] == "0.0"
 
 
 def test_run_experiment_linear_forms_vonmangoldt_zero_class():

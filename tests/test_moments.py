@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -220,3 +221,32 @@ def test_sigma_squared_validation():
         sigma_squared(())
     with pytest.raises(ValueError):
         sigma_squared((1, 0))
+
+
+def sigma_squared_by_subsets(eps):
+    """The defining sum of sigma_squared: the sign product over ordered
+    pairs of nonempty subsets of {1..s} that are translates of each other
+    (the identity translate included), scaled by 4**(-s)."""
+    s = len(eps)
+    total = 0
+    for mask in range(1, 1 << s):
+        t1 = [i for i in range(s) if mask >> i & 1]
+        p1 = math.prod(eps[i] for i in t1)
+        for c in range(-(s - 1), s):
+            if t1[0] + c < 0 or t1[-1] + c >= s:
+                continue
+            total += p1 * math.prod(eps[i + c] for i in t1)
+    return Fraction(total, 4 ** s)
+
+
+def test_sigma_squared_closed_form_against_subset_sum():
+    patterns = [eps for s in range(1, 9)
+                for eps in itertools.product((-1, 1), repeat=s)]
+    rng = random.Random(20261019)
+    patterns += [tuple(rng.choice((-1, 1))
+                       for _ in range(rng.randrange(9, 13)))
+                 for _ in range(6)]
+    # Patterns that agree with themselves at many shifts.
+    patterns += [(1,) * 12, (1, -1) * 6, (1, 1, -1) * 4]
+    for eps in patterns:
+        assert sigma_squared(eps) == sigma_squared_by_subsets(eps), eps
