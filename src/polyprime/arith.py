@@ -9,31 +9,33 @@ count the zero values they meet themselves.
 There is one route.  `liouville_many`, `von_mangoldt_many` and
 `is_prime_many` take a whole list of values, such as f(1..X), and the
 scalar `liouville`, `von_mangoldt` and `is_prime` are each the list of
-one.  Every value is first split, under a bound of its own, into the
-primes p below that bound that divide it and a cofactor m with no prime
-factor below it.  The split may stop early, once m is below the square
-of the next prime to test, so that m is 1 or prime; the sieve then
-takes that prime as the value's bound.  A cofactor 1 < m < bound**2 is
-prime, and a composite m < bound**3 is a product of exactly two primes;
-Miller-Rabin tells the two cases apart.  Only a cofactor m >= bound**3 needs more:
-Liouville factors it from the bound on, with the loop that `factorize`
-runs after its trial division, and von Mangoldt runs Miller-Rabin and
-asks `perfect_power` whether a composite m is a power of a prime.  For
-von Mangoldt and primality a value's split stops after its first small
-prime, which settles the answer.
+one.  One split, `_split`, takes the list and splits every value, under
+a bound of its own, into the primes p below that bound that divide it
+and a cofactor m with no prime factor below it.  The split may stop
+early, once m is below the square of the next prime to test, so that m
+is 1 or prime; the sieve then takes that prime as the value's bound.  A
+cofactor 1 < m < bound**2 is prime, and a composite m < bound**3 is a
+product of exactly two primes; Miller-Rabin tells the two cases apart.
+Only a cofactor m >= bound**3 needs more: Liouville factors it from the
+bound on, with the loop that `factorize` runs after its trial division,
+and von Mangoldt runs Miller-Rabin and asks `perfect_power` whether a
+composite m is a power of a prime.  For von Mangoldt and primality a
+value's split stops after its first small prime, which settles the
+answer.
 
-The small primes are found in one of two ways, chosen by size because a
-float64 quotient is exact only below 2**52.  Below it a sieve splits the
-values together, under a top bound B: the least power of two >= 32 with
-B**3 above the largest such value, at most 2**16.  The powers of two
-come off each value by bit operations, then numpy tests the odd primes
-p < B in blocks: the 8 smallest first, then blocks as wide as its
+The split finds the small primes in one of two ways, chosen by size
+because a float64 quotient is exact only below 2**52.  The values below
+it are sieved together, under a top bound B: the least power of two
+>= 32 with B**3 above the largest of them, at most 2**16.  The powers
+of two come off each value by bit operations, then numpy tests the odd
+primes p < B in blocks: the 8 smallest first, then blocks as wide as its
 buffer of 2**15 quotients allows.  After each block a value leaves once
 its cofactor is below the square of the next prime, and for von
 Mangoldt and primality the values that a small prime settles, most of
 them, leave before the wide blocks; later blocks widen as values leave.
-A value that runs every block has bound B.  At 2**52 and above each
-value is trial-divided by the primes below 1024, its bound.
+A value that runs every block has bound B.  A value of 2**52 or more is
+trial-divided by the primes below 1024, its bound, and stays out of the
+sieve.
 
 `factorize` trial-divides the same way, then splits what is left with
 Miller-Rabin, perfect-power extraction and Brent's cycle-finding rho with
@@ -294,26 +296,36 @@ def _sieve_bound(top: int) -> int:
     return b
 
 
-def _sieve_split(values, full=True):
-    """Split each |v| < 2**52 under a bound of its own, at most the top
-    bound B (`_sieve_bound` of the largest |v|).
+def _split(values, full: bool):
+    """(bounds, small, rest): each value split under a bound of its own.
 
-    Returns (bounds, small, rest): small[i] lists the primes below
-    bounds[i] dividing values[i], in ascending order and each repeated by
-    its multiplicity, and rest[i] is |v| divided by all of them, so it
-    has no prime factor below bounds[i].  bounds[i] is the first prime
-    the row was not tested against, or B if it was tested against every
-    prime below B or its rest was 0 or 1 before the odd primes.  A row
-    leaves after a block once its rest is below the square of the next
-    prime, so rest[i] < bounds[i]**2 unless bounds[i] == B: the rest is
-    then 1 or a prime.  A zero value, and only a zero value, gives rest
-    0 (and small []).  With full=False a row also leaves after the block
-    of primes in which it first has a hit, so its small[i] and rest[i]
-    stop there, with any rest.  That settles von Mangoldt and primality:
-    the row's first prime p is divided out in full, so |v| is a power of
-    p iff rest[i] is 1 and small[i] holds p alone.
+    small[i] lists the primes below bounds[i] dividing values[i], in
+    ascending order and each repeated by its multiplicity, and rest[i] is
+    |v| divided by all of them, so it has no prime factor below
+    bounds[i], or else (a trial-divided row that stopped early) it is a
+    prime below bounds[i]**2.  A cofactor rest > 1 is then prime if it is
+    below bound**2, and a product of two primes if it is a composite
+    below bound**3.  A zero value, and only a zero value, gives rest 0
+    (and small []).  With full=False a row also stops after the block of
+    primes in which it first has a hit, so its small[i] and rest[i] stop
+    there, with any rest; a trial-divided row stops after that prime, and
+    its rest may keep prime factors below its bound.  That settles von
+    Mangoldt and primality: the row's first prime p is divided out in
+    full, so |v| is a power of p iff rest[i] is 1 and small[i] holds p
+    alone.
 
-    The blocks run as follows.  The powers of two come off every value
+    A row of |v| < 2**52 is sieved with the others below 2**52 under the
+    top bound B, `_sieve_bound` of the largest of them.  Its bounds[i] is
+    the first prime it was not tested against, or B if it was tested
+    against every prime below B or its rest was 0 or 1 before the odd
+    primes.  It leaves after a block once its rest is below the square of
+    the next prime, so rest[i] < bounds[i]**2 unless bounds[i] == B: the
+    rest is then 1 or a prime.  A row of 2**52 and more is trial-divided
+    by `_trial_split` instead, with bound _TRIAL_BOUND, and stays out of
+    the sieve; its rest is below _TRIAL_BOUND**2 unless it ran every
+    prime below that bound.
+
+    The sieve runs as follows.  The powers of two come off every value
     first, by bit operations; with full=False an even row leaves there,
     with bound 3.  The odd primes are then tested in numpy, on chunks of
     at most _SIEVE_CHUNK rows: first the _FIRST_BLOCK smallest, then
@@ -323,16 +335,20 @@ def _sieve_split(values, full=True):
     comparison per block.  The buffers are made once, sized to the call.
 
     p | v is tested as v / p == floor(v / p) in float64.  That is exact
-    here: if p does not divide v, v / p is at least 1/p from every
+    below 2**52: if p does not divide v, v / p is at least 1/p from every
     integer, which is more than half an ulp of v / p.
     """
     mags = [abs(int(v)) for v in values]
-    top = _sieve_bound(max(mags, default=0))
+    top = _sieve_bound(max((m for m in mags if m < _FLOAT_EXACT), default=0))
     twos = [((m & -m) >> 1).bit_length() for m in mags]  # 0 at m = 0
     small = [[2] * k for k in twos]
     rest = [m >> k for m, k in zip(mags, twos)]
     bounds = np.array([top if full or not k else 3 for k in twos],
                       dtype=np.int64)
+    for i, m in enumerate(mags):
+        if m >= _FLOAT_EXACT:
+            small[i], rest[i] = _trial_split(m, full)
+            bounds[i] = _TRIAL_BOUND
     count = int(np.searchsorted(_SIEVE_PRIMES, top))
     q = np.empty(min(_SIEVE_CHUNK, len(mags) * count))
     fl = np.empty_like(q)
@@ -340,7 +356,8 @@ def _sieve_split(values, full=True):
     for r0 in range(0, len(mags), _SIEVE_CHUNK):
         rows = np.array([i for i in range(r0, min(r0 + _SIEVE_CHUNK,
                                                   len(mags)))
-                         if rest[i] > 1 and (full or not small[i])],
+                         if rest[i] > 1 and (full or not small[i])
+                         and mags[i] < _FLOAT_EXACT],
                         dtype=np.int64)
         v = np.array([float(rest[i]) for i in rows.tolist()])[:, None]
         c0, width = 1, _FIRST_BLOCK  # _SIEVE_PRIMES[0] is 2
@@ -382,7 +399,7 @@ def _trial_split(m: int, full: bool = True):
     its multiplicity, and rest is m divided by all of them.  Division
     stops once p * p > rest, so rest is 1, a prime, or free of primes
     below _TRIAL_BOUND.  With full=False it also stops after the first
-    prime that divides m, as a row leaves `_sieve_split`.
+    prime that divides m, as a row of `_split` stops.
     """
     small = []
     for p in _TRIAL_PRIMES:
@@ -395,27 +412,6 @@ def _trial_split(m: int, full: bool = True):
             if not full:
                 break
     return small, m
-
-
-def _split(values, full: bool):
-    """(bounds, small, rest): for each value a bound, the primes below it
-    dividing the value and its cofactor, as `_sieve_split` gives them.
-
-    The values below 2**52 go through `_sieve_split` as one list, with
-    its bounds; each larger value goes through `_trial_split`, with bound
-    _TRIAL_BOUND.  Either way a cofactor rest > 1 is prime if it is
-    below bound**2, and a product of two primes if it is a composite
-    below bound**3.
-    """
-    values = [int(v) for v in values]
-    low = [v for v in values if abs(v) < _FLOAT_EXACT]
-    split = _sieve_split(low, full)
-    if len(low) == len(values):
-        return split
-    rows = zip(*split)
-    return tuple(zip(*[next(rows) if abs(v) < _FLOAT_EXACT
-                       else (_TRIAL_BOUND, *_trial_split(abs(v), full))
-                       for v in values]))
 
 
 def _cofactor_is_prime(m: int, bound: int) -> bool:

@@ -49,8 +49,8 @@ from .config import (Config, _key, _parse_coeffs, check_w, parse_float,
                      parse_pattern, parse_points)
 from .errors import BudgetError, ConsistencyError
 from .moments import gaussian_moment, sigma_squared
-from .poly import (REJECTION_CAP, IntPolynomial, sample_uniform,
-                   sample_uniform_residue)
+from .poly import (REJECTION_CAP, IntPolynomial, residue_acceptance,
+                   sample_uniform, sample_uniform_residue)
 from .rng import child_seed, stream
 from .series import (lemma_lower_bound, prime_factors_at_most, series_f,
                      series_f_tuple, series_linear_system)
@@ -499,6 +499,20 @@ def _poisson_gaps_rows(cfg, records, warnings):
     return rows
 
 
+def _residue_class_within_cap(cfg):
+    """True, or BudgetError naming M when a linear-forms sample expects
+    more than REJECTION_CAP draws to land in the residue class of f0."""
+    p = residue_acceptance(cfg.d, cfg.H, IntPolynomial(cfg.f0), cfg.M)
+    if p * REJECTION_CAP < 1:
+        # log10 of the expected draws, which may be past a float's range
+        e = math.log10(p.denominator) - math.log10(p.numerator)
+        raise BudgetError(f"M: a sample expects about "
+                          f"{10 ** (e % 1):.3g}e{math.floor(e)} draws to "
+                          f"land in the residue class of f0 mod {cfg.M}, "
+                          f"past the cap of {REJECTION_CAP}")
+    return True
+
+
 def _poisson_gaps_span(cfg):
     """A bound on the window of every f the draw accepts: calL times the
     largest log|f(n)|, at most log((d+1) H X**d), over the least nonzero
@@ -517,7 +531,8 @@ class Kind:
     parser.  A field no kind names is common to all kinds, and one that
     kinds name (k_max: the three moment kinds) is theirs only.  `checks`
     pairs a test of the parsed config with the ConfigError message for
-    when it fails; an own key that must be given is required by one.
+    when it fails; an own key that must be given is required by one, and
+    a test may raise BudgetError itself, for a size past its cap.
     `run_series(cfg)` is the series shared by every sample of a run, or
     None when it depends on f.  `draw(cfg, rng, series)` returns (f,
     attempts, f's series), given the run's series.  `stats(cfg, f,
@@ -608,7 +623,8 @@ KINDS = {
                 (lambda cfg: len(cfg.f0) <= cfg.d + 1,
                  "f0 must have at most d+1 coefficients"),
                 (lambda cfg: cfg.target in ("von-mangoldt", "liouville"),
-                 "target must be von-mangoldt or liouville")),
+                 "target must be von-mangoldt or liouville"),
+                (_residue_class_within_cap, None)),
         run_series=lambda cfg: series_linear_system(
             cfg.ns, IntPolynomial(cfg.f0), cfg.M, cfg.w, cfg.d),
         draw=lambda cfg, rng, series: (*sample_uniform_residue(

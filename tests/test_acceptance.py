@@ -10,8 +10,8 @@ its series S_w(f), so the truncation w must be fine enough that the
 omitted Euler factors stay well inside the tolerances; the test prints
 the measured numbers next to the assertion so the margin is on record.
 
-The whole module takes about 46 s on one core of a 2-core Xeon VM
-(Python 3.11, numpy 2.4): about 22 s in criterion 6 and 14 s in
+The whole module takes about 53 s on one core of a 2-core Xeon VM
+(Python 3.11, numpy 2.4): about 23 s in criterion 6 and 18 s in
 criterion 7, both mostly the batched Liouville kernel along f(1..X).
 """
 

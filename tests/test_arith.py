@@ -405,8 +405,8 @@ def test_sieve_split_against_sympy():
     stopped = 0
     for chunk in (values[:40], values[40:], values[150:]):
         top = arith._sieve_bound(max(map(abs, chunk)))
-        whole = arith._sieve_split(chunk)
-        part = arith._sieve_split(chunk, full=False)
+        whole = arith._split(chunk, full=True)
+        part = arith._split(chunk, full=False)
         for full, (bounds, small, rest) in ((True, whole), (False, part)):
             for v, b, ps, m in zip(chunk, bounds, small, rest):
                 assert b == top or b < top and sympy.isprime(b), v
@@ -429,25 +429,37 @@ def test_sieve_split_against_sympy():
     assert stopped
 
 
-def check_sieve_split(values, full):
-    """The contract of _sieve_split, row by row, against the product of
-    the primes below the row's bound: the listed primes are primes below
-    it, the rest times them is |v| and the rest is coprime to that
-    product (so they are exactly the primes below the bound, with
-    multiplicity).  The rest is below the bound squared unless the bound
-    is the top bound B or, with full=False, the row had a hit."""
-    top = arith._sieve_bound(max(map(abs, values), default=0))
-    got = arith._sieve_split(values, full)
+def check_split(values, full):
+    """The contract of _split, row by row, against the product of the
+    primes below the row's bound: the listed primes are primes below it,
+    the rest times them is |v| and the rest is coprime to that product
+    (so they are exactly the primes below the bound, with multiplicity).
+    A row below 2**52 has a bound below the top bound B, taken from those
+    rows alone, or B itself; its rest is below the bound squared unless
+    the bound is B or, with full=False, the row had a hit.  A row of 2**52
+    and more has bound 1024.  Its trial division may stop early, with a
+    rest that is a prime below 1024**2, and with full=False and a hit it
+    stops after its least prime, which is then out of the rest."""
+    low = [abs(v) for v in values if abs(v) < 2 ** 52]
+    top = arith._sieve_bound(max(low, default=0))
+    got = arith._split(values, full)
     below = {}
     for v, b, ps, m in zip(values, *got):
-        assert b == top or b < top and sympy.isprime(b), v
+        big = abs(v) >= 2 ** 52
+        assert b == 1024 if big else b == top or b < top and \
+            sympy.isprime(b), v
         assert ps == sorted(ps) and all(p < b for p in ps), v
         assert all(sympy.isprime(p) for p in set(ps)), v
         assert m * math.prod(ps) == abs(v), v
-        if b not in below:
-            below[b] = math.prod(sympy.primerange(b))
-        assert math.gcd(m, below[b]) == 1 or v == 0, v
-        assert m < b * b or b == top or ps and not full, v
+        cut = b
+        if big and ps and not full:
+            assert set(ps) == {ps[0]}, v
+            cut = ps[0] + 1
+        if cut not in below:
+            below[cut] = math.prod(sympy.primerange(cut))
+        assert math.gcd(m, below[cut]) == 1 or v == 0 \
+            or big and m < b * b and sympy.isprime(m), v
+        assert big or m < b * b or b == top or ps and not full, v
     return got
 
 
@@ -458,8 +470,8 @@ EDGE_SPLIT_VALUES = [0, 1, -1, *(s * 2 ** k for k in range(52)
 def test_sieve_split_edge_values():
     values = [v for v in EDGE_SPLIT_VALUES if abs(v) < 2 ** 52]
     for full in (True, False):
-        check_sieve_split(values, full)
-    _, small, rest = arith._sieve_split(values, full=False)
+        check_split(values, full)
+    _, small, rest = arith._split(values, full=False)
     assert small[:3] == [[], [], []] and rest[:3] == [0, 1, 1]
     for v, ps, m in zip(values[3:], small[3:], rest[3:]):
         twos = (abs(v) & -abs(v)).bit_length() - 1
@@ -473,36 +485,34 @@ def test_sieve_split_long_lists():
     assert arith._SIEVE_CHUNK // 8 < 5009 < arith._SIEVE_CHUNK
     rng = stream(20260818, 108)
     values = [rng.randrange(-2 ** 48, 2 ** 48) for _ in range(5009)]
-    check_sieve_split(values + EDGE_SPLIT_VALUES[:90], full=False)
+    check_split(values + EDGE_SPLIT_VALUES[:90], full=False)
     values = list(range(-17000, 17000)) + EDGE_SPLIT_VALUES[:50]
     assert len(values) > arith._SIEVE_CHUNK
     for full in (True, False):
-        check_sieve_split(values, full)
+        check_split(values, full)
 
 
-def test_batched_kernels_route_by_size(monkeypatch):
-    # Values of 2**52 and more are trial-divided one at a time; the sieve
-    # sees only the smaller ones, in order, with its top bound (that of
-    # a zero value, or of a row that runs every block) taken from them
-    # alone.
-    seen = []
-    split = arith._sieve_split
-
-    def spy(values, full=True):
-        out = split(values, full)
-        seen.append((list(values), max(out[0])))
-        return out
-
-    monkeypatch.setattr(arith, "_sieve_split", spy)
+def test_batched_kernels_route_by_size():
+    # Values of 2**52 and more are trial-divided, with bound 1024; the
+    # sieve's top bound (that of a zero value, or of a row that runs every
+    # block) is taken from the smaller values alone.
     values = [6, 2 ** 52 - 1, 2 ** 52, -(2 ** 61 - 1), 0, -35, 2 ** 80 + 1]
-    low = [6, 2 ** 52 - 1, 0, -35]
     want, got = _sympy_and_batched(values)
     assert got == want
-    assert seen == [(low, 2 ** 16)] * 3
+    for full in (True, False):
+        bounds = check_split(values, full)[0]
+        assert [b for v, b in zip(values, bounds) if abs(v) >= 2 ** 52] \
+            == [1024] * 3
+        assert bounds[4] == 2 ** 16
     # 37 * 41 runs every block below 32, so its bound is the top bound:
     # 32 from [37 * 41] alone, where 2**61 + 1 would have made it 2**16.
     assert is_prime_many([37 * 41, 2 ** 61 + 1]) == [False, False]
-    assert seen[-1] == ([37 * 41], 32)
+    assert arith._split([37 * 41, 2 ** 61 + 1], full=False)[0] == [32, 1024]
+    # A big row's trial division stops once p * p passes its rest: 3 is
+    # left as the rest of 3 * 2**60, under the bound 1024.  The row of 7
+    # leaves the sieve after its first block, the odd primes to 23.
+    assert check_split([3 * 2 ** 60, 7], True) == ([1024, 29],
+                                                   [[2] * 60, [7]], [3, 1])
 
 
 # Above 2**52 values are trial-divided by the primes below 1024; 1031 is
@@ -648,4 +658,4 @@ def test_batched_kernels_on_smooth_values_match_sympy(values):
     want, got = _sympy_and_batched(values)
     assert got == want
     for full in (True, False):
-        check_sieve_split(values, full)
+        check_split(values, full)

@@ -18,10 +18,11 @@ import polyprime.experiments as experiments
 from polyprime.arith import liouville
 from polyprime.cli import _build_cfg, _gowers_cmd, build_parser, main
 from polyprime.config import (W_CAP, GowersConfig, SeriesConfig,
-                              parse_int_exact)
+                              _parse_coeffs, parse_int_exact)
 from polyprime.errors import BudgetError, ConfigError
 from polyprime.experiments import ExperimentConfig, run_experiment
 from polyprime.gowers import S_CAP, SIZE_CAP, gowers_norm_cyclic
+from polyprime.poly import REJECTION_CAP, IntPolynomial, residue_acceptance
 from polyprime.runio import format_cell, load_manifest_config, write_run
 from polyprime.series import lemma_lower_bound
 
@@ -369,6 +370,14 @@ def test_flags_and_manifest_json_build_one_config(tmp_path_factory, data):
     argv = [kind, f"--out-dir={tmp_path_factory.getbasetemp()}",
             *(f"--{key}={v}" for key, v in flags.items())]
     args = build_parser().parse_args(argv)
+    # A residue class that one draw in more than REJECTION_CAP lands in,
+    # such as one mod 100 at d = 4, is refused.
+    if kind == "linear-forms" and residue_acceptance(
+            d, H, IntPolynomial(_parse_coeffs(flags.get("f0", "0"), "f0")),
+            int(flags.get("M", "1"))) * REJECTION_CAP < 1:
+        with pytest.raises(BudgetError, match="^M: "):
+            _build_cfg(kind, args)
+        return
     # Only a poisson-gaps window can pass the points cap at these sizes:
     # at d = 4, w = 100 a calL of 1e3 bounds it by about 7.4e6 points.
     if kind == "poisson-gaps":
@@ -731,6 +740,33 @@ def test_pattern_past_its_cap_exits_one(monkeypatch, tmp_path, capsys):
     assert not out.exists()
     ExperimentConfig(kind="sign-patterns", d=1, H=10, X=10, samples=1,
                      seed=1, pattern=(1, -1) * (cap // 2))
+
+
+def test_hopeless_residue_class_is_refused_before_the_out_dir(
+        monkeypatch, tmp_path, capsys):
+    # At H = 1 each coefficient's class mod 3 holds one of -1, 0, 1, so a
+    # sample expects 3**(d+1) draws: 531,441 at d = 11 is within the
+    # rejection cap, 1,594,323 at d = 12 is not.
+    def refuse(*args):
+        raise AssertionError("f drawn before the residue class was checked")
+
+    monkeypatch.setattr(experiments, "sample_uniform_residue", refuse)
+    out = tmp_path / "run"
+    argv = ["linear-forms", "--ns", "1", "--M", "3", "--f0", "1", "--H", "1",
+            "--X", "1", "--samples", "1", "--seed", "1", "--out-dir",
+            str(out)]
+    assert main(argv + ["--d", "12"]) == 2
+    assert capsys.readouterr().err == (
+        "budget error: M: a sample expects about 1.59e6 draws to land in "
+        f"the residue class of f0 mod 3, past the cap of {REJECTION_CAP}\n")
+    assert not out.exists()
+    args = build_parser().parse_args(argv + ["--d", "11"])
+    assert _build_cfg("linear-forms", args)[0].d == 11
+    # Expected draws past a float's range are still named.
+    with pytest.raises(BudgetError, match=r"^M: a sample expects about "
+                                          r"[0-9.]+e2[0-9]{4} draws"):
+        ExperimentConfig(kind="linear-forms", d=100, H=10 ** 300,
+                         M=3 ** 600, X=1, samples=1, seed=1)
 
 
 def test_gowers_budget_is_checked_before_any_array(monkeypatch, tmp_path,

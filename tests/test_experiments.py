@@ -3,6 +3,7 @@
 import csv
 import math
 import os
+import statistics
 from collections import Counter
 from dataclasses import MISSING, fields
 from fractions import Fraction
@@ -10,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import polyprime.experiments as experiments
 from polyprime.arith import (is_prime, is_prime_many, liouville, primes_upto,
                              von_mangoldt)
 from polyprime.errors import ConfigError
@@ -254,6 +256,98 @@ def test_ks_statistic():
     assert ks_statistic_gaussian(g.tolist()) < 0.04
     with pytest.raises(ValueError):
         ks_statistic_gaussian([])
+
+
+# Oracles for the aggregation layer, which prints every stderr and
+# verdict: the stdlib statistics module and brute force.
+def seeded_values(n, seed):
+    g = np.random.Generator(np.random.PCG64(seed))
+    return (g.normal(size=n) * 3.0 + 1.0).tolist()
+
+
+def test_mean_stderr_against_statistics():
+    for n in (2, 3, 10, 57):
+        vals = seeded_values(n, n)
+        mean, se = experiments._mean_stderr(vals)
+        assert mean == pytest.approx(statistics.fmean(vals), rel=1e-12)
+        assert se == pytest.approx(statistics.stdev(vals) / math.sqrt(n),
+                                   rel=1e-12)
+    assert experiments._mean_stderr([2.5]) == (2.5, 0.0)
+
+
+def test_quantile_against_statistics():
+    for n in (2, 5, 10, 33):
+        vals = sorted(seeded_values(n, 100 + n))
+        for k in (4, 10):
+            cuts = statistics.quantiles(vals, n=k, method="inclusive")
+            for i, cut in enumerate(cuts, 1):
+                assert experiments._quantile(vals, i / k) \
+                    == pytest.approx(cut, rel=1e-12, abs=1e-12), (n, k, i)
+        assert experiments._quantile(vals, 0.0) == vals[0]
+        assert experiments._quantile(vals, 1.0) == vals[-1]
+    assert experiments._quantile([4.0], 0.25) == 4.0
+
+
+def test_verdict_boundaries():
+    verdict = experiments._verdict
+    # Within 3 standard errors, the bound itself included; past it, not.
+    for estimate in (3.0, -3.0, 2.5, -2.5, 0.0):
+        assert verdict(estimate + 1.0, 1.0, 1.0) == "consistent", estimate
+    assert verdict(0.75, 0.25, 0.0) == "consistent"
+    assert verdict(math.nextafter(3.0, 4.0), 1.0, 0.0) == "deviates"
+    assert verdict(-3.5, 1.0, 0.0) == "deviates"
+    # Without a stderr only equality is consistent.
+    assert verdict(1.5, 0.0, 1.5) == "consistent"
+    assert verdict(1.5, 0.0, 1.25) == "deviates"
+    # Without a prediction there is nothing to compare.
+    for estimate, stderr in ((1.0, 0.5), (1.0, 0.0), (1.0, math.nan)):
+        assert verdict(estimate, stderr, math.nan) == "info"
+
+
+def ks_by_brute_force(values):
+    """sup |F_n - Phi| over the real line: at each distinct value both
+    one-sided limits of the empirical CDF, #{v < x} / n and #{v <= x} / n."""
+    n = len(values)
+    d = 0.0
+    for x in set(values):
+        c = experiments._phi(x)
+        below = sum(v < x for v in values)
+        upto = sum(v <= x for v in values)
+        d = max(d, abs(upto / n - c), abs(below / n - c))
+    return d
+
+
+def test_ks_statistic_against_brute_force():
+    for n, seed in ((1, 1), (7, 2), (40, 3)):
+        vals = seeded_values(n, seed)
+        assert ks_statistic_gaussian(vals) == ks_by_brute_force(vals)
+    # Ties, and samples whose supremum is at a left limit (all values
+    # far to the right) or at a right limit (far to the left).
+    for vals in ([0.0, 0.0, 1.0, 1.0, 1.0, -2.0], [5.0, 6.0, 6.0],
+                 [-6.0, -5.0], [0.3] * 4):
+        assert ks_statistic_gaussian(vals) == ks_by_brute_force(vals), vals
+    assert ks_statistic_gaussian([5.0, 6.0, 6.0]) \
+        == pytest.approx(experiments._phi(5.0))
+
+
+def test_sign_pattern_rows_against_their_formulas():
+    cfg = ExperimentConfig(kind="sign-patterns", d=1, H=10, X=10,
+                           samples=9, seed=1, pattern=(1, -1))
+    vals = seeded_values(9, 17)
+    records = [SampleRecord(index=i, coeffs=(0, 1), series=Fraction(1),
+                            stats={"stat": v}, attempts=1, zero_evals=0)
+               for i, v in enumerate(vals)]
+    (mean_key, mean, se, zero), (var_key, var, se_var, sigma2) = \
+        KINDS["sign-patterns"].rows(cfg, records, [])
+    assert (mean_key, var_key, zero, sigma2) == ("mean", "variance", 0.0,
+                                                 1 / 16)
+    assert mean == pytest.approx(statistics.fmean(vals), rel=1e-12)
+    assert se == pytest.approx(statistics.stdev(vals) / 3.0, rel=1e-12)
+    # The variance and its standard error under normality, var * sqrt(2 /
+    # (n - 1)).
+    assert var == pytest.approx(statistics.variance(vals), rel=1e-12)
+    assert se_var == pytest.approx(statistics.variance(vals) * 0.5,
+                                   rel=1e-12)
 
 
 def test_iid_sign_simulation_matches_sigma():

@@ -1,6 +1,7 @@
 """Integer polynomials and the F_p counting primitives."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from polyprime.poly import (
     IntPolynomial,
     count_unit_tuples_linear_system,
     count_unit_values_mod_p,
+    residue_acceptance,
     sample_uniform,
     sample_uniform_residue,
 )
@@ -277,3 +279,25 @@ def test_sample_uniform_residue_uniform_within_class():
         f, _ = sample_uniform_residue(0, 4, rng, IntPolynomial((1,)), 3)
         counts[f.coeffs[0]] += 1
     assert min(counts.values()) > 800
+
+
+def test_residue_acceptance_against_brute_force():
+    # The share of coefficient vectors in [-H, H]^(d+1) in the class of
+    # f0 mod M, counted one vector at a time; f0 is padded with zeros.
+    for d in (0, 1, 2):
+        for H in (1, 2, 5):
+            for M in range(1, 2 * H + 2):
+                for f0 in ((0,), (1,), (-4, 3), (2, -1, 7)):
+                    if len(f0) > d + 1:
+                        continue
+                    want = [c % M for c in f0] + [0] * (d + 1 - len(f0))
+                    hits = sum(all(a % M == r for a, r in zip(vec, want))
+                               for vec in itertools.product(
+                                   range(-H, H + 1), repeat=d + 1))
+                    assert residue_acceptance(d, H, IntPolynomial(f0), M) \
+                        == Fraction(hits, (2 * H + 1) ** (d + 1)), \
+                        (d, H, M, f0)
+    # Each of the 13 coefficients of degree <= 12 has one value of
+    # -1, 0, 1 in its class mod 3.
+    assert residue_acceptance(12, 1, IntPolynomial((1,)), 3) \
+        == Fraction(1, 3 ** 13)
