@@ -13,6 +13,10 @@ from .gowers import TARGETS, check_budget, embedding_modulus
 # Cap on a series truncation w: series_f takes about 4 s per polynomial
 # at w = 10**4, and its time grows like w**2.
 W_CAP = 10 ** 4
+# Most digits of an integer key: Python's default limit on int/str
+# conversion, past which a run could not write its config or its CSVs.
+# Converting "1e1000000" to an int alone takes about 40 s.
+DIGITS_CAP = 4300
 
 
 class Text(str):
@@ -21,10 +25,19 @@ class Text(str):
     of type str."""
 
 
+def _past_digits_cap(key: str) -> BudgetError:
+    return BudgetError(f"{key}: more than {DIGITS_CAP} digits, past the "
+                       "cap of Python's int/str conversion")
+
+
 def parse_int_exact(value, key: str) -> int:
     """An int (not a bool), or its text, exact in scientific notation:
-    "1e9" is 10**9, "2.5e1" is 25, and "2.5" is not integral."""
+    "1e9" is 10**9, "2.5e1" is 25, and "2.5" is not integral.  One of
+    more than DIGITS_CAP digits is refused (BudgetError) before it is
+    converted."""
     if isinstance(value, int) and not isinstance(value, bool):
+        if abs(value) >= 10 ** DIGITS_CAP:
+            raise _past_digits_cap(key)
         return value
     if not isinstance(value, str):
         raise ConfigError(f"{key}: {value!r} is not an integer")
@@ -32,6 +45,8 @@ def parse_int_exact(value, key: str) -> int:
         dec = Decimal(value)
     except InvalidOperation:
         raise ConfigError(f"{key}: {value!r} is not an integer")
+    if dec and dec.adjusted() >= DIGITS_CAP:  # |dec| >= 10**DIGITS_CAP
+        raise _past_digits_cap(key)
     if not dec.is_finite() or dec != dec.to_integral_value():
         raise ConfigError(f"{key}: {value!r} is not integral")
     return int(dec)

@@ -49,8 +49,7 @@ from .config import (Config, _key, _parse_coeffs, check_w, parse_float,
                      parse_pattern, parse_points)
 from .errors import BudgetError, ConsistencyError
 from .moments import gaussian_moment, sigma_squared
-from .poly import (REJECTION_CAP, IntPolynomial, residue_acceptance,
-                   sample_uniform, sample_uniform_residue)
+from .poly import IntPolynomial, sample_uniform, sample_uniform_residue
 from .rng import child_seed, stream
 from .series import (lemma_lower_bound, prime_factors_at_most, series_f,
                      series_f_tuple, series_linear_system)
@@ -366,6 +365,11 @@ def _draw_tuples(cfg, rng, series):
     return f, 1, series_f_tuple(f, cfg.shifts, cfg.w)
 
 
+# Draws the Bateman-Horn sampler makes for one sample before it gives
+# up with BudgetError.
+REJECTION_CAP = 10 ** 6
+
+
 def _draw_bateman_horn(cfg, rng, series):
     """f uniform among those meeting the Bateman-Horn hypotheses.
 
@@ -435,11 +439,6 @@ def _stat_values(records, warnings):
     return vals
 
 
-def _attempts_row(records):
-    return ("attempts_mean", *_mean_stderr([r.attempts for r in records]),
-            math.nan)
-
-
 def _moment_rows(cfg, vals, predicted):
     """moment_k of vals for k = 1..k_max, against predicted(k)."""
     return [(f"moment_{k}", *_mean_stderr([v ** k for v in vals]),
@@ -473,7 +472,7 @@ def _linear_forms_rows(cfg, records, warnings):
     mean, se = _mean_stderr(_stat_values(records, warnings))
     predicted = float(records[0].series) \
         if cfg.target == "von-mangoldt" else 0.0
-    return [("mean", mean, se, predicted), _attempts_row(records)]
+    return [("mean", mean, se, predicted)]
 
 
 def _poisson_gaps_rows(cfg, records, warnings):
@@ -489,7 +488,8 @@ def _poisson_gaps_rows(cfg, records, warnings):
     for tag, t in _CDF_POINTS:
         rows.append((tag, *_mean_stderr([r.stats[tag] for r in records]),
                      _phi(t)))
-    rows.append(_attempts_row(records))
+    rows.append(("attempts_mean",
+                 *_mean_stderr([r.attempts for r in records]), math.nan))
     below = sum(1 for r in records if r.stats["window_real"] < 1.0)
     if below:
         warnings.append(f"window length below 1 before rounding for "
@@ -497,20 +497,6 @@ def _poisson_gaps_rows(cfg, records, warnings):
     if all(r.stats["window"] == 1 for r in records):
         warnings.append("degenerate runs: every window has L = 1")
     return rows
-
-
-def _residue_class_within_cap(cfg):
-    """True, or BudgetError naming M when a linear-forms sample expects
-    more than REJECTION_CAP draws to land in the residue class of f0."""
-    p = residue_acceptance(cfg.d, cfg.H, IntPolynomial(cfg.f0), cfg.M)
-    if p * REJECTION_CAP < 1:
-        # log10 of the expected draws, which may be past a float's range
-        e = math.log10(p.denominator) - math.log10(p.numerator)
-        raise BudgetError(f"M: a sample expects about "
-                          f"{10 ** (e % 1):.3g}e{math.floor(e)} draws to "
-                          f"land in the residue class of f0 mod {cfg.M}, "
-                          f"past the cap of {REJECTION_CAP}")
-    return True
 
 
 def _poisson_gaps_span(cfg):
@@ -531,8 +517,7 @@ class Kind:
     parser.  A field no kind names is common to all kinds, and one that
     kinds name (k_max: the three moment kinds) is theirs only.  `checks`
     pairs a test of the parsed config with the ConfigError message for
-    when it fails; an own key that must be given is required by one, and
-    a test may raise BudgetError itself, for a size past its cap.
+    when it fails; an own key that must be given is required by one.
     `run_series(cfg)` is the series shared by every sample of a run, or
     None when it depends on f.  `draw(cfg, rng, series)` returns (f,
     attempts, f's series), given the run's series.  `stats(cfg, f,
@@ -623,12 +608,11 @@ KINDS = {
                 (lambda cfg: len(cfg.f0) <= cfg.d + 1,
                  "f0 must have at most d+1 coefficients"),
                 (lambda cfg: cfg.target in ("von-mangoldt", "liouville"),
-                 "target must be von-mangoldt or liouville"),
-                (_residue_class_within_cap, None)),
+                 "target must be von-mangoldt or liouville")),
         run_series=lambda cfg: series_linear_system(
             cfg.ns, IntPolynomial(cfg.f0), cfg.M, cfg.w, cfg.d),
-        draw=lambda cfg, rng, series: (*sample_uniform_residue(
-            cfg.d, cfg.H, rng, IntPolynomial(cfg.f0), cfg.M), series),
+        draw=lambda cfg, rng, series: (sample_uniform_residue(
+            cfg.d, cfg.H, rng, IntPolynomial(cfg.f0), cfg.M), 1, series),
         stats=_linear_forms_stats,
         rows=_linear_forms_rows,
         span=lambda cfg: None),

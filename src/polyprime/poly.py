@@ -10,15 +10,10 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetError
 from .rng import uniform_int
-
-# Draws a rejection sampler makes before it gives up with BudgetError.
-REJECTION_CAP = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -67,38 +62,24 @@ def sample_uniform(d: int, H: int, rng: random.Random) -> IntPolynomial:
                                for _ in range(d + 1)))
 
 
-def _residues(d: int, f0: IntPolynomial, M: int) -> list:
-    """The residues mod M of f0's coefficients, padded with 0 to d+1."""
-    return [c % M for c in f0.coeffs] + [0] * (d + 1 - len(f0.coeffs))
-
-
 def sample_uniform_residue(d: int, H: int, rng: random.Random,
-                           f0: IntPolynomial, M: int):
-    """Uniform draw conditioned on f congruent to f0 mod M.
+                           f0: IntPolynomial, M: int) -> IntPolynomial:
+    """Uniform draw from degree <= d polynomials with |a_i| <= H and f
+    congruent to f0 mod M, in one draw per coefficient.
 
-    Plain rejection keeps the conditional distribution exactly uniform.
-    Returns (polynomial, attempts).  The linear-forms config keeps M in
-    1..2H+1, so that the class is not empty, and refuses a class whose
-    `residue_acceptance` is below 1/REJECTION_CAP.
+    With r_i the residues of f0's coefficients mod M, padded with 0 to
+    d+1 of them, the class is the product over i of the progressions
+    r_i + M*k in [-H, H], so a_i = r_i + M*k with k uniform in its range
+    is exactly uniform over the class.  At M = 1 this is the draw of
+    `sample_uniform`.  The linear-forms config keeps M in 1..2H+1, so
+    that no progression is empty.
     """
     if len(f0.coeffs) > d + 1:
         raise ValueError("residue polynomial has higher degree than d")
-    want = _residues(d, f0, M)
-    for attempt in range(1, REJECTION_CAP + 1):
-        f = sample_uniform(d, H, rng)
-        if all(c % M == r for c, r in zip(f.coeffs, want)):
-            return f, attempt
-    raise BudgetError(f"no draw matched the residue class mod {M} "
-                      f"in {REJECTION_CAP} attempts")
-
-
-def residue_acceptance(d: int, H: int, f0: IntPolynomial, M: int) -> Fraction:
-    """The exact probability that one draw of `sample_uniform_residue`
-    is accepted: the product over i = 0..d of #{a in [-H, H] : a = r_i
-    mod M} / (2H+1), r_i the residues of f0's coefficients padded with 0
-    to d+1 of them.  Attempts are geometric, with mean its inverse."""
-    counts = [(H - r) // M - (-H - 1 - r) // M for r in _residues(d, f0, M)]
-    return Fraction(math.prod(counts), (2 * H + 1) ** (d + 1))
+    residues = [c % M for c in f0.coeffs] + [0] * (d + 1 - len(f0.coeffs))
+    return IntPolynomial(tuple(
+        r + M * uniform_int(rng, -((H + r) // M), (H - r) // M)
+        for r in residues))
 
 
 def count_unit_values_mod_p(f: IntPolynomial, p: int, shifts) -> int:

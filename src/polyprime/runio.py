@@ -67,15 +67,23 @@ def utc_now_iso() -> str:
 def load_manifest_config(path: str) -> Config:
     """Rebuild the exact config a manifest records, of the class its
     subcommand has in `CONFIGS` (an experiment kind's: ExperimentConfig),
-    checked like the flags.
+    checked like the flags.  A file that cannot be read, or is not such
+    a manifest, raises ConfigError.
 
     Experiment manifests written by older versions may carry retired
     keys: deterministic_reduction, which never changed a run, is dropped
     with a warning; the fixed window L is dropped when it is 0 (unset),
     and any other L is refused, as no config can replay that run.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read manifest {path}: {exc}")
+    if not (isinstance(doc, dict) and isinstance(doc.get("config"), dict)
+            and isinstance(doc.get("subcommand", ""), str)):
+        raise ConfigError(f"{path}: a manifest is a JSON object with a "
+                          "config object and a subcommand string")
     cls = CONFIGS.get(doc.get("subcommand"), ExperimentConfig)
     values = dict(doc["config"])
     if cls is ExperimentConfig:

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import shlex
+import time
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -17,12 +18,11 @@ from hypothesis import strategies as st
 import polyprime.experiments as experiments
 from polyprime.arith import liouville
 from polyprime.cli import _build_cfg, _gowers_cmd, build_parser, main
-from polyprime.config import (W_CAP, GowersConfig, SeriesConfig,
-                              _parse_coeffs, parse_int_exact)
+from polyprime.config import (DIGITS_CAP, W_CAP, GowersConfig,
+                              SeriesConfig, parse_int_exact)
 from polyprime.errors import BudgetError, ConfigError
 from polyprime.experiments import ExperimentConfig, run_experiment
 from polyprime.gowers import S_CAP, SIZE_CAP, gowers_norm_cyclic
-from polyprime.poly import REJECTION_CAP, IntPolynomial, residue_acceptance
 from polyprime.runio import format_cell, load_manifest_config, write_run
 from polyprime.series import lemma_lower_bound
 
@@ -370,14 +370,6 @@ def test_flags_and_manifest_json_build_one_config(tmp_path_factory, data):
     argv = [kind, f"--out-dir={tmp_path_factory.getbasetemp()}",
             *(f"--{key}={v}" for key, v in flags.items())]
     args = build_parser().parse_args(argv)
-    # A residue class that one draw in more than REJECTION_CAP lands in,
-    # such as one mod 100 at d = 4, is refused.
-    if kind == "linear-forms" and residue_acceptance(
-            d, H, IntPolynomial(_parse_coeffs(flags.get("f0", "0"), "f0")),
-            int(flags.get("M", "1"))) * REJECTION_CAP < 1:
-        with pytest.raises(BudgetError, match="^M: "):
-            _build_cfg(kind, args)
-        return
     # Only a poisson-gaps window can pass the points cap at these sizes:
     # at d = 4, w = 100 a calL of 1e3 bounds it by about 7.4e6 points.
     if kind == "poisson-gaps":
@@ -742,31 +734,36 @@ def test_pattern_past_its_cap_exits_one(monkeypatch, tmp_path, capsys):
                      seed=1, pattern=(1, -1) * (cap // 2))
 
 
-def test_hopeless_residue_class_is_refused_before_the_out_dir(
-        monkeypatch, tmp_path, capsys):
-    # At H = 1 each coefficient's class mod 3 holds one of -1, 0, 1, so a
-    # sample expects 3**(d+1) draws: 531,441 at d = 11 is within the
-    # rejection cap, 1,594,323 at d = 12 is not.
-    def refuse(*args):
-        raise AssertionError("f drawn before the residue class was checked")
-
-    monkeypatch.setattr(experiments, "sample_uniform_residue", refuse)
+def test_integer_past_the_digits_cap_exits_two_at_once(tmp_path, capsys):
+    # Converting 1e1000000 to an int would take tens of seconds; the
+    # config refuses it from its exponent and makes no out-dir.
     out = tmp_path / "run"
-    argv = ["linear-forms", "--ns", "1", "--M", "3", "--f0", "1", "--H", "1",
-            "--X", "1", "--samples", "1", "--seed", "1", "--out-dir",
-            str(out)]
-    assert main(argv + ["--d", "12"]) == 2
+    started = time.monotonic()
+    assert main(["chowla-clt", *SMALL_RUN, "--H", "1e1000000",
+                 "--out-dir", str(out)]) == 2
+    assert time.monotonic() - started < 5
     assert capsys.readouterr().err == (
-        "budget error: M: a sample expects about 1.59e6 draws to land in "
-        f"the residue class of f0 mod 3, past the cap of {REJECTION_CAP}\n")
+        f"budget error: H: more than {DIGITS_CAP} digits, past the cap of "
+        "Python's int/str conversion\n")
     assert not out.exists()
-    args = build_parser().parse_args(argv + ["--d", "11"])
-    assert _build_cfg("linear-forms", args)[0].d == 11
-    # Expected draws past a float's range are still named.
-    with pytest.raises(BudgetError, match=r"^M: a sample expects about "
-                                          r"[0-9.]+e2[0-9]{4} draws"):
-        ExperimentConfig(kind="linear-forms", d=100, H=10 ** 300,
-                         M=3 ** 600, X=1, samples=1, seed=1)
+
+
+def test_rare_residue_class_runs_in_one_draw_per_sample(tmp_path):
+    # At H = 1 each coefficient's class mod 3 holds one of -1, 0, 1, so
+    # one draw of the whole box lands in the class of f0 = 1 with
+    # probability 3**-(d+1): 3**-12 at d = 11, 3**-13 at d = 12.  Each
+    # sample still takes one draw, and every run writes its files.
+    for d, samples, seed in (("11", "3", "2"), ("12", "1", "1")):
+        out = tmp_path / f"d{d}"
+        assert main(["linear-forms", "--ns", "1", "--M", "3", "--f0", "1",
+                     "--d", d, "--H", "1", "--X", "1", "--samples",
+                     samples, "--seed", seed, "--out-dir", str(out)]) == 0
+        with open(out / "samples.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == int(samples)
+        for row in rows:
+            assert row["coeffs"] == ";".join(["1"] + ["0"] * int(d))
+            assert row["attempts"] == "1"
 
 
 def test_gowers_budget_is_checked_before_any_array(monkeypatch, tmp_path,

@@ -350,6 +350,36 @@ def test_sign_pattern_rows_against_their_formulas():
                                    rel=1e-12)
 
 
+def window_cdf_by_recount(windows, p, L):
+    """The share of the window counts at or below p*L + t*sd, sd the
+    binomial sd sqrt(L p (1 - p)) (0 once p >= 1), one window at a time."""
+    sd = math.sqrt(L * p * (1 - p)) if p < 1 else 0.0
+    return {tag: sum(1 for c in windows if c <= p * L + t * sd)
+            / len(windows)
+            for tag, t in (("cdf_tm1", -1), ("cdf_t0", 0), ("cdf_tp1", 1))}
+
+
+def test_gaussian_window_stats_against_a_recount():
+    # p = 1/2 and L = 4 put the thresholds on the counts 1, 2 and 3, so a
+    # window equal to a threshold is counted; p = 1.5 has sd 0.
+    for windows, p, L in (([0, 1, 1, 2, 2, 2, 3, 4, 4, 1], 0.5, 4),
+                          ([0, 1, 2, 3, 4, 5, 6], 1.5, 4),
+                          ([3], 0.25, 12)):
+        assert experiments._gaussian_window_stats(
+            Counter(windows), len(windows), p, L) \
+            == window_cdf_by_recount(windows, p, L), (windows, p, L)
+    assert window_cdf_by_recount([0, 1, 1, 2, 2, 2, 3, 4, 4, 1], 0.5, 4) \
+        == {"cdf_tm1": 0.4, "cdf_t0": 0.7, "cdf_tp1": 0.8}
+    rng = stream(22, 9)
+    for _ in range(200):
+        L = rng.randint(1, 60)
+        p = rng.uniform(0.001, 0.999)
+        windows = [rng.randint(0, L) for _ in range(rng.randint(1, 300))]
+        assert experiments._gaussian_window_stats(
+            Counter(windows), len(windows), p, L) \
+            == window_cdf_by_recount(windows, p, L), (windows, p, L)
+
+
 def test_iid_sign_simulation_matches_sigma():
     var = iid_sign_simulation(500, (1,), 2000, 20260818)
     assert var == pytest.approx(0.25, rel=0.12)
@@ -472,13 +502,11 @@ def test_run_experiment_linear_forms_vonmangoldt_zero_class():
                            samples=15, seed=4, w=3, ns=(2,), M=2,
                            f0=(0, 1), target="von-mangoldt")
     res = run_experiment(cfg)
-    mean_row = res.aggregates[0]
+    [mean_row] = res.aggregates
     assert mean_row.key == "mean"
     assert mean_row.predicted == 0.0
-    att_row = res.aggregates[1]
-    assert att_row.key == "attempts_mean"
-    assert att_row.estimate >= 1.0
     for rec in res.records:
+        assert rec.attempts == 1
         assert rec.coeffs[0] % 2 == 0
         assert rec.coeffs[1] % 2 == 1
 

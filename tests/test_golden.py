@@ -45,8 +45,8 @@ GOLDEN = {
     "linear-forms": (
         {"d": 2, "H": 10 ** 8, "X": 1, "w": 11, "ns": (1, 2, 3), "M": 3,
          "f0": (1, 0), "samples": 20, "seed": 16},
-        "cab8de7973fe1be044f57ab6c32ed574539a85cf105aadebcabf900d70ea6fb7",
-        "9807e671da4140c0113da5760f0ccc2aba7645db9c8cbe96782023ec2a516050"),
+        "bb24580c4ddbf0991fb0a88ec6f87631e47ef735953d7f34c0ccd70302542ad4",
+        "ccfd2142d20fc3bc0176ca0fda10e5bee8a32eb70a3356361679b8a59350f5c3"),
 }
 
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from polyprime.config import (
+    DIGITS_CAP,
     GowersConfig,
     parse_float,
     parse_int_exact,
@@ -40,6 +41,29 @@ def test_parse_int_exact_rejects_non_integers():
         parse_int_exact("abc", "X")
     with pytest.raises(ConfigError):
         parse_int_exact("", "X")
+
+
+def test_parse_int_exact_refuses_more_digits_than_python_converts():
+    # The text is refused from its exponent, before any conversion: an
+    # int of 10**6 digits alone takes tens of seconds to build.
+    largest = 10 ** DIGITS_CAP - 1
+    assert parse_int_exact("9" * DIGITS_CAP, "H") == largest
+    assert parse_int_exact(-largest, "H") == -largest
+    assert str(largest) == "9" * DIGITS_CAP
+    assert parse_int_exact("0e1000000", "H") == 0
+    message = f"^H: more than {DIGITS_CAP} digits"
+    for value in (10 ** DIGITS_CAP, -10 ** 5000, f"1e{DIGITS_CAP}",
+                  "-1" + "0" * DIGITS_CAP, "1e1000000", "1e3000000"):
+        with pytest.raises(BudgetError, match=message):
+            parse_int_exact(value, "H")
+    with pytest.raises(BudgetError, match="^ns: more than"):
+        ExperimentConfig(kind="linear-forms", d=1, H=10, X=1, samples=1,
+                         seed=1, ns=(1, 10 ** 5000))
+    # A Python-built config past the cap is refused as it is built, not
+    # when its run writes the config.
+    with pytest.raises(BudgetError, match=message):
+        ExperimentConfig(kind="chowla-clt", d=1, H=10 ** 5000, X=1,
+                         samples=1, seed=1)
 
 
 def test_parse_float():
@@ -311,6 +335,27 @@ def test_manifest_past_a_cap_is_refused(tmp_path, subcommand, config,
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps({"subcommand": subcommand, "config": config}))
     with pytest.raises(BudgetError, match="^" + re.escape(message)):
+        load_manifest_config(str(path))
+
+
+@pytest.mark.parametrize("text, error", [
+    ("{not json", "cannot read manifest"),
+    ("[1, 2]", "a manifest is a JSON object"),
+    ('{"subcommand": "chowla-clt"}', "a manifest is a JSON object"),
+    ('{"config": [1, 2]}', "a manifest is a JSON object"),
+    ('{"subcommand": ["gowers"], "config": {}}',
+     "a manifest is a JSON object"),
+    ('{"config": {"H": 1' + "0" * 5000 + "}}", "cannot read manifest"),
+    ("\udcff", "cannot read manifest"),
+    (None, "cannot read manifest"),
+])
+def test_malformed_manifest_is_config_error(tmp_path, text, error):
+    # None: no file.  The last but one is not UTF-8, and the int before
+    # it is past Python's own limit on int/str conversion.
+    path = tmp_path / "manifest.json"
+    if text is not None:
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    with pytest.raises(ConfigError, match=re.escape(error)):
         load_manifest_config(str(path))
 
 
