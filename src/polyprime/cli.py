@@ -125,19 +125,18 @@ def _series_cmd(cfg: SeriesConfig, factors: bool) -> int:
     ts = series_f_tuple(IntPolynomial(cfg.poly), cfg.shifts, cfg.w)
     if factors:
         for p, fac in ts.local_factors:
-            print(f"p={p} factor={fac.numerator}/{fac.denominator}")
-    print(ts.to_text())
+            print(f"p={p} factor={format_cell(fac)}")
+    print(format_cell(ts.value))
     return 0
 
 
 def _gowers_norm(cfg: GowersConfig, size: int) -> float:
     """The U^s norm of cfg.target on the interval [1, size] when cfg has
     N, else on Z/(size)Z with f(n) at n mod size for n = 1..size."""
-    f = TARGETS[cfg.target](size)
+    values = TARGETS[cfg.target](size)[1:]
     if cfg.N:
-        return gowers_norm_interval(f.__getitem__, size, cfg.s,
-                                    cfg.multiplier)
-    return gowers_norm_cyclic(np.roll(f[1:], 1), cfg.s)
+        return gowers_norm_interval(values, cfg.s)
+    return gowers_norm_cyclic(np.roll(values, 1), cfg.s)
 
 
 def _gowers_cmd(cfg: GowersConfig, out_dir) -> int:

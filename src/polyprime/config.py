@@ -8,7 +8,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from decimal import Decimal, InvalidOperation
 
 from .errors import BudgetError, ConfigError
-from .gowers import TARGETS, check_budget, embedding_modulus
+from .gowers import MULTIPLIER, TARGETS, check_budget, embedding_modulus
 
 # Cap on a series truncation w: series_f takes about 4 s per polynomial
 # at w = 10**4, and its time grows like w**2.
@@ -164,8 +164,6 @@ class GowersConfig(Config):
     N: tuple = _key("comma list of interval lengths", (), parse_int_list)
     M: tuple = _key("comma list of cyclic group sizes", (), parse_int_list)
     s: int = _key("norm order", 2)
-    multiplier: int = _key("embedding modulus is least prime >= "
-                           "multiplier*N (default 5)", 5)
 
     def _checks(self):
         yield bool(self.N) != bool(self.M), \
@@ -175,14 +173,13 @@ class GowersConfig(Config):
         yield min(self.N + self.M) >= 1, \
             f"{'N' if self.N else 'M'} entries must be >= 1"
         yield self.s >= 1, "s must be >= 1"
-        yield self.multiplier >= 2, "multiplier must be >= 2"
-        # An interval row's modulus is at least multiplier * N, which is
+        # An interval row's modulus is at least MULTIPLIER * N, which is
         # checked first, so that a huge N is refused before a prime search.
         for size in self.M:
             check_budget(size, self.s)
         for size in self.N:
-            check_budget(self.multiplier * size, self.s)
-            check_budget(embedding_modulus(size, self.multiplier), self.s)
+            check_budget(MULTIPLIER * size, self.s)
+            check_budget(embedding_modulus(size), self.s)
 
 
 @dataclass(frozen=True, kw_only=True)

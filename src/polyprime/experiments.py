@@ -67,6 +67,11 @@ WORKERS_CAP = 64
 # X = 300, w = 5 takes 0.06-0.1 s at d = 10, 0.11-0.18 s at d = 100 and
 # 86-88 s at d = 1000 (one core of a 2-core Xeon).
 D_CAP = 100
+# Cap on the samples of one run, which keeps every record until the end.
+# By tracemalloc a record takes about 0.5-0.85 KB (linear-forms 490 B,
+# chowla-clt 600 B, poisson-gaps 830 B), so a run at the cap holds under
+# 1 GB of them.
+SAMPLES_CAP = 10 ** 6
 # Cap on the signs of a sign pattern.  One sample makes 2s numpy passes
 # over its X windows: at X = 10**6 they take 0.03 s at s = 64 and 0.6 s
 # at s = 1000 (one core of a 2-core Xeon).  Longer patterns add nothing:
@@ -120,6 +125,9 @@ class ExperimentConfig(Config):
         if self.d > D_CAP:
             raise BudgetError(f"d: a polynomial of degree up to {self.d} is "
                               f"past the cap of {D_CAP}")
+        if self.samples > SAMPLES_CAP:
+            raise BudgetError(f"samples: more than the cap of {SAMPLES_CAP} "
+                              "samples in one run")
         kind = KINDS[self.kind]
         for ok, message in kind.checks:
             yield ok(self), message
@@ -334,12 +342,15 @@ def _mean_stderr(vals):
 
 
 def _verdict(estimate, stderr, predicted):
+    """Within 3 stderr of the prediction is consistent, past it deviates.
+    A stderr of 0 (one sample, or all samples equal) measures no spread
+    to judge by: only an exact match is consistent, anything else info."""
     if math.isnan(predicted):
         return "info"
     if stderr > 0:
         return "consistent" if abs(estimate - predicted) <= 3 * stderr \
             else "deviates"
-    return "consistent" if estimate == predicted else "deviates"
+    return "consistent" if estimate == predicted else "info"
 
 
 def _quantile(sorted_vals, q: float) -> float:

@@ -23,10 +23,9 @@ The average of a real function is provably nonnegative, so a materially
 negative result is an arithmetic bug; tiny negatives from rounding are
 clamped.
 
-Interval norms come from embedding the truncated sequence in Z/MZ with M
-the least prime at least multiplier*N, multiplier 5 by default (zero
-padding kills wraparound), and the cyclic value is reported without any
-further normalization.
+Interval norms come from embedding the values f(1..N) in Z/MZ with M
+the least prime at least MULTIPLIER*N (zero padding kills wraparound),
+and the cyclic value is reported without any further normalization.
 """
 
 import numpy as np
@@ -44,6 +43,8 @@ SIZE_CAP = 10 ** 7
 # peel recurses s - 2 calls deep; at M >= 2 this cap refuses nothing
 # they admit, as 2**33 > OP_BUDGET.
 S_CAP = 32
+# the interval embedding's modulus is the least prime >= MULTIPLIER * N
+MULTIPLIER = 5
 
 # Each target by name, as size -> array f with f[n] its value at n for
 # 0 <= n <= size.  The entries call the sieves through this module's
@@ -119,27 +120,24 @@ def gowers_norm_cyclic(values, s: int) -> float:
     return gowers_average(values, s) ** (1.0 / 2 ** s)
 
 
-def embedding_modulus(N: int, multiplier: int) -> int:
+def embedding_modulus(N: int) -> int:
     """The modulus M of the interval embedding: the least prime at least
-    multiplier*N, so that no box with all corners in the support wraps
+    MULTIPLIER*N, so that no box with all corners in the support wraps
     around the cycle."""
-    return least_prime_at_least(multiplier * N)
+    return least_prime_at_least(MULTIPLIER * N)
 
 
-def interval_embedding(func, N: int, multiplier: int = 5):
-    """Zero-padded image of (f(1), ..., f(N)) in Z/MZ, M the
-    `embedding_modulus`."""
+def interval_embedding(values):
+    """Zero-padded image of the values (f(1), ..., f(N)) in Z/MZ, M the
+    `embedding_modulus` of N: f(n) at n, 0 elsewhere."""
+    N = len(values)
     if N < 1:
-        raise ValueError("N must be >= 1")
-    if multiplier < 2:
-        raise ValueError("multiplier must be >= 2")
-    M = embedding_modulus(N, multiplier)
-    arr = np.zeros(M, dtype=np.float64)
-    for n in range(1, N + 1):
-        arr[n] = func(n)
+        raise ValueError("values must be a nonempty sequence")
+    arr = np.zeros(embedding_modulus(N), dtype=np.float64)
+    arr[1:N + 1] = values
     return arr
 
 
-def gowers_norm_interval(func, N: int, s: int, multiplier: int = 5) -> float:
-    """U^s norm of f truncated to [1, N], via the cyclic embedding."""
-    return gowers_norm_cyclic(interval_embedding(func, N, multiplier), s)
+def gowers_norm_interval(values, s: int) -> float:
+    """U^s norm of f on [1, N] from its values f(1..N), via the embedding."""
+    return gowers_norm_cyclic(interval_embedding(values), s)

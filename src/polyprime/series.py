@@ -34,9 +34,6 @@ class TruncatedSeries:
             value *= fac
         object.__setattr__(self, "value", value)
 
-    def to_text(self) -> str:
-        return f"{self.value.numerator}/{self.value.denominator}"
-
 
 def series_f(f: IntPolynomial, w: int) -> TruncatedSeries:
     """Single-polynomial series: factor (count of unit values / p)/(1-1/p).

@@ -505,8 +505,8 @@ CONFIG_ERRORS = [
     (["gowers", "--target", "one", "--M", "0"], "M entries must be >= 1"),
     (["gowers", "--target", "one", "--M", "5", "--s", "0"],
      "s must be >= 1"),
-    (["gowers", "--target", "one", "--N", "5", "--multiplier", "1"],
-     "multiplier must be >= 2"),
+    (["gowers", "--target", "one", "--N", "5", "--multiplier", "5"],
+     "unrecognized arguments: --multiplier 5"),
     (["gowers", "--target", "theta", "--M", "5"],
      "unknown gowers target 'theta'"),
     (["gowers", "--target", "one", "--N", "5", "--s", "2.5"],
@@ -607,7 +607,7 @@ def test_gowers_manifest_replays(tmp_path, capsys):
     assert doc["outputs"] == {"csv": "gowers.csv"}
     assert doc["subcommand"] == "gowers"
     assert doc["config"] == {"target": "liouville", "N": [10, 20], "M": [],
-                             "s": 2, "multiplier": 5}
+                             "s": 2}
     cfg = load_manifest_config(str(out / "manifest.json"))
     assert cfg == GowersConfig(target="liouville", N=(10, 20))
     assert _gowers_cmd(cfg, str(tmp_path / "replay")) == 0
@@ -769,8 +769,7 @@ def test_rare_residue_class_runs_in_one_draw_per_sample(tmp_path):
 def test_gowers_budget_is_checked_before_any_array(monkeypatch, tmp_path,
                                                    capsys):
     # At s = 1 the operation budget admits M up to 5e9; the size cap of
-    # 10^7 refuses it, and a huge multiplier too.  At M = 1 every cap but
-    # the one on s admits any s.
+    # 10^7 refuses it.  At M = 1 every cap but the one on s admits any s.
     import polyprime.cli as cli
     import polyprime.gowers as gowers
 
@@ -791,7 +790,6 @@ def test_gowers_budget_is_checked_before_any_array(monkeypatch, tmp_path,
             ("one", "--M=1e9", "1", "U^1 on Z/1000000000Z: the group is "
              f"larger than the cap of {SIZE_CAP}"),
             ("liouville", "--N=1e9", "1", "Z/5000000000Z: the group"),
-            ("one", "--N=3 --multiplier=1e7", "1", "Z/30000000Z: the group"),
             # 5 N = 70,710 passes, but the run's modulus is the prime
             # 70,717, and 70,717**2 is past the budget.
             ("liouville", "--N=14142", "2", "U^2 on Z/70717Z needs"),
@@ -828,6 +826,26 @@ def test_d_past_its_cap_is_refused_before_any_draw(monkeypatch, tmp_path,
     assert not out.exists()
     ExperimentConfig(kind="chowla-clt", d=experiments.D_CAP, H=10, X=10,
                      samples=1, seed=1)
+
+
+def test_samples_past_their_cap_are_refused_before_any_draw(monkeypatch,
+                                                            tmp_path, capsys):
+    def refuse(*args):
+        raise AssertionError("f drawn before samples was checked")
+
+    monkeypatch.setattr(experiments, "sample_uniform", refuse)
+    out = tmp_path / "run"
+    for samples in ("1e300", str(experiments.SAMPLES_CAP + 1)):
+        assert main(["chowla-clt", "--d", "1", "--H", "10", "--X", "10",
+                     "--samples", samples, "--seed", "1", "--out-dir",
+                     str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "budget error: samples: more than the cap of "
+            f"{experiments.SAMPLES_CAP} samples in one run\n")
+        assert not out.exists()
+    assert experiments.SAMPLES_CAP == 10 ** 6
+    ExperimentConfig(kind="chowla-clt", d=1, H=10, X=10,
+                     samples=experiments.SAMPLES_CAP, seed=1)
 
 
 def test_selftest_passes(capsys):

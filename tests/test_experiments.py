@@ -296,9 +296,10 @@ def test_verdict_boundaries():
     assert verdict(0.75, 0.25, 0.0) == "consistent"
     assert verdict(math.nextafter(3.0, 4.0), 1.0, 0.0) == "deviates"
     assert verdict(-3.5, 1.0, 0.0) == "deviates"
-    # Without a stderr only equality is consistent.
+    # A stderr of 0 measures no spread: only equality is consistent, and
+    # anything else is info, not deviates.
     assert verdict(1.5, 0.0, 1.5) == "consistent"
-    assert verdict(1.5, 0.0, 1.25) == "deviates"
+    assert verdict(1.5, 0.0, 1.25) == "info"
     # Without a prediction there is nothing to compare.
     for estimate, stderr in ((1.0, 0.5), (1.0, 0.0), (1.0, math.nan)):
         assert verdict(estimate, stderr, math.nan) == "info"

@@ -46,7 +46,7 @@ GOLDEN = {
         {"d": 2, "H": 10 ** 8, "X": 1, "w": 11, "ns": (1, 2, 3), "M": 3,
          "f0": (1, 0), "samples": 20, "seed": 16},
         "bb24580c4ddbf0991fb0a88ec6f87631e47ef735953d7f34c0ccd70302542ad4",
-        "ccfd2142d20fc3bc0176ca0fda10e5bee8a32eb70a3356361679b8a59350f5c3"),
+        "ef5799ead71ef45ed1b29aa9887f5215ddf57df194579b10e636bbe268a1eb8c"),
 }
 
 

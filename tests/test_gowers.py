@@ -11,6 +11,7 @@ from polyprime.arith import least_prime_at_least, liouville_sieve, mobius_sieve
 from polyprime.errors import BudgetError
 from polyprime import gowers
 from polyprime.gowers import (
+    MULTIPLIER,
     OP_BUDGET,
     PEEL_CALL_CAP,
     S_CAP,
@@ -47,13 +48,13 @@ def u2_average_exact(values):
     return Fraction(total, M ** 3)
 
 
-def u2_interval_exact(seq, N, multiplier=5):
-    """Exact U^2 average of seq[1..N] zero-padded in Z/MZ, M the least
-    prime at least multiplier*N: with no wraparound, c(h) is the linear
+def u2_interval_exact(values):
+    """Exact U^2 average of the values f(1..N) zero-padded in Z/MZ, M the
+    least prime at least 5N: with no wraparound, c(h) is the linear
     autocorrelation, taken here in int64 (|c(h)| <= N)."""
-    v = np.asarray(seq[1:N + 1], dtype=np.int64)
+    v = np.asarray(values, dtype=np.int64)
     c = np.correlate(v, v, "full")
-    M = least_prime_at_least(multiplier * N)
+    M = least_prime_at_least(5 * len(v))
     return Fraction(sum(int(x) ** 2 for x in c), M ** 3)
 
 
@@ -116,15 +117,17 @@ def test_u2_liouville_cyclic_101_against_both_oracles():
 
 
 def test_interval_embedding_layout():
-    arr = interval_embedding(lambda n: float(n), 4)
+    assert MULTIPLIER == 5
+    arr = interval_embedding([1, 2, 3, 4])
     assert len(arr) == 23  # least prime at least 20
+    assert arr.dtype == np.float64
     assert arr[0] == 0.0
     assert arr[1:5].tolist() == [1.0, 2.0, 3.0, 4.0]
     assert not arr[5:].any()
     with pytest.raises(ValueError):
-        interval_embedding(lambda n: 1.0, 0)
+        interval_embedding([])
     with pytest.raises(ValueError):
-        interval_embedding(lambda n: 1.0, 10, multiplier=1)
+        interval_embedding(np.ones(0))
 
 
 def test_interval_indicator_matches_lattice_count():
@@ -141,15 +144,15 @@ def test_interval_indicator_matches_lattice_count():
                 if 1 <= n + h2 <= N and 1 <= n + h1 + h2 <= N:
                     count += 1
     want = (count / M ** 3) ** 0.25
-    got = gowers_norm_interval(lambda n: 1.0, N, 2)
+    got = gowers_norm_interval(np.ones(N), 2)
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_interval_mobius_against_fourier_oracle():
     N = 50
     mu = mobius_sieve(N)
-    arr = interval_embedding(lambda n: float(mu[n]), N)
-    got = gowers_norm_interval(lambda n: float(mu[n]), N, 2)
+    arr = interval_embedding(mu[1:])
+    got = gowers_norm_interval(mu[1:], 2)
     assert got == pytest.approx(u2_average_fft(arr) ** 0.25, abs=1e-10)
 
 
@@ -157,7 +160,7 @@ def test_interval_liouville_decreases_with_n():
     lam = liouville_sieve(300)
     vals = []
     for N in (100, 300):
-        vals.append(gowers_norm_interval(lambda n: float(lam[n]), N, 2))
+        vals.append(gowers_norm_interval(lam[1:N + 1], 2))
     assert vals[0] == pytest.approx(0.10621257874233213, rel=1e-9)
     assert vals[1] == pytest.approx(0.08255570605794765, rel=1e-9)
     assert vals[1] < vals[0]
@@ -181,15 +184,6 @@ def test_translation_and_scaling_invariance():
             base, abs=1e-12)
     assert gowers_norm_cyclic(3.5 * vals, 2) == pytest.approx(3.5 * base,
                                                               rel=1e-12)
-
-
-def test_embedding_multiplier_comparability():
-    lam = liouville_sieve(200)
-    f = lambda n: float(lam[n])
-    lo = gowers_norm_interval(f, 200, 2, multiplier=5)
-    hi = gowers_norm_interval(f, 200, 2, multiplier=9)
-    ratio = lo / hi
-    assert 0.25 < ratio < 4.0
 
 
 _REALS = st.one_of(st.just(0.0), st.floats(1e-3, 10.0),
@@ -236,10 +230,10 @@ def test_bench_liouville_u2_norms_are_exact():
     lam = liouville_sieve(3000)
     for N, norm in ((1000, 0.06188575575736718),
                     (3000, 0.04724873706241213)):
-        arr = interval_embedding(lambda n: float(lam[n]), N)
+        arr = interval_embedding(lam[1:N + 1])
         avg = gowers_average(arr, 2)
-        assert avg == float(u2_interval_exact(lam, N))
-        assert gowers_norm_interval(lambda n: float(lam[n]), N, 2) == norm
+        assert avg == float(u2_interval_exact(lam[1:N + 1]))
+        assert gowers_norm_interval(lam[1:N + 1], 2) == norm
         assert norm == avg ** 0.25
 
 

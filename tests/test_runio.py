@@ -190,8 +190,10 @@ def test_bad_value_type_is_config_error_naming_key(kind, key, value):
 
 # One malformed value each, on a valid gowers manifest config, with the
 # error it gives; GONE deletes the key, "mode" is a key of the config
-# that gowers manifests held before GowersConfig, and the retired
-# experiment key deterministic_reduction was never a gowers key.
+# that gowers manifests held before GowersConfig, "multiplier" one they
+# held until the embedding multiplier became the constant
+# gowers.MULTIPLIER, and the retired experiment key
+# deterministic_reduction was never a gowers key.
 BAD_GOWERS_VALUES = [
     ("target", "theta", "unknown gowers target 'theta'"),
     ("target", GONE, "missing required config value 'target'"),
@@ -200,7 +202,7 @@ BAD_GOWERS_VALUES = [
     ("M", [5], "give exactly one of --N (interval) or --M (cyclic)"),
     ("s", "2", "s: '2' is not of type int"),
     ("s", 0, "s must be >= 1"),
-    ("multiplier", 1, "multiplier must be >= 2"),
+    ("multiplier", 5, "unknown config key 'multiplier'"),
     ("mode", "interval", "unknown config key 'mode'"),
     ("deterministic_reduction", True,
      "unknown config key 'deterministic_reduction'"),
@@ -327,7 +329,7 @@ def test_manifest_with_retired_window_l(tmp_path):
                         samples=1, seed=1), "X: a sample would evaluate"),
     ("chowla-clt", dict(kind="chowla-clt", d=1, H=10, X=10, samples=1,
                         seed=1, w=10 ** 5), "w: a series would run"),
-    ("gowers", dict(target="one", N=[], M=[10 ** 9], s=1, multiplier=5),
+    ("gowers", dict(target="one", N=[], M=[10 ** 9], s=1),
      "U^1 on Z/1000000000Z: the group is larger"),
 ])
 def test_manifest_past_a_cap_is_refused(tmp_path, subcommand, config,
