@@ -1,11 +1,13 @@
 """Command line front end.
 
 One subcommand per entry of `experiments.KINDS`, plus series, gowers and
-selftest.  Each but selftest builds one config (`config.CONFIGS`) with a
-flag per config key, made from its field; an experiment's keys can also
-come from a key=value file (--config), under the flags.  The merged text
-goes as `Text` to the config's `from_dict`, which parses and checks it.
-Experiments, and gowers given --out-dir, write their files through
+selftest.  Each but selftest builds one config (`ExperimentConfig` for
+an experiment kind, else its class in `config.CONFIGS`) with a flag per
+config key, made from its field; an experiment's keys can also come from
+a key=value file (--config), under the flags.  A flag's value may start
+with -, as in --poly "-1;0;1".  The merged text goes as `Text` to the
+config's `from_dict`, which parses and checks it.  Experiments, and
+gowers given --out-dir, write their files through
 `runio.write_files`; an --out-dir that is empty, or cannot be made a
 directory, is refused before the run.  Exit codes: 0 success, 1
 configuration problem, 2 a size past its cap or an exhausted budget
@@ -273,10 +275,32 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _join_values(argv: list) -> list:
+    """argv with each `--key value` of its subcommand's config keys (and
+    an experiment's --config) written `--key=value`, so that a value that
+    starts with -, as in --poly "-1;0;1" or --pattern -+, is read as the
+    value rather than as a flag.  A value that is one of those flags
+    itself stays apart, and argparse reports the missing value."""
+    name = argv[0] if argv else None
+    if name not in KINDS and name not in CONFIGS:
+        return argv
+    flags = {f"--{key}" for key in _config_keys(name)}
+    if name in KINDS:
+        flags.add("--config")
+    out = argv[:1]
+    for arg in argv[1:]:
+        if out[-1] in flags and arg not in flags:
+            out[-1] += f"={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_values(argv))
         if not args.subcommand:
             parser.print_help()
             return 1

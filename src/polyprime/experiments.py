@@ -22,16 +22,9 @@ and hands the values to the pure batched kernels of `arith`
 (`liouville_many`, `von_mangoldt_many`, `is_prime_many`).  A config
 whose samples would each evaluate f at more than POINTS_CAP points is
 refused when it is built.  The Bateman-Horn statistic of `bh-moments` is
-the tuple statistic at the one shift 0.
-
-The samples.csv column zero_evals is counted from the same values:
-  bh-moments, chowla-clt   each zero value among f(1..X), once
-  sign-patterns            each zero value among f(2..X+s), once
-  linear-forms             each zero value among f(ns), once
-  tuples                   each product stopped at a zero value, so one
-                           zero value can count once per shift
-                           (`tuple_statistic`)
-  poisson-gaps             nothing: always 0
+the tuple statistic at the one shift 0.  The samples.csv column
+zero_evals counts the zero values among the values of f a sample
+evaluated, each once.
 """
 
 import functools
@@ -78,6 +71,9 @@ SAMPLES_CAP = 10 ** 6
 # in at most 10**6 windows, fewer than 10**-13 are expected to match 64
 # iid signs.
 PATTERN_CAP = 64
+# Largest calL.  tv_poisson starts the Poisson pmf at exp(-calL), which
+# is subnormal past 708 and 0.0 past 745, where the TV reads up to 1.
+CALL_CAP = 700
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -171,33 +167,19 @@ def tuple_statistic(f: IntPolynomial, X: int, shifts,
                     series_value) -> tuple:
     """Average of the product of von Mangoldt weights at shifted points.
 
-    Returns (the average minus series_value, the products stopped by a
-    zero value).  series_value is f's tuple series at shifts.  The
-    product at n is taken in shift order and stops at its first zero
-    weight, which is counted when it comes from a zero value f(n + l).
-    So a zero value f(m) counts once for each n <= X and shift l with
-    n + l = m whose earlier shifts' weights at n were nonzero: at shifts
-    0, 2 the one zero of x - 5 counts at n = 3 and n = 5.  At the one
-    shift 0 this is the Bateman-Horn statistic, the average of the von
-    Mangoldt weight along f minus its series, with each zero value among
-    f(1..X) counted once.
+    Returns (the average minus series_value, the number of zero values
+    among f(1+min(shifts)..X+max(shifts))).  series_value is f's tuple
+    series at shifts, and the product at n is taken in shift order.  At
+    the one shift 0 this is the Bateman-Horn statistic, the average of
+    the von Mangoldt weight along f minus its series.
     """
-    shifts = list(shifts)
-    lo = 1 + min(shifts)
-    vals = f.values(lo, X + max(shifts))
-    weight = von_mangoldt_many(vals)
-    terms = []
-    zeros = 0
-    for n in range(1, X + 1):
-        v = 1.0
-        for l in shifts:
-            i = n + l - lo
-            v *= weight[i]
-            if v == 0.0:
-                zeros += vals[i] == 0
-                break
-        terms.append(v)
-    return math.fsum(terms) / X - float(series_value), zeros
+    lo = min(shifts)
+    vals = f.values(1 + lo, X + max(shifts))
+    weight = np.array(von_mangoldt_many(vals))
+    prod = np.ones(X)
+    for l in shifts:
+        prod *= weight[l - lo: l - lo + X]
+    return math.fsum(prod.tolist()) / X - float(series_value), vals.count(0)
 
 
 def chowla_normalized_sum(f: IntPolynomial, X: int) -> tuple:
@@ -259,7 +241,8 @@ def interval_count_distribution(values, L: int) -> Counter:
 
 def tv_poisson(counts: Counter, lam: float) -> float:
     """Total variation distance between the distribution of the counts
-    (k -> number of trials with value k) and Poisson(lam)."""
+    (k -> number of trials with value k) and Poisson(lam), for lam up to
+    about 708, where exp(-lam) is still a normal float."""
     total = sum(counts.values())
     pmf = math.exp(-lam)
     acc = 0.0
@@ -417,8 +400,6 @@ def _linear_forms_stats(cfg, f, sv):
 def _poisson_gaps_stats(cfg, f, sv):
     """Prime counts of f in windows holding calL primes on average.
 
-    Primality counts no zero values, so zero_evals is 0.
-
     The scale of f's prime density is its own mean of log|f(n)| over
     1 <= n <= X, where a value with |f(n)| < 2 (0 or +-1) counts as
     log 2, so the scale is at least log 2.  The prime density is
@@ -431,14 +412,15 @@ def _poisson_gaps_stats(cfg, f, sv):
     logscale = math.fsum(math.log(max(abs(v), 2)) for v in vals) / cfg.X
     window_real = cfg.calL * logscale / float(sv.value)
     L = max(1, round(window_real))
-    counts = interval_count_distribution(
-        vals + f.values(cfg.X + 1, cfg.X + L - 1), L)
+    vals += f.values(cfg.X + 1, cfg.X + L - 1)
+    counts = interval_count_distribution(vals, L)
     return {"window": L,
             "window_real": window_real,
             "mean_count": sum(k * c for k, c in counts.items()) / cfg.X,
             "tv": tv_poisson(counts, cfg.calL),
             **_gaussian_window_stats(counts, cfg.X,
-                                     float(sv.value) / logscale, L)}, 0
+                                     float(sv.value) / logscale, L)}, \
+        vals.count(0)
 
 
 def _stat_values(records, warnings):
@@ -600,7 +582,9 @@ KINDS = {
         "predictions",
         keys=("calL",),
         checks=((lambda cfg: 0 < cfg.calL < math.inf,
-                 "calL must be positive and finite"),),
+                 "calL must be positive and finite"),
+                (lambda cfg: cfg.calL <= CALL_CAP,
+                 f"calL must be at most {CALL_CAP}")),
         draw=_draw_bateman_horn,
         stats=_poisson_gaps_stats,
         rows=_poisson_gaps_rows,

@@ -370,10 +370,15 @@ def test_flags_and_manifest_json_build_one_config(tmp_path_factory, data):
     argv = [kind, f"--out-dir={tmp_path_factory.getbasetemp()}",
             *(f"--{key}={v}" for key, v in flags.items())]
     args = build_parser().parse_args(argv)
-    # Only a poisson-gaps window can pass the points cap at these sizes:
-    # at d = 4, w = 100 a calL of 1e3 bounds it by about 7.4e6 points.
+    # Past CALL_CAP a calL is refused.  Below it only a poisson-gaps
+    # window can pass the points cap at these sizes: at d = 4, w = 100 a
+    # calL of 700 bounds it by about 5.2e6 points.
     if kind == "poisson-gaps":
         calL = float(flags.get("calL", "1"))
+        if calL > experiments.CALL_CAP:
+            with pytest.raises(ConfigError, match="^calL must be at most "):
+                _build_cfg(kind, args)
+            return
         window = calL * math.log((d + 1) * H * X ** d) \
             / float(lemma_lower_bound(w, d))
         if X + window > experiments.POINTS_CAP:
@@ -636,7 +641,7 @@ def test_gowers_budget_exit_code(capsys):
     (["tuples", "--X", "1e6", "--shifts", "0,2"], "shifts"),
     (["sign-patterns", "--X", "1e6", "--pattern", "+-"], "pattern"),
     (["tuples", "--X", "5e5", "--shifts=-5e5,5e5"], "shifts"),
-    (["poisson-gaps", "--X", "10", "--calL", "1e9"], "calL"),
+    (["poisson-gaps", "--X", "999000", "--calL", "700"], "calL"),
 ])
 def test_sizes_past_the_points_cap_are_refused_before_work(
         argv, key, monkeypatch, tmp_path, capsys):
@@ -652,6 +657,42 @@ def test_sizes_past_the_points_cap_are_refused_before_work(
         f"budget error: {key}: a sample would evaluate f at more than the "
         f"cap of {experiments.POINTS_CAP} points\n")
     assert not out.exists()
+
+
+def test_call_past_its_cap_is_refused_before_the_out_dir(tmp_path, capsys):
+    # tv_poisson starts its pmf at exp(-calL), which is 0.0 past 745.
+    out = tmp_path / "run"
+    argv = ["poisson-gaps", "--d", "1", "--H", "10", "--X", "10",
+            "--samples", "1", "--seed", "1", "--out-dir", str(out)]
+    for calL in ("700.5", "1000", "1e9"):
+        assert main(argv + ["--calL", calL]) == 1
+        assert capsys.readouterr().err == \
+            "config error: calL must be at most 700\n"
+        assert not out.exists()
+    assert ExperimentConfig(kind="poisson-gaps", d=1, H=10, X=10, samples=1,
+                            seed=1, calL=700).calL == 700
+
+
+def test_flag_values_may_start_with_a_dash(monkeypatch, tmp_path, capsys):
+    import polyprime.cli as cli
+    assert main(["series", "--poly", "-1;0;1", "--w", "5"]) == 0
+    assert capsys.readouterr().out == "3/8\n"
+    built = []
+    monkeypatch.setattr(cli, "_run_experiment_cmd",
+                        lambda cfg, out_dir: built.append(cfg) or 0)
+    run = [*SMALL_RUN, "--out-dir", str(tmp_path)]
+    for argv, key, want in (
+            (["tuples", "--shifts", "-3,0"], "shifts", (-3, 0)),
+            (["linear-forms", "--ns", "-1,2"], "ns", (-1, 2)),
+            (["linear-forms", "--f0", "-1;0"], "f0", (-1, 0)),
+            (["sign-patterns", "--pattern", "-+"], "pattern", (-1, 1)),
+            (["sign-patterns", "--pattern", "--"], "pattern", (-1, -1))):
+        assert main(argv + run) == 0, argv
+        assert getattr(built.pop(), key) == want, argv
+    # A flag of the subcommand is never taken as the value before it.
+    assert main(["series", "--w", "--poly", "1"]) == 1
+    assert capsys.readouterr().err == \
+        "config error: argument --w: expected one argument\n"
 
 
 def test_gate_and_readme_sizes_are_well_inside_the_points_cap(monkeypatch):

@@ -720,21 +720,17 @@ def ref_bh(f, X, sv):
 
 
 def ref_tuple(f, X, shifts, sv):
-    zeros = 0
-
     def term(n):
-        nonlocal zeros
         v = 1.0
         for l in shifts:
-            value = f.eval(n + l)
-            zeros += value == 0
-            v *= von_mangoldt(value)
+            v *= von_mangoldt(f.eval(n + l))
             if v == 0.0:
                 return 0.0
         return v
 
     total = math.fsum(term(n) for n in range(1, X + 1))
-    return total / X - float(sv), zeros
+    points = range(1 + min(shifts), X + max(shifts) + 1)
+    return total / X - float(sv), sum(1 for m in points if f.eval(m) == 0)
 
 
 def ref_chowla(f, X):
@@ -812,28 +808,76 @@ def test_tuple_statistic_matches_reference_loop():
 
 
 def test_tuple_statistic_zero_behind_zero_weight_not_audited():
-    # f(6) = 0.  At n = 4 the shift-0 weight Lambda(|f(4)|) = Lambda(6)
-    # is 0, so the product stops before f(n + 2) = f(6) is evaluated;
-    # only n = 6, where f(6) is the first factor, counts the zero.
+    # f(6) = 0 is a factor at n = 6 (shift 0) and at n = 4 (shift 2),
+    # behind the zero weight Lambda(|f(4)|) = Lambda(6); it is one value
+    # of f and counts once.
     f = IntPolynomial((-18, 3))
     got = tuple_statistic(f, 10, (0, 2), 0)
     assert got[1] == 1
     assert got == ref_tuple(f, 10, (0, 2), 0)
 
 
-def test_tuples_zero_evals_counts_a_zero_once_per_shift():
-    # f = x - 5 has the one zero f(5).  At shifts 0, 2 the product stops
-    # there at n = 5 (shift 0) and at n = 3 (shift 2, after the nonzero
-    # weight Lambda(|f(3)|) = log 2), so the tuples column counts it twice;
-    # bh-moments counts it once and poisson-gaps not at all.
+def test_tuples_zero_evals_counts_a_zero_once():
+    # f = x - 5 has the one zero f(5).  At shifts 0, 2 it is a factor of
+    # the products at n = 5 and at n = 3, and it still counts once, as in
+    # bh-moments and poisson-gaps.
     f = IntPolynomial((-5, 1))
-    for kind, keys, want in (("tuples", {"shifts": (0, 2)}, 2),
-                             ("bh-moments", {}, 1),
-                             ("poisson-gaps", {}, 0)):
+    for kind, keys in (("tuples", {"shifts": (0, 2)}), ("bh-moments", {}),
+                       ("poisson-gaps", {})):
         cfg = ExperimentConfig(kind=kind, d=1, H=5, X=10, samples=1,
                                seed=1, **keys)
         sv = series_f_tuple(f, cfg.shifts or (0,), cfg.w)
-        assert KINDS[kind].stats(cfg, f, sv)[1] == want, kind
+        assert KINDS[kind].stats(cfg, f, sv)[1] == 1, kind
+
+
+def test_zero_evals_counts_each_evaluated_zero_once():
+    # Lines and quadratics with coefficients up to 3 often vanish at some
+    # point; each kind counts the zeros of f among the points at which
+    # it evaluates f, by brute force.
+    evaluated_points = {
+        "bh-moments": lambda cfg, rec: range(1, cfg.X + 1),
+        "chowla-clt": lambda cfg, rec: range(1, cfg.X + 1),
+        "tuples": lambda cfg, rec: range(1 + min(cfg.shifts),
+                                         cfg.X + max(cfg.shifts) + 1),
+        "sign-patterns": lambda cfg, rec: range(
+            2, cfg.X + len(cfg.pattern) + 1),
+        "poisson-gaps": lambda cfg, rec: range(
+            1, cfg.X + rec.stats["window"]),
+        "linear-forms": lambda cfg, rec: cfg.ns,
+    }
+    assert set(evaluated_points) == set(KINDS)
+    keys = {"tuples": {"shifts": (-2, 0, 3)}, "sign-patterns": {"pattern":
+            (1, -1, 1)}, "linear-forms": {"ns": (-1, 1, 2, 3)}}
+    for kind, points in evaluated_points.items():
+        zeros = 0
+        for d in (1, 2):
+            cfg = ExperimentConfig(kind=kind, d=d, H=3, X=12, samples=60,
+                                   seed=20261020, **keys.get(kind, {}))
+            for rec in run_experiment(cfg).records:
+                f = IntPolynomial(rec.coeffs)
+                want = sum(1 for m in points(cfg, rec) if f.eval(m) == 0)
+                assert rec.zero_evals == want, (kind, rec)
+                zeros += want
+        assert zeros > 0, kind
+
+
+def test_tv_poisson_matches_a_log_space_pmf():
+    # The pmf recurrence from exp(-lam) against each pmf in log space,
+    # exp(k log lam - lam - lgamma(k + 1)), up to the largest calL.
+    def oracle(counts, lam):
+        total = sum(counts.values())
+        pmf = [math.exp(k * math.log(lam) - lam - math.lgamma(k + 1))
+               for k in range(max(counts) + 1)]
+        return 0.5 * (math.fsum(abs(counts[k] / total - p)
+                                for k, p in enumerate(pmf))
+                      + max(0.0, 1.0 - math.fsum(pmf)))
+
+    for lam in (1, 25, 300, experiments.CALL_CAP):
+        r = math.isqrt(lam)
+        for counts in (Counter({lam: 3}), Counter({0: 1, lam: 5}),
+                       Counter({lam - r: 4, lam + 1: 2, lam + 3 * r: 1})):
+            assert abs(tv_poisson(counts, lam) - oracle(counts, lam)) \
+                <= 1e-12, (lam, counts)
 
 
 def test_linear_forms_matches_reference_products():
