@@ -4,14 +4,15 @@ One subcommand per entry of `experiments.KINDS`, plus series, gowers and
 selftest.  Each but selftest builds one config (`ExperimentConfig` for
 an experiment kind, else its class in `config.CONFIGS`) with a flag per
 config key, made from its field; an experiment's keys can also come from
-a key=value file (--config), under the flags.  A flag's value may start
-with -, as in --poly "-1;0;1".  The merged text goes as `Text` to the
-config's `from_dict`, which parses and checks it.  Experiments, and
-gowers given --out-dir, write their files through
-`runio.write_files`; an --out-dir that is empty, or cannot be made a
-directory, is refused before the run.  Exit codes: 0 success, 1
-configuration problem, 2 a size past its cap or an exhausted budget
-(BudgetError), 3 self-test failure.
+a key=value file (--config), under the flags.  A flag is read only by
+its whole name, and its value may start with -, as in --poly "-1;0;1".
+The merged text goes as `Text` to the config's `from_dict`, which parses
+and checks it.  Experiments, and gowers given --out-dir, write their
+files through `runio.write_files`; an --out-dir that is empty, or cannot
+be made a directory, is refused before the run.  Exit codes: 0 success,
+1 a ConfigError (a configuration problem, including the limits on
+pattern, calL, k-max and workers), 2 a BudgetError (a size past any
+other cap, or an exhausted budget), 3 self-test failure.
 """
 
 import argparse
@@ -41,7 +42,11 @@ OUT_DIR_HELP = "output directory (default runs/<subcommand>)"
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports bad usage as a ConfigError (exit code 1)."""
+    """argparse that reads a flag only by its whole name and reports bad
+    usage as a ConfigError (exit code 1)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ConfigError(message)

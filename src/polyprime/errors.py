@@ -1,17 +1,20 @@
 """Shared exception types.
 
-The command line maps these onto exit codes: configuration problems exit
-with 1, and a size past its cap or an exhausted budget with 2.
+The command line maps these onto exit codes: a ConfigError exits with 1,
+and a BudgetError with 2.
 """
 
 
 class ConfigError(ValueError):
-    """A run configuration is invalid or incomplete.  Only the config
+    """A run configuration is invalid or incomplete, including a value
+    past the limit on pattern, calL, k-max or workers.  Only the config
     layer raises it: config, runio and cli."""
 
 
 class BudgetError(RuntimeError):
-    """A size past its cap, or an exhausted enumeration or rho budget."""
+    """A size past a cap on a run's work (points per sample, w, d,
+    samples, digits of an integer, the gowers s and group), or an
+    exhausted enumeration or rho budget."""
 
 
 class ConsistencyError(RuntimeError):

@@ -14,7 +14,6 @@ import csv
 import json
 import math
 import os
-import warnings
 from dataclasses import asdict
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -69,11 +68,6 @@ def load_manifest_config(path: str) -> Config:
     subcommand has in `CONFIGS` (an experiment kind's: ExperimentConfig),
     checked like the flags.  A file that cannot be read, or is not such
     a manifest, raises ConfigError.
-
-    Experiment manifests written by older versions may carry retired
-    keys: deterministic_reduction, which never changed a run, is dropped
-    with a warning; the fixed window L is dropped when it is 0 (unset),
-    and any other L is refused, as no config can replay that run.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -84,16 +78,8 @@ def load_manifest_config(path: str) -> Config:
             and isinstance(doc.get("subcommand", ""), str)):
         raise ConfigError(f"{path}: a manifest is a JSON object with a "
                           "config object and a subcommand string")
-    cls = CONFIGS.get(doc.get("subcommand"), ExperimentConfig)
-    values = dict(doc["config"])
-    if cls is ExperimentConfig:
-        if values.pop("deterministic_reduction", None) is not None:
-            warnings.warn("ignoring retired manifest key "
-                          "'deterministic_reduction'")
-        if values.pop("L", 0) != 0:
-            raise ConfigError("L: fixed windows are retired, so this run "
-                              "cannot be replayed")
-    return cls.from_dict(values)
+    return CONFIGS.get(doc.get("subcommand"), ExperimentConfig).from_dict(
+        doc["config"])
 
 
 def write_files(out_dir: str, subcommand: str, cfg: Config, tables: dict,

@@ -529,6 +529,17 @@ CONFIG_ERRORS = [
      "unrecognized arguments: --k-max 2"),
     (["poisson-gaps", *SMALL_RUN, "--calL", "inf"],
      "calL must be positive and finite"),
+    # A flag is read only by its whole name; a prefix is no flag.
+    (["chowla-clt", *SMALL_RUN, "--samp", "2"],
+     "unrecognized arguments: --samp 2"),
+    (["sign-patterns", *SMALL_RUN, "--pat", "+-"],
+     "unrecognized arguments: --pat +-"),
+    (["sign-patterns", *SMALL_RUN, "--pat", "-+"],
+     "unrecognized arguments: --pat -+"),
+    (["series", "--po", "1;0;1", "--w", "5"],
+     "the following arguments are required: --poly"),
+    (["gowers", "--tar", "one", "--N", "5"],
+     "the following arguments are required: --target"),
 ]
 
 
@@ -536,6 +547,36 @@ CONFIG_ERRORS = [
 def test_config_errors_exit_one(argv, message, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_flag_prefixes_are_unknown_arguments(monkeypatch, capsys):
+    # Every proper prefix of a flag, of three characters or more, that is
+    # not itself a flag of the subcommand, given with a value when its
+    # flag takes one, after the subcommand's required flags.
+    import polyprime.cli as cli
+
+    def refuse(name, args):
+        raise AssertionError(f"{name}: a config was built")
+
+    monkeypatch.setattr(cli, "_build_cfg", refuse)
+    for name in [*experiments.KINDS, "series", "gowers"]:
+        keys = cli._config_keys(name)
+        required = [arg for key, (_, req) in keys.items() if req
+                    for arg in (f"--{key}", "1")]
+        flags = {f"--{key}": ["1"] for key in keys}
+        if name in experiments.KINDS:
+            flags["--config"] = ["run.cfg"]
+        if name == "series":
+            flags["--factors"] = []
+        for flag, value in flags.items():
+            for prefix in (flag[:n] for n in range(3, len(flag))):
+                if prefix in flags:
+                    continue
+                argv = [name, *required, prefix, *value]
+                assert main(argv) == 1, argv
+                assert capsys.readouterr().err == (
+                    "config error: unrecognized arguments: "
+                    f"{' '.join([prefix, *value])}\n"), argv
 
 
 def test_gowers_cyclic_stdout(capsys):

@@ -189,11 +189,12 @@ def test_bad_value_type_is_config_error_naming_key(kind, key, value):
 
 
 # One malformed value each, on a valid gowers manifest config, with the
-# error it gives; GONE deletes the key, "mode" is a key of the config
+# error it gives; GONE deletes the key.  A retired key is an unknown key,
+# in gowers and experiment manifests alike: "mode" is a key of the config
 # that gowers manifests held before GowersConfig, "multiplier" one they
 # held until the embedding multiplier became the constant
-# gowers.MULTIPLIER, and the retired experiment key
-# deterministic_reduction was never a gowers key.
+# gowers.MULTIPLIER, and deterministic_reduction an experiment key that
+# was never a gowers key (RETIRED_EXPERIMENT_KEYS below).
 BAD_GOWERS_VALUES = [
     ("target", "theta", "unknown gowers target 'theta'"),
     ("target", GONE, "missing required config value 'target'"),
@@ -220,6 +221,25 @@ def test_bad_gowers_manifest_value_is_config_error(tmp_path, key, value,
     with pytest.raises(ConfigError) as exc:
         load_manifest_config(str(path))
     assert str(exc.value) == message
+
+
+# Retired experiment keys, with the value older manifests recorded:
+# deterministic_reduction, which never changed a run, and the fixed
+# window L, 0 in every manifest whose window came from calL.
+RETIRED_EXPERIMENT_KEYS = [
+    ("deterministic_reduction", True), ("L", 0), ("L", 3)]
+
+
+@pytest.mark.parametrize("key, value", RETIRED_EXPERIMENT_KEYS)
+def test_retired_experiment_manifest_key_is_unknown(tmp_path, key, value):
+    cfg = ExperimentConfig(kind="poisson-gaps", d=1, H=30, X=20, samples=3,
+                           seed=8, calL=2.0)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"subcommand": "poisson-gaps",
+                                "config": dict(asdict(cfg), **{key: value})}))
+    with pytest.raises(ConfigError) as exc:
+        load_manifest_config(str(path))
+    assert str(exc.value) == f"unknown config key {key!r}"
 
 
 def test_value_forms_are_normalized():
@@ -283,45 +303,6 @@ def test_rerun_from_manifest_is_byte_identical(tmp_path):
         with open(p2[key], "rb") as fh:
             b2 = fh.read()
         assert b1 == b2
-
-
-def test_manifest_with_retired_key_loads_and_reruns(tmp_path):
-    cfg = ExperimentConfig(kind="sign-patterns", d=1, H=30, X=20,
-                           samples=5, seed=8, pattern=(1, -1))
-    p1 = write_run(str(tmp_path / "a"), run_experiment(cfg), "t0", "t1")
-    with open(p1["manifest"]) as fh:
-        doc = json.load(fh)
-    assert "deterministic_reduction" not in doc["config"]
-    doc["config"]["deterministic_reduction"] = True
-    with open(p1["manifest"], "w") as fh:
-        json.dump(doc, fh)
-    with pytest.warns(UserWarning, match="'deterministic_reduction'"):
-        cfg2 = load_manifest_config(p1["manifest"])
-    assert cfg2 == cfg
-    p2 = write_run(str(tmp_path / "b"), run_experiment(cfg2), "t2", "t3")
-    for key in ("samples", "aggregates"):
-        with open(p1[key], "rb") as fh:
-            b1 = fh.read()
-        with open(p2[key], "rb") as fh:
-            b2 = fh.read()
-        assert b1 == b2
-
-
-def test_manifest_with_retired_window_l(tmp_path):
-    # Every experiment manifest of older versions records L, 0 when the
-    # window came from calL; such a run replays, and a fixed window does
-    # not.
-    cfg = ExperimentConfig(kind="poisson-gaps", d=1, H=30, X=20,
-                           samples=3, seed=8, calL=2.0)
-    path = tmp_path / "manifest.json"
-    for L, error in ((0, None), (3, "L: fixed windows are retired")):
-        path.write_text(json.dumps({"subcommand": "poisson-gaps",
-                                    "config": dict(asdict(cfg), L=L)}))
-        if error is None:
-            assert load_manifest_config(str(path)) == cfg
-        else:
-            with pytest.raises(ConfigError, match=f"^{error}"):
-                load_manifest_config(str(path))
 
 
 @pytest.mark.parametrize("subcommand, config, message", [
