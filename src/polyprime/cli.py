@@ -1,42 +1,79 @@
 """Command line front end.
 
 One subcommand per entry of `experiments.KINDS`, plus series, gowers and
-selftest.  Each but selftest builds one config (`ExperimentConfig` for
-an experiment kind, else its class in `config.CONFIGS`) with a flag per
-config key, made from its field; an experiment's keys can also come from
-a key=value file (--config), under the flags.  A flag is read only by
-its whole name, and its value may start with -, as in --poly "-1;0;1".
-The merged text goes as `Text` to the config's `from_dict`, which parses
-and checks it.  Experiments, and gowers given --out-dir, write their
-files through `runio.write_files`; an --out-dir that is empty, or cannot
-be made a directory, is refused before the run.  Exit codes: 0 success,
-1 a ConfigError (a configuration problem, including the limits on
-pattern, calL, k-max and workers), 2 a BudgetError (a size past any
-other cap, or an exhausted budget), 3 self-test failure.
+selftest, which repeats the pinned runs of `GOLDEN` at one and at two
+workers and compares the sha256 of their CSVs.  Each but selftest builds
+one config (`ExperimentConfig` for an experiment kind, else its class in
+`config.CONFIGS`) with a flag per config key, made from its field; an
+experiment's keys can also come from a key=value file (--config), under
+the flags.  A flag is read only by its whole name, and its value may
+start with -, as in --poly "-1;0;1".  The merged text goes as `Text` to
+the config's `from_dict`, which parses and checks it.  Experiments, and
+gowers given --out-dir, write their files through `runio.write_files`;
+an --out-dir that is empty, or cannot be made a directory, is refused
+before the run.  Exit codes: 0 success, 1 a ConfigError (a configuration
+problem, including the limits on pattern, calL, k-max and workers), 2 a
+BudgetError (a size past any other cap, or an exhausted budget), 3 a
+pinned run's bytes differ (selftest).
 """
 
 import argparse
 import math
 import os
 import sys
+import tempfile
 from dataclasses import MISSING, fields
 
 import numpy as np
 
-from .arith import (_TRIAL_BOUND, _split, factorize, is_prime_many,
-                    liouville_many, liouville_sieve, mobius_sieve,
-                    von_mangoldt_many)
 from .config import CONFIGS, GowersConfig, SeriesConfig, Text
 from .errors import BudgetError, ConfigError
 from .experiments import KINDS, ExperimentConfig, run_experiment
 from .gowers import TARGETS, gowers_norm_cyclic, gowers_norm_interval
-from .moments import poisson_central_moment, stein_chen_check
-from .poly import IntPolynomial, sample_uniform
-from .rng import stream
+from .poly import IntPolynomial
 from .runio import (format_cell, load_config_file, utc_now_iso, write_files,
                     write_run)
-from .series import (interchange_identity_check, series_f_tuple,
-                     tuple_sum_identity_residual)
+from .series import series_f_tuple
+
+# The pinned runs that selftest repeats: one small seeded run per
+# experiment kind, with the sha256 of its samples.csv and aggregates.csv,
+# the same at one and at two workers.  Together they reach both splitting
+# routes (values below and above 2**52), perfect powers, rho and every
+# kind.  The hashes include math.log bytes from the platform's libm; they
+# hold on Linux under CPython 3.10 and 3.11, and a libm whose log differs
+# in the last place fails them on a correct program.  A change that moves
+# output bytes on purpose updates the hashes it moves.
+GOLDEN = {
+    "bh-moments": (
+        {"d": 2, "H": 10 ** 20, "X": 40, "w": 7, "samples": 20,
+         "seed": 11},
+        "ae9c7c84b0043ed553335cdbd7bac48b3f0830da90854e57bd9b58f7a595a4e1",
+        "d2f7c1b64dfa6a1abacc4171eb17b07766cb034c6027b3dbbfad3ec259a2021f"),
+    "tuples": (
+        {"d": 1, "H": 10 ** 7, "X": 300, "w": 11, "shifts": (0, 2),
+         "samples": 20, "seed": 12},
+        "bb1719c32ad669467df291bd4f8fca54ce4b368a64e69f2af6e3d88412734bb6",
+        "2693a1c7e533be01e305897605c8125d7c4d826887cdc400e571761dc80de204"),
+    "chowla-clt": (
+        {"d": 3, "H": 10 ** 12, "X": 40, "samples": 20, "seed": 13},
+        "765b2c82e389697f5d316efae122202222a2fd6434d91b53df4baae58844ce8f",
+        "21207d9d6ceddb84b7ba216bae3b3286bdbfe8971237c4fb96a8e26ece625b79"),
+    "sign-patterns": (
+        {"d": 2, "H": 10 ** 9, "X": 60, "pattern": (1, -1), "samples": 20,
+         "seed": 14},
+        "1953d73ca151bcee70600c9e4bef841a4e3d128dbc2eb0dce05ed448c2c7117e",
+        "0527664cb5152504e446966a2f92343c44b8102535186418caa38849b3bdc95d"),
+    "poisson-gaps": (
+        {"d": 2, "H": 10 ** 6, "X": 200, "w": 20, "samples": 20,
+         "seed": 15},
+        "a9806580a20314a712c80d1686d3534c14ef1a8e7f2187bca380402a90ab4ccd",
+        "4c0eb7b2ba5d9b5203f9c2278d1102c70ef0f1c0b5ac4a38956cbbece9e3d41b"),
+    "linear-forms": (
+        {"d": 2, "H": 10 ** 8, "X": 1, "w": 11, "ns": (1, 2, 3), "M": 3,
+         "f0": (1, 0), "samples": 20, "seed": 16},
+        "bb24580c4ddbf0991fb0a88ec6f87631e47ef735953d7f34c0ccd70302542ad4",
+        "ef5799ead71ef45ed1b29aa9887f5215ddf57df194579b10e636bbe268a1eb8c"),
+}
 
 OUT_DIR_HELP = "output directory (default runs/<subcommand>)"
 
@@ -164,94 +201,27 @@ def _gowers_cmd(cfg: GowersConfig, out_dir) -> int:
 
 
 def _selftest_cmd() -> int:
+    # hashlib is imported here, as no other subcommand needs it: at the
+    # top it would slow every start of the CLI.
+    import hashlib
+
     failures = 0
-
-    def report(name, ok):
-        nonlocal failures
-        print(f"{name}: {'ok' if ok else 'FAIL'}")
-        if not ok:
-            failures += 1
-
-    report("stein-chen identity (l <= 12)",
-           all(stein_chen_check(ell) for ell in range(13)))
-
-    try:
-        for k in range(13):
-            poisson_central_moment(k)
-        ok = (poisson_central_moment(1).coeffs == (0,)
-              and poisson_central_moment(2).coeffs == (0, 1)
-              and poisson_central_moment(4).coeffs == (0, 1, 3))
-    except Exception:
-        ok = False
-    report("central moment definition vs recurrence (k <= 12)", ok)
-
-    n = 10 ** 6
-    lam = liouville_sieve(n).astype(np.int64)
-    mu = mobius_sieve(n).astype(np.int64)
-    acc = np.zeros(n + 1, dtype=np.int64)
-    r = 1
-    while r * r <= n:
-        step = r * r
-        m = n // step
-        acc[step:: step] += mu[1: m + 1]
-        r += 1
-    report("liouville equals mobius summed over square divisors (n <= 1e6)",
-           bool(np.array_equal(acc[1:], lam[1:])))
-
-    rng = stream(20260818, 0)
-    ok = True
-    for p in (2, 3, 5, 7, 11, 13):
-        for r in (1, 2, 3):
-            for _ in range(20):
-                f = sample_uniform(3, 50, rng)
-                if not interchange_identity_check(f, p, r):
-                    ok = False
-    report("series interchange identity (p <= 13, r <= 3)", ok)
-
-    # (L S_w(f))^r minus the tuple series summed over distinct shifts in
-    # 1..L: 0 at r = 1, and frozen exact values at r = 2.
-    x, x2_1 = IntPolynomial((0, 1)), IntPolynomial((1, 0, 1))
-    got = [tuple_sum_identity_residual(f, L, r, w) for f, L, r, w in (
-        (x, 2, 1, 2), (x, 7, 1, 3), (x2_1, 5, 1, 3), (x, 4, 2, 2),
-        (x2_1, 6, 2, 3), (x2_1, 12, 2, 3), (x2_1, 24, 2, 3))]
-    report("tuple series sum identity (x, x^2 + 1; L <= 24, r <= 2)",
-           got == [0, 0, 0, 8, 27, 54, 108])
-
-    # The batched kernels split values below 2**52 with the numpy sieve;
-    # factorize trial-divides every value instead.  The list holds the
-    # bounds of the Miller-Rabin bands, each a strong pseudoprime to the
-    # bases below it, a row that leaves the sieve part-way (65521 once its
-    # 3s are off), and rows that must not leave after the first block of
-    # primes 3 to 23 (29**2 and 29 * 31 times small primes).
-    def by_factorize(v):
-        if v == 0:
-            return 0, 0.0, False
-        f = factorize(v)
-        return ((-1) ** sum(e for _, e in f),
-                math.log(f[0][0]) if len(f) == 1 else 0.0,
-                f == ((abs(v), 1),))
-
-    pseudo = [4_759_123_141, 1_122_004_669_633, 2_152_302_898_747,
-              3_474_749_660_383, 341_550_071_728_321]
-    mixed = [0, 1, -1, 2, -2, 2 ** 51, -(3 ** 30), 1031 ** 5, 65521 ** 3,
-             -65537 * 65539, 3 * 65537, 999_999_999_989 * 2 ** 9,
-             10 ** 14 + 31, 2 ** 52 - 1, 2 ** 52 + 1, -(2 ** 61 - 1),
-             (2 ** 61 - 1) ** 2, 1031 ** 7, 3 * 5 * 7 * 11 * 1031 ** 4,
-             *pseudo, 3 ** 20 * 65521, -(2 ** 20) * 29 ** 2, 3 ** 9 * 29 * 31]
-    ok = (list(zip(liouville_many(mixed), von_mangoldt_many(mixed),
-                   is_prime_many(mixed))) == [by_factorize(v) for v in mixed]
-          and not any(is_prime_many(pseudo)))
-    # Each row of the split has a rest free of primes below its bound,
-    # and below the bound squared unless the row ran every sieve block
-    # or was trial-divided.
-    bounds, small, rest = _split(mixed, full=True)
-    top = max(bounds)
-    ok = ok and all(v == 0 or m * math.prod(ps) == abs(v)
-                    and all(p >= b for p, _ in factorize(m))
-                    and (m < b * b or b in (top, _TRIAL_BOUND))
-                    for v, b, ps, m in zip(mixed, bounds, small, rest))
-    report("batched kernels agree with factorize (mixed list)", ok)
-
+    for kind, (keys, *hashes) in GOLDEN.items():
+        verdict = "ok"
+        for workers in (1, 2):
+            cfg = ExperimentConfig(kind=kind, workers=workers, **keys)
+            with tempfile.TemporaryDirectory() as tmp:
+                paths = write_run(tmp, run_experiment(cfg), "", "")
+                wrong = []
+                for role, want in zip(("samples", "aggregates"), hashes):
+                    with open(paths[role], "rb") as fh:
+                        if hashlib.sha256(fh.read()).hexdigest() != want:
+                            wrong.append(os.path.basename(paths[role]))
+            if wrong:
+                verdict = f"FAIL {wrong[0]} at workers {workers}"
+                break
+        print(f"{kind}: {verdict}")
+        failures += verdict != "ok"
     return 3 if failures else 0
 
 
@@ -276,7 +246,7 @@ def build_parser() -> _Parser:
             s.add_argument("--factors", action="store_true",
                            help="also print the per-prime local factors")
 
-    sub.add_parser("selftest", help="run the exact identity suites")
+    sub.add_parser("selftest", help="check the pinned runs' output bytes")
     return parser
 
 

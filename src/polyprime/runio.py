@@ -36,7 +36,7 @@ def load_config_file(path: str) -> dict:
                     raise ConfigError(f"{path}:{lineno}: expected key=value")
                 key, _, value = line.partition("=")
                 raw[key.strip()] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     return raw
 

@@ -10,7 +10,7 @@ modulus M >= 1 with no prime factor above w.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 
 from .arith import primes_upto
 from .errors import BudgetError
@@ -18,7 +18,6 @@ from .poly import (IntPolynomial, count_unit_tuples_linear_system,
                    count_unit_values_mod_p)
 
 INTERCHANGE_BUDGET = 10 ** 7
-TUPLE_SUM_BUDGET = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -130,27 +129,3 @@ def interchange_identity_check(f: IntPolynomial, p: int, r: int) -> bool:
                    if all(unit[(x + l) % p] for l in shifts))
     rhs = p * sum(unit) ** r
     return lhs == rhs
-
-
-def tuple_sum_identity_residual(f: IntPolynomial, L: int, r: int,
-                                w: int) -> Fraction:
-    """(L * series)^r minus the sum of tuple series over distinct shifts.
-
-    The shifts range over ordered r-tuples of distinct values in 1..L.
-    The result stays exact; the caller compares it against the expected
-    lower-order growth in L.
-    """
-    if L < 1:
-        raise ValueError("L must be >= 1")
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    n_tuples = 1
-    for i in range(r):
-        n_tuples *= L - i
-    if n_tuples > TUPLE_SUM_BUDGET:
-        raise BudgetError(f"{n_tuples} shift tuples exceed the budget")
-    total = (L * series_f(f, w).value) ** r
-    acc = Fraction(0)
-    for shifts in permutations(range(1, L + 1), r):
-        acc += series_f_tuple(f, shifts, w).value
-    return total - acc

@@ -280,6 +280,17 @@ def test_liouville_sieve_matches_pointwise():
         assert int(lam[n]) == liouville(n)
 
 
+def test_liouville_sieve_is_mobius_over_square_divisors():
+    # lambda(n) = sum of mu(n / r**2) over r**2 dividing n, for n <= 10**6.
+    n = 10 ** 6
+    lam = liouville_sieve(n).astype(np.int64)
+    mu = mobius_sieve(n).astype(np.int64)
+    acc = np.zeros(n + 1, dtype=np.int64)
+    for r in range(1, math.isqrt(n) + 1):
+        acc[r * r:: r * r] += mu[1: n // (r * r) + 1]
+    assert np.array_equal(acc[1:], lam[1:])
+
+
 def test_mobius_sieve_matches_pointwise():
     mu = mobius_sieve(1000)
     assert mu[0] == 0
@@ -319,6 +330,17 @@ BIG_COFACTORS = (P16[0] * P16[1] * P16[2], P16[0] ** 3, P16[0] ** 2 * P16[1],
                  P16[0] * P32, P32 ** 2, PRIME_ABOVE_2_64,
                  PRIME_ABOVE_2_64 * P16[1], 3 * P16[0] * P16[2] * P32)
 EDGES = (2 ** 52, 2 ** 63, 2 ** 64)
+# The bounds of the Miller-Rabin bands, each a strong pseudoprime to the
+# bases below it, a row that leaves the sieve part-way (65521 once its 3s
+# are off), and rows that must not leave after the first block of primes
+# 3 to 23 (29**2 and 29 * 31 times small primes).
+PSEUDOPRIMES = (4_759_123_141, 1_122_004_669_633, 2_152_302_898_747,
+                3_474_749_660_383, 341_550_071_728_321)
+MIXED = (0, 1, -1, 2, -2, 2 ** 51, -(3 ** 30), 1031 ** 5, 65521 ** 3,
+         -65537 * 65539, 3 * 65537, 999_999_999_989 * 2 ** 9, 10 ** 14 + 31,
+         2 ** 52 - 1, 2 ** 52 + 1, -(2 ** 61 - 1), (2 ** 61 - 1) ** 2,
+         1031 ** 7, 3 * 5 * 7 * 11 * 1031 ** 4, *PSEUDOPRIMES,
+         3 ** 20 * 65521, -(2 ** 20) * 29 ** 2, 3 ** 9 * 29 * 31)
 
 
 @st.composite
@@ -360,7 +382,7 @@ def test_batched_kernels_fixed_edges():
     values = [0, 1, -1, 0, 2, -2, 65521, 65521 ** 2, -(2 ** 40),
               P16[0] * P16[1], -P16[0] ** 2, b ** 2 - 1, b ** 3 - 1,
               *(e + d for e in EDGES for d in (-3, -1, 0, 1, 3)),
-              *BIG_COFACTORS]
+              *BIG_COFACTORS, *MIXED]
     want, got = _sympy_and_batched(values)
     assert got == want
     # The two zeros take the sentinels of liouville and von Mangoldt.
@@ -471,6 +493,7 @@ def test_sieve_split_edge_values():
     values = [v for v in EDGE_SPLIT_VALUES if abs(v) < 2 ** 52]
     for full in (True, False):
         check_split(values, full)
+        check_split(list(MIXED), full)
     _, small, rest = arith._split(values, full=False)
     assert small[:3] == [[], [], []] and rest[:3] == [0, 1, 1]
     for v, ps, m in zip(values[3:], small[3:], rest[3:]):

@@ -113,6 +113,18 @@ def test_unknown_config_key_named(tmp_path, capsys):
     assert "shifts" in capsys.readouterr().err
 
 
+def test_config_file_not_utf8_exits_one(tmp_path, capsys):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_bytes(b"d=1\nH=\xff\xfe\n")
+    out = tmp_path / "run"
+    assert main(["chowla-clt", "--config", str(cfgfile), "--X", "5",
+                 "--samples", "2", "--seed", "1", "--out-dir",
+                 str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config file {cfgfile}")
+    assert not out.exists()
+
+
 def test_missing_required_key_named(capsys):
     rc = main(["bh-moments", "--d", "1", "--H", "10", "--samples", "2",
                "--seed", "1"])
@@ -935,3 +947,15 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert out.count(": ok") == 6
     assert "FAIL" not in out
+
+
+def test_selftest_names_the_kind_and_file_that_differ(monkeypatch, capsys):
+    import polyprime.cli as cli
+
+    golden = dict(cli.GOLDEN)
+    golden["tuples"] = golden["tuples"][:2] + ("0" * 64,)
+    monkeypatch.setattr(cli, "GOLDEN", golden)
+    assert main(["selftest"]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "tuples: FAIL aggregates.csv at workers 1" if kind == "tuples"
+        else f"{kind}: ok" for kind in golden]

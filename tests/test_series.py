@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 import sympy
@@ -22,7 +23,6 @@ from polyprime.series import (
     series_f,
     series_f_tuple,
     series_linear_system,
-    tuple_sum_identity_residual,
 )
 
 X = IntPolynomial((0, 1))
@@ -228,6 +228,33 @@ def test_interchange_identity_random_sweep():
 def test_interchange_budget():
     with pytest.raises(BudgetError):
         interchange_identity_check(X, 101, 4)
+
+
+TUPLE_SUM_BUDGET = 10 ** 6
+
+
+def tuple_sum_identity_residual(f: IntPolynomial, L: int, r: int,
+                                w: int) -> Fraction:
+    """(L * series)^r minus the sum of tuple series over distinct shifts.
+
+    The shifts range over ordered r-tuples of distinct values in 1..L.
+    The result stays exact; the caller compares it against the expected
+    lower-order growth in L.
+    """
+    if L < 1:
+        raise ValueError("L must be >= 1")
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    n_tuples = 1
+    for i in range(r):
+        n_tuples *= L - i
+    if n_tuples > TUPLE_SUM_BUDGET:
+        raise BudgetError(f"{n_tuples} shift tuples exceed the budget")
+    total = (L * series_f(f, w).value) ** r
+    acc = Fraction(0)
+    for shifts in permutations(range(1, L + 1), r):
+        acc += series_f_tuple(f, shifts, w).value
+    return total - acc
 
 
 def test_tuple_sum_residual_r1_is_zero():
