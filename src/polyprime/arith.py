@@ -12,16 +12,16 @@ scalar `liouville`, `von_mangoldt` and `is_prime` are each the list of
 one.  One split, `_split`, takes the list and splits every value, under
 a bound of its own, into the primes p below that bound that divide it
 and a cofactor m with no prime factor below it.  The split may stop
-early, once m is below the square of the next prime to test, so that m
-is 1 or prime; the sieve then takes that prime as the value's bound.  A
-cofactor 1 < m < bound**2 is prime, and a composite m < bound**3 is a
-product of exactly two primes; Miller-Rabin tells the two cases apart.
-Only a cofactor m >= bound**3 needs more: Liouville factors it from the
-bound on, with the loop that `factorize` runs after its trial division,
-and von Mangoldt runs Miller-Rabin and asks `perfect_power` whether a
-composite m is a power of a prime.  For von Mangoldt and primality a
-value's split stops after its first small prime, which settles the
-answer.
+early, once m is below the cube of the next prime to test (for von
+Mangoldt and primality, its square); the sieve then takes that prime as
+the value's bound.  A cofactor 1 < m < bound**2 is prime, and a
+composite m < bound**3 is a product of exactly two primes; Miller-Rabin
+tells the two cases apart.  Only a cofactor m >= bound**3 needs more:
+Liouville factors it from the bound on, with the loop that `factorize`
+runs after its trial division, and von Mangoldt runs Miller-Rabin and
+asks `perfect_power` whether a composite m is a power of a prime.  For
+von Mangoldt and primality a value's split stops after its first small
+prime, which settles the answer.
 
 The split finds the small primes in one of two ways, chosen by size
 because a float64 quotient is exact only below 2**52.  The values below
@@ -30,9 +30,10 @@ it are sieved together, under a top bound B: the least power of two
 of two come off each value by bit operations, then numpy tests the odd
 primes p < B in blocks: the 8 smallest first, then blocks as wide as its
 buffer of 2**15 quotients allows.  After each block a value leaves once
-its cofactor is below the square of the next prime, and for von
-Mangoldt and primality the values that a small prime settles, most of
-them, leave before the wide blocks; later blocks widen as values leave.
+its cofactor is below the cube of the next prime (the square, for von
+Mangoldt and primality), and for von Mangoldt and primality the values
+that a small prime settles, most of them, leave before the wide blocks;
+later blocks widen as values leave.
 A value that runs every block has bound B.  A value of 2**52 or more is
 trial-divided by the primes below 1024, its bound, and stays out of the
 sieve.
@@ -44,14 +45,15 @@ counts 64-bit words: a rho iteration on m costs ceil(m.bit_length() / 64),
 which is 1 below 2**64, so it bounds time as well as iterations.
 Exceeding it raises BudgetError instead of stalling.  Miller-Rabin
 takes the smallest base set proven for the size of n: Jaeschke's (Math.
-Comp. 61, 1993) sets of 3 to 6 bases below 3,474,749,660,383, Sinclair's
-seven bases below 2**64 and 13 fixed witnesses below ~3.3e24, each a
-proof there.
+Comp. 61, 1993) sets of 3 to 6 bases below 3,474,749,660,383, base 2
+and a strong Lucas test (Baillie-PSW) below 2**64, and 13 fixed
+witnesses below ~3.3e24, each a proof there.
 """
 
 import math
 import random
 from collections import Counter
+from itertools import chain
 import numpy as np
 
 from .errors import BudgetError
@@ -62,14 +64,16 @@ RHO_BUDGET = 10_000_000
 
 # (bound, bases): below each bound its bases make Miller-Rabin a proof.
 # The first four bounds are the least composites that pass all of their
-# bases (Jaeschke 1993); Sinclair's seven bases hold below 2**64.
+# bases (Jaeschke 1993).  Below 2**64 base 2 is followed by a strong Lucas
+# test (Baillie-PSW), which no composite there passes.
 _MR_BANDS = (
     (4_759_123_141, (2, 7, 61)),
     (1_122_004_669_633, (2, 13, 23, 1_662_803)),
     (2_152_302_898_747, (2, 3, 5, 7, 11)),
     (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
-    (1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+    (1 << 64, (2,)),
 )
+_BPSW_FROM, _BPSW_BOUND = _MR_BANDS[-2][0], _MR_BANDS[-1][0]
 _MR_DET_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_DET_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXTRA_ROUNDS = 64
@@ -91,21 +95,6 @@ _TRIAL_BOUND = 1024
 _TRIAL_PRIMES = tuple(int(p) for p in primes_upto(_TRIAL_BOUND))
 
 
-def _mr_round(n: int, d: int, s: int, a: int) -> bool:
-    """One Miller-Rabin round; True means `a` says probably prime."""
-    a %= n
-    if a == 0:
-        return True
-    x = pow(a, d, n)
-    if x == 1 or x == n - 1:
-        return True
-    for _ in range(s - 1):
-        x = x * x % n
-        if x == n - 1:
-            return True
-    return False
-
-
 def is_prime(n: int) -> bool:
     """Primality of |n|, as `is_prime_many([n])[0]`.
 
@@ -116,33 +105,122 @@ def is_prime(n: int) -> bool:
 
 
 def _miller_rabin(n: int) -> bool:
-    """Miller-Rabin on odd n > 7, with the smallest proven base set for n.
+    """Primality of odd n > 7 by Miller-Rabin with the smallest proven
+    base set for n, and a strong Lucas test from 3,474,749,660,383 on.
 
     The bases are those of the first band of _MR_BANDS whose bound
     exceeds n: Jaeschke's (Math. Comp. 61, 1993) 2, 7, 61 below
     4,759,123,141; 2, 13, 23, 1662803 below 1,122,004,669,633; the
     primes to 11 below 2,152,302,898,747 and to 13 below
-    3,474,749,660,383; then Sinclair's seven bases below 2**64.  No
-    composite n divides a base of its band, so a base that is 0 mod n
-    (skipped by `_mr_round`) is only ever met by a prime n.  Above
-    2**64 the 13 fixed witnesses are a proof below ~3.3e24; beyond that
-    they are topped up with 64 extra bases drawn from a generator seeded
-    by n itself, so the answer is still reproducible run to run.
+    3,474,749,660,383.  No composite n divides a base of its band, so a
+    base that is 0 mod n (skipped) is only ever met by a prime n.  From
+    3,474,749,660,383 to 2**64 the one base 2 is followed by
+    `_strong_lucas`: that is the Baillie-PSW test (Baillie and Wagstaff,
+    Math. Comp. 35, 1980), and Feitsma's list of the base-2 strong
+    pseudoprimes below 2**64, as checked by Gilchrist, holds no composite
+    that passes it.  Above 2**64 the 13 fixed witnesses are a proof below
+    ~3.3e24; beyond that they are topped up with 64 extra bases drawn
+    from a generator seeded by n itself, so the answer is still
+    reproducible run to run.
     """
-    bases = next((bases for bound, bases in _MR_BANDS if n < bound),
-                 _MR_DET_WITNESSES)
+    for bound, bases in _MR_BANDS:
+        if n < bound:
+            break
+    else:
+        bases = _MR_DET_WITNESSES
+        if n >= _MR_DET_BOUND:
+            rng = random.Random(n ^ 0xD1B54A32D192ED03)
+            bases = chain(bases, (rng.randrange(2, n - 1)
+                                  for _ in range(_MR_EXTRA_ROUNDS)))
     d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    if not all(_mr_round(n, d, s, a) for a in bases):
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in bases:
+        a %= n
+        if a == 0:
+            continue
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return not _BPSW_FROM <= n < _BPSW_BOUND or _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if n & 7 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a & n & 3 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of odd n, with Selfridge's
+    parameters (method A): P = 1 and Q = (1 - D) / 4 for the first D of
+    5, -7, 9, -11, ... with Jacobi symbol (D/n) = -1.
+
+    A square n has no such D, so it is refused before the search; a D
+    with (D/n) = 0 has a factor in common with n, which is then composite
+    unless n divides D.  With n + 1 = k * 2**s, k odd, n passes when
+    U_k = 0 or V_(k * 2**r) = 0 mod n for some 0 <= r < s.
+    """
+    r = math.isqrt(n)
+    if r * r == n:
         return False
-    if n < _MR_DET_BOUND:
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and D % n:
+            return False
+        D = 2 - D if D < 0 else -D - 2
+    Q = (1 - D) // 4
+    k = n + 1
+    s = (k & -k).bit_length() - 1
+    k >>= s
+    # (U_j, V_j, Q**j) mod n from j = 1, doubling j and then adding the
+    # next bit of k: U_2j = U_j V_j, V_2j = V_j**2 - 2 Q**j, and with
+    # P = 1, U_(j+1) = (U_j + V_j) / 2 and V_(j+1) = U_(j+1) - 2 Q U_j.
+    # After an added bit the three are left unreduced until the next
+    # doubling.
+    u = v = 1
+    qk = Q
+    for bit in bin(k)[3:]:
+        u = u * v % n
+        v = (v * v - 2 * qk) % n
+        qk = qk * qk % n
+        if bit == "1":
+            u += v
+            w = 2 * Q * (u - v)
+            if u & 1:
+                u += n
+            u >>= 1
+            v = u - w
+            qk *= Q
+    v %= n
+    qk %= n
+    if u % n == 0 or v == 0:
         return True
-    rng = random.Random(n ^ 0xD1B54A32D192ED03)
-    return all(_mr_round(n, d, s, rng.randrange(2, n - 1))
-               for _ in range(_MR_EXTRA_ROUNDS))
+    for _ in range(s - 1):
+        v = (v * v - 2 * qk) % n
+        if v == 0:
+            return True
+        qk = qk * qk % n
+    return False
 
 
 def iroot(n: int, k: int) -> int:
@@ -318,12 +396,14 @@ def _split(values, full: bool):
     top bound B, `_sieve_bound` of the largest of them.  Its bounds[i] is
     the first prime it was not tested against, or B if it was tested
     against every prime below B or its rest was 0 or 1 before the odd
-    primes.  It leaves after a block once its rest is below the square of
-    the next prime, so rest[i] < bounds[i]**2 unless bounds[i] == B: the
-    rest is then 1 or a prime.  A row of 2**52 and more is trial-divided
-    by `_trial_split` instead, with bound _TRIAL_BOUND, and stays out of
-    the sieve; its rest is below _TRIAL_BOUND**2 unless it ran every
-    prime below that bound.
+    primes.  With full=True it leaves after a block once its rest is below
+    the cube of the next prime, so rest[i] < bounds[i]**3 unless
+    bounds[i] == B: the rest is then 1, a prime or a product of two
+    primes.  With full=False the square takes the place of the cube, so
+    the rest of a row with no hit is 1 or a prime unless bounds[i] == B.
+    A row of 2**52 and more is trial-divided by `_trial_split` instead,
+    with bound _TRIAL_BOUND, and stays out of the sieve; its rest is below
+    _TRIAL_BOUND**2 unless it ran every prime below that bound.
 
     The sieve runs as follows.  The powers of two come off every value
     first, by bit operations; with full=False an even row leaves there,
@@ -382,8 +462,9 @@ def _split(values, full: bool):
                 break
             if full:  # with full=False the rows with a hit leave anyway
                 v[hit_rows, 0] = [rest[i] for i in rows[hit_rows].tolist()]
-            # A rest below the next prime squared is 1 or a prime.
-            keep = v[:, 0] >= _SIEVE_PRIMES_F[c1] ** 2
+            # A rest below the next prime squared is 1 or a prime, and one
+            # below its cube is 1, a prime or a product of two primes.
+            keep = v[:, 0] >= _SIEVE_PRIMES_F[c1] ** (3 if full else 2)
             if not full:
                 keep[hit_rows] = False
             bounds[rows[~keep]] = _SIEVE_PRIMES[c1]

@@ -24,10 +24,12 @@ from .errors import ConfigError
 from .experiments import ExperimentConfig, RunResult
 
 def load_config_file(path: str) -> dict:
-    """key=value file to a raw string dict; later flags override these."""
+    """key=value file to a raw string dict; later flags override these.
+
+    The file is UTF-8, with or without a byte order mark."""
     raw = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 import sympy
+from sympy.ntheory.primetest import is_strong_lucas_prp, mr
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -401,19 +402,23 @@ def test_sieve_bound():
     assert arith._sieve_bound(10 ** 30) == 2 ** 16
 
 
-# Rows whose rest falls below the next prime squared part-way through
-# the sieve: a prime just below 2**16 alone or times a power of 2 or of
-# 3 or 3**5 * 5 * 7; and two such primes (which must run every block).
+# Rows of a full split whose rest falls below the next prime's cube, but
+# not below its square, part-way through the sieve: two primes just below
+# 2**16, alone or times a power of 2 or of 3 or 3**5 * 5 * 7.  And three
+# primes just above 2**16, alone or times 15: their rest stays above
+# every cube, so they must run every block.
 Q16 = 65521
-LEAVERS = [3 ** 20 * Q16, -(2 ** 36) * Q16, Q16, -(3 ** 5 * 5 * 7) * Q16]
-STAYERS = [Q16 * 65519, 3 * 5 * 7 * Q16 * 65519]
+LEAVERS = [Q16 * 65519 * s for s in (1, 3 ** 10, -(2 ** 10),
+                                     -(3 ** 5 * 5 * 7))]
+STAYERS = [s * 65537 * 65539 * 65543 for s in (1, -15)]
 
 
 def test_sieve_split_against_sympy():
     # The sieve itself: each row lists exactly the primes below its own
-    # bound, with multiplicity, and a rest free of them; a rest of the
-    # bound squared or more only at the top bound B (or, without full,
-    # after a hit).  Values up to the float64 limit 2**52.
+    # bound, with multiplicity, and a rest free of them.  Below the top
+    # bound B a full row's rest is below the bound cubed, and a row
+    # without full has a rest below the bound squared unless it had a hit.
+    # Values up to the float64 limit 2**52.
     rng = stream(20260818, 107)
     values = [2 ** 52 + d for d in range(-80, 0)]
     values += [rng.randrange(1, 2 ** 22) * 3 ** 5 * 7 * 65521
@@ -438,16 +443,20 @@ def test_sieve_split_against_sympy():
                         for _ in range(e)]
                 assert ps == want, v
                 assert m == (abs(v) // math.prod(ps) if v else 0), v
-                assert m < b * b or b == top or ps and not full, v
+                assert b == top or (m < b ** 3 if full
+                                    else m < b * b or ps), v
         stopped += sum(b < w for b, w in zip(part[0], whole[0]))
         got = dict(zip(chunk, zip(*whole)))
         for v in LEAVERS:
             if v in got:
                 b, _, m = got[v]
-                assert 29 < b < top and m == Q16, v
+                assert 29 < b < top and m == Q16 * 65519, v
+                assert b * b <= m < b ** 3, v
         for v in STAYERS:
             if v in got:
-                assert got[v][0] == top, v
+                b, _, m = got[v]
+                assert b == top and m == 65537 * 65539 * 65543, v
+                assert m >= b ** 3, v
     assert stopped
 
 
@@ -457,11 +466,12 @@ def check_split(values, full):
     the rest times them is |v| and the rest is coprime to that product
     (so they are exactly the primes below the bound, with multiplicity).
     A row below 2**52 has a bound below the top bound B, taken from those
-    rows alone, or B itself; its rest is below the bound squared unless
-    the bound is B or, with full=False, the row had a hit.  A row of 2**52
-    and more has bound 1024.  Its trial division may stop early, with a
-    rest that is a prime below 1024**2, and with full=False and a hit it
-    stops after its least prime, which is then out of the rest."""
+    rows alone, or B itself.  Unless the bound is B its rest is below the
+    bound cubed with full=True, and with full=False below the bound squared
+    unless the row had a hit.  A row of 2**52 and more has bound 1024.
+    Its trial division may stop early, with a rest that is a prime below
+    1024**2, and with full=False and a hit it stops after its least prime,
+    which is then out of the rest."""
     low = [abs(v) for v in values if abs(v) < 2 ** 52]
     top = arith._sieve_bound(max(low, default=0))
     got = arith._split(values, full)
@@ -481,7 +491,8 @@ def check_split(values, full):
             below[cut] = math.prod(sympy.primerange(cut))
         assert math.gcd(m, below[cut]) == 1 or v == 0 \
             or big and m < b * b and sympy.isprime(m), v
-        assert big or m < b * b or b == top or ps and not full, v
+        assert big or b == top or (m < b ** 3 if full
+                                   else m < b * b or ps), v
     return got
 
 
@@ -649,16 +660,56 @@ def test_miller_rabin_band_bounds():
     assert arith._MR_BANDS[:4] == MR_BANDS[1:5]
     for n, bases in MR_BANDS:
         assert not sympy.isprime(n)
-        d, s = n - 1, 0
-        while d % 2 == 0:
-            d, s = d // 2, s + 1
-        assert all(arith._mr_round(n, d, s, a) for a in bases), n
+        assert mr(n, bases), n
         assert not arith._miller_rabin(n), n
         for m in range(n - 199, n + 200, 2):
             assert arith._miller_rabin(m) == sympy.isprime(m), m
     bounds = [n for n, _ in MR_BANDS]
     assert is_prime_many(bounds) == [False] * len(bounds)
     assert liouville_many(bounds) == [-1, 1, 1, -1, -1, 1]
+
+
+# The strong Lucas pseudoprimes with Selfridge's parameters below 60,000
+# (OEIS A217255).
+STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971, 22499, 24569,
+                             25199, 40309, 58519)
+
+
+def test_strong_lucas_against_sympy():
+    for n in range(1, 60_000, 2):
+        assert arith._strong_lucas(n) == is_strong_lucas_prp(n), n
+    assert [n for n in range(3, 60_000, 2) if arith._strong_lucas(n)
+            and not sympy.isprime(n)] == list(STRONG_LUCAS_PSEUDOPRIMES)
+    rng = stream(20260818, 109)
+    band = [rng.randrange(arith._BPSW_FROM, 2 ** 64) | 1
+            for _ in range(2000)]
+    band += [sympy.nextprime(rng.randrange(arith._BPSW_FROM, 2 ** 64))
+             for _ in range(100)]
+    for n in band:
+        assert arith._strong_lucas(n) == is_strong_lucas_prp(n), n
+        assert arith._miller_rabin(n) == sympy.isprime(n), n
+    for a in range(-30, 30):
+        for n in range(1, 200, 2):
+            assert arith._jacobi(a, n) == sympy.jacobi_symbol(a, n), (a, n)
+
+
+def test_bpsw_band_refuses_strong_pseudoprimes_and_squares():
+    # 3825123056546413051 = 149491 * 747451 * 34233211 is a strong
+    # pseudoprime to every prime base up to 23, base 2 among them, so the
+    # Lucas test alone refuses it.
+    n = 3825123056546413051
+    assert arith._BPSW_FROM < n < 2 ** 64
+    assert not arith._strong_lucas(n) and not arith._miller_rabin(n)
+    assert is_prime_many([n]) == [False] and liouville_many([n]) == [-1]
+    # A square has no D with (D/n) = -1, so the search must not start.
+    squares = [p * p for p in (1999993, 2000003, sympy.prevprime(2 ** 32))]
+    assert all(arith._BPSW_FROM <= m < 2 ** 64 for m in squares)
+    start = time.perf_counter()
+    for m in squares:
+        assert not arith._strong_lucas(m) and not arith._miller_rabin(m)
+    assert time.perf_counter() - start < 1.0
+    assert is_prime_many(squares) == [False] * 3
+    assert liouville_many(squares) == [1] * 3
 
 
 @st.composite

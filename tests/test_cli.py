@@ -125,6 +125,23 @@ def test_config_file_not_utf8_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_file_with_bom_reads_as_without(tmp_path):
+    # A UTF-8 byte order mark, as some editors write one, is not part of
+    # the first key.
+    text = "d=1\nH=10\n"
+    runs = []
+    for name, data in (("plain", text.encode()),
+                       ("bom", b"\xef\xbb\xbf" + text.encode())):
+        cfgfile = tmp_path / f"{name}.cfg"
+        cfgfile.write_bytes(data)
+        out = tmp_path / name
+        assert main(["chowla-clt", "--config", str(cfgfile), "--X", "5",
+                     "--samples", "2", "--seed", "1", "--out-dir",
+                     str(out)]) == 0
+        runs.append((out / "samples.csv").read_bytes())
+    assert runs[0] == runs[1] and runs[0]
+
+
 def test_missing_required_key_named(capsys):
     rc = main(["bh-moments", "--d", "1", "--H", "10", "--samples", "2",
                "--seed", "1"])
