@@ -43,17 +43,17 @@ Miller-Rabin, perfect-power extraction and Brent's cycle-finding rho with
 batched gcds, within RHO_BUDGET for each value it factors.  The budget
 counts 64-bit words: a rho iteration on m costs ceil(m.bit_length() / 64),
 which is 1 below 2**64, so it bounds time as well as iterations.
-Exceeding it raises BudgetError instead of stalling.  Miller-Rabin
-takes the smallest base set proven for the size of n: Jaeschke's (Math.
-Comp. 61, 1993) sets of 3 to 6 bases below 3,474,749,660,383, base 2
-and a strong Lucas test (Baillie-PSW) below 2**64, and 13 fixed
-witnesses below ~3.3e24, each a proof there.
+Exceeding it raises BudgetError instead of stalling.  Primality takes
+one ladder: Jaeschke's (Math. Comp. 61, 1993) 3 and 4 bases below
+1,122,004,669,633, and from there on Miller-Rabin followed by a strong
+Lucas test, to base 2 below 2**64 (Baillie-PSW) and to the 13 primes to
+41 above.  It is a proof below ~3.3e24 and at least as strict as
+Baillie-PSW beyond.
 """
 
 import math
 import random
 from collections import Counter
-from itertools import chain
 import numpy as np
 
 from .errors import BudgetError
@@ -62,21 +62,16 @@ from .errors import BudgetError
 # iteration on m costs ceil(m.bit_length() / 64), 1 below 2**64.
 RHO_BUDGET = 10_000_000
 
-# (bound, bases): below each bound its bases make Miller-Rabin a proof.
-# The first four bounds are the least composites that pass all of their
-# bases (Jaeschke 1993).  Below 2**64 base 2 is followed by a strong Lucas
-# test (Baillie-PSW), which no composite there passes.
+# (bound, bases): Miller-Rabin takes the bases of the first row whose
+# bound exceeds n, and from _LUCAS_FROM on a strong Lucas test follows
+# them (see `_miller_rabin`).
 _MR_BANDS = (
     (4_759_123_141, (2, 7, 61)),
     (1_122_004_669_633, (2, 13, 23, 1_662_803)),
-    (2_152_302_898_747, (2, 3, 5, 7, 11)),
-    (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
     (1 << 64, (2,)),
+    (math.inf, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
 )
-_BPSW_FROM, _BPSW_BOUND = _MR_BANDS[-2][0], _MR_BANDS[-1][0]
-_MR_DET_BOUND = 3_317_044_064_679_887_385_961_981
-_MR_DET_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_EXTRA_ROUNDS = 64
+_LUCAS_FROM = _MR_BANDS[1][0]
 
 
 def primes_upto(n: int) -> np.ndarray:
@@ -98,40 +93,31 @@ _TRIAL_PRIMES = tuple(int(p) for p in primes_upto(_TRIAL_BOUND))
 def is_prime(n: int) -> bool:
     """Primality of |n|, as `is_prime_many([n])[0]`.
 
-    Deterministic below ~3.3e24 and reproducible above (see
+    A proof below ~3.3e24 and Baillie-PSW or stricter above (see
     `_miller_rabin`).
     """
     return is_prime_many([n])[0]
 
 
 def _miller_rabin(n: int) -> bool:
-    """Primality of odd n > 7 by Miller-Rabin with the smallest proven
-    base set for n, and a strong Lucas test from 3,474,749,660,383 on.
+    """Primality of odd n > 7: Miller-Rabin to the bases of the first row
+    of _MR_BANDS whose bound exceeds n, then, from 1,122,004,669,633 on,
+    `_strong_lucas`.
 
-    The bases are those of the first band of _MR_BANDS whose bound
-    exceeds n: Jaeschke's (Math. Comp. 61, 1993) 2, 7, 61 below
-    4,759,123,141; 2, 13, 23, 1662803 below 1,122,004,669,633; the
-    primes to 11 below 2,152,302,898,747 and to 13 below
-    3,474,749,660,383.  No composite n divides a base of its band, so a
-    base that is 0 mod n (skipped) is only ever met by a prime n.  From
-    3,474,749,660,383 to 2**64 the one base 2 is followed by
-    `_strong_lucas`: that is the Baillie-PSW test (Baillie and Wagstaff,
-    Math. Comp. 35, 1980), and Feitsma's list of the base-2 strong
-    pseudoprimes below 2**64, as checked by Gilchrist, holds no composite
-    that passes it.  Above 2**64 the 13 fixed witnesses are a proof below
-    ~3.3e24; beyond that they are topped up with 64 extra bases drawn
-    from a generator seeded by n itself, so the answer is still
-    reproducible run to run.
+    Jaeschke's (Math. Comp. 61, 1993) 2, 7, 61 are a proof below
+    4,759,123,141 and 2, 13, 23, 1662803 below 1,122,004,669,633.  No
+    composite n divides a base of its row, so a base that is 0 mod n
+    (skipped) is only ever met by a prime n.  Base 2 and the Lucas test
+    make Baillie-PSW (Baillie and Wagstaff, Math. Comp. 35, 1980), and
+    Feitsma's list of the base-2 strong pseudoprimes below 2**64, as
+    checked by Gilchrist, holds no composite that passes it.  Above 2**64
+    the 13 primes to 41 are a proof below ~3.3e24, where the Lucas test
+    only repeats the answer; beyond, the test is Baillie-PSW with 12 more
+    bases, deterministic and at least as strict.
     """
     for bound, bases in _MR_BANDS:
         if n < bound:
             break
-    else:
-        bases = _MR_DET_WITNESSES
-        if n >= _MR_DET_BOUND:
-            rng = random.Random(n ^ 0xD1B54A32D192ED03)
-            bases = chain(bases, (rng.randrange(2, n - 1)
-                                  for _ in range(_MR_EXTRA_ROUNDS)))
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
@@ -148,7 +134,7 @@ def _miller_rabin(n: int) -> bool:
                 break
         else:
             return False
-    return not _BPSW_FROM <= n < _BPSW_BOUND or _strong_lucas(n)
+    return n < _LUCAS_FROM or _strong_lucas(n)
 
 
 def _jacobi(a: int, n: int) -> int:

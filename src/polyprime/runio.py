@@ -69,7 +69,8 @@ def load_manifest_config(path: str) -> Config:
     """Rebuild the exact config a manifest records, of the class its
     subcommand has in `CONFIGS` (an experiment kind's: ExperimentConfig),
     checked like the flags.  A file that cannot be read, or is not such
-    a manifest, raises ConfigError.
+    a manifest, raises ConfigError, and so does an experiment config in
+    a manifest whose subcommand is missing or names another kind.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -80,8 +81,12 @@ def load_manifest_config(path: str) -> Config:
             and isinstance(doc.get("subcommand", ""), str)):
         raise ConfigError(f"{path}: a manifest is a JSON object with a "
                           "config object and a subcommand string")
-    return CONFIGS.get(doc.get("subcommand"), ExperimentConfig).from_dict(
-        doc["config"])
+    subcommand = doc.get("subcommand")
+    cfg = CONFIGS.get(subcommand, ExperimentConfig).from_dict(doc["config"])
+    if subcommand not in CONFIGS and cfg.kind != subcommand:
+        raise ConfigError(f"kind: {cfg.kind!r}, but the manifest's "
+                          f"subcommand is {subcommand!r}")
+    return cfg
 
 
 def write_files(out_dir: str, subcommand: str, cfg: Config, tables: dict,

@@ -83,11 +83,10 @@ def test_is_prime_frozen_large():
 
 
 def test_is_prime_above_deterministic_bound():
-    # Exercises the seeded extra-round path (n above the witness bound).
+    # Above the witness bound the 13 witnesses are followed by the strong
+    # Lucas test, which must pass a prime there and refuse a semiprime.
     assert is_prime(PRIME_ABOVE_MR_BOUND)
     assert not is_prime(HARD_SEMIPRIME)
-    # Determinism of the seeded path.
-    assert is_prime(PRIME_ABOVE_MR_BOUND) == is_prime(PRIME_ABOVE_MR_BOUND)
 
 
 def test_iroot():
@@ -331,8 +330,10 @@ BIG_COFACTORS = (P16[0] * P16[1] * P16[2], P16[0] ** 3, P16[0] ** 2 * P16[1],
                  P16[0] * P32, P32 ** 2, PRIME_ABOVE_2_64,
                  PRIME_ABOVE_2_64 * P16[1], 3 * P16[0] * P16[2] * P32)
 EDGES = (2 ** 52, 2 ** 63, 2 ** 64)
-# The bounds of the Miller-Rabin bands, each a strong pseudoprime to the
-# bases below it, a row that leaves the sieve part-way (65521 once its 3s
+# Strong pseudoprimes to Jaeschke's base sets, of which the first two are
+# the bounds of the 3- and 4-base rows of arith._MR_BANDS and the rest lie
+# in its Baillie-PSW row (see MR_BANDS below), a row that leaves the
+# sieve part-way (65521 once its 3s
 # are off), and rows that must not leave after the first block of primes
 # 3 to 23 (29**2 and 29 * 31 times small primes).
 PSEUDOPRIMES = (4_759_123_141, 1_122_004_669_633, 2_152_302_898_747,
@@ -633,6 +634,11 @@ def test_cofactor_miller_rabin_against_sympy():
     odd += [sympy.nextprime(rng.randrange(2 ** 63, 2 ** 64))
             for _ in range(50)]
     odd += list(range(3_215_031_751 - 200, 3_215_031_751 + 200, 2))
+    # Above 2**64: random odd values and primes of 82 to 512 bits.
+    odd += [rng.randrange(2 ** (bits - 1), 2 ** bits) | 1
+            for bits in range(82, 513) for _ in range(2)]
+    odd += [sympy.nextprime(rng.randrange(2 ** (bits - 1), 2 ** bits))
+            for bits in range(82, 513, 10)]
     for n in odd:
         assert arith._miller_rabin(n) == sympy.isprime(n), n
     # Strong pseudoprimes: to bases 2, 3, 5, 7; to every prime base up
@@ -644,29 +650,41 @@ def test_cofactor_miller_rabin_against_sympy():
                           318665857834031151167461]) == [False] * 3
 
 
-# Each bound is a composite that is a strong pseudoprime to all of its
-# bases: below it they are a proof (Jaeschke, Math. Comp. 61, 1993), at
-# it they are not.  The first and last are the old bound of 2, 3, 5, 7
-# and the bound of the primes to 17.
+# Each is the least composite that is a strong pseudoprime to all of its
+# bases: below it they are a proof (Jaeschke, Math. Comp. 61, 1993;
+# the last, Sorenson and Webster, Math. Comp. 86, 2017), at it they are
+# not.  Only the second and third are still band bounds, of the 3- and
+# 4-base rows of arith._MR_BANDS.  The fourth to sixth lie in its
+# Baillie-PSW row, the first in its 3-base row, and the last, the bound
+# of the last row's 13 bases, has no row of its own: there the strong
+# Lucas test that follows the bases refuses it.
+WITNESSES_TO_41 = tuple(sympy.primerange(42))
 MR_BANDS = ((3_215_031_751, (2, 3, 5, 7)),
             (4_759_123_141, (2, 7, 61)),
             (1_122_004_669_633, (2, 13, 23, 1_662_803)),
             (2_152_302_898_747, (2, 3, 5, 7, 11)),
             (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
-            (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)))
+            (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
+            (3_317_044_064_679_887_385_961_981, WITNESSES_TO_41))
 
 
 def test_miller_rabin_band_bounds():
-    assert arith._MR_BANDS[:4] == MR_BANDS[1:5]
+    assert arith._MR_BANDS == ((4_759_123_141, (2, 7, 61)),
+                               (1_122_004_669_633, (2, 13, 23, 1_662_803)),
+                               (2 ** 64, (2,)),
+                               (math.inf, WITNESSES_TO_41))
+    assert arith._LUCAS_FROM == 1_122_004_669_633
     for n, bases in MR_BANDS:
         assert not sympy.isprime(n)
         assert mr(n, bases), n
         assert not arith._miller_rabin(n), n
-        for m in range(n - 199, n + 200, 2):
+    # The odd values within 200 of each pseudoprime and of 2**64.
+    for n in [n for n, _ in MR_BANDS] + [2 ** 64]:
+        for m in range((n - 200) | 1, n + 200, 2):
             assert arith._miller_rabin(m) == sympy.isprime(m), m
     bounds = [n for n, _ in MR_BANDS]
     assert is_prime_many(bounds) == [False] * len(bounds)
-    assert liouville_many(bounds) == [-1, 1, 1, -1, -1, 1]
+    assert liouville_many(bounds) == [-1, 1, 1, -1, -1, 1, 1]
 
 
 # The strong Lucas pseudoprimes with Selfridge's parameters below 60,000
@@ -681,9 +699,9 @@ def test_strong_lucas_against_sympy():
     assert [n for n in range(3, 60_000, 2) if arith._strong_lucas(n)
             and not sympy.isprime(n)] == list(STRONG_LUCAS_PSEUDOPRIMES)
     rng = stream(20260818, 109)
-    band = [rng.randrange(arith._BPSW_FROM, 2 ** 64) | 1
+    band = [rng.randrange(arith._LUCAS_FROM, 2 ** 64) | 1
             for _ in range(2000)]
-    band += [sympy.nextprime(rng.randrange(arith._BPSW_FROM, 2 ** 64))
+    band += [sympy.nextprime(rng.randrange(arith._LUCAS_FROM, 2 ** 64))
              for _ in range(100)]
     for n in band:
         assert arith._strong_lucas(n) == is_strong_lucas_prp(n), n
@@ -694,16 +712,20 @@ def test_strong_lucas_against_sympy():
 
 
 def test_bpsw_band_refuses_strong_pseudoprimes_and_squares():
-    # 3825123056546413051 = 149491 * 747451 * 34233211 is a strong
-    # pseudoprime to every prime base up to 23, base 2 among them, so the
-    # Lucas test alone refuses it.
-    n = 3825123056546413051
-    assert arith._BPSW_FROM < n < 2 ** 64
-    assert not arith._strong_lucas(n) and not arith._miller_rabin(n)
-    assert is_prime_many([n]) == [False] and liouville_many([n]) == [-1]
+    # Strong pseudoprimes to every base they meet, so the Lucas test alone
+    # refuses them: to the primes to 11 and to 13 (Jaeschke's bounds, base
+    # 2 among them, now in the Baillie-PSW row); 3825123056546413051 =
+    # 149491 * 747451 * 34233211, to every prime up to 23; and above 2**64
+    # the least to all 13 primes to 41, which are its row's bases.
+    for n, lam in ((2_152_302_898_747, -1), (3_474_749_660_383, -1),
+                   (3825123056546413051, -1),
+                   (3_317_044_064_679_887_385_961_981, 1)):
+        assert arith._LUCAS_FROM < n
+        assert not arith._strong_lucas(n) and not arith._miller_rabin(n)
+        assert is_prime_many([n]) == [False] and liouville_many([n]) == [lam]
     # A square has no D with (D/n) = -1, so the search must not start.
     squares = [p * p for p in (1999993, 2000003, sympy.prevprime(2 ** 32))]
-    assert all(arith._BPSW_FROM <= m < 2 ** 64 for m in squares)
+    assert all(arith._LUCAS_FROM <= m < 2 ** 64 for m in squares)
     start = time.perf_counter()
     for m in squares:
         assert not arith._strong_lucas(m) and not arith._miller_rabin(m)

@@ -342,6 +342,24 @@ def test_malformed_manifest_is_config_error(tmp_path, text, error):
         load_manifest_config(str(path))
 
 
+# A manifest names its run twice, by its subcommand and by its config's
+# kind; a replay could not tell which run to make if the two differ or
+# the subcommand is missing (None: no subcommand).
+@pytest.mark.parametrize("subcommand, kind", [
+    ("tuples", "chowla-clt"), ("chowla-clt", "bh-moments"),
+    (None, "chowla-clt"), ("gowers", "chowla-clt")])
+def test_manifest_kind_other_than_subcommand_is_config_error(
+        tmp_path, subcommand, kind):
+    doc = {"config": asdict(ExperimentConfig(kind=kind, **VALID))}
+    if subcommand is not None:
+        doc["subcommand"] = subcommand
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as exc:
+        load_manifest_config(str(path))
+    assert names_key(exc, "kind"), exc.value
+
+
 def test_manifest_with_unknown_key_is_config_error(tmp_path):
     cfg = ExperimentConfig(kind="chowla-clt", d=1, H=30, X=20, samples=3,
                            seed=8)
