@@ -9,12 +9,16 @@ s = 2, which is a sum of squared cyclic autocorrelations:
     A_2(f) = (1/M^3) sum over h of c(h)^2,  c(h) = sum over n of f(n) f(n+h)
     A_s(f) = mean over h of A_{s-1}(f * shift_h f)        (s >= 3)
 
-Both are exact rearrangements of the defining sum.  All M values of c come
-from one `np.correlate` call, so the work is still about M^s
-multiply-adds (M^2 for U^2, M correlations of M^2 each for U^3), with one
-Python-level call per shift above s = 2 instead of one per (s-1)-tuple of
-shifts.  Those are M^(s-2) calls in all, and a second cap of 10^6 bounds
-them, so a small M at a large s (M = 3, s = 20 is within the M^s budget)
+Both are exact rearrangements of the defining sum.  When the nonzero
+values of f lie on an arc of L points of Z/MZ, c(h) can be nonzero only
+at the lags h = k mod M with |k| < L, and one `np.correlate` of the arc
+gives them all.  So the work is about L^s multiply-adds (L^2 for U^2, at
+most 2L - 1 correlations of at most L^2 each for U^3), which is M^s at
+full support, with one Python-level call per shift the peel visits above
+s = 2 instead of one per (s-1)-tuple of shifts.  `check_budget` counts
+M^s operations and M^(s-2) peel calls, whatever the support, so which
+inputs it refuses depends on M and s alone.  The second cap, 10^6 calls,
+means a small M at a large s (M = 3, s = 20 is within the M^s budget)
 cannot run for hours.  For integer-valued f with |f| <= 1 and M^3 < 2^53
 (OP_BUDGET allows U^2 only up to M = 70,710, where M^3 < 2^49),
 every c(h), every c(h)^2 and their sum are exact in float64, so the U^2
@@ -28,14 +32,18 @@ the least prime at least MULTIPLIER*N (zero padding kills wraparound),
 and the cyclic value is reported without any further normalization.
 """
 
+import itertools
+
 import numpy as np
 
 from .arith import least_prime_at_least, liouville_sieve, mobius_sieve
 from .errors import BudgetError, ConsistencyError
 
-# cap on the ~M**s multiplications the factored evaluation performs
+# cap on M**s, the multiply-adds of the factored evaluation at full
+# support; f on an arc of L points takes about L**s, but the cap counts M**s
 OP_BUDGET = 5 * 10 ** 9
-# cap on the M**(s-2) Python-level U^2 calls the peel makes (~20 s)
+# cap on M**(s-2), the Python-level U^2 calls the peel makes at full
+# support (~20 s); fewer are made on an arc, but the cap counts M**(s-2)
 PEEL_CALL_CAP = 10 ** 6
 # cap on the group size M itself, which bounds the arrays at s = 1
 SIZE_CAP = 10 ** 7
@@ -58,21 +66,39 @@ TARGETS = {
 
 
 def _u_average(values: np.ndarray, s: int) -> float:
-    # The peel stops at s = 2, where one correlation of f against its cycle
-    # extended by M - 1 values gives every c(h): M^2 multiply-adds in C.
+    # Only the arc [lo, hi] from the first nonzero entry to the last, of
+    # L = hi - lo + 1 points, does work: c(h) can be nonzero only for
+    # h = k mod M with |k| < L, so U^2 takes about L^2 multiply-adds and
+    # the peel visits those shifts alone, in increasing h.  Every shift it
+    # skips would add exactly 0.0, so the sum is the one over all M shifts.
     # Not an FFT: numpy's pocketfft allocates Bluestein scratch buffers on
     # the prime M that interval_embedding produces, raising peak memory.
     if s == 1:
         m = float(values.mean())
         return m * m
+    nonzero = values.nonzero()[0]
+    if nonzero.shape[0] == 0:
+        return 0.0
     M = values.shape[0]
+    lo, hi = int(nonzero[0]), int(nonzero[-1])
+    L = hi - lo + 1
     if s == 2:
-        c = np.correlate(np.concatenate((values, values[:-1])), values,
-                         "valid")
+        arc = values[lo:hi + 1]
+        if 2 * L - 1 <= M:
+            # No two lags |k| < L meet mod M: c is the arc's linear
+            # autocorrelation, with L^2 multiply-adds.
+            c = np.correlate(arc, arc, "full")
+        else:
+            # All M lags, the arc against the cycle read from lo on: at
+            # full support this is f against its cycle extended by M - 1
+            # values, M^2 multiply-adds.
+            c = np.correlate(np.concatenate((values[lo:], values[:hi])), arc,
+                             "valid")
         return float(np.dot(c, c)) / float(M) ** 3
+    cycle = np.concatenate((values, values))
     acc = 0.0
-    for h in range(M):
-        acc += _u_average(values * np.roll(values, -h), s - 1)
+    for h in itertools.chain(range(L), range(max(L, M - L + 1), M)):
+        acc += _u_average(values * cycle[h:h + M], s - 1)
     return acc / M
 
 
@@ -82,7 +108,8 @@ def check_budget(M: int, s: int) -> None:
     exceeds OP_BUDGET, when, for s >= 3, the M^(s-2) calls of the peel
     exceed PEEL_CALL_CAP (each costs microseconds of Python however small
     M is), or when M exceeds SIZE_CAP (the arrays at s = 1, where M^s is
-    only M).
+    only M).  These are the costs at full support; f on a shorter arc
+    costs less, and is refused all the same.
     """
     if s > S_CAP:
         raise BudgetError(f"s: U^{s} is past the cap of s = {S_CAP}")

@@ -157,13 +157,23 @@ def test_interval_mobius_against_fourier_oracle():
 
 
 def test_interval_liouville_decreases_with_n():
-    lam = liouville_sieve(300)
-    vals = []
-    for N in (100, 300):
-        vals.append(gowers_norm_interval(lam[1:N + 1], 2))
-    assert vals[0] == pytest.approx(0.10621257874233213, rel=1e-9)
-    assert vals[1] == pytest.approx(0.08255570605794765, rel=1e-9)
-    assert vals[1] < vals[0]
+    # The rows of README's `gowers --target liouville --N 100,300,1000 --s 2`.
+    lam = liouville_sieve(1000)
+    vals = [gowers_norm_interval(lam[1:N + 1], 2) for N in (100, 300, 1000)]
+    assert vals == [0.1062125787423321, 0.0825557060579477,
+                    0.06188575575736718]
+    assert vals[2] < vals[1] < vals[0]
+
+
+def test_u3_rows_are_pinned():
+    # The U^3 row of the gowers-liouville benchmark workload, and the rows
+    # of README's `gowers --target delta --M 53,101 --s 3`, whose cyclic
+    # array puts f(n) at n mod M for n = 1..M.
+    lam = liouville_sieve(80)
+    assert gowers_norm_interval(lam[1:], 3) == 0.27960244328688194
+    for M, norm in ((53, 0.13736056394868904), (101, 0.09950371902099892)):
+        arr = np.roll(TARGETS["delta"](M)[1:], 1)
+        assert gowers_norm_cyclic(arr, 3) == norm
 
 
 def test_u2_below_u3():
@@ -201,6 +211,80 @@ def test_average_matches_recursion_oracle(data):
                               label="values"))
     assert gowers_average(vals, s) == pytest.approx(
         u_average_peel(vals, s), rel=1e-12, abs=0.0)
+
+
+@st.composite
+def _on_an_arc(draw, M):
+    """M reals that are zero off one arc of Z/MZ, which may wrap past
+    M - 1 or be empty, with the zero runs of _REALS inside it."""
+    vals = np.array(draw(st.lists(_REALS, min_size=M, max_size=M)))
+    lo = draw(st.integers(0, M - 1))
+    L = draw(st.integers(0, M))
+    keep = np.zeros(M, dtype=bool)
+    keep[np.arange(lo, lo + L) % M] = True
+    return np.where(keep, vals, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sparse_average_matches_oracles(data):
+    s = data.draw(st.integers(1, 4), label="s")
+    M = data.draw(st.integers(1, (40, 40, 14, 7)[s - 1]), label="M")
+    vals = data.draw(_on_an_arc(M), label="values")
+    assert gowers_average(vals, s) == pytest.approx(
+        u_average_peel(vals, s), rel=1e-12, abs=0.0)
+    signs = np.sign(vals)
+    assert gowers_average(signs, 2) == float(u2_average_exact(signs))
+
+
+def _arc_of_signs(M, lo, L):
+    """Values in {-1, 0, 1} on the L points lo, lo + 1, ... of Z/MZ, taken
+    mod M, both ends nonzero; 0 elsewhere."""
+    rng = stream(20260818, 35)
+    arr = np.zeros(M)
+    arr[np.arange(lo, lo + L) % M] = [rng.choice((-1, 0, 1))
+                                      for _ in range(L)]
+    arr[lo % M] = arr[(lo + L - 1) % M] = 1.0
+    return arr
+
+
+@pytest.mark.parametrize("M, lo, L", [
+    (23, 20, 6),  # wraps past M - 1: nonzero at both ends of the array
+    (11, 0, 6), (11, 3, 6), (11, 5, 6),  # 2L - 1 = M
+    (10, 0, 6), (10, 2, 6), (10, 4, 6),  # 2L - 1 = M + 1
+    (13, 4, 6),  # 2L - 1 < M < 3L - 2
+    (17, 0, 1), (17, 9, 1), (17, 16, 1),  # a single point
+    (12, 0, 12),  # full support
+])
+def test_arc_edges_match_oracles(M, lo, L):
+    arr = _arc_of_signs(M, lo, L)
+    assert gowers_average(arr, 2) == float(u2_average_exact(arr))
+    for s in (1, 3, 4):
+        assert gowers_average(arr, s) == pytest.approx(
+            u_average_peel(arr, s), rel=1e-12, abs=0.0)
+
+
+def test_all_zeros_average_zero():
+    for M in (1, 2, 17):
+        for s in (1, 2, 3, 4):
+            assert gowers_average(np.zeros(M), s) == 0.0
+
+
+def test_interval_work_is_on_the_arc(monkeypatch):
+    # Each U^2 correlation takes the arc of f(1..N), never the M >= 5N
+    # points of the cycle, and U^3 makes at most 2N - 1 of them, not M.
+    shapes = []
+    real = np.correlate
+    monkeypatch.setattr(np, "correlate", lambda a, v, mode: (
+        shapes.append((len(a), len(v))) or real(a, v, mode)))
+    lam = liouville_sieve(300)
+    for N in (1, 2, 80, 300):
+        arr = interval_embedding(lam[1:N + 1])
+        for s, calls in ((2, 1), (3, 2 * N - 1)):
+            shapes.clear()
+            gowers_average(arr, s)
+            assert 1 <= len(shapes) <= calls
+            assert all(v <= N and a < 3 * N for a, v in shapes)
 
 
 def test_average_matches_recursion_oracle_edges():
