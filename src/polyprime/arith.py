@@ -9,34 +9,40 @@ count the zero values they meet themselves.
 There is one route.  `liouville_many`, `von_mangoldt_many` and
 `is_prime_many` take a whole list of values, such as f(1..X), and the
 scalar `liouville`, `von_mangoldt` and `is_prime` are each the list of
-one.  One split, `_split`, takes the list and splits every value, under
-a bound of its own, into the primes p below that bound that divide it
-and a cofactor m with no prime factor below it.  The split may stop
-early, once m is below the cube of the next prime to test (for von
-Mangoldt and primality, its square); the sieve then takes that prime as
-the value's bound.  A cofactor 1 < m < bound**2 is prime, and a
-composite m < bound**3 is a product of exactly two primes; Miller-Rabin
-tells the two cases apart.  Only a cofactor m >= bound**3 needs more:
-Liouville factors it from the bound on, with the loop that `factorize`
-runs after its trial division, and von Mangoldt runs Miller-Rabin and
-asks `perfect_power` whether a composite m is a power of a prime.  For
-von Mangoldt and primality a value's split stops after its first small
-prime, which settles the answer.
+one.  One split, `_split`, takes the list and gives every value, in
+arrays with a row per value, a bound, the least prime it divided out
+(or 0), the number of primes it divided out (Omega of that part) and the
+rest m.  For Liouville (full=True) the split divides out every prime
+below the bound, so m has no prime factor below it.  It may stop early,
+once m is below the cube of the next prime to test; the sieve then
+takes that prime as the value's bound.  A cofactor 1 < m < bound**2 is
+prime, and a composite m < bound**3 is a product of exactly two primes;
+Miller-Rabin tells the two cases apart.  Only a cofactor m >= bound**3
+needs more: Liouville factors it from the bound on, with the loop that
+`factorize` runs after its trial division.  For von Mangoldt and
+primality (full=False) a value stops at its least prime p, which it
+divides out in full: |v| is a power of p iff the rest is 1, and prime
+iff it is p.  A value with no small prime keeps its value as its rest
+and is settled as a cofactor, and from m >= bound**3 on von Mangoldt
+asks `perfect_power` whether a composite m is a power of a prime.
 
 The split finds the small primes in one of two ways, chosen by size
 because a float64 quotient is exact only below 2**52.  The values below
-it are sieved together, under a top bound B: the least power of two
->= 32 with B**3 above the largest of them, at most 2**16.  The powers
-of two come off each value by bit operations, then numpy tests the odd
-primes p < B in blocks: the 8 smallest first, then blocks as wide as its
-buffer of 2**15 quotients allows.  After each block a value leaves once
-its cofactor is below the cube of the next prime (the square, for von
-Mangoldt and primality), and for von Mangoldt and primality the values
-that a small prime settles, most of them, leave before the wide blocks;
-later blocks widen as values leave.
-A value that runs every block has bound B.  A value of 2**52 or more is
+it are sieved together, in numpy, under a top bound B: the least power
+of two >= 32 with B**3 above the largest of them, at most 2**16.  The
+powers of two come off each value by bit operations, then the odd primes
+p < B are tested in blocks: the 8 smallest first, then blocks as wide as
+the buffer of 2**15 quotients allows.  For von Mangoldt and primality a
+value's first hit is its least prime: one vectorised loop divides it
+out of every such value at once, and the value leaves.  Most values
+leave so in the first block, and Python touches only the cofactors and
+the nonzero results.  For Liouville each hit is divided out in Python.
+After each block a value also leaves once its rest is below the cube of
+the next prime (the square, for von Mangoldt and primality); later
+blocks widen as values leave.  A value that runs every block has bound
+B.  A value of 2**52 or more, and a lone value (a scalar call), is
 trial-divided by the primes below 1024, its bound, and stays out of the
-sieve.
+sieve: a lone value would not pay for numpy's fixed costs.
 
 `factorize` trial-divides the same way, then splits what is left with
 Miller-Rabin, perfect-power extraction and Brent's cycle-finding rho with
@@ -51,6 +57,7 @@ Lucas test, to base 2 below 2**64 (Baillie-PSW) and to the 13 primes to
 Baillie-PSW beyond.
 """
 
+import bisect
 import math
 import random
 from collections import Counter
@@ -227,16 +234,26 @@ def iroot(n: int, k: int) -> int:
         x = y
 
 
-def perfect_power(m: int):
-    """(base, exp) with m = base**exp, exp >= 2 maximal, else None."""
+def perfect_power(m: int, bound: int = 2):
+    """(base, exp) with m = base**exp, exp >= 2 maximal, else None.
+
+    m must have no prime factor below bound (2, the default, asks
+    nothing), so a base is at least bound.  The prime exponents p tried
+    are those with p * (bound.bit_length() - 1) < m.bit_length(), which
+    include every p with bound**p <= m.
+    """
     if m < 4:
         return None
-    for p in _TRIAL_PRIMES:
-        if p > m.bit_length():
+    width = max(bound.bit_length() - 1, 1)
+    limit = -(-m.bit_length() // width)
+    primes = _SIEVE_PRIMES_INT if limit < _SIEVE_CAP else \
+        primes_upto(limit).tolist()
+    for p in primes:
+        if p >= limit:
             break
         r = iroot(m, p)
         if r ** p == m:
-            sub = perfect_power(r)
+            sub = perfect_power(r, bound)
             if sub is not None:
                 return sub[0], sub[1] * p
             return r, p
@@ -318,7 +335,7 @@ def _factor_cofactor(m: int, bound: int) -> Counter:
         if _cofactor_is_prime(m, bound):
             found[m] += mult
             continue
-        pw = perfect_power(m)
+        pw = perfect_power(m, bound)
         if pw is not None:
             stack.append((pw[0], mult * pw[1]))
             continue
@@ -344,12 +361,15 @@ def von_mangoldt(n: int) -> float:
 
 
 _SIEVE_CAP = 1 << 16
-_SIEVE_PRIMES = primes_upto(_SIEVE_CAP)
+# The primes below 2**16 and the next one, 65537, which is the bound of a
+# row that stops at 65521.
+_SIEVE_PRIMES = primes_upto(_SIEVE_CAP + 1)
 _SIEVE_PRIMES_F = _SIEVE_PRIMES.astype(np.float64)
 _SIEVE_PRIMES_INT = _SIEVE_PRIMES.tolist()
 _SIEVE_CHUNK = 1 << 15  # elements per numpy block of the sieve
 _FIRST_BLOCK = 8  # odd primes in a row chunk's first block
 _FLOAT_EXACT = 1 << 52  # below this v / p == floor(v / p) iff p | v
+_POWERS_OF_TWO = np.array([1 << k for k in range(52)], dtype=np.int64)
 
 
 def _sieve_bound(top: int) -> int:
@@ -361,102 +381,179 @@ def _sieve_bound(top: int) -> int:
 
 
 def _split(values, full: bool):
-    """(bounds, small, rest): each value split under a bound of its own.
+    """(bounds, first, omega, rest): each value split under a bound of its
+    own, as four arrays with a row per value.
 
-    small[i] lists the primes below bounds[i] dividing values[i], in
-    ascending order and each repeated by its multiplicity, and rest[i] is
-    |v| divided by all of them, so it has no prime factor below
-    bounds[i], or else (a trial-divided row that stopped early) it is a
-    prime below bounds[i]**2.  A cofactor rest > 1 is then prime if it is
-    below bound**2, and a product of two primes if it is a composite
-    below bound**3.  A zero value, and only a zero value, gives rest 0
-    (and small []).  With full=False a row also stops after the block of
-    primes in which it first has a hit, so its small[i] and rest[i] stop
-    there, with any rest; a trial-divided row stops after that prime, and
-    its rest may keep prime factors below its bound.  That settles von
-    Mangoldt and primality: the row's first prime p is divided out in
-    full, so |v| is a power of p iff rest[i] is 1 and small[i] holds p
-    alone.
+    With full=True a row divides out every prime below bounds[i], and
+    with full=False only the least prime that divides it, in full, after
+    which it stops.  first[i] is the least prime divided out, or 0 if
+    there is none, omega[i] the number of primes divided out, counted
+    with multiplicity, and rest[i] what is left of |v|.  The rest has no
+    prime factor below the bound, or else it is a prime below the bound
+    squared (a trial-divided row that stopped early).  A cofactor rest > 1
+    is then prime if it is below bound**2, and a product of two primes if
+    it is a composite below bound**3.  With full=False a row that stops
+    at its first prime p takes the next prime as its bound; |v| is then a
+    power of p iff rest[i] is 1, and |v| is prime iff it is p.  A zero
+    value, and only a zero value, gives rest 0 (and first 0, omega 0).
+    rest is int64 when every value fits in int64, and holds Python ints
+    otherwise.
 
-    A row of |v| < 2**52 is sieved with the others below 2**52 under the
-    top bound B, `_sieve_bound` of the largest of them.  Its bounds[i] is
-    the first prime it was not tested against, or B if it was tested
-    against every prime below B or its rest was 0 or 1 before the odd
-    primes.  With full=True it leaves after a block once its rest is below
-    the cube of the next prime, so rest[i] < bounds[i]**3 unless
+    The values below 2**52 of a list of two or more go through `_sieve`
+    together.  A value of 2**52 or more, and a lone value, whose split
+    would not pay for numpy's fixed costs, is trial-divided by
+    `_trial_split` instead, with bound _TRIAL_BOUND unless it stops at a
+    prime; its rest is below _TRIAL_BOUND**2 unless it ran every prime
+    below that bound.
+    """
+    try:
+        signed = np.asarray(values, dtype=np.int64)
+    except OverflowError:  # a value past int64: keep Python ints
+        signed = np.array(values, dtype=object)
+    if len(signed) > 1:
+        if signed.dtype == object:
+            mag = np.array([float(min(abs(v), _FLOAT_EXACT))
+                            for v in signed])
+        else:
+            mag = np.abs(signed.astype(np.float64))
+        low = mag < _FLOAT_EXACT
+        mag[~low] = 0  # sieved as zeros, then trial-divided below
+        bounds, first, omega, rest = _sieve(mag, full)
+    else:
+        low = np.zeros(len(signed), dtype=bool)
+        bounds, first, omega, rest = np.zeros((4, len(signed)),
+                                              dtype=np.int64)
+    trial = np.flatnonzero(~low)
+    if signed.dtype == object:
+        rest = rest.astype(object)  # Python ints past int64
+    for i in trial.tolist():
+        small, rest[i] = _trial_split(abs(int(signed[i])), full)
+        omega[i] = len(small)
+        first[i] = small[0] if small else 0
+        bounds[i] = _TRIAL_BOUND if full or not small else \
+            _SIEVE_PRIMES_INT[_SIEVE_PRIMES_INT.index(small[0]) + 1]
+    return bounds, first, omega, rest
+
+
+def _sieve(mag, full: bool):
+    """`_split` of the magnitudes mag, floats below 2**52, in numpy.
+
+    The rows are split under the top bound B, `_sieve_bound` of the
+    largest of them.  A row that does not stop at a prime takes as its
+    bound the first prime it was not tested against, or B if it was
+    tested against every prime below B or its rest was 0 or 1 before the
+    odd primes.  With full=True it leaves after a block once its rest is
+    below the cube of the next prime, so rest[i] < bounds[i]**3 unless
     bounds[i] == B: the rest is then 1, a prime or a product of two
     primes.  With full=False the square takes the place of the cube, so
-    the rest of a row with no hit is 1 or a prime unless bounds[i] == B.
-    A row of 2**52 and more is trial-divided by `_trial_split` instead,
-    with bound _TRIAL_BOUND, and stays out of the sieve; its rest is below
-    _TRIAL_BOUND**2 unless it ran every prime below that bound.
+    the rest of a row with no small prime is 1 or a prime unless
+    bounds[i] == B.
 
-    The sieve runs as follows.  The powers of two come off every value
-    first, by bit operations; with full=False an even row leaves there,
-    with bound 3.  The odd primes are then tested in numpy, on chunks of
-    at most _SIEVE_CHUNK rows: first the _FIRST_BLOCK smallest, then
-    blocks as wide as _SIEVE_CHUNK // rows allows, a cap the first block
-    obeys too.  Each block widens as rows leave.  A float copy of each
-    row's rest, updated at its hits, decides who leaves in one vectorised
-    comparison per block.  The buffers are made once, sized to the call.
+    The powers of two come off every row first, by bit operations; with
+    full=False an even row stops there.  The odd primes are then tested
+    on chunks of at most _SIEVE_CHUNK rows: first the _FIRST_BLOCK
+    smallest, then blocks as wide as _SIEVE_CHUNK // rows allows, a cap
+    the first block obeys too.  Each block widens as rows leave.  A float
+    copy of each row's rest decides who leaves in one vectorised
+    comparison per block.  With full=False the first hit of a row, in
+    `flatnonzero` order, is its least prime; the row leaves, and at the
+    end one vectorised loop divides each row's least prime out of it.
+    With full=True each hit is divided out in Python and the float rest
+    updated.  One float buffer holds a block's quotients and their
+    floors, and it and the mask grow to what the later blocks need.
 
     p | v is tested as v / p == floor(v / p) in float64.  That is exact
     below 2**52: if p does not divide v, v / p is at least 1/p from every
     integer, which is more than half an ulp of v / p.
     """
-    mags = [abs(int(v)) for v in values]
-    top = _sieve_bound(max((m for m in mags if m < _FLOAT_EXACT), default=0))
-    twos = [((m & -m) >> 1).bit_length() for m in mags]  # 0 at m = 0
-    small = [[2] * k for k in twos]
-    rest = [m >> k for m, k in zip(mags, twos)]
-    bounds = np.array([top if full or not k else 3 for k in twos],
-                      dtype=np.int64)
-    for i, m in enumerate(mags):
-        if m >= _FLOAT_EXACT:
-            small[i], rest[i] = _trial_split(m, full)
-            bounds[i] = _TRIAL_BOUND
-    count = int(np.searchsorted(_SIEVE_PRIMES, top))
-    q = np.empty(min(_SIEVE_CHUNK, len(mags) * count))
-    fl = np.empty_like(q)
-    mask = np.empty(len(q), dtype=bool)
-    for r0 in range(0, len(mags), _SIEVE_CHUNK):
-        rows = np.array([i for i in range(r0, min(r0 + _SIEVE_CHUNK,
-                                                  len(mags)))
-                         if rest[i] > 1 and (full or not small[i])
-                         and mags[i] < _FLOAT_EXACT],
-                        dtype=np.int64)
-        v = np.array([float(rest[i]) for i in rows.tolist()])[:, None]
+    ints = mag.astype(np.int64)
+    top = _sieve_bound(int(ints.max(initial=0)))
+    bit = ints & -ints  # the power of two in |v|, 0 at 0
+    odd = mag / np.maximum(bit, 1)
+    rest = np.empty_like(ints)
+    rest[:] = odd
+    omega = np.searchsorted(_POWERS_OF_TWO, bit)
+    even = odd < mag
+    first = np.where(even, 2, 0)
+    go = odd > 1
+    if full:
+        bounds = np.full(len(ints), top)
+    else:  # an even row stops at 2
+        bounds = np.where(even, 3, top)
+        go &= ~even
+    rows = np.flatnonzero(go)
+    v = odd[rows]
+    if full:
+        rest_l, omega_l, first_l = rest.tolist(), omega.tolist(), \
+            first.tolist()
+    count = bisect.bisect_left(_SIEVE_PRIMES_INT, top)
+    buf = mask = np.empty(0)
+    for r0 in range(0, len(rows), _SIEVE_CHUNK):
+        cr, cv = rows[r0:r0 + _SIEVE_CHUNK], v[r0:r0 + _SIEVE_CHUNK]
         c0, width = 1, _FIRST_BLOCK  # _SIEVE_PRIMES[0] is 2
-        while c0 < count and len(rows):
-            c1 = min(c0 + min(width, _SIEVE_CHUNK // len(rows)), count)
-            size = len(rows) * (c1 - c0)
-            qb = q[:size].reshape(len(rows), c1 - c0)
-            fb = fl[:size].reshape(qb.shape)
+        while c0 < count and len(cr):
+            c1 = min(c0 + min(width, _SIEVE_CHUNK // len(cr)), count)
+            size = len(cr) * (c1 - c0)
+            if size > len(mask):  # grow to what this block and later ones need
+                cap = min(_SIEVE_CHUNK, len(cr) * min(width, count - c0))
+                buf, mask = np.empty(2 * cap), np.empty(cap, dtype=bool)
+            qb = buf[:size].reshape(len(cr), c1 - c0)
+            fb = buf[len(mask):len(mask) + size].reshape(qb.shape)
             mb = mask[:size].reshape(qb.shape)
-            np.divide(v, _SIEVE_PRIMES_F[c0:c1], out=qb)
+            np.divide(cv[:, None], _SIEVE_PRIMES_F[c0:c1], out=qb)
             np.floor(qb, out=fb)
             np.equal(qb, fb, out=mb)
             hit_rows, hit_cols = np.divmod(np.flatnonzero(mb), c1 - c0)
-            for i, j in zip(rows[hit_rows].tolist(), hit_cols.tolist()):
-                p = _SIEVE_PRIMES_INT[c0 + j]
-                m = rest[i]
-                while m % p == 0:
-                    small[i].append(p)
-                    m //= p
-                rest[i] = m
+            if full and len(hit_rows):
+                for i, j in zip(cr[hit_rows].tolist(), hit_cols.tolist()):
+                    p = _SIEVE_PRIMES_INT[c0 + j]
+                    m = rest_l[i]
+                    while m % p == 0:
+                        omega_l[i] += 1
+                        m //= p
+                    rest_l[i] = m
+                    first_l[i] = first_l[i] or p
+                cv[hit_rows] = [rest_l[i] for i in cr[hit_rows].tolist()]
+            if c1 < count:
+                # A rest below the next prime squared is 1 or a prime, and
+                # one below its cube is 1, a prime or a product of two.
+                keep = cv >= _SIEVE_PRIMES_F[c1] ** (3 if full else 2)
+                bounds[cr[~keep]] = _SIEVE_PRIMES[c1]
+            if not full and len(hit_rows):
+                # A row's first hit, in flatnonzero order, is its least
+                # prime: hit_rows ascends, so searchsorted finds it.
+                lead = hit_cols[np.searchsorted(hit_rows, hit_rows)]
+                first[cr[hit_rows]] = _SIEVE_PRIMES[c0:c1][lead]
+                if c1 < count:
+                    keep[hit_rows] = False
             if c1 == count:
                 break
-            if full:  # with full=False the rows with a hit leave anyway
-                v[hit_rows, 0] = [rest[i] for i in rows[hit_rows].tolist()]
-            # A rest below the next prime squared is 1 or a prime, and one
-            # below its cube is 1, a prime or a product of two primes.
-            keep = v[:, 0] >= _SIEVE_PRIMES_F[c1] ** (3 if full else 2)
-            if not full:
-                keep[hit_rows] = False
-            bounds[rows[~keep]] = _SIEVE_PRIMES[c1]
-            rows, v = rows[keep], v[keep]
+            cr, cv = cr[keep], cv[keep]
             c0, width = c1, count
-    return bounds.tolist(), small, rest
+    if full:
+        rest, omega, first = (np.array(a, dtype=np.int64)
+                              for a in (rest_l, omega_l, first_l))
+    else:  # divide each odd row's least prime p out, in full, at once
+        i = np.flatnonzero(first > 2.0)
+        if len(i):
+            at = np.searchsorted(_SIEVE_PRIMES, first[i])
+            rest[i], omega[i] = _divide_out(odd[i], _SIEVE_PRIMES_F[at])
+            bounds[i] = _SIEVE_PRIMES[1:][at]
+    return bounds, first, omega, rest
+
+
+def _divide_out(v, p):
+    """(v / p**k, k) for each v, where p**k is the full power of the prime
+    p dividing v; every value is an integer below 2**52."""
+    left = v / p
+    more, lm, pm = np.arange(len(v)), left, p
+    while len(more):
+        t = lm / pm
+        again = t == np.floor(t)
+        more, lm, pm = more[again], t[again], pm[again]
+        left[more] = lm
+    # v / left is p**k exactly, so the rounded ratio of logs is k.
+    return left, np.rint(np.log(v / left) / np.log(p))
 
 
 def _trial_split(m: int, full: bool = True):
@@ -486,55 +583,61 @@ def _cofactor_is_prime(m: int, bound: int) -> bool:
     return m < bound * bound or _miller_rabin(m)
 
 
+def _at(rows, *arrays):
+    """The entries of each array at rows, as lists of Python ints."""
+    return (a[rows].tolist() for a in arrays)
+
+
+# The kernels compare the split's integer arrays with the float literals
+# 0.0 and 1.0.  The answers are exact, since no other integer converts to
+# either, and numpy runs the float comparisons the sieve already runs
+# instead of paging in its int64 ones.
+
 def liouville_many(values) -> list:
     """(-1)**big_omega(|v|) for each of values; 0 for a zero value.
 
     Each cofactor of B**3 or more is factored from B on (no second trial
     division) within a RHO_BUDGET of its own.
     """
-    out = []
-    for bound, ps, m in zip(*_split(values, full=True)):
-        if m == 0:
-            out.append(0)
-            continue
-        omega = len(ps)
-        if m >= bound ** 3:
-            omega += sum(_factor_cofactor(m, bound).values())
-        elif m > 1:
-            omega += 1 if _cofactor_is_prime(m, bound) else 2
-        out.append(-1 if omega % 2 else 1)
-    return out
+    bounds, _, omega, rest = _split(values, full=True)
+    rows = np.flatnonzero(rest > 1.0)
+    omega[rows] = [k + (sum(_factor_cofactor(m, b).values()) if m >= b ** 3
+                        else 1 if _cofactor_is_prime(m, b) else 2)
+                   for k, b, m in zip(*_at(rows, omega, bounds, rest))]
+    return np.where(rest == 0.0, 0, np.where(omega % 2, -1, 1)).tolist()
 
 
 def von_mangoldt_many(values) -> list:
     """log p for each of values that is +-p**k (p prime, k >= 1), else 0.0."""
-    out = []
-    for bound, ps, m in zip(*_split(values, full=False)):
-        p = None
-        if ps:
-            if m == 1 and ps[0] == ps[-1]:  # ps ascends: one prime
-                p = ps[0]
-        elif m > 1:
-            if _cofactor_is_prime(m, bound):
-                p = m
-            elif m < bound ** 3:
-                r = math.isqrt(m)
-                p = r if r * r == m else None
-            else:
-                # A maximal exponent leaves a base that is no power.
-                pw = perfect_power(m)
-                if pw is not None and _cofactor_is_prime(pw[0], bound):
-                    p = pw[0]
-        out.append(math.log(p) if p is not None else 0.0)
-    return out
+    bounds, first, _, rest = _split(values, full=False)
+    out = np.zeros(len(rest))
+    powers = np.flatnonzero((first > 0.0) & (rest == 1.0))
+    out[powers] = [math.log(p) for p in first[powers].tolist()]
+    rows = np.flatnonzero((first == 0.0) & (rest > 1.0))
+    for i, b, m in zip(rows.tolist(), *_at(rows, bounds, rest)):
+        if _cofactor_is_prime(m, b):
+            p = m
+        elif m < b ** 3:
+            r = math.isqrt(m)
+            p = r if r * r == m else None
+        else:
+            # A maximal exponent leaves a base that is no power.
+            pw = perfect_power(m, b)
+            p = pw[0] if pw is not None and _cofactor_is_prime(pw[0], b) \
+                else None
+        if p is not None:
+            out[i] = math.log(p)
+    return out.tolist()
 
 
 def is_prime_many(values) -> list:
     """Primality of |v| for each of values."""
-    # With a small prime hit, |v| is prime only if it is that prime.
-    return [len(ps) == 1 and m == 1 if ps
-            else m > 1 and _cofactor_is_prime(m, bound)
-            for bound, ps, m in zip(*_split(values, full=False))]
+    bounds, first, omega, rest = _split(values, full=False)
+    flags = (omega == 1.0) & (rest == 1.0)  # |v| is its least prime
+    rows = np.flatnonzero((first == 0.0) & (rest > 1.0))
+    flags[rows] = [_cofactor_is_prime(m, b)
+                   for b, m in zip(*_at(rows, bounds, rest))]
+    return flags.tolist()
 
 
 def liouville_sieve(n: int) -> np.ndarray:

@@ -131,6 +131,21 @@ def test_perfect_power_exhaustive_small():
             assert got[1] == want[1], v
 
 
+def test_perfect_power_prime_exponents_past_1024():
+    # Values reach about 14,000 bits, so a prime exponent may pass every
+    # prime below 1024.
+    for m in (2 ** 1031, 3 ** 1033, 1031 ** 1031):
+        assert perfect_power(m) == sympy.perfect_power(m), m
+    # A cofactor with no prime factor below its bound needs only the
+    # exponents p with bound**p <= m.
+    assert perfect_power(1031 ** 1031, 1024) == (1031, 1031)
+    assert perfect_power(65537 ** 3, 2 ** 16) == (65537, 3)
+    assert perfect_power(65537 * 65539, 2 ** 16) is None
+    # 1031**1031 has no prime below 1024 and is composite: von Mangoldt
+    # asks perfect_power, which must reach the exponent 1031.
+    assert von_mangoldt_many([1031 ** 1031, 6]) == [math.log(1031), 0.0]
+
+
 def test_factorize_examples():
     assert factorize(360) == ((2, 3), (3, 2), (5, 1))
     g = factorize(-12)
@@ -414,12 +429,22 @@ LEAVERS = [Q16 * 65519 * s for s in (1, 3 ** 10, -(2 ** 10),
 STAYERS = [s * 65537 * 65539 * 65543 for s in (1, -15)]
 
 
+def _primorial(cache, b):
+    """The product of the primes below b, memoised in cache."""
+    if b not in cache:
+        cache[b] = math.prod(sympy.primerange(b))
+    return cache[b]
+
+
 def test_sieve_split_against_sympy():
-    # The sieve itself: each row lists exactly the primes below its own
-    # bound, with multiplicity, and a rest free of them.  Below the top
-    # bound B a full row's rest is below the bound cubed, and a row
-    # without full has a rest below the bound squared unless it had a hit.
-    # Values up to the float64 limit 2**52.
+    # The sieve itself, row by row against sympy.  With full=True a row
+    # divides out exactly the primes below its own bound, with
+    # multiplicity, and below the top bound B its rest is below the bound
+    # cubed.  With full=False a row divides out its least prime, in full,
+    # when that prime is below B, and takes the next prime as its bound;
+    # a row with no such prime keeps its value as its rest, and below B
+    # that rest is below the bound squared.  Values up to the float64
+    # limit 2**52.
     rng = stream(20260818, 107)
     values = [2 ** 52 + d for d in range(-80, 0)]
     values += [rng.randrange(1, 2 ** 22) * 3 ** 5 * 7 * 65521
@@ -428,72 +453,88 @@ def test_sieve_split_against_sympy():
     values += [rng.randrange(-2 ** 20, 2 ** 20) for _ in range(40)]
     values += LEAVERS + STAYERS
     assert max(map(abs, values)) < 2 ** 52
-    # Without full, a row also stops after the block of its first hit,
-    # so some rows end under a smaller bound than with full.
+    # Without full a row stops at its first prime, so most rows end under
+    # a smaller bound than with full.
     stopped = 0
     for chunk in (values[:40], values[40:], values[150:]):
         top = arith._sieve_bound(max(map(abs, chunk)))
-        whole = arith._split(chunk, full=True)
-        part = arith._split(chunk, full=False)
-        for full, (bounds, small, rest) in ((True, whole), (False, part)):
-            for v, b, ps, m in zip(chunk, bounds, small, rest):
-                assert b == top or b < top and sympy.isprime(b), v
-                fac = sympy.factorint(abs(v), limit=b) if abs(v) > 1 \
-                    else {}
-                want = [p for p, e in sorted(fac.items()) if p < b
-                        for _ in range(e)]
-                assert ps == want, v
-                assert m == (abs(v) // math.prod(ps) if v else 0), v
-                assert b == top or (m < b ** 3 if full
-                                    else m < b * b or ps), v
+        whole = [a.tolist() for a in arith._split(chunk, full=True)]
+        part = [a.tolist() for a in arith._split(chunk, full=False)]
+        for v, b, p, k, m in zip(chunk, *whole):
+            assert b == top or b < top and sympy.isprime(b), v
+            fac = {q: e for q, e in sympy.factorint(abs(v)).items()
+                   if q < b} if abs(v) > 1 else {}
+            assert (p, k) == (min(fac, default=0), sum(fac.values())), v
+            assert m == (abs(v) // math.prod(q ** e for q, e in fac.items())
+                         if v else 0), v
+            assert b == top or m < b ** 3, v
+        for v, b, p, k, m in zip(chunk, *part):
+            least = min(sympy.factorint(abs(v))) if abs(v) > 1 else 0
+            if p:
+                e = sympy.multiplicity(p, abs(v))
+                assert p == least < top and b == sympy.nextprime(p), v
+                assert (k, m) == (e, abs(v) // p ** e), v
+            else:
+                assert (k, m) == (0, abs(v)) and (least == 0 or least >= b), v
+                assert b == top or b < top and sympy.isprime(b) and \
+                    m < b * b, v
         stopped += sum(b < w for b, w in zip(part[0], whole[0]))
         got = dict(zip(chunk, zip(*whole)))
         for v in LEAVERS:
             if v in got:
-                b, _, m = got[v]
+                b, _, _, m = got[v]
                 assert 29 < b < top and m == Q16 * 65519, v
                 assert b * b <= m < b ** 3, v
         for v in STAYERS:
             if v in got:
-                b, _, m = got[v]
+                b, _, _, m = got[v]
                 assert b == top and m == 65537 * 65539 * 65543, v
                 assert m >= b ** 3, v
     assert stopped
 
 
 def check_split(values, full):
-    """The contract of _split, row by row, against the product of the
-    primes below the row's bound: the listed primes are primes below it,
-    the rest times them is |v| and the rest is coprime to that product
-    (so they are exactly the primes below the bound, with multiplicity).
-    A row below 2**52 has a bound below the top bound B, taken from those
-    rows alone, or B itself.  Unless the bound is B its rest is below the
-    bound cubed with full=True, and with full=False below the bound squared
-    unless the row had a hit.  A row of 2**52 and more has bound 1024.
-    Its trial division may stop early, with a rest that is a prime below
-    1024**2, and with full=False and a hit it stops after its least prime,
-    which is then out of the rest."""
+    """The contract of _split, row by row.  Only a zero value has rest 0.
+    Otherwise the part divided out, |v| / rest, has omega prime factors,
+    counted with multiplicity, the least of them first (0 when nothing was
+    divided out), and every one below the row's bound.
+
+    With full=True, or when nothing was divided out, the rest is coprime
+    to every prime below the bound.  A row below 2**52 then has the top
+    bound B, taken from those rows alone, or a prime bound below it, and
+    unless it is B the rest is below the bound cubed (with full=True) or
+    squared (with full=False).  A row of 2**52 and more has bound 1024,
+    and its trial division may stop early, with a rest that is a prime
+    below 1024**2.  With full=False a row that divides out a prime p
+    divides out |v|'s least prime, in full, and takes the prime after p
+    as its bound.  rest holds Python ints when some value does not fit in
+    int64, and is int64 otherwise."""
     low = [abs(v) for v in values if abs(v) < 2 ** 52]
     top = arith._sieve_bound(max(low, default=0))
     got = arith._split(values, full)
-    below = {}
-    for v, b, ps, m in zip(values, *got):
-        big = abs(v) >= 2 ** 52
+    assert [len(a) for a in got] == [len(values)] * 4
+    wide = any(not -2 ** 63 <= v < 2 ** 63 for v in values)
+    assert got[3].dtype == (object if wide else np.int64)
+    primorials = {}
+    for v, b, p, k, m in zip(values, *(a.tolist() for a in got)):
+        big = abs(v) >= 2 ** 52 or len(values) == 1
+        assert (m == 0) == (v == 0), v
+        if v == 0:
+            assert (b, p, k) == (1024 if big else top, 0, 0), v
+            continue
+        part, r = divmod(abs(v), m)
+        fac = sympy.factorint(part)
+        assert r == 0 and (p, k) == (min(fac, default=0), sum(fac.values())), v
+        if p and not full:
+            assert list(fac) == [p] and b == sympy.nextprime(p), v
+            assert math.gcd(abs(v), _primorial(primorials, p)) == 1, v
+            continue
+        assert all(q < b for q in fac), v
         assert b == 1024 if big else b == top or b < top and \
             sympy.isprime(b), v
-        assert ps == sorted(ps) and all(p < b for p in ps), v
-        assert all(sympy.isprime(p) for p in set(ps)), v
-        assert m * math.prod(ps) == abs(v), v
-        cut = b
-        if big and ps and not full:
-            assert set(ps) == {ps[0]}, v
-            cut = ps[0] + 1
-        if cut not in below:
-            below[cut] = math.prod(sympy.primerange(cut))
-        assert math.gcd(m, below[cut]) == 1 or v == 0 \
+        assert math.gcd(m, _primorial(primorials, b)) == 1 \
             or big and m < b * b and sympy.isprime(m), v
-        assert big or b == top or (m < b ** 3 if full
-                                   else m < b * b or ps), v
+        assert big or b == top or m < (b ** 3 if full else b * b), v
     return got
 
 
@@ -506,11 +547,105 @@ def test_sieve_split_edge_values():
     for full in (True, False):
         check_split(values, full)
         check_split(list(MIXED), full)
-    _, small, rest = arith._split(values, full=False)
-    assert small[:3] == [[], [], []] and rest[:3] == [0, 1, 1]
-    for v, ps, m in zip(values[3:], small[3:], rest[3:]):
+    bounds, first, omega, rest = (a.tolist()
+                                  for a in arith._split(values, full=False))
+    assert (first[:3], omega[:3], rest[:3]) == ([0] * 3, [0] * 3, [0, 1, 1])
+    for v, b, p, k, m in zip(values[3:], bounds[3:], first[3:], omega[3:],
+                             rest[3:]):
         twos = (abs(v) & -abs(v)).bit_length() - 1
-        assert ps == [2] * twos if twos else ps in ([], [3], [7]), v
+        if twos:
+            assert (b, p, k, m) == (3, 2, twos, abs(v) >> twos), v
+        else:
+            assert (p, k, m) == ((abs(v), 1, 1) if abs(v) > 1
+                                 else (0, 0, 1)), v
+
+
+# First primes at the edges of the sieve's blocks: 3 opens the first
+# block (3**32 is its largest power below 2**52), 23 closes it and 29
+# opens the wide block; 2039 is the last prime below 2**11, and 65521 the
+# last below 2**16.  A row p**a * q with p < q in one block must stop at
+# p.  Beside 1, 2039 * 2000003 has the top bound 2**11, so its bound
+# 2053, the prime after 2039, lies above the top bound.
+BLOCK_EDGES = [3 ** 32, 23 ** 11, -(29 ** 10), 2039 ** 4, 3 ** 5 * 5,
+               -3 * 23, 31 ** 3 * 37, 29 * 2027, 65521 ** 3, 2039 * 2000003]
+# Every row leaves in the first block: even, or with a prime up to 23.
+FIRST_BLOCK_ONLY = [2 * 3, 9 * 11, 5 * 7, -23 * 65537, 8, -(3 ** 30)]
+
+
+# 285343 and 857953 are primes whose numpy log differs from math.log in
+# the last place; von Mangoldt must give math.log's value.
+LOG_EDGES = (285343, 857953)
+
+
+def test_split_block_edges():
+    for full in (True, False):
+        check_split(BLOCK_EDGES, full)
+        check_split(FIRST_BLOCK_ONLY, full)
+        for v in BLOCK_EDGES:  # beside 1, under its own top bound
+            check_split([v, 1], full)
+    bounds, first, omega, rest = (a.tolist() for a in
+                                  arith._split(BLOCK_EDGES, full=False))
+    assert first == [3, 23, 29, 2039, 3, 3, 31, 29, 65521, 2039]
+    assert omega == [32, 11, 10, 4, 5, 1, 3, 1, 3, 1]
+    assert rest == [1, 1, 1, 1, 5, 23, 37, 2027, 1, 2000003]
+    assert bounds == [5, 29, 31, 2053, 5, 5, 37, 31, 65537, 2053]
+    assert [a.tolist() for a in arith._split([2039 * 2000003, 1], False)] \
+        == [[2053, 2048], [2039, 0], [1, 0], [2000003, 1]]
+    # A lone value is trial-divided, by the primes below 1024.
+    assert [a.tolist() for a in arith._split([2039 * 2000003], False)] == \
+        [[1024], [0], [0], [2039 * 2000003]]
+    assert arith._split(FIRST_BLOCK_ONLY, False)[1].tolist() == \
+        [2, 3, 5, 23, 2, 3]
+    # No values, and values of 2**52 and more only.
+    for full in (True, False):
+        assert [a.tolist() for a in arith._split([], full)] == [[]] * 4
+        check_split([2 ** 52, -(2 ** 61 - 1), 3 ** 40, 2 ** 64 + 13,
+                     1031 ** 7], full)
+    want, got = _sympy_and_batched(BLOCK_EDGES + FIRST_BLOCK_ONLY)
+    assert got == want
+    # Beyond the sieve's primes, as a prime cofactor and as a square.
+    values = [*LOG_EDGES, LOG_EDGES[0] ** 2, 3]
+    assert von_mangoldt_many(values) == [math.log(p) for p in
+                                         (*LOG_EDGES, LOG_EDGES[0], 3)]
+
+
+@st.composite
+def first_prime_lists(draw):
+    """Lists for the early-exit split: 0 and +-1, powers of 2 to 2**63,
+    powers of the small primes, products p * q of primes around the
+    sieve's block and top bounds, values to 2**51 and from 2**52 to 2**64,
+    and primes where numpy's log and math.log disagree."""
+    near = [3, 5, 23, 29, 31, 1021, 1031, 2039, 2053, 32749, 32771, 65521,
+            65537]
+    atoms = st.one_of(
+        st.sampled_from((0, 1, *LOG_EDGES)),
+        st.integers(1, 63).map(lambda k: 2 ** k),
+        st.tuples(st.sampled_from(primes_upto(100).tolist()),
+                  st.integers(1, 40)).map(lambda t: t[0] ** t[1])
+        .filter(lambda v: v < 2 ** 64),
+        st.tuples(st.sampled_from(near), st.sampled_from(near),
+                  st.sampled_from((1, 2, 3))).map(math.prod),
+        st.integers(2, 2 ** 51),
+        st.integers(2 ** 52, 2 ** 64))
+    signed = st.tuples(atoms, st.sampled_from((1, -1))).map(
+        lambda t: t[0] * t[1])
+    return draw(st.lists(signed, max_size=30))
+
+
+@settings(max_examples=150, deadline=None)
+@given(first_prime_lists())
+def test_first_prime_kernels_match_sympy(values):
+    want_vm = []
+    for v in values:
+        base = abs(v)
+        if base > 1 and (pw := sympy.perfect_power(base)):
+            base = pw[0]
+        want_vm.append(math.log(base) if sympy.isprime(base) else 0.0)
+    assert von_mangoldt_many(values) == want_vm
+    assert is_prime_many(values) == [bool(sympy.isprime(abs(v)))
+                                     for v in values]
+    for full in (True, False):
+        check_split(values, full)
 
 
 def test_sieve_split_long_lists():
@@ -528,26 +663,29 @@ def test_sieve_split_long_lists():
 
 
 def test_batched_kernels_route_by_size():
-    # Values of 2**52 and more are trial-divided, with bound 1024; the
-    # sieve's top bound (that of a zero value, or of a row that runs every
-    # block) is taken from the smaller values alone.
+    # Values of 2**52 and more are trial-divided, with bound 1024 unless
+    # they stop at a prime; the sieve's top bound (that of a zero value,
+    # or of a row that runs every block) is taken from the smaller values
+    # alone.
     values = [6, 2 ** 52 - 1, 2 ** 52, -(2 ** 61 - 1), 0, -35, 2 ** 80 + 1]
     want, got = _sympy_and_batched(values)
     assert got == want
-    for full in (True, False):
-        bounds = check_split(values, full)[0]
+    for full, big in ((True, [1024] * 3), (False, [3, 1024, 1024])):
+        bounds = check_split(values, full)[0].tolist()
         assert [b for v, b in zip(values, bounds) if abs(v) >= 2 ** 52] \
-            == [1024] * 3
+            == big
         assert bounds[4] == 2 ** 16
     # 37 * 41 runs every block below 32, so its bound is the top bound:
     # 32 from [37 * 41] alone, where 2**61 + 1 would have made it 2**16.
+    # 2**61 + 1 stops at its least prime, 3, and takes the bound 5.
     assert is_prime_many([37 * 41, 2 ** 61 + 1]) == [False, False]
-    assert arith._split([37 * 41, 2 ** 61 + 1], full=False)[0] == [32, 1024]
+    assert arith._split([37 * 41, 2 ** 61 + 1], full=False)[0].tolist() \
+        == [32, 5]
     # A big row's trial division stops once p * p passes its rest: 3 is
     # left as the rest of 3 * 2**60, under the bound 1024.  The row of 7
     # leaves the sieve after its first block, the odd primes to 23.
-    assert check_split([3 * 2 ** 60, 7], True) == ([1024, 29],
-                                                   [[2] * 60, [7]], [3, 1])
+    assert [a.tolist() for a in check_split([3 * 2 ** 60, 7], True)] == \
+        [[1024, 29], [2, 7], [60, 1], [3, 1]]
 
 
 # Above 2**52 values are trial-divided by the primes below 1024; 1031 is
@@ -577,7 +715,7 @@ def test_large_values_match_sympy(monkeypatch):
     want, got = _sympy_and_batched(LARGE_VALUES)
     assert got == want
     assert {("_trial_split", True), ("_trial_split", False),
-            ("perfect_power",),
+            ("perfect_power", 1024),
             ("_factor_cofactor", 1024)} <= set(calls)
     assert [liouville(v) for v in LARGE_VALUES] == want[0]
     assert [von_mangoldt(v) for v in LARGE_VALUES] == want[1]
