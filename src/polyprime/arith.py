@@ -40,9 +40,10 @@ the nonzero results.  For Liouville each hit is divided out in Python.
 After each block a value also leaves once its rest is below the cube of
 the next prime (the square, for von Mangoldt and primality); later
 blocks widen as values leave.  A value that runs every block has bound
-B.  A value of 2**52 or more, and a lone value (a scalar call), is
-trial-divided by the primes below 1024, its bound, and stays out of the
-sieve: a lone value would not pay for numpy's fixed costs.
+B.  A value of 2**52 or more, and every value of a list shorter than the
+first block (a scalar call, say), is trial-divided by the primes below
+1024, its bound, and stays out of the sieve: so few values would not pay
+for numpy's fixed costs.
 
 `factorize` trial-divides the same way, then splits what is left with
 Miller-Rabin, perfect-power extraction and Brent's cycle-finding rho with
@@ -367,7 +368,8 @@ _SIEVE_PRIMES = primes_upto(_SIEVE_CAP + 1)
 _SIEVE_PRIMES_F = _SIEVE_PRIMES.astype(np.float64)
 _SIEVE_PRIMES_INT = _SIEVE_PRIMES.tolist()
 _SIEVE_CHUNK = 1 << 15  # elements per numpy block of the sieve
-_FIRST_BLOCK = 8  # odd primes in a row chunk's first block
+# Odd primes in a row chunk's first block, and the fewest values sieved.
+_FIRST_BLOCK = 8
 _FLOAT_EXACT = 1 << 52  # below this v / p == floor(v / p) iff p | v
 _POWERS_OF_TWO = np.array([1 << k for k in range(52)], dtype=np.int64)
 
@@ -399,31 +401,32 @@ def _split(values, full: bool):
     rest is int64 when every value fits in int64, and holds Python ints
     otherwise.
 
-    The values below 2**52 of a list of two or more go through `_sieve`
-    together.  A value of 2**52 or more, and a lone value, whose split
-    would not pay for numpy's fixed costs, is trial-divided by
-    `_trial_split` instead, with bound _TRIAL_BOUND unless it stops at a
-    prime; its rest is below _TRIAL_BOUND**2 unless it ran every prime
-    below that bound.
+    The values below 2**52 of a list of at least _FIRST_BLOCK values go
+    through `_sieve` together.  A value of 2**52 or more, and every value
+    of a shorter list (a scalar call, or the few points of a linear-forms
+    sample), whose numpy passes would cost more than the divisions they
+    replace, is trial-divided by `_trial_split` instead, with bound
+    _TRIAL_BOUND unless it stops at a prime; its rest is below
+    _TRIAL_BOUND**2 unless it ran every prime below that bound.
     """
     try:
         signed = np.asarray(values, dtype=np.int64)
     except OverflowError:  # a value past int64: keep Python ints
         signed = np.array(values, dtype=object)
-    if len(signed) > 1:
+    if len(signed) >= _FIRST_BLOCK:
         if signed.dtype == object:
             mag = np.array([float(min(abs(v), _FLOAT_EXACT))
                             for v in signed])
         else:
             mag = np.abs(signed.astype(np.float64))
-        low = mag < _FLOAT_EXACT
-        mag[~low] = 0  # sieved as zeros, then trial-divided below
+        high = mag >= _FLOAT_EXACT
+        mag[high] = 0  # sieved as zeros, then trial-divided below
         bounds, first, omega, rest = _sieve(mag, full)
     else:
-        low = np.zeros(len(signed), dtype=bool)
+        high = np.ones(len(signed), dtype=bool)
         bounds, first, omega, rest = np.zeros((4, len(signed)),
                                               dtype=np.int64)
-    trial = np.flatnonzero(~low)
+    trial = np.flatnonzero(high)
     if signed.dtype == object:
         rest = rest.astype(object)  # Python ints past int64
     for i in trial.tolist():
@@ -470,8 +473,7 @@ def _sieve(mag, full: bool):
     top = _sieve_bound(int(ints.max(initial=0)))
     bit = ints & -ints  # the power of two in |v|, 0 at 0
     odd = mag / np.maximum(bit, 1)
-    rest = np.empty_like(ints)
-    rest[:] = odd
+    rest = odd.astype(np.int64)
     omega = np.searchsorted(_POWERS_OF_TWO, bit)
     even = odd < mag
     first = np.where(even, 2, 0)
@@ -611,22 +613,24 @@ def von_mangoldt_many(values) -> list:
     """log p for each of values that is +-p**k (p prime, k >= 1), else 0.0."""
     bounds, first, _, rest = _split(values, full=False)
     out = np.zeros(len(rest))
-    powers = np.flatnonzero((first > 0.0) & (rest == 1.0))
+    cofactor = first == 0.0
+    powers = np.flatnonzero(~cofactor & (rest == 1.0))
     out[powers] = [math.log(p) for p in first[powers].tolist()]
-    rows = np.flatnonzero((first == 0.0) & (rest > 1.0))
-    for i, b, m in zip(rows.tolist(), *_at(rows, bounds, rest)):
+    rows = np.flatnonzero(cofactor & (rest > 1.0))
+    logs = []
+    for b, m in zip(*_at(rows, bounds, rest)):
         if _cofactor_is_prime(m, b):
             p = m
         elif m < b ** 3:
             r = math.isqrt(m)
-            p = r if r * r == m else None
+            p = r if r * r == m else 1
         else:
             # A maximal exponent leaves a base that is no power.
             pw = perfect_power(m, b)
             p = pw[0] if pw is not None and _cofactor_is_prime(pw[0], b) \
-                else None
-        if p is not None:
-            out[i] = math.log(p)
+                else 1
+        logs.append(math.log(p))  # 0.0 when p is 1
+    out[rows] = logs
     return out.tolist()
 
 

@@ -503,9 +503,10 @@ def check_split(values, full):
     to every prime below the bound.  A row below 2**52 then has the top
     bound B, taken from those rows alone, or a prime bound below it, and
     unless it is B the rest is below the bound cubed (with full=True) or
-    squared (with full=False).  A row of 2**52 and more has bound 1024,
-    and its trial division may stop early, with a rest that is a prime
-    below 1024**2.  With full=False a row that divides out a prime p
+    squared (with full=False).  A row of 2**52 and more, and every row of
+    a list shorter than the sieve's first block, has bound 1024, and its
+    trial division may stop early, with a rest that is a prime below
+    1024**2.  With full=False a row that divides out a prime p
     divides out |v|'s least prime, in full, and takes the prime after p
     as its bound.  rest holds Python ints when some value does not fit in
     int64, and is int64 otherwise."""
@@ -517,7 +518,7 @@ def check_split(values, full):
     assert got[3].dtype == (object if wide else np.int64)
     primorials = {}
     for v, b, p, k, m in zip(values, *(a.tolist() for a in got)):
-        big = abs(v) >= 2 ** 52 or len(values) == 1
+        big = abs(v) >= 2 ** 52 or len(values) < arith._FIRST_BLOCK
         assert (m == 0) == (v == 0), v
         if v == 0:
             assert (b, p, k) == (1024 if big else top, 0, 0), v
@@ -564,12 +565,17 @@ def test_sieve_split_edge_values():
 # block (3**32 is its largest power below 2**52), 23 closes it and 29
 # opens the wide block; 2039 is the last prime below 2**11, and 65521 the
 # last below 2**16.  A row p**a * q with p < q in one block must stop at
-# p.  Beside 1, 2039 * 2000003 has the top bound 2**11, so its bound
-# 2053, the prime after 2039, lies above the top bound.
+# p.  Padded with 1s to the sieve's fewest values, 2039 * 2000003 has
+# the top bound 2**11, so its bound 2053, the prime after 2039, lies above
+# the top bound.
 BLOCK_EDGES = [3 ** 32, 23 ** 11, -(29 ** 10), 2039 ** 4, 3 ** 5 * 5,
                -3 * 23, 31 ** 3 * 37, 29 * 2027, 65521 ** 3, 2039 * 2000003]
+# A list shorter than the sieve's first block is trial-divided; ONES pads
+# one value to a list the sieve takes.
+ONES = [1] * (arith._FIRST_BLOCK - 1)
 # Every row leaves in the first block: even, or with a prime up to 23.
-FIRST_BLOCK_ONLY = [2 * 3, 9 * 11, 5 * 7, -23 * 65537, 8, -(3 ** 30)]
+FIRST_BLOCK_ONLY = [2 * 3, 9 * 11, 5 * 7, -23 * 65537, 8, -(3 ** 30),
+                    13 * 17, 19 * 65521]
 
 
 # 285343 and 857953 are primes whose numpy log differs from math.log in
@@ -581,21 +587,22 @@ def test_split_block_edges():
     for full in (True, False):
         check_split(BLOCK_EDGES, full)
         check_split(FIRST_BLOCK_ONLY, full)
-        for v in BLOCK_EDGES:  # beside 1, under its own top bound
-            check_split([v, 1], full)
+        for v in BLOCK_EDGES:  # under its own top bound
+            check_split([v, *ONES], full)
     bounds, first, omega, rest = (a.tolist() for a in
                                   arith._split(BLOCK_EDGES, full=False))
     assert first == [3, 23, 29, 2039, 3, 3, 31, 29, 65521, 2039]
     assert omega == [32, 11, 10, 4, 5, 1, 3, 1, 3, 1]
     assert rest == [1, 1, 1, 1, 5, 23, 37, 2027, 1, 2000003]
     assert bounds == [5, 29, 31, 2053, 5, 5, 37, 31, 65537, 2053]
-    assert [a.tolist() for a in arith._split([2039 * 2000003, 1], False)] \
-        == [[2053, 2048], [2039, 0], [1, 0], [2000003, 1]]
-    # A lone value is trial-divided, by the primes below 1024.
+    got = [a.tolist() for a in arith._split([2039 * 2000003, *ONES], False)]
+    assert got == [[2053, *[2048] * 7], [2039, *[0] * 7], [1, *[0] * 7],
+                   [2000003, *[1] * 7]]
+    # A shorter list is trial-divided, by the primes below 1024.
     assert [a.tolist() for a in arith._split([2039 * 2000003], False)] == \
         [[1024], [0], [0], [2039 * 2000003]]
     assert arith._split(FIRST_BLOCK_ONLY, False)[1].tolist() == \
-        [2, 3, 5, 23, 2, 3]
+        [2, 3, 5, 23, 2, 3, 13, 19]
     # No values, and values of 2**52 and more only.
     for full in (True, False):
         assert [a.tolist() for a in arith._split([], full)] == [[]] * 4
@@ -667,7 +674,8 @@ def test_batched_kernels_route_by_size():
     # they stop at a prime; the sieve's top bound (that of a zero value,
     # or of a row that runs every block) is taken from the smaller values
     # alone.
-    values = [6, 2 ** 52 - 1, 2 ** 52, -(2 ** 61 - 1), 0, -35, 2 ** 80 + 1]
+    values = [6, 2 ** 52 - 1, 2 ** 52, -(2 ** 61 - 1), 0, -35, 2 ** 80 + 1,
+              1]
     want, got = _sympy_and_batched(values)
     assert got == want
     for full, big in ((True, [1024] * 3), (False, [3, 1024, 1024])):
@@ -676,15 +684,16 @@ def test_batched_kernels_route_by_size():
             == big
         assert bounds[4] == 2 ** 16
     # 37 * 41 runs every block below 32, so its bound is the top bound:
-    # 32 from [37 * 41] alone, where 2**61 + 1 would have made it 2**16.
+    # 32 from 37 * 41 and 1s, where 2**61 + 1 would have made it 2**16.
     # 2**61 + 1 stops at its least prime, 3, and takes the bound 5.
     assert is_prime_many([37 * 41, 2 ** 61 + 1]) == [False, False]
-    assert arith._split([37 * 41, 2 ** 61 + 1], full=False)[0].tolist() \
-        == [32, 5]
+    assert arith._split([37 * 41, 2 ** 61 + 1, *ONES[1:]],
+                        full=False)[0].tolist()[:2] == [32, 5]
     # A big row's trial division stops once p * p passes its rest: 3 is
     # left as the rest of 3 * 2**60, under the bound 1024.  The row of 7
     # leaves the sieve after its first block, the odd primes to 23.
-    assert [a.tolist() for a in check_split([3 * 2 ** 60, 7], True)] == \
+    got = check_split([3 * 2 ** 60, 7, *ONES[1:]], True)
+    assert [a.tolist()[:2] for a in got] == \
         [[1024, 29], [2, 7], [60, 1], [3, 1]]
 
 
