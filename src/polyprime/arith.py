@@ -10,12 +10,13 @@ There is one route.  `liouville_many`, `von_mangoldt_many` and
 `is_prime_many` take a whole list of values, such as f(1..X), and the
 scalar `liouville`, `von_mangoldt` and `is_prime` are each the list of
 one.  One split, `_split`, takes the list and gives every value, in
-arrays with a row per value, a bound, the least prime it divided out
-(or 0), the number of primes it divided out (Omega of that part) and the
-rest m.  For Liouville (full=True) the split divides out every prime
-below the bound, so m has no prime factor below it.  It may stop early,
-once m is below the cube of the next prime to test; the sieve then
-takes that prime as the value's bound.  A cofactor 1 < m < bound**2 is
+arrays with a row per value, a bound, the number of primes it divided
+out (Omega of that part) and the rest m, and for von Mangoldt and
+primality the least prime it divided out (or 0).  For Liouville
+(full=True) the split divides out every prime below the bound, so m has
+no prime factor below it.  It may stop early, once m is below the cube
+of the next prime to test; the sieve then takes that prime as the
+value's bound.  A cofactor 1 < m < bound**2 is
 prime, and a composite m < bound**3 is a product of exactly two primes;
 Miller-Rabin tells the two cases apart.  Only a cofactor m >= bound**3
 needs more: Liouville factors it from the bound on, with the loop that
@@ -362,13 +363,14 @@ def von_mangoldt(n: int) -> float:
 
 
 _SIEVE_CAP = 1 << 16
-# The primes below 2**16 and the next one, 65537, which is the bound of a
-# row that stops at 65521.
-_SIEVE_PRIMES = primes_upto(_SIEVE_CAP + 1)
+_SIEVE_PRIMES = primes_upto(_SIEVE_CAP)
 _SIEVE_PRIMES_F = _SIEVE_PRIMES.astype(np.float64)
 _SIEVE_PRIMES_INT = _SIEVE_PRIMES.tolist()
 _SIEVE_CHUNK = 1 << 15  # elements per numpy block of the sieve
-# Odd primes in a row chunk's first block, and the fewest values sieved.
+# Odd primes in a row chunk's first block, and also the fewest values
+# sieved.  That threshold only has to separate the list sizes that were
+# timed: a scalar call or the 3 points of a linear-forms sample, which are
+# trial-divided, from the hundreds of values of a tuples or chowla sample.
 _FIRST_BLOCK = 8
 _FLOAT_EXACT = 1 << 52  # below this v / p == floor(v / p) iff p | v
 _POWERS_OF_TWO = np.array([1 << k for k in range(52)], dtype=np.int64)
@@ -384,30 +386,30 @@ def _sieve_bound(top: int) -> int:
 
 def _split(values, full: bool):
     """(bounds, first, omega, rest): each value split under a bound of its
-    own, as four arrays with a row per value.
+    own, as arrays with a row per value.
 
     With full=True a row divides out every prime below bounds[i], and
     with full=False only the least prime that divides it, in full, after
-    which it stops.  first[i] is the least prime divided out, or 0 if
-    there is none, omega[i] the number of primes divided out, counted
+    which it stops.  omega[i] is the number of primes divided out, counted
     with multiplicity, and rest[i] what is left of |v|.  The rest has no
     prime factor below the bound, or else it is a prime below the bound
     squared (a trial-divided row that stopped early).  A cofactor rest > 1
     is then prime if it is below bound**2, and a product of two primes if
-    it is a composite below bound**3.  With full=False a row that stops
-    at its first prime p takes the next prime as its bound; |v| is then a
-    power of p iff rest[i] is 1, and |v| is prime iff it is p.  A zero
-    value, and only a zero value, gives rest 0 (and first 0, omega 0).
-    rest is int64 when every value fits in int64, and holds Python ints
-    otherwise.
+    it is a composite below bound**3.  With full=False first[i] is the
+    least prime divided out, or 0 if there is none; a row that stops at
+    its first prime p has some bound above p, which the kernels do not
+    read, and |v| is a power of p iff rest[i] is 1, and prime iff it is
+    p.  With full=True first is None.  A zero value, and only a zero
+    value, gives rest 0 (and first 0, omega 0).  rest is int64 when every
+    value fits in int64, and holds Python ints otherwise.
 
     The values below 2**52 of a list of at least _FIRST_BLOCK values go
     through `_sieve` together.  A value of 2**52 or more, and every value
-    of a shorter list (a scalar call, or the few points of a linear-forms
+    of a shorter list (a scalar call, or the 3 points of a linear-forms
     sample), whose numpy passes would cost more than the divisions they
     replace, is trial-divided by `_trial_split` instead, with bound
-    _TRIAL_BOUND unless it stops at a prime; its rest is below
-    _TRIAL_BOUND**2 unless it ran every prime below that bound.
+    _TRIAL_BOUND; its rest is below _TRIAL_BOUND**2 unless it ran every
+    prime below that bound.
     """
     try:
         signed = np.asarray(values, dtype=np.int64)
@@ -426,31 +428,32 @@ def _split(values, full: bool):
         high = np.ones(len(signed), dtype=bool)
         bounds, first, omega, rest = np.zeros((4, len(signed)),
                                               dtype=np.int64)
-    trial = np.flatnonzero(high)
+    # x.nonzero()[0] rather than np.flatnonzero(x): the wrapper costs about
+    # 2 microseconds, paid several times in every call, scalar ones too.
+    trial = high.nonzero()[0]
     if signed.dtype == object:
         rest = rest.astype(object)  # Python ints past int64
     for i in trial.tolist():
         small, rest[i] = _trial_split(abs(int(signed[i])), full)
-        omega[i] = len(small)
-        first[i] = small[0] if small else 0
-        bounds[i] = _TRIAL_BOUND if full or not small else \
-            _SIEVE_PRIMES_INT[_SIEVE_PRIMES_INT.index(small[0]) + 1]
-    return bounds, first, omega, rest
+        omega[i], bounds[i] = len(small), _TRIAL_BOUND
+        if not full:
+            first[i] = small[0] if small else 0
+    return bounds, None if full else first, omega, rest
 
 
 def _sieve(mag, full: bool):
     """`_split` of the magnitudes mag, floats below 2**52, in numpy.
 
     The rows are split under the top bound B, `_sieve_bound` of the
-    largest of them.  A row that does not stop at a prime takes as its
-    bound the first prime it was not tested against, or B if it was
-    tested against every prime below B or its rest was 0 or 1 before the
-    odd primes.  With full=True it leaves after a block once its rest is
-    below the cube of the next prime, so rest[i] < bounds[i]**3 unless
-    bounds[i] == B: the rest is then 1, a prime or a product of two
-    primes.  With full=False the square takes the place of the cube, so
-    the rest of a row with no small prime is 1 or a prime unless
-    bounds[i] == B.
+    largest of them.  A row takes as its bound the first prime it was not
+    tested against, or B if it was tested against every prime below B or
+    its rest was 0 or 1 before the odd primes (with full=False, a row
+    that stops at a prime p keeps the bound it had then, above p).  With
+    full=True it leaves after a block once its rest is below the cube of
+    the next prime, so rest[i] < bounds[i]**3 unless bounds[i] == B: the
+    rest is then 1, a prime or a product of two primes.  With full=False
+    the square takes the place of the cube, so the rest of a row with no
+    small prime is 1 or a prime unless bounds[i] == B.
 
     The powers of two come off every row first, by bit operations; with
     full=False an even row stops there.  The odd primes are then tested
@@ -459,7 +462,7 @@ def _sieve(mag, full: bool):
     the first block obeys too.  Each block widens as rows leave.  A float
     copy of each row's rest decides who leaves in one vectorised
     comparison per block.  With full=False the first hit of a row, in
-    `flatnonzero` order, is its least prime; the row leaves, and at the
+    row-major order, is its least prime; the row leaves, and at the
     end one vectorised loop divides each row's least prime out of it.
     With full=True each hit is divided out in Python and the float rest
     updated.  One float buffer holds a block's quotients and their
@@ -476,18 +479,16 @@ def _sieve(mag, full: bool):
     rest = odd.astype(np.int64)
     omega = np.searchsorted(_POWERS_OF_TWO, bit)
     even = odd < mag
-    first = np.where(even, 2, 0)
     go = odd > 1
     if full:
         bounds = np.full(len(ints), top)
     else:  # an even row stops at 2
-        bounds = np.where(even, 3, top)
+        bounds, first = np.where(even, 3, top), np.where(even, 2, 0)
         go &= ~even
-    rows = np.flatnonzero(go)
+    rows = go.nonzero()[0]
     v = odd[rows]
     if full:
-        rest_l, omega_l, first_l = rest.tolist(), omega.tolist(), \
-            first.tolist()
+        rest_l, omega_l = rest.tolist(), omega.tolist()
     count = bisect.bisect_left(_SIEVE_PRIMES_INT, top)
     buf = mask = np.empty(0)
     for r0 in range(0, len(rows), _SIEVE_CHUNK):
@@ -505,7 +506,7 @@ def _sieve(mag, full: bool):
             np.divide(cv[:, None], _SIEVE_PRIMES_F[c0:c1], out=qb)
             np.floor(qb, out=fb)
             np.equal(qb, fb, out=mb)
-            hit_rows, hit_cols = np.divmod(np.flatnonzero(mb), c1 - c0)
+            hit_rows, hit_cols = np.divmod(mask[:size].nonzero()[0], c1 - c0)
             if full and len(hit_rows):
                 for i, j in zip(cr[hit_rows].tolist(), hit_cols.tolist()):
                     p = _SIEVE_PRIMES_INT[c0 + j]
@@ -514,7 +515,6 @@ def _sieve(mag, full: bool):
                         omega_l[i] += 1
                         m //= p
                     rest_l[i] = m
-                    first_l[i] = first_l[i] or p
                 cv[hit_rows] = [rest_l[i] for i in cr[hit_rows].tolist()]
             if c1 < count:
                 # A rest below the next prime squared is 1 or a prime, and
@@ -522,7 +522,7 @@ def _sieve(mag, full: bool):
                 keep = cv >= _SIEVE_PRIMES_F[c1] ** (3 if full else 2)
                 bounds[cr[~keep]] = _SIEVE_PRIMES[c1]
             if not full and len(hit_rows):
-                # A row's first hit, in flatnonzero order, is its least
+                # A row's first hit, in row-major order, is its least
                 # prime: hit_rows ascends, so searchsorted finds it.
                 lead = hit_cols[np.searchsorted(hit_rows, hit_rows)]
                 first[cr[hit_rows]] = _SIEVE_PRIMES[c0:c1][lead]
@@ -533,14 +533,12 @@ def _sieve(mag, full: bool):
             cr, cv = cr[keep], cv[keep]
             c0, width = c1, count
     if full:
-        rest, omega, first = (np.array(a, dtype=np.int64)
-                              for a in (rest_l, omega_l, first_l))
-    else:  # divide each odd row's least prime p out, in full, at once
-        i = np.flatnonzero(first > 2.0)
-        if len(i):
-            at = np.searchsorted(_SIEVE_PRIMES, first[i])
-            rest[i], omega[i] = _divide_out(odd[i], _SIEVE_PRIMES_F[at])
-            bounds[i] = _SIEVE_PRIMES[1:][at]
+        rest, omega = (np.array(a, dtype=np.int64) for a in (rest_l, omega_l))
+        return bounds, None, omega, rest
+    # Divide each odd row's least prime out, in full, at once.
+    i = (first > 2.0).nonzero()[0]
+    if len(i):
+        rest[i], omega[i] = _divide_out(odd[i], first[i].astype(np.float64))
     return bounds, first, omega, rest
 
 
@@ -602,7 +600,7 @@ def liouville_many(values) -> list:
     division) within a RHO_BUDGET of its own.
     """
     bounds, _, omega, rest = _split(values, full=True)
-    rows = np.flatnonzero(rest > 1.0)
+    rows = (rest > 1.0).nonzero()[0]
     omega[rows] = [k + (sum(_factor_cofactor(m, b).values()) if m >= b ** 3
                         else 1 if _cofactor_is_prime(m, b) else 2)
                    for k, b, m in zip(*_at(rows, omega, bounds, rest))]
@@ -614,9 +612,9 @@ def von_mangoldt_many(values) -> list:
     bounds, first, _, rest = _split(values, full=False)
     out = np.zeros(len(rest))
     cofactor = first == 0.0
-    powers = np.flatnonzero(~cofactor & (rest == 1.0))
+    powers = (~cofactor & (rest == 1.0)).nonzero()[0]
     out[powers] = [math.log(p) for p in first[powers].tolist()]
-    rows = np.flatnonzero(cofactor & (rest > 1.0))
+    rows = (cofactor & (rest > 1.0)).nonzero()[0]
     logs = []
     for b, m in zip(*_at(rows, bounds, rest)):
         if _cofactor_is_prime(m, b):
@@ -638,7 +636,7 @@ def is_prime_many(values) -> list:
     """Primality of |v| for each of values."""
     bounds, first, omega, rest = _split(values, full=False)
     flags = (omega == 1.0) & (rest == 1.0)  # |v| is its least prime
-    rows = np.flatnonzero((first == 0.0) & (rest > 1.0))
+    rows = ((first == 0.0) & (rest > 1.0)).nonzero()[0]
     flags[rows] = [_cofactor_is_prime(m, b)
                    for b, m in zip(*_at(rows, bounds, rest))]
     return flags.tolist()

@@ -441,10 +441,9 @@ def test_sieve_split_against_sympy():
     # divides out exactly the primes below its own bound, with
     # multiplicity, and below the top bound B its rest is below the bound
     # cubed.  With full=False a row divides out its least prime, in full,
-    # when that prime is below B, and takes the next prime as its bound;
-    # a row with no such prime keeps its value as its rest, and below B
-    # that rest is below the bound squared.  Values up to the float64
-    # limit 2**52.
+    # when that prime is below B, and keeps a bound above it; a row with
+    # no such prime keeps its value as its rest, and below B that rest is
+    # below the bound squared.  Values up to the float64 limit 2**52.
     rng = stream(20260818, 107)
     values = [2 ** 52 + d for d in range(-80, 0)]
     values += [rng.randrange(1, 2 ** 22) * 3 ** 5 * 7 * 65521
@@ -458,13 +457,15 @@ def test_sieve_split_against_sympy():
     stopped = 0
     for chunk in (values[:40], values[40:], values[150:]):
         top = arith._sieve_bound(max(map(abs, chunk)))
-        whole = [a.tolist() for a in arith._split(chunk, full=True)]
+        bounds, first, omega, rest = arith._split(chunk, full=True)
+        assert first is None
+        whole = [a.tolist() for a in (bounds, omega, rest)]
         part = [a.tolist() for a in arith._split(chunk, full=False)]
-        for v, b, p, k, m in zip(chunk, *whole):
+        for v, b, k, m in zip(chunk, *whole):
             assert b == top or b < top and sympy.isprime(b), v
             fac = {q: e for q, e in sympy.factorint(abs(v)).items()
                    if q < b} if abs(v) > 1 else {}
-            assert (p, k) == (min(fac, default=0), sum(fac.values())), v
+            assert k == sum(fac.values()), v
             assert m == (abs(v) // math.prod(q ** e for q, e in fac.items())
                          if v else 0), v
             assert b == top or m < b ** 3, v
@@ -472,7 +473,7 @@ def test_sieve_split_against_sympy():
             least = min(sympy.factorint(abs(v))) if abs(v) > 1 else 0
             if p:
                 e = sympy.multiplicity(p, abs(v))
-                assert p == least < top and b == sympy.nextprime(p), v
+                assert p == least < top and p < b <= top, v
                 assert (k, m) == (e, abs(v) // p ** e), v
             else:
                 assert (k, m) == (0, abs(v)) and (least == 0 or least >= b), v
@@ -482,12 +483,12 @@ def test_sieve_split_against_sympy():
         got = dict(zip(chunk, zip(*whole)))
         for v in LEAVERS:
             if v in got:
-                b, _, _, m = got[v]
+                b, _, m = got[v]
                 assert 29 < b < top and m == Q16 * 65519, v
                 assert b * b <= m < b ** 3, v
         for v in STAYERS:
             if v in got:
-                b, _, _, m = got[v]
+                b, _, m = got[v]
                 assert b == top and m == 65537 * 65539 * 65543, v
                 assert m >= b ** 3, v
     assert stopped
@@ -496,8 +497,9 @@ def test_sieve_split_against_sympy():
 def check_split(values, full):
     """The contract of _split, row by row.  Only a zero value has rest 0.
     Otherwise the part divided out, |v| / rest, has omega prime factors,
-    counted with multiplicity, the least of them first (0 when nothing was
-    divided out), and every one below the row's bound.
+    counted with multiplicity, and every one below the row's bound.  With
+    full=False first is the least of them (0 when nothing was divided
+    out), and with full=True it is None.
 
     With full=True, or when nothing was divided out, the rest is coprime
     to every prime below the bound.  A row below 2**52 then has the top
@@ -506,28 +508,34 @@ def check_split(values, full):
     squared (with full=False).  A row of 2**52 and more, and every row of
     a list shorter than the sieve's first block, has bound 1024, and its
     trial division may stop early, with a rest that is a prime below
-    1024**2.  With full=False a row that divides out a prime p
-    divides out |v|'s least prime, in full, and takes the prime after p
-    as its bound.  rest holds Python ints when some value does not fit in
-    int64, and is int64 otherwise."""
+    1024**2.  With full=False a row that divides out a prime p divides
+    out |v|'s least prime, in full, and has a bound above p.  rest holds
+    Python ints when some value does not fit in int64, and is int64
+    otherwise."""
     low = [abs(v) for v in values if abs(v) < 2 ** 52]
     top = arith._sieve_bound(max(low, default=0))
     got = arith._split(values, full)
-    assert [len(a) for a in got] == [len(values)] * 4
+    assert (got[1] is None) == full
+    firsts = [0] * len(values) if full else got[1].tolist()
+    assert [len(a) for a in (got[0], firsts, *got[2:])] == [len(values)] * 4
     wide = any(not -2 ** 63 <= v < 2 ** 63 for v in values)
     assert got[3].dtype == (object if wide else np.int64)
     primorials = {}
-    for v, b, p, k, m in zip(values, *(a.tolist() for a in got)):
-        big = abs(v) >= 2 ** 52 or len(values) < arith._FIRST_BLOCK
+    short = len(values) < arith._FIRST_BLOCK
+    for v, b, p, k, m in zip(values, got[0].tolist(), firsts,
+                             *(a.tolist() for a in got[2:])):
+        big = abs(v) >= 2 ** 52 or short
         assert (m == 0) == (v == 0), v
         if v == 0:
             assert (b, p, k) == (1024 if big else top, 0, 0), v
             continue
         part, r = divmod(abs(v), m)
         fac = sympy.factorint(part)
-        assert r == 0 and (p, k) == (min(fac, default=0), sum(fac.values())), v
-        if p and not full:
-            assert list(fac) == [p] and b == sympy.nextprime(p), v
+        assert r == 0 and k == sum(fac.values()), v
+        if not full:
+            assert p == min(fac, default=0), v
+        if p:
+            assert list(fac) == [p] and p < b, v
             assert math.gcd(abs(v), _primorial(primorials, p)) == 1, v
             continue
         assert all(q < b for q in fac), v
@@ -566,8 +574,7 @@ def test_sieve_split_edge_values():
 # opens the wide block; 2039 is the last prime below 2**11, and 65521 the
 # last below 2**16.  A row p**a * q with p < q in one block must stop at
 # p.  Padded with 1s to the sieve's fewest values, 2039 * 2000003 has
-# the top bound 2**11, so its bound 2053, the prime after 2039, lies above
-# the top bound.
+# the top bound 2**11, so 2039 is the last prime of its last block.
 BLOCK_EDGES = [3 ** 32, 23 ** 11, -(29 ** 10), 2039 ** 4, 3 ** 5 * 5,
                -3 * 23, 31 ** 3 * 37, 29 * 2027, 65521 ** 3, 2039 * 2000003]
 # A list shorter than the sieve's first block is trial-divided; ONES pads
@@ -589,23 +596,25 @@ def test_split_block_edges():
         check_split(FIRST_BLOCK_ONLY, full)
         for v in BLOCK_EDGES:  # under its own top bound
             check_split([v, *ONES], full)
-    bounds, first, omega, rest = (a.tolist() for a in
-                                  arith._split(BLOCK_EDGES, full=False))
+    _, first, omega, rest = (a.tolist() for a in
+                             arith._split(BLOCK_EDGES, full=False))
     assert first == [3, 23, 29, 2039, 3, 3, 31, 29, 65521, 2039]
     assert omega == [32, 11, 10, 4, 5, 1, 3, 1, 3, 1]
     assert rest == [1, 1, 1, 1, 5, 23, 37, 2027, 1, 2000003]
-    assert bounds == [5, 29, 31, 2053, 5, 5, 37, 31, 65537, 2053]
     got = [a.tolist() for a in arith._split([2039 * 2000003, *ONES], False)]
-    assert got == [[2053, *[2048] * 7], [2039, *[0] * 7], [1, *[0] * 7],
-                   [2000003, *[1] * 7]]
+    assert got[1:] == [[2039, *[0] * 7], [1, *[0] * 7], [2000003, *[1] * 7]]
     # A shorter list is trial-divided, by the primes below 1024.
     assert [a.tolist() for a in arith._split([2039 * 2000003], False)] == \
         [[1024], [0], [0], [2039 * 2000003]]
+    bounds, _, omega, rest = arith._split([2039 * 2000003], True)
+    assert [a.tolist() for a in (bounds, omega, rest)] == \
+        [[1024], [0], [2039 * 2000003]]
     assert arith._split(FIRST_BLOCK_ONLY, False)[1].tolist() == \
         [2, 3, 5, 23, 2, 3, 13, 19]
     # No values, and values of 2**52 and more only.
     for full in (True, False):
-        assert [a.tolist() for a in arith._split([], full)] == [[]] * 4
+        assert all(len(a) == 0 for a in arith._split([], full)
+                   if a is not None)
         check_split([2 ** 52, -(2 ** 61 - 1), 3 ** 40, 2 ** 64 + 13,
                      1031 ** 7], full)
     want, got = _sympy_and_batched(BLOCK_EDGES + FIRST_BLOCK_ONLY)
@@ -670,31 +679,29 @@ def test_sieve_split_long_lists():
 
 
 def test_batched_kernels_route_by_size():
-    # Values of 2**52 and more are trial-divided, with bound 1024 unless
-    # they stop at a prime; the sieve's top bound (that of a zero value,
-    # or of a row that runs every block) is taken from the smaller values
-    # alone.
+    # Values of 2**52 and more are trial-divided, with bound 1024; the
+    # sieve's top bound (that of a zero value, or of a row that runs every
+    # block) is taken from the smaller values alone.
     values = [6, 2 ** 52 - 1, 2 ** 52, -(2 ** 61 - 1), 0, -35, 2 ** 80 + 1,
               1]
     want, got = _sympy_and_batched(values)
     assert got == want
-    for full, big in ((True, [1024] * 3), (False, [3, 1024, 1024])):
+    for full in (True, False):
         bounds = check_split(values, full)[0].tolist()
         assert [b for v, b in zip(values, bounds) if abs(v) >= 2 ** 52] \
-            == big
+            == [1024] * 3
         assert bounds[4] == 2 ** 16
     # 37 * 41 runs every block below 32, so its bound is the top bound:
     # 32 from 37 * 41 and 1s, where 2**61 + 1 would have made it 2**16.
-    # 2**61 + 1 stops at its least prime, 3, and takes the bound 5.
     assert is_prime_many([37 * 41, 2 ** 61 + 1]) == [False, False]
     assert arith._split([37 * 41, 2 ** 61 + 1, *ONES[1:]],
-                        full=False)[0].tolist()[:2] == [32, 5]
+                        full=False)[0].tolist()[:2] == [32, 1024]
     # A big row's trial division stops once p * p passes its rest: 3 is
     # left as the rest of 3 * 2**60, under the bound 1024.  The row of 7
     # leaves the sieve after its first block, the odd primes to 23.
-    got = check_split([3 * 2 ** 60, 7, *ONES[1:]], True)
-    assert [a.tolist()[:2] for a in got] == \
-        [[1024, 29], [2, 7], [60, 1], [3, 1]]
+    bounds, _, omega, rest = check_split([3 * 2 ** 60, 7, *ONES[1:]], True)
+    assert [a.tolist()[:2] for a in (bounds, omega, rest)] == \
+        [[1024, 29], [60, 1], [3, 1]]
 
 
 # Above 2**52 values are trial-divided by the primes below 1024; 1031 is
