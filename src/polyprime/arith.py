@@ -56,7 +56,13 @@ one ladder: Jaeschke's (Math. Comp. 61, 1993) 3 and 4 bases below
 1,122,004,669,633, and from there on Miller-Rabin followed by a strong
 Lucas test, to base 2 below 2**64 (Baillie-PSW) and to the 13 primes to
 41 above.  It is a proof below ~3.3e24 and at least as strict as
-Baillie-PSW beyond.
+Baillie-PSW beyond.  Each kernel hands the cofactors it tests to one
+call of `_miller_rabin_many` (Liouville: those below bound**3, the rest
+it factors).  Once _MR_LANES of them are below 2**52, those are tested
+together in numpy, where a float64 quotient and a wrapping int64 product
+make each multiplication mod n exact, and only the strong Lucas test
+runs one value at a time.  The experiments hand a kernel the values of
+many samples at once, which is where the numpy test pays.
 """
 
 import bisect
@@ -81,6 +87,11 @@ _MR_BANDS = (
     (math.inf, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
 )
 _LUCAS_FROM = _MR_BANDS[1][0]
+# Fewest Miller-Rabin values below 2**52 that `_miller_rabin_many` tests
+# in numpy rather than one at a time.  On the cofactors of quadratics near
+# 1e14 and of lines near 1e9 the two routes cost the same at 128 values;
+# at 192 numpy is 15-20% faster, at 512 about 2x.
+_MR_LANES = 192
 
 
 def primes_upto(n: int) -> np.ndarray:
@@ -144,6 +155,97 @@ def _miller_rabin(n: int) -> bool:
         else:
             return False
     return n < _LUCAS_FROM or _strong_lucas(n)
+
+
+def _miller_rabin_many(ms) -> list:
+    """`_miller_rabin` of each of ms, odd and > 7.
+
+    When at least _MR_LANES of them are below 2**52, those are tested
+    together in numpy by `_strong_probable_many`, and the strong Lucas
+    test runs, one value at a time, on the survivors from
+    1,122,004,669,633 on.  The others, and every value of a call with
+    fewer such lanes, take the scalar test.
+    """
+    low = [m for m in ms if m < _FLOAT_EXACT]
+    if len(low) < _MR_LANES:
+        return [_miller_rabin(m) for m in ms]
+    passed = iter(_strong_probable_many(np.array(low, dtype=np.int64))
+                  .tolist())
+    # next(passed) is read once for each m below 2**52, in order.
+    return [_miller_rabin(m) if m >= _FLOAT_EXACT
+            else next(passed) and (m < _LUCAS_FROM or _strong_lucas(m))
+            for m in ms]
+
+
+def _mulmod(x, y, n, nf):
+    """x * y % n for int64 arrays with 0 <= x, y < n < 2**52; nf is n as
+    float64.
+
+    The quotient comes from float64 and is off from floor(x * y / n) by
+    at most one either way, since x * y / n < 2**52.  So x * y - q * n
+    lies in [-n, 2n), far inside int64, and the wrapping int64 products
+    give it exactly; its remainder mod n corrects the quotient.
+    """
+    q = (x.astype(np.float64) * y / nf).astype(np.int64)
+    return np.remainder(x * y - q * n, n)
+
+
+def _strong_probable_many(n):
+    """Whether each n, an int64 array of odd values 7 < n < 2**52, is a
+    strong probable prime to every base of its row of _MR_BANDS: the
+    Miller-Rabin part of `_miller_rabin`, in numpy.
+
+    The j-th bases of all rows are tested in one pass, over the lanes that
+    passed every earlier base and whose row has a j-th base; each pass
+    keeps only those lanes.  A pass raises its bases to the odd part d of
+    n - 1 from the top bit of the largest d down, squaring by `_mulmod`
+    and multiplying by the base with np.remainder, exact because
+    a * n < 2**63 in every row below 2**52; then it squares up to s - 1
+    times, with n - 1 = d * 2**s, looking for n - 1.
+    """
+    bounds = [bound for bound, _ in _MR_BANDS if bound < _FLOAT_EXACT]
+    rows = [bases for _, bases in _MR_BANDS[:len(bounds) + 1]]
+    row = np.searchsorted(bounds, n, side="right")
+    d = n - 1
+    s = np.searchsorted(_POWERS_OF_TWO, d & -d)
+    d >>= s
+    nf = n.astype(np.float64)
+    ok = np.zeros(len(n), dtype=bool)
+    lane = np.arange(len(n))
+    for j in range(max(map(len, rows))):
+        if not len(lane):
+            break
+        a = np.array([bases[j] if j < len(bases) else 0
+                      for bases in rows])[row]
+        passed = _strong_probable(n, nf, a, d, s)
+        more = np.array([j + 1 < len(bases) for bases in rows])[row]
+        ok[lane[passed & ~more]] = True
+        keep = passed & more
+        lane, n, nf, d, s, row = (v[keep] for v in (lane, n, nf, d, s, row))
+    return ok
+
+
+def _strong_probable(n, nf, a, d, s):
+    """One base of `_strong_probable_many`: whether n is a strong probable
+    prime to base a, for n - 1 = d * 2**s with d odd.  A base that is 0
+    mod n passes, as in `_miller_rabin`."""
+    x = np.ones(len(n), dtype=np.int64)
+    for k in range(int(d.max()).bit_length() - 1, -1, -1):
+        x = _mulmod(x, x, n, nf)
+        x = np.where((d >> k) & 1 == 1, np.remainder(x * a, n), x)
+    minus = n - 1
+    ok = (x == 1) | (x == minus) | (a % n == 0)
+    live = (~ok).nonzero()[0]
+    for r in range(1, int(s.max())):
+        live = live[s[live] > r]
+        if not len(live):
+            break
+        y = _mulmod(x[live], x[live], n[live], nf[live])
+        x[live] = y
+        hit = y == minus[live]
+        ok[live[hit]] = True
+        live = live[~hit]
+    return ok
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -369,8 +471,9 @@ _SIEVE_PRIMES_INT = _SIEVE_PRIMES.tolist()
 _SIEVE_CHUNK = 1 << 15  # elements per numpy block of the sieve
 # Odd primes in a row chunk's first block, and also the fewest values
 # sieved.  That threshold only has to separate the list sizes that were
-# timed: a scalar call or the 3 points of a linear-forms sample, which are
-# trial-divided, from the hundreds of values of a tuples or chowla sample.
+# timed: a scalar call, which is trial-divided, from the values of a chunk
+# of samples, which are sieved (36 for 12 linear-forms samples at three
+# points, thousands for tuples or chowla samples).
 _FIRST_BLOCK = 8
 _FLOAT_EXACT = 1 << 52  # below this v / p == floor(v / p) iff p | v
 _POWERS_OF_TWO = np.array([1 << k for k in range(52)], dtype=np.int64)
@@ -405,11 +508,10 @@ def _split(values, full: bool):
 
     The values below 2**52 of a list of at least _FIRST_BLOCK values go
     through `_sieve` together.  A value of 2**52 or more, and every value
-    of a shorter list (a scalar call, or the 3 points of a linear-forms
-    sample), whose numpy passes would cost more than the divisions they
-    replace, is trial-divided by `_trial_split` instead, with bound
-    _TRIAL_BOUND; its rest is below _TRIAL_BOUND**2 unless it ran every
-    prime below that bound.
+    of a shorter list (a scalar call, say), whose numpy passes would cost
+    more than the divisions they replace, is trial-divided by
+    `_trial_split` instead, with bound _TRIAL_BOUND; its rest is below
+    _TRIAL_BOUND**2 unless it ran every prime below that bound.
     """
     try:
         signed = np.asarray(values, dtype=np.int64)
@@ -583,6 +685,15 @@ def _cofactor_is_prime(m: int, bound: int) -> bool:
     return m < bound * bound or _miller_rabin(m)
 
 
+def _cofactors_prime(bounds, ms) -> list:
+    """`_cofactor_is_prime(m, b)` for each b of bounds and m of ms, with
+    one `_miller_rabin_many` call for all the m it tests."""
+    tested = iter(_miller_rabin_many([m for b, m in zip(bounds, ms)
+                                      if m >= b * b]))
+    # next(tested) is read once for each m >= b * b, in order.
+    return [m < b * b or next(tested) for b, m in zip(bounds, ms)]
+
+
 def _at(rows, *arrays):
     """The entries of each array at rows, as lists of Python ints."""
     return (a[rows].tolist() for a in arrays)
@@ -600,9 +711,13 @@ def liouville_many(values) -> list:
     division) within a RHO_BUDGET of its own.
     """
     bounds, _, omega, rest = _split(values, full=True)
-    rows = (rest > 1.0).nonzero()[0]
-    omega[rows] = [k + (sum(_factor_cofactor(m, b).values()) if m >= b ** 3
-                        else 1 if _cofactor_is_prime(m, b) else 2)
+    big = rest >= bounds ** 3
+    rows = ((rest > 1.0) & ~big).nonzero()[0]
+    ks, bs, ms = _at(rows, omega, bounds, rest)
+    omega[rows] = [k + (1 if prime else 2)
+                   for k, prime in zip(ks, _cofactors_prime(bs, ms))]
+    rows = big.nonzero()[0]
+    omega[rows] = [k + sum(_factor_cofactor(m, b).values())
                    for k, b, m in zip(*_at(rows, omega, bounds, rest))]
     return np.where(rest == 0.0, 0, np.where(omega % 2, -1, 1)).tolist()
 
@@ -615,9 +730,10 @@ def von_mangoldt_many(values) -> list:
     powers = (~cofactor & (rest == 1.0)).nonzero()[0]
     out[powers] = [math.log(p) for p in first[powers].tolist()]
     rows = (cofactor & (rest > 1.0)).nonzero()[0]
+    bs, ms = _at(rows, bounds, rest)
     logs = []
-    for b, m in zip(*_at(rows, bounds, rest)):
-        if _cofactor_is_prime(m, b):
+    for b, m, prime in zip(bs, ms, _cofactors_prime(bs, ms)):
+        if prime:
             p = m
         elif m < b ** 3:
             r = math.isqrt(m)
@@ -637,8 +753,7 @@ def is_prime_many(values) -> list:
     bounds, first, omega, rest = _split(values, full=False)
     flags = (omega == 1.0) & (rest == 1.0)  # |v| is its least prime
     rows = ((first == 0.0) & (rest > 1.0)).nonzero()[0]
-    flags[rows] = [_cofactor_is_prime(m, b)
-                   for b, m in zip(*_at(rows, bounds, rest))]
+    flags[rows] = _cofactors_prime(*_at(rows, bounds, rest))
     return flags.tolist()
 
 

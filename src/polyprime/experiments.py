@@ -8,23 +8,27 @@ depend on how samples are distributed over worker processes, and the
 per-sample output is byte-identical for any worker count.
 
 Each experiment kind is one `Kind` entry of `KINDS`: its own config
-keys, validation, sampler, series, statistic (whose stats are its
-samples.csv columns), aggregation, and the span that bounds its points;
-each config key is one `ExperimentConfig` field.  The command line, the
-run and the CSV writer read the table and the fields and hold no
-per-kind code.
+keys, validation, sampler, series, points, kernel, stats (its
+samples.csv columns, from the kernel's output), aggregation, and the
+span that bounds its points; each config key is one `ExperimentConfig`
+field.  The command line, the run and the CSV writer read the table and
+the fields and hold no per-kind code.
 
 Statistic conventions.  Sums over n always mean 1 <= n <= X.  A zero
 value of f(n) contributes 0 wherever an arithmetic function is applied.
-Each statistic evaluates f once at each of its points, a range of
-consecutive n by `IntPolynomial.values` (linear-forms: the points ns),
-and hands the values to the pure batched kernels of `arith`
-(`liouville_many`, `von_mangoldt_many`, `is_prime_many`).  A config
-whose samples would each evaluate f at more than POINTS_CAP points is
-refused when it is built.  The Bateman-Horn statistic of `bh-moments` is
-the tuple statistic at the one shift 0.  The samples.csv column
-zero_evals counts the zero values among the values of f a sample
-evaluated, each once.
+Each sample evaluates f once at each of its points, a range of
+consecutive n by `IntPolynomial.values` (linear-forms: the points ns).
+A run computes its samples in chunks of consecutive indices (see
+`run_chunk`): one call of the kind's pure batched kernel of `arith`
+(`liouville_many`, `von_mangoldt_many`, `is_prime_many`) takes the
+values of every sample of a chunk, and each sample's stats read its own
+slice of the output.  The public statistics (`chowla_normalized_sum`,
+`tuple_statistic`, ...) compute one sample's statistic from f the same
+way.  A config whose samples would each evaluate f at more than
+POINTS_CAP points is refused when it is built.  The Bateman-Horn
+statistic of `bh-moments` is the tuple statistic at the one shift 0.
+The samples.csv column zero_evals counts the zero values among the
+values of f a sample evaluated, each once.
 """
 
 import functools
@@ -63,8 +67,15 @@ D_CAP = 100
 # Cap on the samples of one run, which keeps every record until the end.
 # By tracemalloc a record takes about 0.5-0.85 KB (linear-forms 490 B,
 # chowla-clt 600 B, poisson-gaps 830 B), so a run at the cap holds under
-# 1 GB of them.
+# 1 GB of them.  The values of f are held one chunk at a time, at most
+# CHUNK_POINTS of them or one sample's, at any number of samples.
 SAMPLES_CAP = 10 ** 6
+# Most points of the samples of one chunk, whose values go to the kernel
+# in one call; a chunk holds one sample at least.  On quadratics near 1e14
+# the kernel's time per sample stops falling at about 12 samples of 400
+# points (4,800 values), and at that size the chunk's arrays add about
+# 1 MiB to the peak memory of a run.
+CHUNK_POINTS = 4800
 # Cap on the signs of a sign pattern.  One sample makes 2s numpy passes
 # over its X windows: at X = 10**6 they take 0.03 s at s = 64 and 0.6 s
 # at s = 1000 (one core of a 2-core Xeon).  Longer patterns add nothing:
@@ -173,9 +184,15 @@ def tuple_statistic(f: IntPolynomial, X: int, shifts,
     the one shift 0 this is the Bateman-Horn statistic, the average of
     the von Mangoldt weight along f minus its series.
     """
+    vals = f.values(1 + min(shifts), X + max(shifts))
+    return _tuple_average(X, shifts, series_value, vals,
+                          von_mangoldt_many(vals))
+
+
+def _tuple_average(X, shifts, series_value, vals, weights) -> tuple:
+    """`tuple_statistic` from the values and their von Mangoldt weights."""
+    weight = np.array(weights)
     lo = min(shifts)
-    vals = f.values(1 + lo, X + max(shifts))
-    weight = np.array(von_mangoldt_many(vals))
     prod = np.ones(X)
     for l in shifts:
         prod *= weight[l - lo: l - lo + X]
@@ -186,7 +203,12 @@ def chowla_normalized_sum(f: IntPolynomial, X: int) -> tuple:
     """(sum of the Liouville function along f scaled by X**(-1/2), number
     of zero values of f among f(1..X))."""
     vals = f.values(1, X)
-    return sum(liouville_many(vals)) / math.sqrt(X), vals.count(0)
+    return _chowla_sum(X, vals, liouville_many(vals))
+
+
+def _chowla_sum(X, vals, signs) -> tuple:
+    """`chowla_normalized_sum` from the values and their Liouville signs."""
+    return sum(signs) / math.sqrt(X), vals.count(0)
 
 
 def _window_count(signs: np.ndarray, X: int, pattern) -> tuple:
@@ -208,9 +230,13 @@ def sign_pattern_statistic(f: IntPolynomial, X: int, pattern) -> tuple:
     identity 1{window = pattern} = prod((1 + eps_i * lam_i) // 2), in
     which a zero value gives 0 as it gives no match; a mismatch raises.
     """
-    eps = tuple(pattern)
-    vals = f.values(2, X + len(eps))
-    lam = np.array(liouville_many(vals), dtype=np.int8)
+    vals = f.values(2, X + len(pattern))
+    return _sign_pattern_count(X, tuple(pattern), vals, liouville_many(vals))
+
+
+def _sign_pattern_count(X, eps, vals, signs) -> tuple:
+    """`sign_pattern_statistic` from the values and their Liouville signs."""
+    lam = np.array(signs, dtype=np.int8)
     stat, match = _window_count(lam, X, eps)
     prod = np.ones(X, dtype=np.int8)
     for i, e in enumerate(eps):
@@ -230,7 +256,12 @@ def interval_count_distribution(values, L: int) -> Counter:
     """
     if L < 1 or len(values) < L:
         raise ValueError("need L >= 1 and at least L values")
-    flags = is_prime_many(values)
+    return _window_counts(is_prime_many(values), L)
+
+
+def _window_counts(flags, L: int) -> Counter:
+    """`interval_count_distribution` from the primality flags of the
+    values."""
     running = sum(flags[:L])
     counts = Counter([running])
     for x in range(L, len(flags)):
@@ -300,19 +331,41 @@ def _gaussian_window_stats(counts: Counter, X: int, p: float, L: int):
     return out
 
 
-def run_sample(cfg: ExperimentConfig, index: int, series) -> SampleRecord:
-    """Compute one sample record; fully determined by (cfg.seed, index).
+def run_chunk(cfg: ExperimentConfig, indices, series) -> list:
+    """The sample records at indices, consecutive, in order; each is fully
+    determined by (cfg.seed, its index).
 
+    Each sample draws its f from its own stream and evaluates f at its
+    points, in index order.  Then one call of the kind's kernel takes the
+    values of every sample together, and each sample's stats read its
+    slice of the result.  The kernels are pure and settle each value on
+    its own, so a record does not depend on the chunk it was computed in.
     `series` is the run's shared series, the kind's `run_series(cfg)`,
-    which `run_experiment` computes once and hands to every sample.
+    which `run_experiment` computes once and hands to every chunk.
     """
     kind = KINDS[cfg.kind]
-    rng = stream(cfg.seed, index)
-    f, attempts, sv = kind.draw(cfg, rng, series)
-    stats, zero_evals = kind.stats(cfg, f, sv)
-    return SampleRecord(index=index, coeffs=f.coeffs, series=sv.value,
-                        stats=stats, attempts=attempts,
-                        zero_evals=zero_evals)
+    drawn, values = [], []
+    for index in indices:
+        f, attempts, sv = kind.draw(cfg, stream(cfg.seed, index), series)
+        vals = kind.points(cfg, f, sv)
+        drawn.append((index, f, attempts, sv, vals))
+        values += vals
+    out = kind.kernel(cfg)(values)
+    records, start = [], 0
+    for index, f, attempts, sv, vals in drawn:
+        stats, zero_evals = kind.stats(cfg, sv, vals,
+                                       out[start:start + len(vals)])
+        start += len(vals)
+        records.append(SampleRecord(index=index, coeffs=f.coeffs,
+                                    series=sv.value, stats=stats,
+                                    attempts=attempts,
+                                    zero_evals=zero_evals))
+    return records
+
+
+def run_sample(cfg: ExperimentConfig, index: int, series) -> SampleRecord:
+    """One sample record, as a chunk of one (see `run_chunk`)."""
+    return run_chunk(cfg, (index,), series)[0]
 
 
 def _mean_stderr(vals):
@@ -390,30 +443,34 @@ def _stat(value_zeros):
     return {"stat": value}, zeros
 
 
-def _linear_forms_stats(cfg, f, sv):
-    fn = von_mangoldt_many if cfg.target == "von-mangoldt" \
-        else liouville_many
-    vals = [f.eval(n) for n in cfg.ns]
-    return {"stat": float(math.prod(fn(vals)))}, vals.count(0)
-
-
-def _poisson_gaps_stats(cfg, f, sv):
-    """Prime counts of f in windows holding calL primes on average.
+def _poisson_window(cfg, head, sv) -> tuple:
+    """(logscale, window_real, L): the window of f that holds calL primes on
+    average, from head = f(1..X).
 
     The scale of f's prime density is its own mean of log|f(n)| over
     1 <= n <= X, where a value with |f(n)| < 2 (0 or +-1) counts as
     log 2, so the scale is at least log 2.  The prime density is
-    p = S_w(f) / scale, and the window length is calL / p rounded to an
-    integer >= 1 (window_real keeps the unrounded value).  f(1..X) is
-    evaluated once for the scale and extended by f(X+1..X+L-1) for the
-    windows.
+    p = S_w(f) / scale, and the window length L is calL / p rounded to an
+    integer >= 1 (window_real keeps the unrounded value).
     """
-    vals = f.values(1, cfg.X)
-    logscale = math.fsum(math.log(max(abs(v), 2)) for v in vals) / cfg.X
+    logscale = math.fsum(math.log(max(abs(v), 2)) for v in head) / cfg.X
     window_real = cfg.calL * logscale / float(sv.value)
-    L = max(1, round(window_real))
-    vals += f.values(cfg.X + 1, cfg.X + L - 1)
-    counts = interval_count_distribution(vals, L)
+    return logscale, window_real, max(1, round(window_real))
+
+
+def _poisson_gaps_points(cfg, f, sv):
+    """f(1..X), evaluated once for the window length L, extended by
+    f(X+1..X+L-1) for the windows."""
+    vals = f.values(1, cfg.X)
+    L = _poisson_window(cfg, vals, sv)[2]
+    return vals + f.values(cfg.X + 1, cfg.X + L - 1)
+
+
+def _poisson_gaps_stats(cfg, sv, vals, flags):
+    """Prime counts of f in windows holding calL primes on average (see
+    `_poisson_window`)."""
+    logscale, window_real, L = _poisson_window(cfg, vals[:cfg.X], sv)
+    counts = _window_counts(flags, L)
     return {"window": L,
             "window_real": window_real,
             "mean_count": sum(k * c for k, c in counts.items()) / cfg.X,
@@ -513,22 +570,28 @@ class Kind:
     when it fails; an own key that must be given is required by one.
     `run_series(cfg)` is the series shared by every sample of a run, or
     None when it depends on f.  `draw(cfg, rng, series)` returns (f,
-    attempts, f's series), given the run's series.  `stats(cfg, f,
-    series)` returns (stats, zero_evals): the sample's statistics as a
-    dict by samples.csv column, in column order and with the same keys
-    for every sample, and the kind's count of zero values (see the module
+    attempts, f's series), given the run's series.  `points(cfg, f,
+    series)` is the list of values of f the sample reads, and
+    `kernel(cfg)` the `arith` kernel that takes them (`run_chunk` calls
+    it once on the values of a chunk of samples).  `stats(cfg, series,
+    values, out)` returns (stats, zero_evals) from the sample's values and
+    its slice of the kernel's output: the sample's statistics as a dict
+    by samples.csv column, in column order and with the same keys for
+    every sample, and the kind's count of zero values (see the module
     docstring).  `rows(cfg, records, warnings)` are the aggregates.csv
     rows as (key, estimate, stderr, predicted); it may append run
     warnings.  `span(cfg)`, read once `checks` pass, is
     (key, extra) when one sample evaluates f at X + extra points at most,
-    extra set by key, or None when it evaluates f at fixed points only;
+    extra set by key, or None when it evaluates f at the points ns only;
     the config refuses X or X + extra past POINTS_CAP, naming X or key.
-    Entries reach the traced public functions through this module's
-    globals, at call time.
+    Entries reach the kernels and the traced public functions through
+    this module's globals, at call time.
     """
 
     blurb: str
     draw: Callable
+    points: Callable
+    kernel: Callable
     stats: Callable
     rows: Callable
     keys: tuple = ()
@@ -543,8 +606,10 @@ KINDS = {
         "truncated series",
         keys=("k_max",),
         draw=_draw,
-        stats=lambda cfg, f, sv: _stat(tuple_statistic(
-            f, cfg.X, (0,), sv.value)),
+        points=lambda cfg, f, sv: f.values(1, cfg.X),
+        kernel=lambda cfg: von_mangoldt_many,
+        stats=lambda cfg, sv, vals, out: _stat(_tuple_average(
+            cfg.X, (0,), sv.value, vals, out)),
         rows=_centred_rows),
     "tuples": Kind(
         "shifted-tuple version of the von Mangoldt statistic",
@@ -554,8 +619,11 @@ KINDS = {
                 (lambda cfg: all(abs(l) <= cfg.X for l in cfg.shifts),
                  "shifts must satisfy |shift| <= X")),
         draw=_draw_tuples,
-        stats=lambda cfg, f, sv: _stat(tuple_statistic(
-            f, cfg.X, cfg.shifts, sv.value)),
+        points=lambda cfg, f, sv: f.values(1 + min(cfg.shifts),
+                                           cfg.X + max(cfg.shifts)),
+        kernel=lambda cfg: von_mangoldt_many,
+        stats=lambda cfg, sv, vals, out: _stat(_tuple_average(
+            cfg.X, cfg.shifts, sv.value, vals, out)),
         rows=_centred_rows,
         span=lambda cfg: ("shifts", max(cfg.shifts) - min(cfg.shifts))),
     "chowla-clt": Kind(
@@ -563,7 +631,10 @@ KINDS = {
         "Gaussian moments",
         keys=("k_max",),
         draw=_draw,
-        stats=lambda cfg, f, sv: _stat(chowla_normalized_sum(f, cfg.X)),
+        points=lambda cfg, f, sv: f.values(1, cfg.X),
+        kernel=lambda cfg: liouville_many,
+        stats=lambda cfg, sv, vals, out: _stat(_chowla_sum(
+            cfg.X, vals, out)),
         rows=_chowla_rows),
     "sign-patterns": Kind(
         "Liouville sign-pattern counts against the predicted variance",
@@ -573,8 +644,10 @@ KINDS = {
                 (lambda cfg: len(cfg.pattern) <= PATTERN_CAP,
                  f"pattern must have at most {PATTERN_CAP} signs")),
         draw=_draw,
-        stats=lambda cfg, f, sv: _stat(sign_pattern_statistic(
-            f, cfg.X, cfg.pattern)),
+        points=lambda cfg, f, sv: f.values(2, cfg.X + len(cfg.pattern)),
+        kernel=lambda cfg: liouville_many,
+        stats=lambda cfg, sv, vals, out: _stat(_sign_pattern_count(
+            cfg.X, cfg.pattern, vals, out)),
         rows=_sign_pattern_rows,
         span=lambda cfg: ("pattern", len(cfg.pattern) - 1)),
     "poisson-gaps": Kind(
@@ -586,6 +659,8 @@ KINDS = {
                 (lambda cfg: cfg.calL <= CALL_CAP,
                  f"calL must be at most {CALL_CAP}")),
         draw=_draw_bateman_horn,
+        points=_poisson_gaps_points,
+        kernel=lambda cfg: is_prime_many,
         stats=_poisson_gaps_stats,
         rows=_poisson_gaps_rows,
         span=_poisson_gaps_span),
@@ -608,7 +683,11 @@ KINDS = {
             cfg.ns, IntPolynomial(cfg.f0), cfg.M, cfg.w, cfg.d),
         draw=lambda cfg, rng, series: (sample_uniform_residue(
             cfg.d, cfg.H, rng, IntPolynomial(cfg.f0), cfg.M), 1, series),
-        stats=_linear_forms_stats,
+        points=lambda cfg, f, sv: [f.eval(n) for n in cfg.ns],
+        kernel=lambda cfg: von_mangoldt_many
+        if cfg.target == "von-mangoldt" else liouville_many,
+        stats=lambda cfg, sv, vals, out: (
+            {"stat": float(math.prod(out))}, vals.count(0)),
         rows=_linear_forms_rows,
         span=lambda cfg: None),
 }
@@ -627,21 +706,39 @@ def _aggregate(cfg: ExperimentConfig, records) -> RunResult:
                      warnings=warnings)
 
 
+def _sample_points(cfg: ExperimentConfig) -> int:
+    """The most points at which one sample evaluates f, by the kind's
+    `span`."""
+    span = KINDS[cfg.kind].span(cfg)
+    return len(cfg.ns) if span is None else cfg.X + math.ceil(span[1])
+
+
+def _chunks(cfg: ExperimentConfig) -> list:
+    """The chunks of a run, as ranges of sample indices: each of as many
+    samples as CHUNK_POINTS points take, one at least, and of at most
+    ceil(samples / workers) samples, so that every worker gets one."""
+    size = max(1, min(-(-cfg.samples // cfg.workers),
+                      CHUNK_POINTS // _sample_points(cfg)))
+    return [range(i, min(i + size, cfg.samples))
+            for i in range(0, cfg.samples, size)]
+
+
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
-    """Run all samples (possibly in a worker pool) and aggregate.
+    """Run all samples, chunk by chunk (possibly in a worker pool), and
+    aggregate.
 
     The run's shared series (the kind's `run_series`, if any) depends on
     cfg alone, not on the sampled f, so it is computed once, before any
     worker starts, and bound with cfg into the one callable that both the
-    pool and the single-worker loop map over the sample indices.
+    pool and the single-worker loop map over the chunks.
     """
-    run = functools.partial(run_sample, cfg,
+    run = functools.partial(run_chunk, cfg,
                             series=KINDS[cfg.kind].run_series(cfg))
-    indices = range(cfg.samples)
+    chunks = _chunks(cfg)
     if cfg.workers > 1:
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(cfg.workers) as pool:
-            records = pool.map(run, indices)
+            parts = pool.map(run, chunks, chunksize=1)
     else:
-        records = [run(i) for i in indices]
-    return _aggregate(cfg, records)
+        parts = [run(chunk) for chunk in chunks]
+    return _aggregate(cfg, [rec for part in parts for rec in part])

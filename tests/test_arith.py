@@ -2,6 +2,8 @@
 
 import math
 import time
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -886,6 +888,89 @@ def test_bpsw_band_refuses_strong_pseudoprimes_and_squares():
     assert time.perf_counter() - start < 1.0
     assert is_prime_many(squares) == [False] * 3
     assert liouville_many(squares) == [1] * 3
+
+
+def row_bases(n):
+    """The bases of n's row of arith._MR_BANDS."""
+    return next(bases for bound, bases in arith._MR_BANDS if n < bound)
+
+
+def check_array_miller_rabin(values):
+    """The numpy Miller-Rabin against sympy's test to the same bases, and
+    `_miller_rabin_many` on its array route against the scalar
+    `_miller_rabin` and `sympy.isprime`, with every warning an error (the
+    int64 products wrap on purpose)."""
+    low = [n for n in values if n < 2 ** 52]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        passed = arith._strong_probable_many(np.array(low, dtype=np.int64))
+        with mock.patch.object(arith, "_MR_LANES", 1):
+            got = arith._miller_rabin_many(values)
+    assert passed.tolist() == [mr(n, row_bases(n)) for n in low]
+    assert got == [arith._miller_rabin(n) for n in values]
+    assert got == [sympy.isprime(n) for n in values]
+
+
+def test_array_miller_rabin_at_band_edges():
+    # The odd values within 200 of the bounds of the two Jaeschke rows and
+    # of 2**52 (those above it take the scalar test in the same call), the
+    # strong pseudoprimes below 2**52, and 61, a base of its own row, which
+    # is 0 mod n there and skipped.
+    values = [m for n in (4_759_123_141, 1_122_004_669_633, 2 ** 52)
+              for m in range((n - 200) | 1, n + 200, 2)]
+    values += [n for n in PSEUDOPRIMES if n < 2 ** 52]
+    values += [n for n, _ in MR_BANDS if n < 2 ** 52]
+    values += [61, 1_662_803, 9, 15, 4_759_123_139, 1_122_004_669_631]
+    assert sum(map(sympy.isprime, values)) > 20
+    check_array_miller_rabin(values)
+
+
+def test_array_miller_rabin_long_runs_of_squares():
+    # n - 1 = k * 2**s for s up to 50: a prime whose base is a
+    # non-residue meets n - 1 only at the last of its s - 1 squarings.
+    values = []
+    for s in range(1, 51):
+        ks = range(1, min(2 ** (52 - s), 4000), 2)
+        values += [k * 2 ** s + 1 for k in ks[:12]]
+        values += [k * 2 ** s + 1 for k in ks if sympy.isprime(k * 2 ** s + 1)
+                   and k * 2 ** s + 1 > 7][:4]
+    values = sorted({n for n in values if 7 < n < 2 ** 52})
+    assert max(arith._POWERS_OF_TWO.tolist().index((n - 1) & (1 - n))
+               for n in values if sympy.isprime(n)) >= 45
+    check_array_miller_rabin(values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(
+    st.integers(9, 4_759_123_140),
+    st.integers(4_759_123_141, 1_122_004_669_632),
+    st.integers(1_122_004_669_633, 2 ** 52 - 1),
+    st.integers(9, 2 ** 52 - 1).map(sympy.prevprime)).map(lambda n: n | 1),
+    min_size=1, max_size=40))
+def test_array_miller_rabin_mixed_bands(values):
+    check_array_miller_rabin(values)
+
+
+def test_miller_rabin_many_routes_by_size(monkeypatch):
+    # Fewer than _MR_LANES values below 2**52 take the scalar test; with
+    # as many, those take the numpy one and the rest still the scalar.
+    calls = []
+    inner = arith._strong_probable_many
+
+    def spy(n):
+        calls.append(n.tolist())
+        return inner(n)
+
+    monkeypatch.setattr(arith, "_strong_probable_many", spy)
+    rng = stream(20261021, 1)
+    low = [rng.randrange(2 ** 40, 2 ** 52) | 1
+           for _ in range(arith._MR_LANES)]
+    high = [2 ** 61 - 1, PRIME_1E18 * 3]
+    want = [sympy.isprime(n) for n in low + high]
+    assert arith._miller_rabin_many(low[1:] + high) == want[1:]
+    assert calls == []
+    assert arith._miller_rabin_many(high + low) == want[-2:] + want[:-2]
+    assert calls == [low]
 
 
 @st.composite

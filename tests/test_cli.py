@@ -496,7 +496,9 @@ def test_toy_kind_needs_one_table_entry(monkeypatch, tmp_path, capsys):
         keys=("M",),
         checks=((lambda cfg: cfg.M <= 9, "M must be <= 9 for toy"),),
         draw=experiments.KINDS["chowla-clt"].draw,
-        stats=lambda cfg, f, sv: ({"stat": 0.0}, 0),
+        points=lambda cfg, f, sv: [f.eval(1)],
+        kernel=lambda cfg: experiments.is_prime_many,
+        stats=lambda cfg, sv, vals, out: ({"stat": 0.0}, 0),
         rows=lambda cfg, records, warnings: [
             ("M", float(cfg.M), math.nan, math.nan)])
     monkeypatch.setitem(experiments.KINDS, "toy", toy)

@@ -24,6 +24,7 @@ from polyprime.experiments import (
     iid_sign_simulation,
     interval_count_distribution,
     ks_statistic_gaussian,
+    run_chunk,
     run_experiment,
     run_sample,
     sign_pattern_statistic,
@@ -441,6 +442,44 @@ def test_run_experiment_workers_match_sequential():
             assert repr(fa) == repr(fb)  # nan-aware bitwise equality
 
 
+# One small run per kind.  A chunk of all 7 chowla-clt or sign-patterns
+# samples has enough Miller-Rabin values for the numpy test, and one sample
+# alone too few; the 21 linear-forms values of a chunk are sieved, and the
+# 3 of one sample trial-divided.
+CHUNK_RUNS = {
+    "bh-moments": dict(d=2, H=10 ** 20, X=30),
+    "tuples": dict(d=1, H=10 ** 7, X=60, shifts=(0, 2)),
+    "chowla-clt": dict(d=2, H=10 ** 9, X=60),
+    "sign-patterns": dict(d=2, H=10 ** 9, X=60, pattern=(1, -1)),
+    "poisson-gaps": dict(d=1, H=10 ** 3, X=60, w=11),
+    "linear-forms": dict(d=2, H=10 ** 8, X=1, w=11, ns=(1, 2, 3), M=3,
+                         f0=(1, 0)),
+}
+
+
+def test_records_do_not_depend_on_chunks(monkeypatch):
+    # One sample per chunk, chunks of 3 and one chunk give the same
+    # records, at one and at two workers (where a chunk holds at most 4 of
+    # the 7 samples), as each sample alone.
+    assert set(CHUNK_RUNS) == set(KINDS)
+    for kind, keys in CHUNK_RUNS.items():
+        cfg = ExperimentConfig(kind=kind, samples=7, seed=20261021, **keys)
+        series = KINDS[kind].run_series(cfg)
+        lone = [run_sample(cfg, i, series) for i in range(cfg.samples)]
+        assert run_chunk(cfg, range(cfg.samples), series) == lone, kind
+        for per in (1, 3, 7):
+            monkeypatch.setattr(experiments, "CHUNK_POINTS",
+                                per * experiments._sample_points(cfg))
+            for workers in (1, 2):
+                cfg = ExperimentConfig(kind=kind, samples=7, seed=20261021,
+                                       workers=workers, **keys)
+                size = min(per, 7 if workers == 1 else 4)
+                assert [len(c) for c in experiments._chunks(cfg)] == \
+                    [size] * (7 // size) + [7 % size] * (7 % size > 0)
+                assert run_experiment(cfg).records == lone, \
+                    (kind, per, workers)
+
+
 def test_run_experiment_tuples_and_bh_rows():
     cfg = ExperimentConfig(kind="tuples", d=1, H=50, X=40, samples=10,
                            seed=2, w=3, k_max=2, shifts=(0, 2))
@@ -585,8 +624,9 @@ def test_poisson_gaps_window_from_own_log_scale():
 
 
 def test_poisson_gaps_evaluates_each_point_once(monkeypatch):
-    # One is_prime_many call per sample, on f(1..X+L-1), built from the
-    # two ranges 1..X (the scale) and X+1..X+L-1 (the window tails).
+    # One is_prime_many call per chunk, on each sample's f(1..X+L-1) in
+    # turn, built from the two ranges 1..X (the scale) and X+1..X+L-1 (the
+    # window tails).
     import polyprime.experiments as experiments
     ranges, lists = [], []
     inner_values, inner_is_prime = IntPolynomial.values, is_prime_many
@@ -608,12 +648,13 @@ def test_poisson_gaps_evaluates_each_point_once(monkeypatch):
         cfg = ExperimentConfig(kind="poisson-gaps", d=2, H=50, X=X,
                                samples=4, seed=5, w=5, **extra)
         records = run_experiment(cfg).records
-        assert len(lists) == len(records)
-        want_ranges = []
-        for rec, vals in zip(records, lists):
+        assert len(lists) == len(experiments._chunks(cfg))
+        want_vals, want_ranges = [], []
+        for rec in records:
             f, L = IntPolynomial(rec.coeffs), rec.stats["window"]
-            assert vals == [f.eval(n) for n in range(1, X + L)]
+            want_vals += [f.eval(n) for n in range(1, X + L)]
             want_ranges += [(f.coeffs, 1, X), (f.coeffs, X + 1, X + L - 1)]
+        assert sum(lists, []) == want_vals
         assert ranges == want_ranges
         assert any(rec.stats["window"] > 1 for rec in records) \
             or extra == {"calL": 1e-6}
@@ -827,7 +868,10 @@ def test_tuples_zero_evals_counts_a_zero_once():
         cfg = ExperimentConfig(kind=kind, d=1, H=5, X=10, samples=1,
                                seed=1, **keys)
         sv = series_f_tuple(f, cfg.shifts or (0,), cfg.w)
-        assert KINDS[kind].stats(cfg, f, sv)[1] == 1, kind
+        entry = KINDS[kind]
+        vals = entry.points(cfg, f, sv)
+        assert entry.stats(cfg, sv, vals, entry.kernel(cfg)(vals))[1] == 1, \
+            kind
 
 
 def test_zero_evals_counts_each_evaluated_zero_once():
@@ -955,7 +999,9 @@ def test_linear_forms_modulus_above_w_fails_before_sampling(
 
 def test_traced_functions_are_called_through_module_globals(monkeypatch):
     # A wrapper bound to the module attribute, as the benchmark's span
-    # tracer installs it, must see every call the experiment table makes.
+    # tracer installs it, must see every call the experiment table makes:
+    # one kernel call per chunk, and the draw's calls per sample.  The
+    # public statistics reach their kernels the same way.
     import polyprime.experiments as experiments
     calls = Counter()
 
@@ -967,17 +1013,32 @@ def test_traced_functions_are_called_through_module_globals(monkeypatch):
             return inner(*args, **kwargs)
         return wrapper
 
-    for name in ("chowla_normalized_sum", "tuple_statistic", "series_f",
-                 "series_f_tuple", "series_linear_system",
+    for name in ("liouville_many", "von_mangoldt_many", "is_prime_many",
+                 "series_f", "series_f_tuple", "series_linear_system",
                  "sample_uniform_residue"):
         monkeypatch.setattr(experiments, name, counting(name))
-    run_experiment(ExperimentConfig(kind="chowla-clt", d=2, H=100, X=20,
-                                    samples=5, seed=3))
-    assert calls == {"chowla_normalized_sum": 5, "series_f": 5}
+    cfg = ExperimentConfig(kind="chowla-clt", d=2, H=100, X=20, samples=5,
+                           seed=3)
+    run_experiment(cfg)
+    assert calls == {"liouville_many": 1, "series_f": 5}
+    calls.clear()
+    # 40 points take two chowla-clt samples of 20 (chunks of 2, 2 and 1)
+    # and one tuples sample of 22.
+    monkeypatch.setattr(experiments, "CHUNK_POINTS", 40)
+    run_experiment(cfg)
+    assert calls == {"liouville_many": 3, "series_f": 5}
     calls.clear()
     run_experiment(ExperimentConfig(kind="tuples", d=1, H=100, X=20,
                                     samples=4, seed=3, shifts=(0, 2)))
-    assert calls == {"tuple_statistic": 4, "series_f_tuple": 4}
+    assert calls == {"von_mangoldt_many": 4, "series_f_tuple": 4}
     calls.clear()
     run_experiment(ExperimentConfig(**dict(LINEAR_FORMS_CFG, samples=3)))
-    assert calls == {"series_linear_system": 1, "sample_uniform_residue": 3}
+    assert calls == {"von_mangoldt_many": 1, "series_linear_system": 1,
+                     "sample_uniform_residue": 3}
+    calls.clear()
+    chowla_normalized_sum(X_POLY, 10)
+    tuple_statistic(X_POLY, 10, (0, 2), 0)
+    sign_pattern_statistic(X_POLY, 10, (1, -1))
+    interval_count_distribution(X_POLY.values(1, 10), 2)
+    assert calls == {"liouville_many": 2, "von_mangoldt_many": 1,
+                     "is_prime_many": 1}
