@@ -461,12 +461,24 @@ def test_records_do_not_depend_on_chunks(monkeypatch):
     # One sample per chunk, chunks of 3 and one chunk give the same
     # records, at one and at two workers (where a chunk holds at most 4 of
     # the 7 samples), as each sample alone.
+    import polyprime.arith as arith
+    lanes = []
+    inner = arith._strong_probable_many
+
+    def spy(n):
+        lanes.append(len(n))
+        return inner(n)
+
+    monkeypatch.setattr(arith, "_strong_probable_many", spy)
     assert set(CHUNK_RUNS) == set(KINDS)
     for kind, keys in CHUNK_RUNS.items():
         cfg = ExperimentConfig(kind=kind, samples=7, seed=20261021, **keys)
         series = KINDS[kind].run_series(cfg)
+        lanes.clear()
         lone = [run_sample(cfg, i, series) for i in range(cfg.samples)]
+        assert lanes == []
         assert run_chunk(cfg, range(cfg.samples), series) == lone, kind
+        assert bool(lanes) == (kind in ("chowla-clt", "sign-patterns"))
         for per in (1, 3, 7):
             monkeypatch.setattr(experiments, "CHUNK_POINTS",
                                 per * experiments._sample_points(cfg))
