@@ -21,14 +21,16 @@ consecutive n by `IntPolynomial.values` (linear-forms: the points ns).
 A run computes its samples in chunks of consecutive indices (see
 `run_chunk`): one call of the kind's pure batched kernel of `arith`
 (`liouville_many`, `von_mangoldt_many`, `is_prime_many`) takes the
-values of every sample of a chunk, and each sample's stats read its own
-slice of the output.  The public statistics (`chowla_normalized_sum`,
-`tuple_statistic`, ...) compute one sample's statistic from f the same
-way.  A config whose samples would each evaluate f at more than
-POINTS_CAP points is refused when it is built.  The Bateman-Horn
-statistic of `bh-moments` is the tuple statistic at the one shift 0.
-The samples.csv column zero_evals counts the zero values among the
-values of f a sample evaluated, each once.
+values of every sample of a chunk, and each sample's stats hand its
+values and its own slice of the output to the kind's public statistic
+(`tuple_statistic`, `chowla_normalized_sum`, `sign_pattern_statistic`,
+`interval_count_distribution`; linear-forms takes the product of the
+slice), which neither evaluates f nor calls a kernel.  A config whose
+samples would each evaluate f at more than POINTS_CAP points is refused
+when it is built.  The Bateman-Horn statistic of `bh-moments` is the
+tuple statistic at the one shift 0.  The samples.csv column zero_evals
+counts the zero values among the values of f a sample evaluated, each
+once.
 """
 
 import functools
@@ -174,41 +176,29 @@ class RunResult:
     warnings: list = field(default_factory=list)
 
 
-def tuple_statistic(f: IntPolynomial, X: int, shifts,
-                    series_value) -> tuple:
+def tuple_statistic(X, shifts, series_value, values, weights) -> tuple:
     """Average of the product of von Mangoldt weights at shifted points.
 
-    Returns (the average minus series_value, the number of zero values
-    among f(1+min(shifts)..X+max(shifts))).  series_value is f's tuple
-    series at shifts, and the product at n is taken in shift order.  At
-    the one shift 0 this is the Bateman-Horn statistic, the average of
-    the von Mangoldt weight along f minus its series.
+    `values` are f(1+min(shifts)..X+max(shifts)) and `weights` their von
+    Mangoldt weights.  Returns (the average minus series_value, the number
+    of zero values among them).  series_value is f's tuple series at
+    shifts, and the product at n is taken in shift order.  At the one
+    shift 0 this is the Bateman-Horn statistic, the average of the von
+    Mangoldt weight along f minus its series.
     """
-    vals = f.values(1 + min(shifts), X + max(shifts))
-    return _tuple_average(X, shifts, series_value, vals,
-                          von_mangoldt_many(vals))
-
-
-def _tuple_average(X, shifts, series_value, vals, weights) -> tuple:
-    """`tuple_statistic` from the values and their von Mangoldt weights."""
     weight = np.array(weights)
     lo = min(shifts)
     prod = np.ones(X)
     for l in shifts:
         prod *= weight[l - lo: l - lo + X]
-    return math.fsum(prod.tolist()) / X - float(series_value), vals.count(0)
+    return math.fsum(prod.tolist()) / X - float(series_value), \
+        values.count(0)
 
 
-def chowla_normalized_sum(f: IntPolynomial, X: int) -> tuple:
-    """(sum of the Liouville function along f scaled by X**(-1/2), number
-    of zero values of f among f(1..X))."""
-    vals = f.values(1, X)
-    return _chowla_sum(X, vals, liouville_many(vals))
-
-
-def _chowla_sum(X, vals, signs) -> tuple:
-    """`chowla_normalized_sum` from the values and their Liouville signs."""
-    return sum(signs) / math.sqrt(X), vals.count(0)
+def chowla_normalized_sum(X, values, signs) -> tuple:
+    """(sum of the Liouville signs of values = f(1..X) scaled by
+    X**(-1/2), number of zero values among them)."""
+    return sum(signs) / math.sqrt(X), values.count(0)
 
 
 def _window_count(signs: np.ndarray, X: int, pattern) -> tuple:
@@ -221,47 +211,37 @@ def _window_count(signs: np.ndarray, X: int, pattern) -> tuple:
     return (int(match.sum()) - X / 2 ** len(pattern)) / math.sqrt(X), match
 
 
-def sign_pattern_statistic(f: IntPolynomial, X: int, pattern) -> tuple:
+def sign_pattern_statistic(X, pattern, values, signs) -> tuple:
     """Normalized count of n <= X whose Liouville window matches pattern.
 
-    Returns (normalized count, number of zero values of f among the
-    window values f(2..X+s)).  The window of n is lambda(f(n+1..n+s)).
-    The match of every window is cross-checked against the product
-    identity 1{window = pattern} = prod((1 + eps_i * lam_i) // 2), in
-    which a zero value gives 0 as it gives no match; a mismatch raises.
+    `values` are the window values f(2..X+s) and `signs` their Liouville
+    signs; the window of n is lambda(f(n+1..n+s)).  Returns (normalized
+    count, number of zero values among the window values).  The match of
+    every window is cross-checked against the product identity
+    1{window = pattern} = prod((1 + eps_i * lam_i) // 2), in which a zero
+    value gives 0 as it gives no match; a mismatch raises.
     """
-    vals = f.values(2, X + len(pattern))
-    return _sign_pattern_count(X, tuple(pattern), vals, liouville_many(vals))
-
-
-def _sign_pattern_count(X, eps, vals, signs) -> tuple:
-    """`sign_pattern_statistic` from the values and their Liouville signs."""
     lam = np.array(signs, dtype=np.int8)
-    stat, match = _window_count(lam, X, eps)
+    stat, match = _window_count(lam, X, pattern)
     prod = np.ones(X, dtype=np.int8)
-    for i, e in enumerate(eps):
+    for i, e in enumerate(pattern):
         prod *= (1 + e * lam[i: i + X]) // 2
     if (bad := np.flatnonzero(prod != match)).size:
         n = int(bad[0]) + 1
         raise ConsistencyError(f"sign indicator mismatch at n={n}: window "
-                               f"{lam[n - 1: n - 1 + len(eps)].tolist()}")
-    return stat, vals.count(0)
+                               f"{lam[n - 1: n - 1 + len(pattern)].tolist()}")
+    return stat, values.count(0)
 
 
-def interval_count_distribution(values, L: int) -> Counter:
+def interval_count_distribution(flags, L: int) -> Counter:
     """Prime counts of f over the windows [x, x+L), 1 <= x <= X.
 
-    `values` are f(1..X+L-1).  The Counter maps k to the number of
-    windows holding exactly k values whose absolute value is prime.
+    `flags` are the primality flags of |f(1..X+L-1)|.  The Counter maps k
+    to the number of windows holding exactly k values whose absolute
+    value is prime.
     """
-    if L < 1 or len(values) < L:
+    if L < 1 or len(flags) < L:
         raise ValueError("need L >= 1 and at least L values")
-    return _window_counts(is_prime_many(values), L)
-
-
-def _window_counts(flags, L: int) -> Counter:
-    """`interval_count_distribution` from the primality flags of the
-    values."""
     running = sum(flags[:L])
     counts = Counter([running])
     for x in range(L, len(flags)):
@@ -470,7 +450,7 @@ def _poisson_gaps_stats(cfg, sv, vals, flags):
     """Prime counts of f in windows holding calL primes on average (see
     `_poisson_window`)."""
     logscale, window_real, L = _poisson_window(cfg, vals[:cfg.X], sv)
-    counts = _window_counts(flags, L)
+    counts = interval_count_distribution(flags, L)
     return {"window": L,
             "window_real": window_real,
             "mean_count": sum(k * c for k, c in counts.items()) / cfg.X,
@@ -575,17 +555,20 @@ class Kind:
     `kernel(cfg)` the `arith` kernel that takes them (`run_chunk` calls
     it once on the values of a chunk of samples).  `stats(cfg, series,
     values, out)` returns (stats, zero_evals) from the sample's values and
-    its slice of the kernel's output: the sample's statistics as a dict
-    by samples.csv column, in column order and with the same keys for
-    every sample, and the kind's count of zero values (see the module
-    docstring).  `rows(cfg, records, warnings)` are the aggregates.csv
+    its slice of the kernel's output, by the kind's public statistic of
+    them (linear-forms: the product of the slice): the sample's
+    statistics as a dict by samples.csv column, in column order and with
+    the same keys for every sample, and the kind's count of zero values
+    (see the module docstring).  `points` is the one place a kind
+    evaluates f.  `rows(cfg, records, warnings)` are the aggregates.csv
     rows as (key, estimate, stderr, predicted); it may append run
     warnings.  `span(cfg)`, read once `checks` pass, is
     (key, extra) when one sample evaluates f at X + extra points at most,
     extra set by key, or None when it evaluates f at the points ns only;
     the config refuses X or X + extra past POINTS_CAP, naming X or key.
-    Entries reach the kernels and the traced public functions through
-    this module's globals, at call time.
+    Entries reach the kernels and the public statistics through this
+    module's globals, at call time, so a wrapper on the module attribute
+    sees every call.
     """
 
     blurb: str
@@ -608,7 +591,7 @@ KINDS = {
         draw=_draw,
         points=lambda cfg, f, sv: f.values(1, cfg.X),
         kernel=lambda cfg: von_mangoldt_many,
-        stats=lambda cfg, sv, vals, out: _stat(_tuple_average(
+        stats=lambda cfg, sv, vals, out: _stat(tuple_statistic(
             cfg.X, (0,), sv.value, vals, out)),
         rows=_centred_rows),
     "tuples": Kind(
@@ -622,7 +605,7 @@ KINDS = {
         points=lambda cfg, f, sv: f.values(1 + min(cfg.shifts),
                                            cfg.X + max(cfg.shifts)),
         kernel=lambda cfg: von_mangoldt_many,
-        stats=lambda cfg, sv, vals, out: _stat(_tuple_average(
+        stats=lambda cfg, sv, vals, out: _stat(tuple_statistic(
             cfg.X, cfg.shifts, sv.value, vals, out)),
         rows=_centred_rows,
         span=lambda cfg: ("shifts", max(cfg.shifts) - min(cfg.shifts))),
@@ -633,7 +616,7 @@ KINDS = {
         draw=_draw,
         points=lambda cfg, f, sv: f.values(1, cfg.X),
         kernel=lambda cfg: liouville_many,
-        stats=lambda cfg, sv, vals, out: _stat(_chowla_sum(
+        stats=lambda cfg, sv, vals, out: _stat(chowla_normalized_sum(
             cfg.X, vals, out)),
         rows=_chowla_rows),
     "sign-patterns": Kind(
@@ -646,7 +629,7 @@ KINDS = {
         draw=_draw,
         points=lambda cfg, f, sv: f.values(2, cfg.X + len(cfg.pattern)),
         kernel=lambda cfg: liouville_many,
-        stats=lambda cfg, sv, vals, out: _stat(_sign_pattern_count(
+        stats=lambda cfg, sv, vals, out: _stat(sign_pattern_statistic(
             cfg.X, cfg.pattern, vals, out)),
         rows=_sign_pattern_rows,
         span=lambda cfg: ("pattern", len(cfg.pattern) - 1)),
@@ -724,20 +707,21 @@ def _chunks(cfg: ExperimentConfig) -> list:
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
-    """Run all samples, chunk by chunk (possibly in a worker pool), and
-    aggregate.
+    """Run all samples, chunk by chunk, and aggregate.
 
-    The run's shared series (the kind's `run_series`, if any) depends on
-    cfg alone, not on the sampled f, so it is computed once, before any
-    worker starts, and bound with cfg into the one callable that both the
-    pool and the single-worker loop map over the chunks.
+    The chunks go to a pool of min(workers, chunks) processes, or run in
+    this process when that is 1.  The run's shared series (the kind's
+    `run_series`, if any) depends on cfg alone, not on the sampled f, so
+    it is computed once, before any worker starts, and bound with cfg
+    into the one callable that both the pool and the in-process loop map
+    over the chunks.
     """
     run = functools.partial(run_chunk, cfg,
                             series=KINDS[cfg.kind].run_series(cfg))
     chunks = _chunks(cfg)
-    if cfg.workers > 1:
+    if (workers := min(cfg.workers, len(chunks))) > 1:
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(cfg.workers) as pool:
+        with ctx.Pool(workers) as pool:
             parts = pool.map(run, chunks, chunksize=1)
     else:
         parts = [run(chunk) for chunk in chunks]

@@ -10,9 +10,10 @@ its series S_w(f), so the truncation w must be fine enough that the
 omitted Euler factors stay well inside the tolerances; the test prints
 the measured numbers next to the assertion so the margin is on record.
 
-The whole module takes about 53 s on one core of a 2-core Xeon VM
-(Python 3.11, numpy 2.4): about 23 s in criterion 6 and 18 s in
-criterion 7, both mostly the batched Liouville kernel along f(1..X).
+The whole module takes about 24 s on one core of a 2-core Xeon VM
+(Python 3.11, numpy 2.4): about 8 s in criterion 6, mostly the batched
+Liouville kernel along f(1..X), and about 9 s in criterion 7, of which
+about 4 s are its iid sign simulations.
 """
 
 import math
@@ -162,19 +163,25 @@ def test_criterion_07_sign_pattern_variance():
         assert rel < 0.05, (pat, var, rel)
 
     # Liouville along random quadratics, one shared sign window per
-    # sample so the six patterns see identical draws.
-    X, samples, smax = 400, 1000, 2
+    # sample so the six patterns see identical draws.  As in a run's
+    # chunk, one liouville_many call takes the values of 12 samples, and
+    # each sample reads its own slice of the signs.
+    X, samples, smax, chunk = 400, 1000, 2, 12
+    width = X + smax - 1  # the window values f(2..X+smax)
     stats = {pat: [] for pat in PATTERNS}
-    for i in range(samples):
-        f = sample_uniform(2, 10 ** 9, stream(SEED, i))
-        lam = [0, 0] + liouville_many([f.eval(m)
-                                       for m in range(2, X + smax + 1)])
-        for pat in PATTERNS:
-            s = len(pat)
-            want = list(pat)
-            count = sum(1 for n in range(1, X + 1)
-                        if lam[n + 1: n + 1 + s] == want)
-            stats[pat].append((count - X / 2 ** s) / math.sqrt(X))
+    for lo in range(0, samples, chunk):
+        polys = [sample_uniform(2, 10 ** 9, stream(SEED, i))
+                 for i in range(lo, min(lo + chunk, samples))]
+        signs = liouville_many([f.eval(m) for f in polys
+                                for m in range(2, X + smax + 1)])
+        for j in range(len(polys)):
+            lam = [0, 0] + signs[j * width: (j + 1) * width]
+            for pat in PATTERNS:
+                s = len(pat)
+                want = list(pat)
+                count = sum(1 for n in range(1, X + 1)
+                            if lam[n + 1: n + 1 + s] == want)
+                stats[pat].append((count - X / 2 ** s) / math.sqrt(X))
     worst_lam = 0.0
     for pat in PATTERNS:
         var = float(np.var(stats[pat], ddof=1))

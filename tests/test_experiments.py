@@ -1,7 +1,9 @@
 """Monte Carlo harness: statistics, distributions, determinism."""
 
 import csv
+import itertools
 import math
+import multiprocessing
 import os
 import statistics
 from collections import Counter
@@ -20,15 +22,12 @@ from polyprime.experiments import (
     KINDS,
     ExperimentConfig,
     SampleRecord,
-    chowla_normalized_sum,
     iid_sign_simulation,
     interval_count_distribution,
     ks_statistic_gaussian,
     run_chunk,
     run_experiment,
     run_sample,
-    sign_pattern_statistic,
-    tuple_statistic,
     tv_poisson,
 )
 from polyprime.poly import IntPolynomial, sample_uniform
@@ -75,18 +74,47 @@ def vm_by_trial_division(m):
     return math.log(p) if m == 1 else 0.0
 
 
+def sample_stats(kind, f, X, series=None, **keys):
+    """f's (stats, zero_evals) as a run of kind computes them: a config of
+    kind at X and keys, the entry's points of f, one call of its kernel on
+    them and its stats, with series as f's series."""
+    cfg = ExperimentConfig(kind=kind, d=max(1, len(f.coeffs) - 1),
+                           H=max(1, *map(abs, f.coeffs)), X=X, samples=1,
+                           seed=1, **keys)
+    entry = KINDS[kind]
+    vals = entry.points(cfg, f, series)
+    return entry.stats(cfg, series, vals, entry.kernel(cfg)(vals))
+
+
+@pytest.fixture
+def window_counts(monkeypatch):
+    """The Counters that `interval_count_distribution` returns, in call
+    order, when the poisson-gaps stats call it through the module."""
+    counts = []
+    inner = experiments.interval_count_distribution
+
+    def spy(flags, L):
+        counts.append(inner(flags, L))
+        return counts[-1]
+
+    monkeypatch.setattr(experiments, "interval_count_distribution", spy)
+    return counts
+
+
 # The bh-moments statistic is the tuple statistic at the one shift 0.
 
 def test_bh_statistic_zero_poly():
-    assert tuple_statistic(IntPolynomial((0,)), 50, (0,), 0) == (0.0, 50)
+    f = IntPolynomial((0,))
+    assert sample_stats("bh-moments", f, 50, series_f(f, 5)) == \
+        ({"stat": 0.0}, 50)
 
 
 def test_bh_statistic_2x():
     # Lambda(2n) is log 2 exactly when 2n is a power of two: n in
     # {1, 2, 4, 8} for X = 8; the series vanishes at p = 2.
     f = IntPolynomial((0, 2))
-    got, zeros = tuple_statistic(f, 8, (0,), series_f(f, 2).value)
-    assert got == pytest.approx(4 * math.log(2) / 8, abs=1e-14)
+    stats, zeros = sample_stats("bh-moments", f, 8, series_f(f, 2), w=2)
+    assert stats["stat"] == pytest.approx(4 * math.log(2) / 8, abs=1e-14)
     assert zeros == 0
 
 
@@ -98,49 +126,51 @@ def test_bh_statistic_identity_poly_against_sieve():
             psi += math.log(p)
             pk *= p
     want = psi / 100 - 1.0
-    got, _ = tuple_statistic(X_POLY, 100, (0,), series_f(X_POLY, 5).value)
-    assert got == pytest.approx(want, abs=1e-12)
-    assert got == pytest.approx(-0.059546887706426, abs=1e-12)
+    stats, _ = sample_stats("bh-moments", X_POLY, 100, series_f(X_POLY, 5))
+    assert stats["stat"] == pytest.approx(want, abs=1e-12)
+    assert stats["stat"] == pytest.approx(-0.059546887706426, abs=1e-12)
 
 
 def test_tuple_statistic_single_shift_reduces_to_bh():
     for f in (X_POLY, IntPolynomial((1, 0, 1)), IntPolynomial((3, 2)),
               IntPolynomial((-7, 1))):
         sv = series_f(f, 3).value
-        tuple_sv = series_f_tuple(f, [0], 3).value
-        assert tuple_statistic(f, 40, [0], tuple_sv) == ref_bh(f, 40, sv)
+        tuple_sv = series_f_tuple(f, [0], 3)
+        assert sample_stats("tuples", f, 40, tuple_sv, w=3, shifts=[0]) \
+            == ref_bh(f, 40, sv)
 
 
 def test_tuple_statistic_always_composite_with_zero_series():
     # 30n has three distinct prime factors for every n >= 1, so the
     # von Mangoldt product vanishes termwise, and the series is 0 at
-
     # p = 2 already.
     f = IntPolynomial((0, 30))
-    sv = series_f_tuple(f, [0, 1], 5).value
-    assert sv == 0
-    assert tuple_statistic(f, 30, [0, 1], sv) == (0.0, 0)
+    sv = series_f_tuple(f, [0, 1], 5)
+    assert sv.value == 0
+    assert sample_stats("tuples", f, 30, sv, shifts=[0, 1]) == \
+        ({"stat": 0.0}, 0)
 
 
 def test_tuple_statistic_twin_shifts_against_oracle():
     X, w = 200, 3
-    sv = series_f_tuple(X_POLY, [0, 2], w).value
+    sv = series_f_tuple(X_POLY, [0, 2], w)
     acc = math.fsum(vm_by_trial_division(n) * vm_by_trial_division(n + 2)
                     for n in range(1, X + 1))
-    want = acc / X - float(sv)
-    got, zeros = tuple_statistic(X_POLY, X, [0, 2], sv)
-    assert got == pytest.approx(want, abs=1e-12)
+    want = acc / X - float(sv.value)
+    stats, zeros = sample_stats("tuples", X_POLY, X, sv, w=w, shifts=[0, 2])
+    assert stats["stat"] == pytest.approx(want, abs=1e-12)
     assert zeros == 0
 
 
 def test_chowla_constant_polynomial_degenerate():
-    assert chowla_normalized_sum(IntPolynomial((1,)), 100) == (10.0, 0)
+    assert sample_stats("chowla-clt", IntPolynomial((1,)), 100) == \
+        ({"stat": 10.0}, 0)
 
 
 def test_chowla_identity_poly_frozen():
     # L(100) = -2 from a sieve, so the normalized sum is exactly -0.2.
-    got, zeros = chowla_normalized_sum(X_POLY, 100)
-    assert got == pytest.approx(-0.2, abs=1e-15)
+    stats, zeros = sample_stats("chowla-clt", X_POLY, 100)
+    assert stats["stat"] == pytest.approx(-0.2, abs=1e-15)
     assert zeros == 0
 
 
@@ -148,17 +178,17 @@ def test_chowla_x2_plus_1_against_trial_division():
     X = 100
     want = sum(lam_by_trial_division(n * n + 1)
                for n in range(1, X + 1)) / math.sqrt(X)
-    got, _ = chowla_normalized_sum(IntPolynomial((1, 0, 1)), X)
-    assert got == pytest.approx(want, abs=1e-12)
+    stats, _ = sample_stats("chowla-clt", IntPolynomial((1, 0, 1)), X)
+    assert stats["stat"] == pytest.approx(want, abs=1e-12)
 
 
 def test_sign_pattern_s1_relates_to_liouville_sum():
     X = 100
     total = sum(liouville(n) for n in range(2, X + 2))
-    stat, _ = sign_pattern_statistic(X_POLY, X, (-1,))
+    stats, _ = sample_stats("sign-patterns", X_POLY, X, pattern=(-1,))
     # count(-1) = (X - total)/2 because no window value is 0 here.
     want = ((X - total) / 2 - X / 2) / math.sqrt(X)
-    assert stat == pytest.approx(want, abs=1e-12)
+    assert stats["stat"] == pytest.approx(want, abs=1e-12)
 
 
 def test_sign_pattern_pair_count_against_enumeration():
@@ -168,8 +198,8 @@ def test_sign_pattern_pair_count_against_enumeration():
         if liouville(n + 1) == 1 and liouville(n + 2) == 1:
             count += 1
     want = (count - X / 4) / math.sqrt(X)
-    got, _ = sign_pattern_statistic(X_POLY, X, (1, 1))
-    assert got == pytest.approx(want, abs=1e-12)
+    stats, _ = sample_stats("sign-patterns", X_POLY, X, pattern=(1, 1))
+    assert stats["stat"] == pytest.approx(want, abs=1e-12)
 
 
 def test_sign_pattern_counts_partition_x():
@@ -177,8 +207,8 @@ def test_sign_pattern_counts_partition_x():
     f = IntPolynomial((1, 0, 1))
     total = 0.0
     for pattern in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        stat, _ = sign_pattern_statistic(f, X, pattern)
-        total += stat * math.sqrt(X) + X / 4
+        stats, _ = sample_stats("sign-patterns", f, X, pattern=pattern)
+        total += stats["stat"] * math.sqrt(X) + X / 4
     assert total == pytest.approx(X, abs=1e-9)
 
 
@@ -186,22 +216,34 @@ def test_sign_pattern_tolerates_zero_values():
     # f(5) = 0 puts a zero into some windows; those windows never match,
     # and the product identity gives them 0 as well.
     f = IntPolynomial((-5, 1))
-    stat, zeros = sign_pattern_statistic(f, 10, (-1,))
+    stats, zeros = sample_stats("sign-patterns", f, 10, pattern=(-1,))
     assert zeros > 0
     count = sum(1 for n in range(1, 11) if lam_by_trial_division(n - 4) == -1)
-    assert stat == pytest.approx((count - 5) / math.sqrt(10), abs=1e-12)
+    assert stats["stat"] == pytest.approx((count - 5) / math.sqrt(10),
+                                          abs=1e-12)
 
 
-def test_interval_distribution_window_one():
-    counts = interval_count_distribution(X_POLY.values(1, 30), 1)
+# The poisson-gaps stats count the windows of the length that calL tunes;
+# each test states the window its calL gives.
+
+def test_interval_distribution_window_one(window_counts):
+    stats, _ = sample_stats("poisson-gaps", X_POLY, 30, series_f(X_POLY, 5),
+                            calL=0.01)
+    assert stats["window"] == 1
+    [counts] = window_counts
     assert sum(counts.values()) == 30
     assert counts[1] / 30 == 10 / 30  # ten primes up to 30
     assert counts[0] / 30 == 20 / 30
+    with pytest.raises(ValueError):
+        interval_count_distribution([True], 2)
 
 
-def test_interval_distribution_against_recount():
+def test_interval_distribution_against_recount(window_counts):
     X, L = 20, 5
-    counts = interval_count_distribution(X_POLY.values(1, X + L - 1), L)
+    stats, _ = sample_stats("poisson-gaps", X_POLY, X, series_f(X_POLY, 5),
+                            calL=2.3)
+    assert stats["window"] == L
+    [counts] = window_counts
     acc = {}
     for x in range(1, X + 1):
         c = sum(1 for m in range(x, x + L)
@@ -210,10 +252,12 @@ def test_interval_distribution_against_recount():
     assert counts == acc
 
 
-def test_interval_double_counting_identity():
+def test_interval_double_counting_identity(window_counts):
     f = IntPolynomial((1, 0, 1))
     X, L = 50, 3
-    counts = interval_count_distribution(f.values(1, X + L - 1), L)
+    stats, _ = sample_stats("poisson-gaps", f, X, series_f(f, 5), calL=0.6)
+    assert stats["window"] == L
+    [counts] = window_counts
     lhs = sum(k * c for k, c in counts.items())
     rhs = 0
     for x in range(1, X + 1):
@@ -232,9 +276,12 @@ def is_prime_naive(m):
     return all(m % q for q in range(2, math.isqrt(m) + 1))
 
 
-def test_interval_moment_large_against_direct_sum():
+def test_interval_moment_large_against_direct_sum(window_counts):
     X, L, k = 10 ** 4, 20, 2
-    counts = interval_count_distribution(X_POLY.values(1, X + L - 1), L)
+    stats, _ = sample_stats("poisson-gaps", X_POLY, X, series_f(X_POLY, 5),
+                            calL=2.4)
+    assert stats["window"] == L
+    [counts] = window_counts
     sieve = np.zeros(X + L + 1, dtype=bool)
     for p in primes_upto(X + L).tolist():
         sieve[p] = True
@@ -490,6 +537,56 @@ def test_records_do_not_depend_on_chunks(monkeypatch):
                     [size] * (7 // size) + [7 % size] * (7 % size > 0)
                 assert run_experiment(cfg).records == lone, \
                     (kind, per, workers)
+
+
+def test_pool_forks_no_more_workers_than_chunks(monkeypatch):
+    # A pool of min(workers, chunks) processes; one chunk, or one
+    # worker, runs in process.  The records do not depend on it.
+    ctx = multiprocessing.get_context("fork")
+    sizes = []
+    inner = ctx.Pool
+
+    def pool(processes):
+        sizes.append(processes)
+        return inner(processes)
+
+    monkeypatch.setattr(ctx, "Pool", pool)
+    for samples, workers, want in ((3, 8, [3]), (1, 2, []), (12, 2, [2]),
+                                   (5, 1, [])):
+        keys = dict(kind="chowla-clt", d=2, H=1000, X=20, samples=samples,
+                    seed=5)
+        alone = run_experiment(ExperimentConfig(**keys)).records
+        sizes.clear()
+        cfg = ExperimentConfig(**keys, workers=workers)
+        assert run_experiment(cfg).records == alone
+        assert sizes == want, (samples, workers)
+
+
+def test_points_stay_within_the_span():
+    # The POINTS_CAP refusal and the chunk sizes trust each kind's span to
+    # bound the points of every sample the kind draws.
+    extras = {
+        "bh-moments": [{}],
+        "tuples": [{"shifts": s} for s in ((0, 2), (2, 0), (-3, 1, 4),
+                                           (-5, -1))],
+        "chowla-clt": [{}],
+        "sign-patterns": [{"pattern": p} for p in ((1,), (1, -1, 1),
+                                                   (-1,) * 8)],
+        "poisson-gaps": [{"calL": c, "w": w} for c in (0.01, 1.0, 25.0)
+                         for w in (2, 5, 20)],
+        "linear-forms": [{"ns": (-1, 1, 2, 3)}],
+    }
+    assert set(extras) == set(KINDS)
+    for kind, entry in KINDS.items():
+        for extra, X, (d, H) in itertools.product(
+                extras[kind], (6, 30), ((1, 10), (2, 10 ** 6), (3, 5))):
+            cfg = ExperimentConfig(kind=kind, d=d, H=H, X=X, samples=5,
+                                   seed=20261022, **extra)
+            series = entry.run_series(cfg)
+            for i in range(cfg.samples):
+                f, _, sv = entry.draw(cfg, stream(cfg.seed, i), series)
+                assert len(entry.points(cfg, f, sv)) <= \
+                    experiments._sample_points(cfg), (cfg, f)
 
 
 def test_run_experiment_tuples_and_bh_rows():
@@ -763,13 +860,14 @@ def test_run_sample_repeats_after_a_run_of_another_kind():
 
 
 # Per-n reference loops: the statistics as they were computed before the
-# batched kernels, one scalar arithmetic call per point, each with the
-# number of zero values of f it evaluated.
+# batched kernels, one scalar arithmetic call per point, each as a
+# sample's (stats, zero_evals): its stat and the number of zero values of
+# f it evaluated.
 
 def ref_bh(f, X, sv):
     vals = [f.eval(n) for n in range(1, X + 1)]
     total = math.fsum(von_mangoldt(v) for v in vals)
-    return total / X - float(sv), sum(1 for v in vals if v == 0)
+    return {"stat": total / X - float(sv)}, sum(1 for v in vals if v == 0)
 
 
 def ref_tuple(f, X, shifts, sv):
@@ -783,12 +881,13 @@ def ref_tuple(f, X, shifts, sv):
 
     total = math.fsum(term(n) for n in range(1, X + 1))
     points = range(1 + min(shifts), X + max(shifts) + 1)
-    return total / X - float(sv), sum(1 for m in points if f.eval(m) == 0)
+    return ({"stat": total / X - float(sv)},
+            sum(1 for m in points if f.eval(m) == 0))
 
 
 def ref_chowla(f, X):
     vals = [f.eval(n) for n in range(1, X + 1)]
-    return (sum(liouville(v) for v in vals) / math.sqrt(X),
+    return ({"stat": sum(liouville(v) for v in vals) / math.sqrt(X)},
             sum(1 for v in vals if v == 0))
 
 
@@ -801,7 +900,7 @@ def ref_sign(f, X, pattern):
         lam[m] = liouville(f.eval(m))
     count = sum(1 for n in range(1, X + 1)
                 if lam[n + 1: n + 1 + s] == list(pattern))
-    return (count - X / 2 ** s) / math.sqrt(X), zeros
+    return {"stat": (count - X / 2 ** s) / math.sqrt(X)}, zeros
 
 
 def ref_interval(f, X, L):
@@ -816,22 +915,29 @@ def small_polys(seed, count):
             for _ in range(count)]
 
 
-def test_statistics_match_reference_loops():
+def test_statistics_match_reference_loops(window_counts):
     X, w = 30, 5
-    zeros = 0
+    zeros, windows = 0, set()
     for f in small_polys(20261018, 60):
-        sv = series_f(f, w).value
-        got = tuple_statistic(f, X, (0,), sv)
-        assert got == ref_bh(f, X, sv), f
+        sv = series_f(f, w)
+        got = sample_stats("bh-moments", f, X, sv, w=w)
+        assert got == ref_bh(f, X, sv.value), f
         zeros += got[1]
-        assert chowla_normalized_sum(f, X) == ref_chowla(f, X), f
+        assert sample_stats("chowla-clt", f, X) == ref_chowla(f, X), f
         for pattern in ((1,), (-1, 1), (1, 1, -1)):
-            assert sign_pattern_statistic(f, X, pattern) == \
+            assert sample_stats("sign-patterns", f, X, pattern=pattern) == \
                 ref_sign(f, X, pattern), (f, pattern)
-        for L in (1, 4):
-            assert interval_count_distribution(
-                f.values(1, X + L - 1), L) == ref_interval(f, X, L), (f, L)
+        if sv.value == 0:
+            continue  # no window: the poisson-gaps draw refuses such f
+        for calL in (0.01, 1.0):
+            window_counts.clear()
+            stats, _ = sample_stats("poisson-gaps", f, X, sv, w=w,
+                                    calL=calL)
+            L = stats["window"]
+            assert window_counts == [ref_interval(f, X, L)], (f, L)
+            windows.add(L)
     assert zeros > 0
+    assert 1 in windows and max(windows) > 1
 
 
 def test_statistics_match_reference_loops_across_2_52():
@@ -843,9 +949,10 @@ def test_statistics_match_reference_loops_across_2_52():
         f = IntPolynomial(tuple(rng.randrange(-10 ** 9, 10 ** 9 + 1)
                                 for _ in range(4)) + (10 ** 9 - 7,))
         assert abs(f.eval(1)) < 2 ** 52 < abs(f.eval(X))
-        sv = series_f(f, w).value
-        assert tuple_statistic(f, X, (0,), sv) == ref_bh(f, X, sv), f
-        assert chowla_normalized_sum(f, X) == ref_chowla(f, X), f
+        sv = series_f(f, w)
+        assert sample_stats("bh-moments", f, X, sv, w=w) == \
+            ref_bh(f, X, sv.value), f
+        assert sample_stats("chowla-clt", f, X) == ref_chowla(f, X), f
 
 
 def test_tuple_statistic_matches_reference_loop():
@@ -853,9 +960,9 @@ def test_tuple_statistic_matches_reference_loop():
     zeros = 0
     for f in small_polys(20261019, 40):
         for shifts in ((0, 2), (2, 0), (-3, 1, 4), (0, 1, 2, 3, 6)):
-            sv = series_f_tuple(f, shifts, w).value
-            got = tuple_statistic(f, X, shifts, sv)
-            assert got == ref_tuple(f, X, shifts, sv), (f, shifts)
+            sv = series_f_tuple(f, shifts, w)
+            got = sample_stats("tuples", f, X, sv, w=w, shifts=shifts)
+            assert got == ref_tuple(f, X, shifts, sv.value), (f, shifts)
             zeros += got[1]
     assert zeros > 0
 
@@ -863,9 +970,11 @@ def test_tuple_statistic_matches_reference_loop():
 def test_tuple_statistic_zero_behind_zero_weight_not_audited():
     # f(6) = 0 is a factor at n = 6 (shift 0) and at n = 4 (shift 2),
     # behind the zero weight Lambda(|f(4)|) = Lambda(6); it is one value
-    # of f and counts once.
+    # of f and counts once.  3 divides every value, so the series is 0.
     f = IntPolynomial((-18, 3))
-    got = tuple_statistic(f, 10, (0, 2), 0)
+    sv = series_f_tuple(f, (0, 2), 5)
+    assert sv.value == 0
+    got = sample_stats("tuples", f, 10, sv, shifts=(0, 2))
     assert got[1] == 1
     assert got == ref_tuple(f, 10, (0, 2), 0)
 
@@ -877,13 +986,8 @@ def test_tuples_zero_evals_counts_a_zero_once():
     f = IntPolynomial((-5, 1))
     for kind, keys in (("tuples", {"shifts": (0, 2)}), ("bh-moments", {}),
                        ("poisson-gaps", {})):
-        cfg = ExperimentConfig(kind=kind, d=1, H=5, X=10, samples=1,
-                               seed=1, **keys)
-        sv = series_f_tuple(f, cfg.shifts or (0,), cfg.w)
-        entry = KINDS[kind]
-        vals = entry.points(cfg, f, sv)
-        assert entry.stats(cfg, sv, vals, entry.kernel(cfg)(vals))[1] == 1, \
-            kind
+        sv = series_f_tuple(f, keys.get("shifts", (0,)), 5)
+        assert sample_stats(kind, f, 10, sv, **keys)[1] == 1, kind
 
 
 def test_zero_evals_counts_each_evaluated_zero_once():
@@ -1012,8 +1116,8 @@ def test_linear_forms_modulus_above_w_fails_before_sampling(
 def test_traced_functions_are_called_through_module_globals(monkeypatch):
     # A wrapper bound to the module attribute, as the benchmark's span
     # tracer installs it, must see every call the experiment table makes:
-    # one kernel call per chunk, and the draw's calls per sample.  The
-    # public statistics reach their kernels the same way.
+    # one kernel call per chunk, and the draw's calls and one call of the
+    # kind's public statistic per sample.
     import polyprime.experiments as experiments
     calls = Counter()
 
@@ -1027,30 +1131,44 @@ def test_traced_functions_are_called_through_module_globals(monkeypatch):
 
     for name in ("liouville_many", "von_mangoldt_many", "is_prime_many",
                  "series_f", "series_f_tuple", "series_linear_system",
-                 "sample_uniform_residue"):
+                 "sample_uniform_residue", "tuple_statistic",
+                 "chowla_normalized_sum", "sign_pattern_statistic",
+                 "interval_count_distribution"):
         monkeypatch.setattr(experiments, name, counting(name))
     cfg = ExperimentConfig(kind="chowla-clt", d=2, H=100, X=20, samples=5,
                            seed=3)
     run_experiment(cfg)
-    assert calls == {"liouville_many": 1, "series_f": 5}
+    assert calls == {"liouville_many": 1, "series_f": 5,
+                     "chowla_normalized_sum": 5}
     calls.clear()
-    # 40 points take two chowla-clt samples of 20 (chunks of 2, 2 and 1)
-    # and one tuples sample of 22.
+    # 40 points take two chowla-clt or bh-moments samples of 20 (chunks
+    # of 2, 2 and 1) and one tuples or sign-patterns sample of 22 or 21.
     monkeypatch.setattr(experiments, "CHUNK_POINTS", 40)
     run_experiment(cfg)
-    assert calls == {"liouville_many": 3, "series_f": 5}
+    assert calls == {"liouville_many": 3, "series_f": 5,
+                     "chowla_normalized_sum": 5}
     calls.clear()
     run_experiment(ExperimentConfig(kind="tuples", d=1, H=100, X=20,
                                     samples=4, seed=3, shifts=(0, 2)))
-    assert calls == {"von_mangoldt_many": 4, "series_f_tuple": 4}
+    assert calls == {"von_mangoldt_many": 4, "series_f_tuple": 4,
+                     "tuple_statistic": 4}
+    calls.clear()
+    run_experiment(ExperimentConfig(kind="bh-moments", d=1, H=100, X=20,
+                                    samples=2, seed=3))
+    assert calls == {"von_mangoldt_many": 1, "series_f": 2,
+                     "tuple_statistic": 2}
+    calls.clear()
+    run_experiment(ExperimentConfig(kind="sign-patterns", d=1, H=100, X=20,
+                                    samples=3, seed=3, pattern=(1, -1)))
+    assert calls == {"liouville_many": 3, "series_f": 3,
+                     "sign_pattern_statistic": 3}
+    calls.clear()
+    cfg = ExperimentConfig(kind="poisson-gaps", d=1, H=100, X=10, samples=3,
+                           seed=3)
+    run_experiment(cfg)
+    assert calls["is_prime_many"] == len(experiments._chunks(cfg))
+    assert calls["interval_count_distribution"] == 3
     calls.clear()
     run_experiment(ExperimentConfig(**dict(LINEAR_FORMS_CFG, samples=3)))
     assert calls == {"von_mangoldt_many": 1, "series_linear_system": 1,
                      "sample_uniform_residue": 3}
-    calls.clear()
-    chowla_normalized_sum(X_POLY, 10)
-    tuple_statistic(X_POLY, 10, (0, 2), 0)
-    sign_pattern_statistic(X_POLY, 10, (1, -1))
-    interval_count_distribution(X_POLY.values(1, 10), 2)
-    assert calls == {"liouville_many": 2, "von_mangoldt_many": 1,
-                     "is_prime_many": 1}
