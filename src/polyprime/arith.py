@@ -60,9 +60,12 @@ Baillie-PSW beyond.  Each kernel hands the cofactors it tests to one
 call of `_miller_rabin_many` (Liouville: those below bound**3, the rest
 it factors).  Once _MR_LANES of them are below 2**52, those are tested
 together in numpy, where a float64 quotient and a wrapping int64 product
-make each multiplication mod n exact, and only the strong Lucas test
-runs one value at a time.  The experiments hand a kernel the values of
-many samples at once, which is where the numpy test pays.
+make each multiplication mod n exact: the bases in one pass per base,
+then the strong Lucas test in one pass over the survivors from
+1,122,004,669,633 on.  Only values of 2**52 or more, and the values of a
+call with fewer lanes, are tested one at a time.  The experiments hand a
+kernel the values of many samples at once, which is where the numpy
+test pays.
 """
 
 import bisect
@@ -161,19 +164,22 @@ def _miller_rabin_many(ms) -> list:
     """`_miller_rabin` of each of ms, odd and > 7.
 
     When at least _MR_LANES of them are below 2**52, those are tested
-    together in numpy by `_strong_probable_many`, and the strong Lucas
-    test runs, one value at a time, on the survivors from
-    1,122,004,669,633 on.  The others, and every value of a call with
-    fewer such lanes, take the scalar test.
+    together in numpy: `_strong_probable_many` runs the bases, and one
+    `_strong_lucas_many` call the strong Lucas test on the survivors
+    from 1,122,004,669,633 on, if there are any.  The others, and every
+    value of a call with fewer such lanes, take the scalar test.
     """
     low = [m for m in ms if m < _FLOAT_EXACT]
     if len(low) < _MR_LANES:
         return [_miller_rabin(m) for m in ms]
-    passed = iter(_strong_probable_many(np.array(low, dtype=np.int64))
-                  .tolist())
+    n = np.array(low, dtype=np.int64)
+    passed = _strong_probable_many(n)
+    lucas = (passed & (n >= _LUCAS_FROM)).nonzero()[0]
+    if len(lucas):
+        passed[lucas] = _strong_lucas_many(n[lucas])
+    passed = iter(passed.tolist())
     # next(passed) is read once for each m below 2**52, in order.
-    return [_miller_rabin(m) if m >= _FLOAT_EXACT
-            else next(passed) and (m < _LUCAS_FROM or _strong_lucas(m))
+    return [_miller_rabin(m) if m >= _FLOAT_EXACT else next(passed)
             for m in ms]
 
 
@@ -245,6 +251,68 @@ def _strong_probable(n, nf, a, d, s):
         hit = y == minus[live]
         ok[live[hit]] = True
         live = live[~hit]
+    return ok
+
+
+def _strong_lucas_many(n):
+    """Whether each n, an int64 array of odd values _LUCAS_FROM <= n <
+    2**52, passes `_strong_lucas`: the same test, in numpy.
+
+    Squares are refused first, and each lane searches its D one at a
+    time, as the scalar test does; D is so small against n that a D with
+    (D/n) = 0 means composite.  The chain (U, V, Q**j) mod n then starts
+    at j = 0, (0, 2, 1), and runs over every bit of the largest k, where
+    n + 1 = k * 2**s with k odd: each step doubles j in every lane, and
+    the lanes whose k has the bit also add 1 (np.where), halving mod n by
+    adding n to an odd value.  A zero bit above a lane's top bit keeps
+    (0, 2, 1).  Every product goes through `_mulmod`, with Q and 2Q
+    reduced mod n first.  Then, as in `_strong_probable`, up to s - 1
+    squarings of V run over the lanes not yet passed.
+    """
+    nf = n.astype(np.float64)
+    r = np.rint(np.sqrt(nf)).astype(np.int64)
+    ok = r * r != n
+    D = np.zeros(len(n), dtype=np.int64)
+    for i in ok.nonzero()[0].tolist():
+        m, d = int(n[i]), 5
+        while (j := _jacobi(d, m)) == 1:
+            d = 2 - d if d < 0 else -d - 2
+        ok[i], D[i] = j == -1, d
+    lane = ok.nonzero()[0]
+    n, nf = n[lane], nf[lane]
+    q = np.remainder((1 - D[lane]) // 4, n)
+    q2 = np.remainder(2 * q, n)
+    k = n + 1
+    s = np.searchsorted(_POWERS_OF_TWO, k & -k)
+    k >>= s
+    u = np.zeros(len(n), dtype=np.int64)
+    v = np.full(len(n), 2, dtype=np.int64)
+    qk = np.ones(len(n), dtype=np.int64)
+    # U_2j = U_j V_j, V_2j = V_j**2 - 2 Q**j; with P = 1,
+    # U_(j+1) = (U_j + V_j) / 2 and V_(j+1) = U_(j+1) - 2 Q U_j.
+    for b in range(int(k.max(initial=0)).bit_length() - 1, -1, -1):
+        u2 = _mulmod(u, v, n, nf)
+        v = np.remainder(_mulmod(v, v, n, nf) - 2 * qk, n)
+        qk = _mulmod(qk, qk, n, nf)
+        h = np.remainder(u2 + v, n)
+        h = (h + (h & 1) * n) >> 1
+        add = (k >> b) & 1 == 1
+        v = np.where(add, np.remainder(h - _mulmod(q2, u2, n, nf), n), v)
+        u = np.where(add, h, u2)
+        qk = np.where(add, _mulmod(qk, q, n, nf), qk)
+    passed = (u == 0) | (v == 0)
+    live = (~passed).nonzero()[0]
+    for r in range(1, int(s.max(initial=0))):
+        live = live[s[live] > r]
+        if not len(live):
+            break
+        nl, nfl, ql = n[live], nf[live], qk[live]
+        y = np.remainder(_mulmod(v[live], v[live], nl, nfl) - 2 * ql, nl)
+        v[live], qk[live] = y, _mulmod(ql, ql, nl, nfl)
+        hit = y == 0
+        passed[live[hit]] = True
+        live = live[~hit]
+    ok[lane] = passed
     return ok
 
 

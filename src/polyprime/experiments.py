@@ -74,9 +74,11 @@ D_CAP = 100
 SAMPLES_CAP = 10 ** 6
 # Most points of the samples of one chunk, whose values go to the kernel
 # in one call; a chunk holds one sample at least.  On quadratics near 1e14
-# the kernel's time per sample stops falling at about 12 samples of 400
-# points (4,800 values), and at that size the chunk's arrays add about
-# 1 MiB to the peak memory of a run.
+# (samples of 400 points) a run took 2.94, 2.73 and 2.62 ms per sample in
+# chunks of 2,400, 4,800 and 9,600 points (medians of 11, one core of a
+# 2-core Xeon): the numpy Miller-Rabin and Lucas passes cost less per
+# value as chunks grow.  Larger chunks cost memory instead: at 4,800
+# points the chunk's arrays add about 1 MiB to the peak memory of a run.
 CHUNK_POINTS = 4800
 # Cap on the signs of a sign pattern.  One sample makes 2s numpy passes
 # over its X windows: at X = 10**6 they take 0.03 s at s = 64 and 0.6 s
@@ -284,17 +286,25 @@ def ks_statistic_gaussian(values) -> float:
     return d
 
 
-def iid_sign_simulation(X: int, pattern, trials: int, seed: int) -> float:
-    """Empirical variance of the pattern count over iid uniform signs."""
-    eps = tuple(pattern)
+def iid_sign_simulation(X: int, patterns, trials: int, seed: int) -> list:
+    """Empirical variance of each pattern's count over iid uniform signs.
+
+    Trial t draws X plus the longest pattern's length of signs, once, from
+    child_seed(seed, t).  A pattern of s signs counts its windows in the
+    first X + s of them, which are the signs a trial of that pattern alone
+    draws: numpy's draw of N values is the first N of a longer draw.
+    """
+    pats = [tuple(p) for p in patterns]
     if trials < 2:
         raise ValueError("trials must be >= 2")
-    stats = np.empty(trials, dtype=np.float64)
+    stats = np.empty((len(pats), trials), dtype=np.float64)
+    width = X + max(map(len, pats))
     for t in range(trials):
         g = np.random.Generator(np.random.PCG64(child_seed(seed, t)))
-        y = g.integers(0, 2, size=X + len(eps)).astype(np.int8) * 2 - 1
-        stats[t] = _window_count(y, X, eps)[0]
-    return float(np.var(stats, ddof=1))
+        y = g.integers(0, 2, size=width).astype(np.int8) * 2 - 1
+        for i, eps in enumerate(pats):
+            stats[i, t] = _window_count(y, X, eps)[0]
+    return [float(np.var(row, ddof=1)) for row in stats]
 
 
 _CDF_POINTS = (("cdf_tm1", -1.0), ("cdf_t0", 0.0), ("cdf_tp1", 1.0))

@@ -156,8 +156,8 @@ def test_criterion_06_chowla_central_limit():
 
 def test_criterion_07_sign_pattern_variance():
     worst_iid = 0.0
-    for pat in PATTERNS:
-        var = iid_sign_simulation(10 ** 4, pat, 10 ** 4, SEED)
+    for pat, var in zip(PATTERNS, iid_sign_simulation(10 ** 4, PATTERNS,
+                                                      10 ** 4, SEED)):
         rel = abs(var - float(sigma_squared(pat))) / float(sigma_squared(pat))
         worst_iid = max(worst_iid, rel)
         assert rel < 0.05, (pat, var, rel)

@@ -973,6 +973,75 @@ def test_miller_rabin_many_routes_by_size(monkeypatch):
     assert calls == [low]
 
 
+def check_array_lucas(values):
+    """`_strong_lucas_many` against sympy's strong Lucas test and the
+    scalar `_strong_lucas`, with every warning an error."""
+    assert all(arith._LUCAS_FROM <= n < 2 ** 52 and n & 1 for n in values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = arith._strong_lucas_many(np.array(values, dtype=np.int64))
+    assert got.tolist() == [is_strong_lucas_prp(n) for n in values]
+    assert got.tolist() == [arith._strong_lucas(n) for n in values]
+
+
+def test_array_lucas_in_its_band():
+    # Random odd values and primes in the band, the odd values within 200
+    # of its ends, and squares of primes and of composites.
+    rng = stream(20261022, 1)
+    lo, hi = arith._LUCAS_FROM, 2 ** 52
+    values = [rng.randrange(lo, hi) | 1 for _ in range(1500)]
+    values += [sympy.nextprime(rng.randrange(lo, hi - 2 ** 20))
+               for _ in range(150)]
+    values += list(range(lo | 1, lo + 200, 2))
+    values += list(range(hi - 199, hi, 2))
+    roots = [sympy.nextprime(math.isqrt(lo)), sympy.prevprime(2 ** 26),
+             *(sympy.nextprime(rng.randrange(2 ** 21, 2 ** 26))
+               for _ in range(20)),
+             *(rng.randrange(2 ** 21, 2 ** 26) | 1 for _ in range(20))]
+    values += [r * r for r in roots]
+    assert sum(map(sympy.isprime, values)) > 150
+    check_array_lucas(values)
+
+
+def test_array_lucas_long_runs_of_squares():
+    # n + 1 = k * 2**s for s up to 51: a prime passes at V_(k * 2**r) = 0,
+    # and a late r runs the V-squaring tail for many steps.
+    values = []
+    for s in range(1, 52):
+        ks = range(-(-arith._LUCAS_FROM // 2 ** s) | 1, 2 ** (52 - s), 2)
+        ks = ks[:3000]
+        values += [k * 2 ** s - 1 for k in ks[:6]]
+        values += [k * 2 ** s - 1 for k in ks
+                   if sympy.isprime(k * 2 ** s - 1)][:4]
+    values = sorted({n for n in values if arith._LUCAS_FROM <= n < 2 ** 52})
+    assert max(((n + 1) & -(n + 1)).bit_length() - 1 for n in values
+               if sympy.isprime(n)) >= 45
+    check_array_lucas(values)
+
+
+def test_array_lucas_refuses_jaeschke_pseudoprimes(monkeypatch):
+    # Strong pseudoprimes to base 2 in the Baillie-PSW row pass the numpy
+    # bases, so the numpy Lucas test alone must refuse them.
+    pseudo = [2_152_302_898_747, 3_474_749_660_383]
+    assert all(mr(n, (2,)) and row_bases(n) == (2,) for n in pseudo)
+    lanes = []
+    inner = arith._strong_lucas_many
+
+    def spy(n):
+        lanes.append(n.tolist())
+        return inner(n)
+
+    monkeypatch.setattr(arith, "_strong_lucas_many", spy)
+    monkeypatch.setattr(arith, "_MR_LANES", 1)
+    prime = sympy.nextprime(pseudo[0])
+    assert arith._miller_rabin_many(pseudo + [prime, 101]) \
+        == [False, False, True, True]
+    assert lanes == [pseudo + [prime]]
+    # A call whose values all lie below the band makes no Lucas pass.
+    assert arith._miller_rabin_many([101, 4_759_123_141]) == [True, False]
+    assert lanes == [pseudo + [prime]]
+
+
 @st.composite
 def smooth_values(draw):
     """Values below 2**52 with a large smooth part: a product of small

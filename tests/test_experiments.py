@@ -31,7 +31,7 @@ from polyprime.experiments import (
     tv_poisson,
 )
 from polyprime.poly import IntPolynomial, sample_uniform
-from polyprime.rng import stream
+from polyprime.rng import child_seed, stream
 from polyprime.runio import write_run
 from polyprime.series import series_f, series_f_tuple
 
@@ -430,12 +430,27 @@ def test_gaussian_window_stats_against_a_recount():
 
 
 def test_iid_sign_simulation_matches_sigma():
-    var = iid_sign_simulation(500, (1,), 2000, 20260818)
+    [var] = iid_sign_simulation(500, [(1,)], 2000, 20260818)
     assert var == pytest.approx(0.25, rel=0.12)
-    var2 = iid_sign_simulation(500, (1, 1), 2000, 20260819)
+    [var2] = iid_sign_simulation(500, [(1, 1)], 2000, 20260819)
     assert var2 == pytest.approx(5 / 16, rel=0.12)
     with pytest.raises(ValueError):
-        iid_sign_simulation(10, (1,), 1, 0)
+        iid_sign_simulation(10, [(1,)], 1, 0)
+
+
+def test_iid_sign_simulation_reads_each_pattern_its_own_draw():
+    # One draw per trial serves every pattern only because numpy's draw of
+    # N values is the first N of a draw of N + 1 from the same seed.
+    for t in range(40):
+        for n in (1, 2, 7, 64, 1001, 10 ** 4 + 1):
+            short, long_ = (np.random.Generator(np.random.PCG64(
+                child_seed(20260818, t))).integers(0, 2, size=m)
+                for m in (n, n + 1))
+            assert np.array_equal(short, long_[:n]), (t, n)
+    patterns = [(1,), (-1, 1), (1, 1, -1), (-1,)]
+    together = iid_sign_simulation(60, patterns, 50, 7)
+    alone = [v for p in patterns for v in iid_sign_simulation(60, [p], 50, 7)]
+    assert together == alone
 
 
 def test_run_sample_deterministic():

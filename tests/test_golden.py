@@ -36,26 +36,41 @@ def test_golden_output_hashes(kind, workers, tmp_path):
     assert got == [samples_sha, aggregates_sha]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_a_golden_run_takes_the_numpy_miller_rabin(workers, monkeypatch):
-    # The hashes pin the bytes of the numpy Miller-Rabin only if a pinned
-    # run reaches it.  The chunks of the run at each worker count are run
-    # here, in this process, so that the spy sees them.
-    lanes = []
-    inner = arith._strong_probable_many
+def golden_kinds_calling(name, workers, monkeypatch):
+    """The GOLDEN kinds whose run at workers calls arith's function name.
+
+    The chunks of the run at that worker count are run here, in this
+    process, so that a spy sees them."""
+    calls = []
+    inner = getattr(arith, name)
 
     def spy(n):
-        lanes.append(len(n))
+        calls.append(len(n))
         return inner(n)
 
-    monkeypatch.setattr(arith, "_strong_probable_many", spy)
+    monkeypatch.setattr(arith, name, spy)
     taken = []
     for kind, (keys, *_) in GOLDEN.items():
         cfg = ExperimentConfig(kind=kind, workers=workers, **keys)
         series = KINDS[kind].run_series(cfg)
-        lanes.clear()
+        calls.clear()
         for chunk in experiments._chunks(cfg):
             run_chunk(cfg, chunk, series)
-        if lanes:
+        if calls:
             taken.append(kind)
-    assert taken
+    return taken
+
+
+# The hashes pin the bytes of the numpy Miller-Rabin and strong Lucas
+# tests only if pinned runs reach them.
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_golden_run_takes_the_numpy_miller_rabin(workers, monkeypatch):
+    assert golden_kinds_calling("_strong_probable_many", workers, monkeypatch)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_golden_runs_take_the_numpy_lucas_test(workers, monkeypatch):
+    # Only the two Liouville runs test cofactors of 1.1e12 or more.
+    assert golden_kinds_calling("_strong_lucas_many", workers, monkeypatch) \
+        == ["chowla-clt", "sign-patterns"]
