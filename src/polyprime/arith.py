@@ -270,8 +270,8 @@ def _strong_lucas_many(n):
     squarings of V run over the lanes not yet passed.
     """
     nf = n.astype(np.float64)
-    r = np.rint(np.sqrt(nf)).astype(np.int64)
-    ok = r * r != n
+    root = np.rint(np.sqrt(nf)).astype(np.int64)
+    ok = root * root != n
     D = np.zeros(len(n), dtype=np.int64)
     for i in ok.nonzero()[0].tolist():
         m, d = int(n[i]), 5

@@ -75,10 +75,11 @@ SAMPLES_CAP = 10 ** 6
 # Most points of the samples of one chunk, whose values go to the kernel
 # in one call; a chunk holds one sample at least.  On quadratics near 1e14
 # (samples of 400 points) a run took 2.94, 2.73 and 2.62 ms per sample in
-# chunks of 2,400, 4,800 and 9,600 points (medians of 11, one core of a
-# 2-core Xeon): the numpy Miller-Rabin and Lucas passes cost less per
-# value as chunks grow.  Larger chunks cost memory instead: at 4,800
-# points the chunk's arrays add about 1 MiB to the peak memory of a run.
+# chunks of 2,400, 4,800 and 9,600 points (medians of 11 rounds of 8
+# seeds, one core of a 2-core Xeon): the numpy Miller-Rabin and Lucas
+# passes cost less per value as chunks grow.  Larger chunks cost memory
+# instead: at 4,800 points the chunk's arrays add about 1 MiB to the peak
+# memory of a run.
 CHUNK_POINTS = 4800
 # Cap on the signs of a sign pattern.  One sample makes 2s numpy passes
 # over its X windows: at X = 10**6 they take 0.03 s at s = 64 and 0.6 s

@@ -10,10 +10,10 @@ its series S_w(f), so the truncation w must be fine enough that the
 omitted Euler factors stay well inside the tolerances; the test prints
 the measured numbers next to the assertion so the margin is on record.
 
-The whole module takes about 24 s on one core of a 2-core Xeon VM
-(Python 3.11, numpy 2.4): about 8 s in criterion 6, mostly the batched
-Liouville kernel along f(1..X), and about 9 s in criterion 7, of which
-about 4 s are its iid sign simulations.
+The whole module takes about 18 s on one core of a 2-core Xeon VM
+(Python 3.11, numpy 2.4): about 6 s in criterion 6, mostly the batched
+Liouville kernel along f(1..X), and about 5.5 s in criterion 7, of which
+about 1.3 s are its iid sign simulations.
 """
 
 import math

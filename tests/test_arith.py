@@ -1001,6 +1001,7 @@ def test_array_lucas_in_its_band():
     values += [r * r for r in roots]
     assert sum(map(sympy.isprime, values)) > 150
     check_array_lucas(values)
+    check_array_lucas([r * r for r in roots])  # no lane reaches the chain
 
 
 def test_array_lucas_long_runs_of_squares():

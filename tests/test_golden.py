@@ -71,6 +71,6 @@ def test_a_golden_run_takes_the_numpy_miller_rabin(workers, monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_golden_runs_take_the_numpy_lucas_test(workers, monkeypatch):
-    # Only the two Liouville runs test cofactors of 1.1e12 or more.
+    # Only the two Liouville runs test cofactors in [1.1e12, 2**52).
     assert golden_kinds_calling("_strong_lucas_many", workers, monkeypatch) \
         == ["chowla-clt", "sign-patterns"]
